@@ -1,173 +1,16 @@
 #!/usr/bin/env python3
-"""Standalone acceptance run: every gate, one line each, exit 0 iff all pass.
+"""Run the acceptance gates, one `criterion N:` line each; exit 0 iff all pass.
 
-The same checks live in tests/test_acceptance.py; this runner is for quick
-verification outside pytest and prints its gates as it goes.
+The gates are defined only in tests/test_acceptance.py; this script runs
+that file under pytest (the `test` extra) and returns pytest's exit status.
 """
 
 import sys
-import time
+from pathlib import Path
 
-import numpy as np
+import pytest
 
-from fnef import (
-    DEFAULT_PRIMES,
-    DivisorClass,
-    automorphism_group_order,
-    biplane_block_star_divisor,
-    biplane_curve_functional,
-    biplane_divisor,
-    build_biplane_qr,
-    canonical_divisor,
-    check_relations,
-    count_fcurves,
-    eliminate_psi,
-    enumerate_fcurves,
-    extremality_rank,
-    fcurve_block_arrays,
-    fcurve_functional,
-    fcurve_matrix_rank_exact,
-    fcurve_matrix_rank_modp,
-    fnef_check,
-    pair_divisor_functional,
-    pairing_values,
-    projection_formula_report,
-    pullback_forgetful,
-    reduce_canonical,
-    relation_row,
-    relation_system,
-    stirling2,
-    symmetric_divisor,
-    verify_biplane,
-)
-from fnef.subsets import all_generator_keys, full_mask
-
-failures = 0
-
-
-def gate(num, ok, elapsed, detail):
-    global failures
-    print(f"criterion {num}: {'PASS' if ok else 'FAIL'} ({elapsed:.1f}s) {detail}", flush=True)
-    if not ok:
-        failures += 1
-
-
-def main():
-    bp = build_biplane_qr()
-    div = biplane_divisor(bp)
-    wit = biplane_curve_functional(bp)
-
-    # 1: curve census
-    t0 = time.perf_counter()
-    total = count_fcurves(12)
-    distinct = len({c.blocks for c in enumerate_fcurves(12)})
-    dt = time.perf_counter() - t0
-    gate(1, total == 611501 == distinct and dt < 5, dt, f"count={total} distinct={distinct}")
-
-    # 2: design axioms and symmetry count
-    t0 = time.perf_counter()
-    design = verify_biplane(bp)
-    order = automorphism_group_order(bp)
-    dt = time.perf_counter() - t0
-    gate(2, (design.pair_replication, design.point_replication, order) == (2, 5, 660)
-         and dt < 60, dt, f"(lambda, r, order)=({design.pair_replication}, "
-         f"{design.point_replication}, {order})")
-
-    # 3: the four-part counterexample check
-    t0 = time.perf_counter()
-    values = pairing_values(div)
-    k_pairing = pair_divisor_functional(canonical_divisor(12), wit)
-    d_pairing = pair_divisor_functional(div, wit)
-    dt = time.perf_counter() - t0
-    gate(3, int(values.min()) == 0 and not np.any(values < 0)
-         and set(wit.boundary.values()) <= {0, 1}
-         and k_pairing == 13 and d_pairing == -1 and dt < 30, dt,
-         f"min={int(values.min())} K.w={k_pairing} D.w={d_pairing}")
-
-    # 4: decomposition into the symmetric part minus the block star
-    t0 = time.perf_counter()
-    other = symmetric_divisor(12) - biplane_block_star_divisor(bp)
-    dt0 = reduce_canonical(div) == reduce_canonical(other)
-    dt1 = np.array_equal(values, pairing_values(other))
-    dt = time.perf_counter() - t0
-    gate(4, dt0 and bool(dt1), dt, f"reduced_equal={dt0} pairings_equal={bool(dt1)}")
-
-    # 5: closed-form degree of the symmetric divisor
-    t0 = time.perf_counter()
-    blocks = fcurve_block_arrays(12)
-    popcount = np.array([bin(i).count("1") for i in range(1 << 12)], dtype=np.int64)
-    sizes = popcount[blocks]
-    closed = np.where(sizes.max(axis=1) >= 6, 0,
-                      np.minimum(sizes.min(axis=1), 6 - sizes.max(axis=1)))
-    mismatches = int(np.count_nonzero(pairing_values(symmetric_divisor(12)) != closed))
-    dt = time.perf_counter() - t0
-    gate(5, mismatches == 0, dt, f"mismatches={mismatches}")
-
-    # 6: ranks and dimensions
-    t0 = time.perf_counter()
-    rs12 = relation_system(12)
-    ranks12 = [fcurve_matrix_rank_modp(12, p) for p in DEFAULT_PRIMES]
-    rs5 = relation_system(5)
-    dt = time.perf_counter() - t0
-    gate(6, rs12.rank == 66 and rs12.ambient_dim == 1981 and ranks12 == [1981, 1981]
-         and rs5.rank == 10 and rs5.ambient_dim == 5 and fcurve_matrix_rank_exact(5) == 5,
-         dt, f"relations={rs12.rank} ambient={rs12.ambient_dim} full_rank={ranks12}")
-
-    # 7: extremal ray certificate
-    t0 = time.perf_counter()
-    rep = extremality_rank(div, primes=DEFAULT_PRIMES)
-    dt = time.perf_counter() - t0
-    gate(7, rep.certified_extremal
-         and sorted(rep.rank_mod_p.values()) == [1980, 1980] and dt < 600, dt,
-         f"zero_set={rep.zero_set_size} ranks={rep.rank_mod_p}")
-
-    # 8: behavior under the forgetful map
-    t0 = time.perf_counter()
-    count13 = len(fcurve_block_arrays(13))
-    lifted = pullback_forgetful(eliminate_psi(div))
-    scan = fnef_check(lifted)
-    exhaustive = projection_formula_report(
-        DivisorClass(6, {0b000011: 2, 0b000101: -1, 0b011100: 3, 0b001111: 1})
-    )
-    sampled = projection_formula_report(eliminate_psi(div), samples=100000)
-    dt = time.perf_counter() - t0
-    gate(8, count13 == stirling2(13, 4) and scan.nonnegative
-         and exhaustive.mismatches == 0 and sampled.mismatches == 0, dt,
-         f"S(13,4)={count13} pullback_min={scan.min_value} "
-         f"projection={exhaustive.mismatches}+{sampled.mismatches}")
-
-    # 9: property suites
-    t0 = time.perf_counter()
-    shifted = div + 2 * relation_row(4, 9, 12)
-    base = fnef_check(div)
-    moved = fnef_check(shifted)
-    invariance = (
-        pair_divisor_functional(shifted, wit) == pair_divisor_functional(div, wit)
-        and (base.min_value, base.zero_count) == (moved.min_value, moved.zero_count)
-    )
-    rows_ok = all(check_relations(fcurve_functional(c)).ok
-                  for n in range(4, 8) for c in enumerate_fcurves(n))
-    exclusivity = True
-    for n in range(4, 8):
-        full = full_mask(n)
-        for c in enumerate_fcurves(n):
-            bset = set(c.blocks)
-            b0, b1, b2, b3 = c.blocks
-            unions = {b0 | b1, b0 | b2, b0 | b3, b1 | b2, b1 | b3, b2 | b3}
-            for key in all_generator_keys(n):
-                if (key in bset or (key ^ full) in bset) and (
-                    key in unions or (key ^ full) in unions
-                ):
-                    exclusivity = False
-    threads_same = fnef_check(div, threads=3) == base
-    dt = time.perf_counter() - t0
-    gate(9, invariance and rows_ok and exclusivity and threads_same, dt,
-         f"invariance={invariance} rows={rows_ok} exclusivity={exclusivity} "
-         f"threads={threads_same}")
-
-    print(f"{9 - failures}/9 criteria passed")
-    return 1 if failures else 0
-
+GATES = Path(__file__).resolve().parent.parent / "tests" / "test_acceptance.py"
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(pytest.main([str(GATES), "-v", "-s"]))

@@ -27,7 +27,6 @@ from .biplane import (
 )
 from .cone import (
     DEFAULT_PRIMES,
-    certify_not_boundary,
     extremality_rank,
     fnef_check,
     projection_formula_report,
@@ -43,7 +42,6 @@ from .divisors import (
     eliminate_psi,
     load_divisor,
     pullback_forgetful,
-    reduce_canonical,
     symmetric_divisor,
 )
 from .errors import (
@@ -57,7 +55,6 @@ from .pairing import (
     load_functional,
     pair_divisor_fcurve,
     pair_divisor_functional,
-    pairing_values,
 )
 from .subsets import count_fcurves, enumerate_fcurves, parse_fcurve, validate_n
 
@@ -176,31 +173,16 @@ def cmd_biplane(args) -> int:
 def cmd_verify(args) -> int:
     manifest = Manifest(command=sys.argv[1:])
     bp = _load_biplane_arg(args, manifest)
-    with manifest.phase("counterexample_scan"):
+    with manifest.phase("verify"):
         rep = verify_counterexample(bp, threads=args.threads)
-    div = biplane_divisor(bp)
-    wit = biplane_curve_functional(bp)
-    with manifest.phase("certificate"):
-        cert = certify_not_boundary(div, wit)
-    with manifest.phase("decomposition"):
-        decomposition = symmetric_divisor(12) - biplane_block_star_divisor(bp)
-        same_coeffs = div == decomposition
-        same_reduced = reduce_canonical(div) == reduce_canonical(decomposition)
-        same_pairings = bool(
-            (
-                pairing_values(div, threads=args.threads)
-                == pairing_values(decomposition, threads=args.threads)
-            ).all()
-        )
-    decomposition_ok = same_coeffs and same_reduced and same_pairings
-    ok = rep.verdict and cert.certified_with_canonical and decomposition_ok
+    cert = rep.certificate
     if args.json:
         _emit_json(
             {
                 "fnef": _fnef_dict(rep.fnef),
-                "functional_boundary_min": rep.functional_boundary_min,
-                "canonical_pairing": rep.canonical_pairing,
-                "divisor_pairing": rep.divisor_pairing,
+                "functional_boundary_min": cert.boundary_min,
+                "canonical_pairing": cert.canonical_pairing,
+                "divisor_pairing": cert.pairing,
                 "verdict": rep.verdict,
                 "certificate": {
                     "boundary_min": cert.boundary_min,
@@ -209,23 +191,23 @@ def cmd_verify(args) -> int:
                     "certified": cert.certified,
                     "certified_with_canonical": cert.certified_with_canonical,
                 },
-                "decomposition_equal": decomposition_ok,
+                "decomposition_equal": rep.decomposition_equal,
             },
             manifest,
         )
     else:
         print(f"(a) F-nef scan: min {rep.fnef.min_value} over {count_fcurves(12)} curves, "
               f"{rep.fnef.zero_count} zeros -> {'ok' if rep.fnef.nonnegative else 'FAIL'}")
-        print(f"(b) witness boundary minimum: {rep.functional_boundary_min} -> "
-              f"{'ok' if rep.functional_boundary_min >= 0 else 'FAIL'}")
-        print(f"(c) canonical pairing: {rep.canonical_pairing} -> "
-              f"{'ok' if rep.canonical_pairing >= 0 else 'FAIL'}")
-        print(f"(d) divisor pairing: {rep.divisor_pairing} -> "
-              f"{'ok' if rep.divisor_pairing < 0 else 'FAIL'}")
+        print(f"(b) witness boundary minimum: {cert.boundary_min} -> "
+              f"{'ok' if cert.boundary_min >= 0 else 'FAIL'}")
+        print(f"(c) canonical pairing: {cert.canonical_pairing} -> "
+              f"{'ok' if cert.canonical_pairing >= 0 else 'FAIL'}")
+        print(f"(d) divisor pairing: {cert.pairing} -> "
+              f"{'ok' if cert.pairing < 0 else 'FAIL'}")
         print(f"not-boundary certificate: {'ok' if cert.certified_with_canonical else 'FAIL'}")
-        print(f"decomposition identity: {'ok' if decomposition_ok else 'FAIL'}")
-        print(f"verdict: {'VERIFIED' if ok else 'FAILED'}")
-    return EXIT_OK if ok else EXIT_FAILED
+        print(f"decomposition identity: {'ok' if rep.decomposition_equal else 'FAIL'}")
+        print(f"verdict: {'VERIFIED' if rep.verified else 'FAILED'}")
+    return EXIT_OK if rep.verified else EXIT_FAILED
 
 
 def cmd_fcurves(args) -> int:
@@ -383,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("biplane", parents=[common],
                        help="construct/verify the biplane and count its symmetries")
     p.add_argument("--file", metavar="FILE", help="alias for --biplane")
-    p.add_argument("--default", action="store_true",
-                   help="force the built-in quadratic-residue construction")
     p.set_defaults(func=cmd_biplane)
 
     p = sub.add_parser("verify", parents=[common],

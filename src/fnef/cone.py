@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -19,11 +20,13 @@ import numpy as np
 from .biplane import Biplane
 from .divisors import (
     DivisorClass,
-    canonical_divisor,
+    biplane_block_star_divisor,
     biplane_divisor,
+    canonical_divisor,
     pullback_forgetful,
     reduce_canonical,
     relation_system,
+    symmetric_divisor,
 )
 from .errors import InvalidInputError
 from .pairing import (
@@ -53,19 +56,6 @@ class FNefReport:
 
 
 @dataclass(frozen=True)
-class CounterexampleReport:
-    """The four checks: the divisor is F-nef, the witness functional is
-    nonnegative on boundary keys and on the canonical class, and pairs
-    negatively with the divisor."""
-
-    fnef: FNefReport
-    functional_boundary_min: int
-    canonical_pairing: int
-    divisor_pairing: int
-    verdict: bool
-
-
-@dataclass(frozen=True)
 class BoundaryCertificate:
     """Witness-functional certificate that a divisor class is not an
     effective boundary sum (and, in the stronger variant, not a nonnegative
@@ -76,6 +66,25 @@ class BoundaryCertificate:
     canonical_pairing: int
     certified: bool
     certified_with_canonical: bool
+
+
+@dataclass(frozen=True)
+class CounterexampleReport:
+    """The four checks (`verdict`): the divisor is F-nef, the witness
+    functional is nonnegative on boundary keys and on the canonical class,
+    and pairs negatively with the divisor.  `decomposition_equal` is the
+    identity divisor = symmetric - block star, as coefficients, as reduced
+    coordinates and as pairings with every F-curve."""
+
+    fnef: FNefReport
+    certificate: BoundaryCertificate
+    decomposition_equal: bool
+    verdict: bool
+
+    @property
+    def verified(self) -> bool:
+        """The whole verification: the four checks and the decomposition."""
+        return self.verdict and self.decomposition_equal
 
 
 @dataclass(frozen=True)
@@ -121,25 +130,24 @@ def fnef_check(d: DivisorClass, threads: int = 1) -> FNefReport:
 def verify_counterexample(bp: Biplane, threads: int = 1) -> CounterexampleReport:
     """Run the four-part check on the biplane divisor and its witness
     functional; the verdict requires F-nefness, nonnegative boundary
-    values, nonnegative canonical pairing, and a negative divisor pairing."""
+    values, nonnegative canonical pairing, and a negative divisor pairing.
+    Also checks the decomposition identity; pairing is linear, so the two
+    sides pair identically with every F-curve iff their difference pairs
+    to zero, and one scan of the difference decides it."""
     div = biplane_divisor(bp)
-    wit = biplane_curve_functional(bp)
     fnef = fnef_check(div, threads=threads)
-    boundary_min = wit.boundary_min()
-    canonical_pairing = pair_divisor_functional(canonical_divisor(12), wit)
-    divisor_pairing = pair_divisor_functional(div, wit)
-    verdict = (
-        fnef.nonnegative
-        and boundary_min >= 0
-        and canonical_pairing >= 0
-        and divisor_pairing < 0
+    cert = certify_not_boundary(div, biplane_curve_functional(bp))
+    decomposition = symmetric_divisor(12) - biplane_block_star_divisor(bp)
+    decomposition_equal = (
+        div == decomposition
+        and reduce_canonical(div) == reduce_canonical(decomposition)
+        and not pairing_values(div - decomposition, threads=threads).any()
     )
     return CounterexampleReport(
         fnef=fnef,
-        functional_boundary_min=boundary_min,
-        canonical_pairing=canonical_pairing,
-        divisor_pairing=divisor_pairing,
-        verdict=verdict,
+        certificate=cert,
+        decomposition_equal=decomposition_equal,
+        verdict=fnef.nonnegative and cert.certified_with_canonical,
     )
 
 
@@ -346,6 +354,28 @@ def _feed_rows(
     )
 
 
+def _check_orthogonal(
+    col_rows: np.ndarray, reduced: dict[int, Fraction], free_index: np.ndarray, ncols: int
+) -> None:
+    """Exact int64 dot product of every row with the reduced coordinates,
+    scaled by the lcm of their denominators; raises unless all vanish."""
+    scale = lcm(*(v.denominator for v in reduced.values()))
+    scaled = {int(free_index[m]): int(v * scale) for m, v in reduced.items()}
+    width = len(_ROW_PATTERN)
+    if width * max(abs(x) for x in scaled.values()) >= 1 << 63:
+        raise InvalidInputError(
+            "reduced coordinates too large for the int64 orthogonality check"
+        )
+    # one extra zero entry, so the -1 of a dropped pivot key reads 0
+    coords = np.zeros(ncols + 1, dtype=np.int64)
+    coords[list(scaled)] = list(scaled.values())
+    dots = np.zeros(len(col_rows), dtype=np.int64)
+    for k in range(width):
+        dots += _ROW_PATTERN[k] * coords[col_rows[:, k]]
+    if dots.any():
+        raise AssertionError("zero-pairing row not orthogonal to the class")
+
+
 def extremality_rank(
     d: DivisorClass,
     primes: Iterable[int] = DEFAULT_PRIMES,
@@ -370,19 +400,11 @@ def extremality_rank(
     # Every zero row is an integer vector orthogonal to the reduced
     # coordinates of d, so when those are nonzero the rational rank is at
     # most ambient-1 and the modular rank (never larger) may stop there
-    # exactly.  Assert the orthogonality on a sample of rows.
+    # exactly.  Check the orthogonality on every row.
     reduced = reduce_canonical(d)
     stop_rank = None
     if reduced:
-        by_pos = {int(rs.free_index[m]): v for m, v in reduced.items()}
-        for row in col_rows[:: max(1, len(col_rows) // 8)]:
-            dot = sum(
-                int(v) * by_pos.get(int(c), 0)
-                for c, v in zip(row, _ROW_PATTERN)
-                if c >= 0
-            )
-            if dot != 0:
-                raise AssertionError("zero-pairing row not orthogonal to the class")
+        _check_orthogonal(col_rows, reduced, rs.free_index, rs.ambient_dim)
         stop_rank = rs.ambient_dim - 1
 
     ranks: dict[int, int] = {}
@@ -433,21 +455,25 @@ def rank_exact(rows: Iterable[Sequence], ncols: int) -> int:
     return rank
 
 
+def _dense_rows(col_rows: np.ndarray, ncols: int) -> list[list[int]]:
+    """Curve rows of reduced coordinates as dense integer lists."""
+    dense = []
+    for row in col_rows:
+        vec = [0] * ncols
+        for c, v in zip(row, _ROW_PATTERN):
+            if c >= 0:
+                vec[int(c)] += int(v)
+        dense.append(vec)
+    return dense
+
+
 def fcurve_matrix_rank_exact(n: int) -> int:
     """Exact rational rank of the full pairing matrix; small n only."""
     if n > 7:
         raise InvalidInputError("exact rank oracle is limited to n <= 7")
     rs = relation_system(n)
-    blocks = fcurve_block_arrays(n)
-    col_rows = _free_col_rows(blocks, rs.free_index, n)
-    dense = []
-    for row in col_rows:
-        vec = [0] * rs.ambient_dim
-        for c, v in zip(row, _ROW_PATTERN):
-            if c >= 0:
-                vec[int(c)] += int(v)
-        dense.append(vec)
-    return rank_exact(dense, rs.ambient_dim)
+    col_rows = _free_col_rows(fcurve_block_arrays(n), rs.free_index, n)
+    return rank_exact(_dense_rows(col_rows, rs.ambient_dim), rs.ambient_dim)
 
 
 def zero_set_dense_rows(d: DivisorClass) -> list[list[int]]:
@@ -459,14 +485,7 @@ def zero_set_dense_rows(d: DivisorClass) -> list[list[int]]:
     blocks = fcurve_block_arrays(d.n)
     values = pairing_values(d, blocks)
     col_rows = _free_col_rows(blocks[values == 0], rs.free_index, d.n)
-    dense = []
-    for row in col_rows:
-        vec = [0] * rs.ambient_dim
-        for c, v in zip(row, _ROW_PATTERN):
-            if c >= 0:
-                vec[int(c)] += int(v)
-        dense.append(vec)
-    return dense
+    return _dense_rows(col_rows, rs.ambient_dim)
 
 
 def projection_formula_report(

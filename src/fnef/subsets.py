@@ -131,7 +131,7 @@ def count_fcurves(n: int) -> int:
     return stirling2(n, 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FCurve:
     """A partition of {1..n} into 4 nonempty blocks, as bit masks.
 
@@ -143,24 +143,18 @@ class FCurve:
     blocks: tuple[int, int, int, int]
 
     def __post_init__(self):
-        validate_n(self.n)
+        n = validate_n(self.n)
         blocks = self.blocks
         if len(blocks) != 4:
             raise InvalidInputError("an F-curve needs exactly 4 blocks")
-        union = 0
-        size = 0
-        for b in blocks:
-            if b == 0:
-                raise InvalidInputError("F-curve blocks must be nonempty")
-            union |= b
-            size += b.bit_count()
-        if union != full_mask(self.n) or size != self.n:
-            raise InvalidInputError(
-                f"blocks must partition 1..{self.n} (disjoint, covering)"
-            )
-        ordered = tuple(sorted(blocks, key=lambda b: b & -b))
-        if ordered != blocks:
-            object.__setattr__(self, "blocks", ordered)
+        b0, b1, b2, b3 = blocks
+        if b0 == 0 or b1 == 0 or b2 == 0 or b3 == 0:
+            raise InvalidInputError("F-curve blocks must be nonempty")
+        size = b0.bit_count() + b1.bit_count() + b2.bit_count() + b3.bit_count()
+        if b0 | b1 | b2 | b3 != full_mask(n) or size != n:
+            raise InvalidInputError(f"blocks must partition 1..{n} (disjoint, covering)")
+        if not (b0 & -b0) < (b1 & -b1) < (b2 & -b2) < (b3 & -b3):
+            object.__setattr__(self, "blocks", tuple(sorted(blocks, key=lambda b: b & -b)))
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "FCurve":
@@ -231,11 +225,18 @@ def fcurve_block_arrays(n: int) -> np.ndarray:
     return arr
 
 
+#: Rows converted to Python ints per `tolist` call: one call per row view
+#: costs more than the FCurve checks themselves, one call for all rows
+#: holds every row as Python ints at once.
+_ENUM_CHUNK = 16384
+
+
 def enumerate_fcurves(n: int) -> Iterator[FCurve]:
     """Yield every 4-block partition of {1..n} exactly once, in the fixed order.
 
     A pure, restartable stream; the length equals count_fcurves(n).
     """
     arr = fcurve_block_arrays(n)
-    for row in arr:
-        yield FCurve(n, (int(row[0]), int(row[1]), int(row[2]), int(row[3])))
+    for start in range(0, len(arr), _ENUM_CHUNK):
+        for b0, b1, b2, b3 in arr[start : start + _ENUM_CHUNK].tolist():
+            yield FCurve(n, (b0, b1, b2, b3))

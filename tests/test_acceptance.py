@@ -1,7 +1,9 @@
 """Acceptance criteria, one test per criterion, exact values, stated budgets.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see one line per
-criterion; scripts/run_acceptance.py is the standalone equivalent.
+This file is the only definition of the gates.  Run with
+`pytest tests/test_acceptance.py -v -s` to see one line per criterion;
+scripts/run_acceptance.py runs this file the same way and exits 0 iff
+every gate passes.
 """
 
 import time

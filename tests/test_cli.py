@@ -2,7 +2,7 @@
 
 import json
 
-from fnef import biplane_divisor, build_biplane_qr, divisor_to_json_dict, DivisorClass
+from fnef import __version__, biplane_divisor, build_biplane_qr, divisor_to_json_dict, DivisorClass
 from fnef.biplane import format_biplane
 from fnef.cli import main
 from fnef.divisors import divisor_to_text
@@ -16,7 +16,7 @@ def run(capsys, *argv):
 
 
 def test_biplane_default(capsys):
-    code, out, _ = run(capsys, "biplane", "--default")
+    code, out, _ = run(capsys, "biplane")
     assert code == 0
     assert "automorphism group order: 660" in out
 
@@ -57,12 +57,44 @@ def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["verdict"] is True
-    assert payload["divisor_pairing"] == -1
-    assert payload["canonical_pairing"] == 13
-    assert payload["fnef"]["min_value"] == 0
-    assert payload["certificate"]["certified_with_canonical"] is True
-    assert payload["decomposition_equal"] is True
+    manifest = payload.pop("manifest")
+    assert set(manifest) == {"command", "version", "inputs", "primes", "timings"}
+    assert (manifest["version"], manifest["inputs"], manifest["primes"]) == (__version__, {}, [])
+    assert payload == {
+        "fnef": {
+            "n": 12,
+            "min_value": 0,
+            "argmin": "1,2,3,4,5,6,7,8,9|10|11|12",
+            "zero_count": 124366,
+            "nonnegative": True,
+        },
+        "functional_boundary_min": 0,
+        "canonical_pairing": 13,
+        "divisor_pairing": -1,
+        "verdict": True,
+        "certificate": {
+            "boundary_min": 0,
+            "pairing": -1,
+            "canonical_pairing": 13,
+            "certified": True,
+            "certified_with_canonical": True,
+        },
+        "decomposition_equal": True,
+    }
+
+
+def test_verify_text(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert out.splitlines() == [
+        "(a) F-nef scan: min 0 over 611501 curves, 124366 zeros -> ok",
+        "(b) witness boundary minimum: 0 -> ok",
+        "(c) canonical pairing: 13 -> ok",
+        "(d) divisor pairing: -1 -> ok",
+        "not-boundary certificate: ok",
+        "decomposition identity: ok",
+        "verdict: VERIFIED",
+    ]
 
 
 def test_verify_reports_are_reproducible(capsys):

@@ -13,18 +13,21 @@ from fnef import (
     extremality_rank,
     fcurve_matrix_rank_exact,
     fcurve_matrix_rank_modp,
+    fcurve_block_arrays,
     fnef_check,
     pair_divisor_fcurve,
+    pairing_values,
     projection_formula_report,
     pullback_forgetful,
     rank_exact,
+    reduce_canonical,
     relation_row,
     relation_system,
     symmetric_divisor,
     verify_counterexample,
     zero_set_dense_rows,
 )
-from fnef.cone import DEFAULT_PRIMES
+from fnef.cone import DEFAULT_PRIMES, _check_orthogonal, _free_col_rows
 from fnef.errors import InvalidInputError
 from fnef.subsets import mask_from_elements
 
@@ -67,10 +70,12 @@ def test_scan_reports_match_across_threads(qr_divisor):
 def test_counterexample_report(qr_biplane):
     rep = verify_counterexample(qr_biplane)
     assert rep.fnef.nonnegative and rep.fnef.min_value == 0
-    assert rep.functional_boundary_min == 0
-    assert rep.canonical_pairing == 13
-    assert rep.divisor_pairing == -1
-    assert rep.verdict
+    assert rep.certificate.boundary_min == 0
+    assert rep.certificate.canonical_pairing == 13
+    assert rep.certificate.pairing == -1
+    assert rep.certificate.certified_with_canonical
+    assert rep.decomposition_equal
+    assert rep.verdict and rep.verified
 
 
 def test_certificates(qr_biplane, qr_divisor, qr_witness):
@@ -146,6 +151,25 @@ def test_extremality_small_n_matches_exact_oracle():
     exact = rank_exact(dense, relation_system(6).ambient_dim)
     assert rep.zero_set_size == len(dense)
     assert set(rep.rank_mod_p.values()) == {exact}
+
+
+def test_orthogonality_check_covers_every_row():
+    d = fnef_divisor_n6()
+    rs = relation_system(6)
+    blocks = fcurve_block_arrays(6)
+    values = pairing_values(d, blocks)
+    rows = _free_col_rows(blocks, rs.free_index, 6)
+    zero, nonzero = rows[values == 0], rows[values != 0]
+    # a row's dot product with the reduced coordinates is the curve's pairing
+    thirds = {m: v / 3 for m, v in reduce_canonical(d).items()}
+    _check_orthogonal(zero, thirds, rs.free_index, rs.ambient_dim)
+    # a bad row off any every-k-th sample (here at index 1) is still caught
+    bad = np.concatenate([zero[:1], nonzero[:1], zero[1:]])
+    with pytest.raises(AssertionError):
+        _check_orthogonal(bad, thirds, rs.free_index, rs.ambient_dim)
+    huge = {m: v * 2**62 for m, v in thirds.items()}
+    with pytest.raises(InvalidInputError):
+        _check_orthogonal(zero, huge, rs.free_index, rs.ambient_dim)
 
 
 def test_extremality_of_zero_divisor_not_certified():
