@@ -19,7 +19,6 @@ from .cone import (
     CounterexampleReport,
     ExtremalityReport,
     FNefReport,
-    ModpEliminator,
     ProjectionFormulaReport,
     certify_not_boundary,
     extremality_rank,

@@ -27,6 +27,7 @@ from .biplane import (
 )
 from .cone import (
     DEFAULT_PRIMES,
+    check_modulus,
     extremality_rank,
     fnef_check,
     projection_formula_report,
@@ -255,6 +256,8 @@ def cmd_extremal(args) -> int:
     manifest = Manifest(command=sys.argv[1:])
     primes = args.prime or list(DEFAULT_PRIMES)
     manifest.primes = list(primes)
+    for p in primes:
+        check_modulus(p)
     for p in primes:
         if p < TINY_PRIME_BOUND:
             print(

@@ -39,8 +39,10 @@ from .pairing import (
 )
 from .subsets import FCurve, fcurve_block_arrays, full_mask
 
-#: Fixed moduli for extremality certification, both just below 2^31 so all
-#: intermediate products fit in int64.
+#: Fixed moduli for extremality certification, both just below the 2^31
+#: cap that keeps the rank kernel's arithmetic exact: residue products stay
+#: below 2^62 in int64, and the float64 matrix products on 16-bit halves
+#: stay below 2^53 (see ModpEliminator).
 DEFAULT_PRIMES = (2147483629, 2147483647)
 
 _ROW_PATTERN = np.array([1, 1, 1, -1, -1, -1, -1], dtype=np.int64)
@@ -192,127 +194,191 @@ def _is_probable_prime(p: int) -> bool:
     return True
 
 
-class ModpEliminator:
-    """Incremental Gaussian elimination over a prime field.
+#: Largest modulus the rank kernel accepts (see DEFAULT_PRIMES).
+MAX_MODULUS = 1 << 31
 
-    Pivot rows are kept fully reduced (1 at the own pivot, 0 at every other
-    pivot column), so clearing an incoming row of all pivot columns is a
-    single pass: the subtractions cannot reintroduce a pivot column.  All
-    arithmetic stays within int64; the modulus is capped so products fit.
+
+def check_modulus(p: int) -> None:
+    """Raise InvalidInputError unless p is a prime no larger than 2^31."""
+    if not _is_probable_prime(p):
+        raise InvalidInputError(f"modulus {p} is not prime")
+    if p > MAX_MODULUS:
+        raise InvalidInputError(f"modulus {p} exceeds the cap 2^31")
+
+
+def _complement(idx: np.ndarray, width: int) -> np.ndarray:
+    """The positions in range(width) not in idx, increasing."""
+    keep = np.ones(width, dtype=bool)
+    keep[idx] = False
+    return np.flatnonzero(keep)
+
+
+class ModpEliminator:
+    """Incremental Gaussian elimination over a prime field, in blocks.
+
+    The basis is kept in reduced row echelon form: each stored row has 1 at
+    its own pivot column and 0 at every other pivot column.  Rows arrive in
+    batches; a batch is cleared of the known pivot columns by a few sparse
+    gathers, eliminated among itself by recursive halving, and the new
+    pivots are cleared from the basis with one matrix product.
+
+    Every product of two residue matrices is exact in float64, as in
+    FFLAS-FFPACK (Dumas, Giorgi, Pernet, "Dense linear algebra over
+    word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 2008).
+    A residue below p < 2^31 splits into a high half below 2^15 and a low
+    half below 2^16, so each term of the four products of halves is below
+    2^32; with an inner dimension k < 2^21 every sum stays below 2^53 and
+    the four float64 matrix products round nothing.  The halves recombine
+    in int64 as ((hi*2^16 + mid) mod p)*2^16 + lo, where hi*2^16 + mid is
+    below k*2^46, so k < 2^17 also keeps that exact.  The inner dimension
+    never exceeds the column count, which is capped there.
     """
 
-    MAX_MODULUS = 1 << 31
+    MAX_COLUMNS = 1 << 17
+    #: Row count at which the recursive elimination switches to row-by-row.
+    BASE_ROWS = 32
+    #: Rows per block of a product, which bounds the temporaries.
+    BLOCK_ROWS = 256
 
     def __init__(self, ncols: int, p: int):
-        if not _is_probable_prime(p):
-            raise InvalidInputError(f"modulus {p} is not prime")
-        if p > self.MAX_MODULUS:
-            raise InvalidInputError(f"modulus {p} exceeds the int64-safe cap 2^31")
+        check_modulus(p)
+        if ncols >= self.MAX_COLUMNS:
+            raise InvalidInputError(f"{ncols} columns reach the cap 2^17")
         self.ncols = ncols
         self.p = p
         self.rank = 0
         self.rows_seen = 0
         self._rows = np.zeros((ncols, ncols), dtype=np.int64)
         self._pivot_row_of_col = np.full(ncols, -1, dtype=np.int64)
-        self._buf = np.zeros(ncols, dtype=np.int64)
 
-    def _insert(self, vec: np.ndarray) -> bool:
-        """Store a pivot-cleared row in [0, p); True iff it was nonzero."""
+    def _mulsub(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """c = (c - a @ b) mod p in place, for residue matrices, exactly (see
+        the class); row blocks bound the temporaries."""
         p = self.p
-        nz = np.flatnonzero(vec)
-        if nz.size == 0:
-            return False
-        j = int(nz[0])
-        inv = pow(int(vec[j]), -1, p)
-        vec *= inv
-        vec %= p
-        rows = self._rows
-        rank = self.rank
+        b_hi, b_lo = (b >> 16).astype(np.float64), (b & 0xFFFF).astype(np.float64)
+        for s in range(0, len(c), self.BLOCK_ROWS):
+            blk = a[s : s + self.BLOCK_ROWS]
+            a_hi, a_lo = (blk >> 16).astype(np.float64), (blk & 0xFFFF).astype(np.float64)
+            mid = a_hi @ b_lo
+            mid += a_lo @ b_hi
+            out = (a_hi @ b_hi).astype(np.int64)
+            out <<= 16
+            out += mid.astype(np.int64)
+            out %= p
+            out <<= 16
+            out += (a_lo @ b_lo).astype(np.int64)
+            part = c[s : s + self.BLOCK_ROWS]
+            np.subtract(part, out, out=part)
+            part %= p
+        return c
+
+    def _rref_rows(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`_rref` of a few rows, one pivot at a time."""
+        p = self.p
+        a = a.copy()
+        rows, pivots = [], []
+        for i in range(len(a)):
+            nz = np.flatnonzero(a[i])
+            if not nz.size:
+                continue
+            j = int(nz[0])
+            a[i] = a[i] * pow(int(a[i, j]), -1, p) % p
+            hit = np.flatnonzero(a[:, j])
+            hit = hit[hit != i]
+            if hit.size:
+                a[hit] = (a[hit] - np.outer(a[hit, j], a[i])) % p
+            rows.append(i)
+            pivots.append(j)
+        pivots = np.array(pivots, dtype=np.int64)
+        return pivots, a[rows][:, _complement(pivots, a.shape[1])]
+
+    def _rref(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Reduced row echelon form of the residue matrix a, as (pivots, x):
+        row i of the echelon form has 1 at column pivots[i], 0 at the other
+        pivots, and x[i] at the remaining columns in increasing order.
+
+        The top half is reduced first; the bottom half is cleared of its
+        pivots and reduced on the remaining columns; the top half's rows
+        are then cleared of the bottom half's pivots."""
+        if len(a) <= self.BASE_ROWS:
+            return self._rref_rows(a)
+        half = len(a) // 2
+        piv1, x1 = self._rref(a[:half])
+        rest1 = _complement(piv1, a.shape[1])
+        bottom = self._mulsub(a[half:, rest1], a[half:, piv1], x1)
+        piv2, x2 = self._rref(bottom[bottom.any(axis=1)])
+        rest2 = _complement(piv2, len(rest1))
+        x1 = self._mulsub(x1[:, rest2], x1[:, piv2], x2)
+        return np.concatenate([piv1, rest1[piv2]]), np.vstack([x1, x2])
+
+    def _reduce_batch(
+        self, chunk: np.ndarray, pattern: np.ndarray, free: np.ndarray
+    ) -> np.ndarray:
+        """The batch's rows cleared of every pivot column, as residues on
+        the free columns; rows that vanish are dropped."""
+        rows, pivot_of = self._rows, self._pivot_row_of_col
+        at = np.full(self.ncols, -1, dtype=np.int64)
+        at[free] = np.arange(len(free))
+        dense = np.zeros((len(chunk), len(free)), dtype=np.int64)
+        for k in range(chunk.shape[1]):
+            row_k = np.flatnonzero(chunk[:, k] >= 0)
+            col_k = chunk[row_k, k]
+            on_pivot = pivot_of[col_k] >= 0
+            dense[row_k[~on_pivot], at[col_k[~on_pivot]]] += pattern[k]
+            if on_pivot.any():
+                # a pivot entry v is cleared by v times its basis row, which
+                # is 0 at every other pivot; |entry| <= width*max|v|*p < 2^63
+                basis = rows[np.ix_(pivot_of[col_k[on_pivot]], free)]
+                basis *= pattern[k]
+                dense[row_k[on_pivot]] -= basis
+        dense %= self.p
+        return dense[dense.any(axis=1)]
+
+    def _extend(self, free: np.ndarray, pivots: np.ndarray, x: np.ndarray) -> None:
+        """Add the echelon rows (`_rref` form on the free columns) to the
+        basis, clearing their pivot columns from the stored rows."""
+        rows, rank, k = self._rows, self.rank, len(pivots)
+        new = free[pivots]
+        rest = free[_complement(pivots, len(free))]
         if rank:
-            colvals = rows[:rank, j]
-            if colvals.any():
-                block = rows[:rank]
-                block -= np.outer(colvals, vec)
-                block %= p
-        rows[rank] = vec
-        self._pivot_row_of_col[j] = rank
-        self.rank = rank + 1
-        return True
-
-    def _add_sparse(self, cols, vals) -> bool:
-        p = self.p
-        buf = self._buf
-        buf[:] = 0
-        cols = np.asarray(cols, dtype=np.int64)
-        buf[cols] = np.asarray(vals, dtype=np.int64) % p
-        pivot_of = self._pivot_row_of_col
-        rows = self._rows
-        for c in cols:
-            r = pivot_of[c]
-            if r >= 0:
-                f = buf[c]
-                if f:
-                    buf -= f * rows[r]
-                    buf %= p
-        return self._insert(buf)
-
-    def add_row(self, cols: Sequence[int], vals: Sequence[int]) -> bool:
-        """Reduce one sparse row (distinct columns); True iff rank grew."""
-        self.rows_seen += 1
-        return self._add_sparse(cols, vals)
+            rows[:rank, rest] = self._mulsub(rows[:rank][:, rest], rows[:rank][:, new], x)
+            rows[:rank, new] = 0
+        added = rank + np.arange(k)
+        rows[added, new] = 1
+        rows[rank : rank + k, rest] = x
+        self._pivot_row_of_col[new] = added
+        self.rank = rank + k
 
     def add_pattern_rows(
         self,
         col_rows: np.ndarray,
         pattern: np.ndarray,
-        batch: int = 2048,
+        batch: int = 512,
         stop_rank: Optional[int] = None,
     ) -> int:
-        """Feed many sparse rows sharing one value pattern.
+        """Feed sparse rows sharing one value pattern: row i has
+        pattern[k] at column col_rows[i, k] (no entry where that is -1).
 
-        Each batch is cleared against the pivots known at its start in a few
-        vectorized gathers; rows that reduce to zero there are dependent and
-        dropped, the rest are re-fed through the sparse single-row path
-        (which also accounts for pivots added mid-batch).  The resulting
-        rank is exactly that of the full row set whenever `stop_rank` is a
-        proven upper bound for it (the column count always is).
+        Rows are fed in batches of `batch`, and a later call continues from
+        the basis of the earlier ones.  No further batch is fed once the
+        rank reaches `stop_rank`, so the result is exactly the rank of all
+        rows given whenever `stop_rank` is a proven upper bound for it (the
+        column count always is).
         """
-        p = self.p
         ncols = self.ncols
         cap = ncols if stop_rank is None else min(stop_rank, ncols)
-        if self.rank >= cap:
-            return self.rank
-        rows = self._rows
-        pivot_of = self._pivot_row_of_col
-        width = col_rows.shape[1]
-        dense = np.zeros((min(batch, len(col_rows)), ncols), dtype=np.int64)
+        pattern = np.asarray(pattern, dtype=np.int64)
+        if len(pattern) * int(np.abs(pattern).max(initial=0)) * self.p >= 1 << 63:
+            raise InvalidInputError("row pattern too large for int64 reduction")
         for start in range(0, len(col_rows), batch):
+            if self.rank >= cap:
+                break
             chunk = np.asarray(col_rows[start : start + batch], dtype=np.int64)
-            m = len(chunk)
-            self.rows_seen += m
-            dense[:m] = 0
-            row_idx = np.arange(m)
-            for k in range(width):
-                cols_k = chunk[:, k]
-                valid = np.flatnonzero(cols_k >= 0)
-                dense[row_idx[valid], cols_k[valid]] += pattern[k]
-            if self.rank:
-                # raw entries are tiny, so |entry| <= 1 + width*(p-1) fits int64
-                for k in range(width):
-                    cols_k = chunk[:, k]
-                    valid = np.flatnonzero(cols_k >= 0)
-                    pr = pivot_of[cols_k[valid]]
-                    hit = pr >= 0
-                    targets = valid[hit]
-                    if targets.size:
-                        dense[targets] -= pattern[k] * rows[pr[hit]]
-                dense[:m] %= p
-            for i in np.flatnonzero(dense[:m].any(axis=1)):
-                row = chunk[i]
-                sel = row >= 0
-                self._add_sparse(row[sel], pattern[sel])
-                if self.rank >= cap:
-                    return self.rank
+            self.rows_seen += len(chunk)
+            free = np.flatnonzero(self._pivot_row_of_col < 0)
+            dense = self._reduce_batch(chunk, pattern, free)
+            if len(dense):
+                self._extend(free, *self._rref(dense))
         return self.rank
 
 
@@ -387,6 +453,9 @@ def extremality_rank(
     coordinate row, and computes the modular rank per prime; reaching
     ambient-1 for any prime certifies the extremal ray.
     """
+    primes = tuple(primes)
+    for p in primes:
+        check_modulus(p)
     blocks = fcurve_block_arrays(d.n)
     values = pairing_values(d, blocks, threads=threads)
     if int(values.min()) < 0:

@@ -2,6 +2,8 @@
 
 import json
 
+import fnef.cone
+import fnef.pairing
 from fnef import __version__, biplane_divisor, build_biplane_qr, divisor_to_json_dict, DivisorClass
 from fnef.biplane import format_biplane
 from fnef.cli import main
@@ -144,6 +146,20 @@ def test_extremal_rejects_non_fnef_divisor(tmp_path, capsys):
     code, out, _ = run(capsys, "extremal", "--divisor", str(path), "--n", "12")
     assert code == 1
     assert "not F-nef" in out
+
+
+def test_extremal_refuses_bad_prime_before_any_scan(monkeypatch, capsys):
+    def no_scan(n):
+        raise AssertionError("scanned before the moduli were checked")
+
+    monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_scan)
+    monkeypatch.setattr(fnef.pairing, "fcurve_block_arrays", no_scan)
+    code, out, err = run(capsys, "extremal", "--prime", "2147483629", "--prime", "91")
+    assert (code, out) == (2, "")
+    assert "modulus 91 is not prime" in err
+    code, out, err = run(capsys, "extremal", "--prime", "91")
+    assert (code, out) == (2, "")
+    assert "warning" not in err
 
 
 def test_pullback_writes_divisor_and_spot_checks(tmp_path, capsys):

@@ -5,9 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from fnef import (
     DivisorClass,
-    ModpEliminator,
     certify_not_boundary,
     enumerate_fcurves,
     extremality_rank,
@@ -27,7 +28,14 @@ from fnef import (
     verify_counterexample,
     zero_set_dense_rows,
 )
-from fnef.cone import DEFAULT_PRIMES, _check_orthogonal, _free_col_rows
+from fnef.cone import (
+    DEFAULT_PRIMES,
+    ModpEliminator,
+    _ROW_PATTERN,
+    _check_orthogonal,
+    _dense_rows,
+    _free_col_rows,
+)
 from fnef.errors import InvalidInputError
 from fnef.subsets import mask_from_elements
 
@@ -90,43 +98,76 @@ def test_certificates(qr_biplane, qr_divisor, qr_witness):
     assert not d0_cert.certified
 
 
-def test_modp_eliminator_against_exact_rank():
-    rng = random.Random(17)
-    for _ in range(20):
-        nrows = rng.randrange(1, 12)
-        ncols = rng.randrange(1, 10)
-        rows = [[rng.randrange(-6, 7) for _ in range(ncols)] for _ in range(nrows)]
-        expected = rank_exact(rows, ncols)
-        elim = ModpEliminator(ncols, P1)
-        for row in rows:
-            cols = [c for c, v in enumerate(row) if v]
-            if cols:
-                elim.add_row(cols, [row[c] for c in cols])
-        assert elim.rank == expected
+@st.composite
+def pattern_matrices(draw):
+    """Rows of the curve pattern on at most 8 columns, with -1 gaps, repeated
+    columns and duplicated rows; columns at or past `used` stay empty, so
+    the rank is often below the column count.  A row has at most 7 unit
+    entries, so its Euclidean norm is at most 7 and, by Hadamard's bound,
+    every minor is below 7^8 < p: the rank mod p equals the rational rank."""
+    ncols = draw(st.integers(1, 8))
+    used = draw(st.integers(1, ncols))
+    key = st.integers(-1, used - 1)
+    rows = draw(st.lists(st.lists(key, min_size=7, max_size=7), min_size=1, max_size=40))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))]
+    return ncols, np.array(rows, dtype=np.int64)
 
 
-def test_modp_eliminator_batched_matches_sequential():
+@given(pattern_matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_add_pattern_rows_matches_exact_rank(matrix, data):
+    ncols, col_rows = matrix
+    expected = rank_exact(_dense_rows(col_rows, ncols), ncols)
+    nrows = len(col_rows)
+    batch = data.draw(st.integers(1, nrows + 1), label="batch")
+    split = data.draw(st.integers(0, nrows), label="split")
+    # small recursion base and product blocks, so the blocked paths run
+    base = data.draw(st.integers(1, 4), label="base rows")
+    block = data.draw(st.integers(1, 4), label="block rows")
+    for p in DEFAULT_PRIMES:
+        one = ModpEliminator(ncols, p)
+        one.BASE_ROWS, one.BLOCK_ROWS = base, block
+        assert one.add_pattern_rows(col_rows, _ROW_PATTERN, batch=batch) == expected
+        assert one.rows_seen == nrows or one.rank == ncols
+        two = ModpEliminator(ncols, p)
+        two.BASE_ROWS, two.BLOCK_ROWS = base, block
+        two.add_pattern_rows(col_rows[:split], _ROW_PATTERN, batch=batch)
+        assert two.add_pattern_rows(col_rows[split:], _ROW_PATTERN, batch=batch) == expected
+
+
+def test_add_pattern_rows_stops_at_stop_rank():
     rng = np.random.default_rng(23)
-    nrows, ncols, width = 600, 40, 7
-    col_rows = rng.integers(-1, ncols, size=(nrows, width))
-    pattern = np.array([1, 1, 1, -1, -1, -1, -1], dtype=np.int64)
-    # drop duplicate columns inside a row (the eliminator expects them distinct)
-    for row in col_rows:
-        seen = set()
-        for k in range(width):
-            if row[k] in seen:
-                row[k] = -1
-            elif row[k] >= 0:
-                seen.add(int(row[k]))
+    ncols, used, nrows = 40, 30, 160
+    col_rows = np.stack([rng.permutation(used)[:7] for _ in range(nrows)])
+    col_rows[rng.random(col_rows.shape) < 0.1] = -1
+    expected = rank_exact(_dense_rows(col_rows, ncols), ncols)
+    assert expected <= used < ncols
+    fed_all = ModpEliminator(ncols, P1)
+    assert fed_all.add_pattern_rows(col_rows, _ROW_PATTERN, batch=16) == expected
+    assert fed_all.rows_seen == nrows
+    stopped = ModpEliminator(ncols, P1)
+    assert stopped.add_pattern_rows(col_rows, _ROW_PATTERN, 16, stop_rank=expected) == expected
+    seen = stopped.rows_seen
+    assert seen < nrows
+    # once the bound is reached a further call feeds nothing
+    assert stopped.add_pattern_rows(col_rows, _ROW_PATTERN, 16, stop_rank=expected) == expected
+    assert stopped.rows_seen == seen
 
-    seq = ModpEliminator(ncols, P1)
-    for row in col_rows:
-        sel = row >= 0
-        if sel.any():
-            seq.add_row(row[sel], pattern[sel])
-    bat = ModpEliminator(ncols, P1)
-    bat.add_pattern_rows(col_rows, pattern, batch=64)
-    assert bat.rank == seq.rank
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+@pytest.mark.parametrize("inner", [2048, ModpEliminator.MAX_COLUMNS - 1])
+def test_split_product_exact_at_extremes(p, inner):
+    rng = np.random.default_rng(inner)
+    a = np.full((5, inner), p - 1, dtype=np.int64)
+    b = np.full((inner, 3), p - 1, dtype=np.int64)
+    a[1] = rng.integers(0, p, size=inner)
+    b[:, 1] = rng.integers(0, p, size=inner)
+    c = rng.integers(0, p, size=(5, 3))
+    c[0, 0] = p - 1
+    expected = (c.astype(object) - a.astype(object) @ b.astype(object)) % p
+    elim = ModpEliminator(1, p)
+    elim.BLOCK_ROWS = 2
+    assert (elim._mulsub(c.copy(), a, b) == expected).all()
 
 
 def test_modp_eliminator_rejects_bad_modulus():
@@ -134,6 +175,15 @@ def test_modp_eliminator_rejects_bad_modulus():
         ModpEliminator(4, 91)  # 7 x 13
     with pytest.raises(InvalidInputError):
         ModpEliminator(4, (1 << 31) + 11)
+
+
+def test_modp_eliminator_refuses_inexact_sizes():
+    # refused before the ncols^2 basis is allocated
+    with pytest.raises(InvalidInputError):
+        ModpEliminator(ModpEliminator.MAX_COLUMNS, P1)
+    elim = ModpEliminator(4, P1)
+    with pytest.raises(InvalidInputError):
+        elim.add_pattern_rows(np.array([[0, 1]]), np.array([1, 1 << 32]))
 
 
 def test_small_n_full_matrix_ranks():
@@ -151,6 +201,22 @@ def test_extremality_small_n_matches_exact_oracle():
     exact = rank_exact(dense, relation_system(6).ambient_dim)
     assert rep.zero_set_size == len(dense)
     assert set(rep.rank_mod_p.values()) == {exact}
+
+
+@pytest.mark.parametrize("batch", [1, 5, 64])
+def test_add_pattern_rows_zero_set_n6_in_batches(batch):
+    # unlike the random matrices, the zero set has rank below the number of
+    # columns its rows touch, so a basis left stale across batches shows
+    d = fnef_divisor_n6()
+    rs = relation_system(6)
+    blocks = fcurve_block_arrays(6)
+    col_rows = _free_col_rows(blocks[pairing_values(d, blocks) == 0], rs.free_index, 6)
+    expected = rank_exact(zero_set_dense_rows(d), rs.ambient_dim)
+    assert expected == rs.ambient_dim - 1
+    for p in DEFAULT_PRIMES:
+        elim = ModpEliminator(rs.ambient_dim, p)
+        elim.BASE_ROWS, elim.BLOCK_ROWS = 2, 3
+        assert elim.add_pattern_rows(col_rows, _ROW_PATTERN, batch=batch) == expected
 
 
 def test_orthogonality_check_covers_every_row():
