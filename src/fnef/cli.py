@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import __version__
 from .biplane import (
@@ -222,13 +223,10 @@ def cmd_fcurves(args) -> int:
         else:
             print(total)
         return EXIT_OK
-    limit = args.limit
-    emitted = 0
-    for curve in enumerate_fcurves(args.n):
+    if args.limit is not None and args.limit < 0:
+        raise InvalidInputError(f"--limit must be nonnegative, got {args.limit}")
+    for curve in islice(enumerate_fcurves(args.n), args.limit):
         print(curve)
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            break
     return EXIT_OK
 
 
@@ -275,7 +273,7 @@ def cmd_extremal(args) -> int:
             print(f"not F-nef: pairing {fnef.min_value} on {fnef.argmin}")
         return EXIT_FAILED
     with manifest.phase("rank"):
-        rep = extremality_rank(div, primes=primes, threads=args.threads)
+        rep = extremality_rank(div, primes=primes, threads=args.threads, scan=fnef)
     if args.json:
         _emit_json(
             {

@@ -10,7 +10,7 @@ row, so hitting ambient-1 modulo a single prime is already a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -37,7 +37,7 @@ from .pairing import (
     _canon_cols,
     _pair_chunk,
 )
-from .subsets import FCurve, fcurve_block_arrays, full_mask
+from .subsets import FCurve, count_fcurves, fcurve_block_arrays, full_mask
 
 #: Fixed moduli for extremality certification, both just below the 2^31
 #: cap that keeps the rank kernel's arithmetic exact: residue products stay
@@ -50,11 +50,19 @@ _ROW_PATTERN = np.array([1, 1, 1, -1, -1, -1, -1], dtype=np.int64)
 
 @dataclass(frozen=True)
 class FNefReport:
+    """One scan of every F-curve.  `zero_bits` marks the curves pairing to
+    zero, in enumeration order, packed 8 to a byte."""
+
     n: int
     min_value: int
     argmin: FCurve
     zero_count: int
     nonnegative: bool
+    zero_bits: np.ndarray = field(repr=False, compare=False)
+
+    def zero_mask(self) -> np.ndarray:
+        """Boolean mask of the zero-pairing rows of fcurve_block_arrays(n)."""
+        return np.unpackbits(self.zero_bits, count=count_fcurves(self.n)).view(bool)
 
 
 @dataclass(frozen=True)
@@ -120,12 +128,14 @@ def fnef_check(d: DivisorClass, threads: int = 1) -> FNefReport:
     values = pairing_values(d, blocks, threads=threads)
     idx = int(values.argmin())
     mn = int(values[idx])
+    zero = values == 0
     return FNefReport(
         n=d.n,
         min_value=mn,
         argmin=_argmin_curve(d.n, blocks, idx),
-        zero_count=int(np.count_nonzero(values == 0)),
+        zero_count=int(np.count_nonzero(zero)),
         nonnegative=mn >= 0,
+        zero_bits=np.packbits(zero),
     )
 
 
@@ -446,24 +456,28 @@ def extremality_rank(
     d: DivisorClass,
     primes: Iterable[int] = DEFAULT_PRIMES,
     threads: int = 1,
+    scan: Optional[FNefReport] = None,
 ) -> ExtremalityReport:
     """Rank certificate for extremality of an F-nef divisor.
 
     Collects every curve pairing to zero, maps each to its reduced
     coordinate row, and computes the modular rank per prime; reaching
-    ambient-1 for any prime certifies the extremal ray.
+    ambient-1 for any prime certifies the extremal ray.  `scan`, the
+    caller's `fnef_check(d)`, saves scanning the curves a second time.
     """
     primes = tuple(primes)
     for p in primes:
         check_modulus(p)
-    blocks = fcurve_block_arrays(d.n)
-    values = pairing_values(d, blocks, threads=threads)
-    if int(values.min()) < 0:
+    if scan is None:
+        scan = fnef_check(d, threads=threads)
+    elif scan.n != d.n:
+        raise InvalidInputError(f"scan is at n={scan.n}, the divisor at n={d.n}")
+    if not scan.nonnegative:
         raise InvalidInputError(
             "divisor is not F-nef; extremality needs a member of the cone"
         )
     rs = relation_system(d.n)
-    zero_blocks = blocks[values == 0]
+    zero_blocks = fcurve_block_arrays(d.n)[scan.zero_mask()]
     col_rows = _free_col_rows(zero_blocks, rs.free_index, d.n)
 
     # Every zero row is an integer vector orthogonal to the reduced

@@ -8,7 +8,6 @@ All higher modules iterate partitions in the fixed order produced here.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -157,6 +156,14 @@ class FCurve:
             object.__setattr__(self, "blocks", tuple(sorted(blocks, key=lambda b: b & -b)))
 
     @classmethod
+    def _trusted(cls, n: int, blocks: tuple[int, int, int, int]) -> "FCurve":
+        """Blocks known to be a canonical partition of 1..n; skips the checks."""
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "n", n)
+        object.__setattr__(curve, "blocks", blocks)
+        return curve
+
+    @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "FCurve":
         masks = tuple(mask_from_elements(b, n) for b in blocks)
         if len(masks) != 4:
@@ -180,6 +187,27 @@ def parse_fcurve(text: str, n: int) -> FCurve:
 
 _BLOCK_CACHE: dict[int, np.ndarray] = {}
 
+#: Markings in the suffix tables of `fcurve_block_arrays`.  Six builds as fast
+#: as 5, 7 or 8, and no temporary reaches 128 KiB up to n=13: freeing larger
+#: ones raises glibc's mmap threshold and the later scans stay MBs larger.
+_SUFFIX = 6
+
+
+def _assign(blocks: np.ndarray, used: np.ndarray, bits: range, n: int):
+    """Assign the markings at `bits` to partial partitions with `used` blocks
+    opened: each joins an opened block, by index, or opens the next one, and
+    branches that cannot reach 4 blocks by marking n are cut.  Children follow
+    their parent in that order, so lexicographic rows stay lexicographic."""
+    slots = np.arange(4)
+    for i in bits:
+        opened = used[:, None]
+        ok = (slots == opened) | ((slots < opened) & (n - i > 4 - opened))
+        parent, slot = np.nonzero(ok)
+        blocks = blocks[parent]
+        blocks[np.arange(len(parent)), slot] |= 1 << i
+        used = np.maximum(used[parent], slot + 1)
+    return blocks, used
+
 
 def fcurve_block_arrays(n: int) -> np.ndarray:
     """All 4-block partitions of {1..n} as an (S(n,4), 4) int32 mask array.
@@ -188,38 +216,29 @@ def fcurve_block_arrays(n: int) -> np.ndarray:
     assigned in increasing order, trying existing blocks by index before
     opening a new one.  Blocks within a row are ordered by smallest element.
     The array is cached per n and must not be mutated by callers.
+
+    Built as prefixes times suffix tables: the prefixes assign the markings
+    before the last 6, and for each count u of blocks a prefix opened, one
+    table holds every completion of u blocks to 4 by the last markings, in
+    the same order.  Each prefix in turn writes `table | prefix` into the
+    next slice of the result, which keeps exactly the row order above.
     """
     validate_n(n)
     cached = _BLOCK_CACHE.get(n)
     if cached is not None:
         return cached
 
-    flat = array("i")
-    append = flat.extend
-    blocks = [1, 0, 0, 0]  # marking 1 always opens block 0
-
-    def rec(i: int, used: int) -> None:
-        if i == n:
-            if used == 4:
-                append(blocks)
-            return
-        remaining = n - i
-        need = 4 - used
-        if remaining < need:
-            return
-        bit = 1 << i
-        if remaining > need:
-            for t in range(used):
-                blocks[t] |= bit
-                rec(i + 1, used)
-                blocks[t] ^= bit
-        if used < 4:
-            blocks[used] = bit
-            rec(i + 1, used + 1)
-            blocks[used] = 0
-
-    rec(1, 1)
-    arr = np.frombuffer(flat, dtype=np.int32).reshape(-1, 4)
+    split = max(1, n - _SUFFIX)
+    one = np.array([[1, 0, 0, 0]], dtype=np.int32)  # marking 1 opens block 0
+    prefixes, opened = _assign(one, np.array([1]), range(1, split), n)
+    tables = {u: _assign(np.zeros_like(one), np.array([u]), range(split, n), n)[0]
+              for u in set(opened.tolist())}
+    arr = np.empty((stirling2(n, 4), 4), dtype=np.int32)
+    start = 0
+    for prefix, u in zip(prefixes, opened.tolist()):
+        table = tables[u]
+        np.bitwise_or(table, prefix, out=arr[start : start + len(table)])
+        start += len(table)
     arr.setflags(write=False)
     _BLOCK_CACHE[n] = arr
     return arr
@@ -231,12 +250,26 @@ def fcurve_block_arrays(n: int) -> np.ndarray:
 _ENUM_CHUNK = 16384
 
 
+def _check_partitions(arr: np.ndarray, n: int) -> None:
+    """`FCurve`'s checks on every row at once: nonempty blocks in increasing
+    order of their lowest markings, covering 1..n, disjoint (the masks sum to
+    their union)."""
+    low = arr & -arr
+    ok = (arr != 0).all(axis=1) & (low[:, :-1] < low[:, 1:]).all(axis=1)
+    ok &= np.bitwise_or.reduce(arr, axis=1) == full_mask(n)
+    ok &= arr.sum(axis=1) == full_mask(n)
+    if not ok.all():
+        raise InvalidInputError(f"row {ok.argmin()} is not a canonical partition of 1..{n}")
+
+
 def enumerate_fcurves(n: int) -> Iterator[FCurve]:
     """Yield every 4-block partition of {1..n} exactly once, in the fixed order.
 
-    A pure, restartable stream; the length equals count_fcurves(n).
+    A pure, restartable stream; the length equals count_fcurves(n).  The
+    rows are checked once, all together, before the first curve is made.
     """
     arr = fcurve_block_arrays(n)
+    _check_partitions(arr, n)
     for start in range(0, len(arr), _ENUM_CHUNK):
-        for b0, b1, b2, b3 in arr[start : start + _ENUM_CHUNK].tolist():
-            yield FCurve(n, (b0, b1, b2, b3))
+        for blocks in map(tuple, arr[start : start + _ENUM_CHUNK].tolist()):
+            yield FCurve._trusted(n, blocks)

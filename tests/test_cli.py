@@ -7,7 +7,7 @@ import fnef.pairing
 from fnef import __version__, biplane_divisor, build_biplane_qr, divisor_to_json_dict, DivisorClass
 from fnef.biplane import format_biplane
 from fnef.cli import main
-from fnef.divisors import divisor_to_text
+from fnef.divisors import divisor_to_text, pullback_forgetful
 from fnef.subsets import mask_from_elements
 
 
@@ -121,6 +121,17 @@ def test_fcurves_count_and_enumerate(capsys):
     assert lines == ["1,2|3|4|5", "1,3|2|4|5", "1|2,3|4|5"]
 
 
+def test_fcurves_enumerate_limit_zero_prints_nothing(capsys):
+    code, out, err = run(capsys, "fcurves", "enumerate", "--n", "5", "--limit", "0")
+    assert (code, out, err) == (0, "", "")
+
+
+def test_fcurves_enumerate_refuses_negative_limit(capsys):
+    code, out, err = run(capsys, "fcurves", "enumerate", "--n", "5", "--limit", "-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "-3" in err
+
+
 def test_pair_with_curve_and_named_divisor(capsys):
     code, out, _ = run(
         capsys, "pair", "--named", "symmetric",
@@ -146,6 +157,32 @@ def test_extremal_rejects_non_fnef_divisor(tmp_path, capsys):
     code, out, _ = run(capsys, "extremal", "--divisor", str(path), "--n", "12")
     assert code == 1
     assert "not F-nef" in out
+
+
+def test_extremal_scans_the_curves_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    scan = fnef.cone.pairing_values
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(fnef.cone, "pairing_values", counting)
+    # F-nef at n=6: a boundary class F-nef at 4 markings, pulled back twice
+    d = pullback_forgetful(pullback_forgetful(DivisorClass(4, {0b011: 1})))
+    path = tmp_path / "d6.txt"
+    path.write_text(divisor_to_text(d))
+    code, out, _ = run(capsys, "extremal", "--divisor", str(path), "--n", "6", "--json")
+    payload = json.loads(out)
+    assert code == (0 if payload["certified_extremal"] else 1)
+    assert payload["zero_set_size"] > 0
+    assert calls == [6]
+    # the exit-1 path of a divisor that is not F-nef scans once too
+    calls.clear()
+    path.write_text(divisor_to_text(DivisorClass(6, {mask_from_elements([1, 2], 6): 1})))
+    code, out, _ = run(capsys, "extremal", "--divisor", str(path), "--n", "6")
+    assert code == 1 and "not F-nef" in out
+    assert calls == [6]
 
 
 def test_extremal_refuses_bad_prime_before_any_scan(monkeypatch, capsys):

@@ -28,6 +28,7 @@ from fnef import (
     verify_counterexample,
     zero_set_dense_rows,
 )
+import fnef.cone
 from fnef.cone import (
     DEFAULT_PRIMES,
     ModpEliminator,
@@ -236,6 +237,23 @@ def test_orthogonality_check_covers_every_row():
     huge = {m: v * 2**62 for m, v in thirds.items()}
     with pytest.raises(InvalidInputError):
         _check_orthogonal(zero, huge, rs.free_index, rs.ambient_dim)
+
+
+def test_extremality_rank_reuses_the_callers_scan(monkeypatch):
+    d = fnef_divisor_n6()
+    expected = extremality_rank(d, primes=(P1,))
+    scan = fnef_check(d)
+    assert np.array_equal(scan.zero_mask(), pairing_values(d) == 0)
+    assert scan.zero_count == int(scan.zero_mask().sum())
+    other = fnef_check(DivisorClass.zero(5))
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned the curves again")
+
+    monkeypatch.setattr(fnef.cone, "pairing_values", no_scan)
+    assert extremality_rank(d, primes=(P1,), scan=scan) == expected
+    with pytest.raises(InvalidInputError):
+        extremality_rank(d, primes=(P1,), scan=other)  # a scan at n=5
 
 
 def test_extremality_of_zero_divisor_not_certified():

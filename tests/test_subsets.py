@@ -1,5 +1,7 @@
 """Mask canonicalization and 4-block partition enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from fnef import (
     parse_fcurve,
     stirling2,
 )
+import fnef.subsets
 from fnef.errors import InvalidInputError
 from fnef.subsets import (
     elements_from_mask,
@@ -37,6 +40,24 @@ def brute_force_partitions(n, k):
         if all(blocks):
             seen.add(frozenset(blocks))
     return seen
+
+
+def restricted_growth_rows(n):
+    """Oracle that does not read fcurve_block_arrays: every labelling of
+    markings 2..n by 0..3 after a leading 0, in lexicographic order, kept
+    when it is a restricted-growth string with maximum 3, as mask rows."""
+    rows = []
+    for tail in itertools.product(range(4), repeat=n - 1):
+        labels = (0, *tail)
+        if any(label > max(labels[:i]) + 1 for i, label in enumerate(labels) if i):
+            continue
+        if max(labels) != 3:
+            continue
+        masks = [0, 0, 0, 0]
+        for i, label in enumerate(labels):
+            masks[label] |= 1 << i
+        rows.append(masks)
+    return np.array(rows, dtype=np.int32).reshape(-1, 4)
 
 
 def test_canonical_examples():
@@ -103,7 +124,15 @@ def test_n5_restricted_growth_order():
     assert got == expected
 
 
-@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("n", range(4, 10))
+def test_block_arrays_match_restricted_growth_oracle(n):
+    arr = fcurve_block_arrays(n)
+    assert arr.dtype == np.int32 and arr.shape == (stirling2(n, 4), 4)
+    assert not arr.flags.writeable
+    assert np.array_equal(arr, restricted_growth_rows(n))  # row order too
+
+
+@pytest.mark.parametrize("n", range(4, 14))
 def test_count_matches_enumeration_and_no_duplicates(n):
     arr = fcurve_block_arrays(n)
     assert len(arr) == count_fcurves(n)
@@ -127,6 +156,36 @@ def test_every_curve_partitions_markings(n):
             union |= b
             total += bin(b).count("1")
         assert union == full and total == n
+
+
+def test_enumerate_matches_checked_construction():
+    curves = list(enumerate_fcurves(7))
+    checked = [FCurve(7, tuple(int(b) for b in row)) for row in fcurve_block_arrays(7)]
+    assert curves == checked
+    assert [hash(c) for c in curves] == [hash(c) for c in checked]
+
+
+# n=6 rows that each break exactly one condition the FCurve checks make
+BAD_ROWS_N6 = [
+    (0b000000, 0b000111, 0b001000, 0b110000),  # empty first block
+    (0b100011, 0b000100, 0b001000, 0b110000),  # marking 6 twice
+    (0b010011, 0b000100, 0b011000, 0b010000),  # marking 6 missing, 5 thrice
+    (0b000100, 0b000011, 0b001000, 0b110000),  # blocks out of order
+]
+
+
+@pytest.mark.parametrize("bad", BAD_ROWS_N6)
+def test_enumerate_checks_every_row(monkeypatch, bad):
+    rows = fcurve_block_arrays(6).copy()
+    rows[40] = bad
+    monkeypatch.setattr(fnef.subsets, "fcurve_block_arrays", lambda n: rows)
+    with pytest.raises(InvalidInputError, match="row 40"):
+        next(enumerate_fcurves(6))
+    try:  # the per-curve checks refuse the row or reorder its blocks
+        checked = FCurve(6, bad).blocks
+    except InvalidInputError:
+        checked = None
+    assert checked != bad
 
 
 def test_stirling_recurrence_values():
