@@ -32,7 +32,6 @@ from .cone import (
 )
 from .divisors import (
     DivisorClass,
-    RelationSystem,
     biplane_block_star_divisor,
     biplane_divisor,
     canonical_divisor,

@@ -36,6 +36,7 @@ from .pairing import (
     pairing_values,
     _canon_cols,
     _pair_chunk,
+    scan_table,
 )
 from .subsets import FCurve, count_fcurves, fcurve_block_arrays, full_mask
 
@@ -398,16 +399,8 @@ def _free_col_rows(blocks: np.ndarray, free_index: np.ndarray, n: int) -> np.nda
     half = 1 << (n - 1)
     full = full_mask(n)
     b0, b1, b2, b3 = blocks[:, 0], blocks[:, 1], blocks[:, 2], blocks[:, 3]
-    keys = [
-        _canon_cols(b0 | b1, half, full),
-        _canon_cols(b0 | b2, half, full),
-        _canon_cols(b0 | b3, half, full),
-        _canon_cols(b0, half, full),
-        _canon_cols(b1, half, full),
-        _canon_cols(b2, half, full),
-        _canon_cols(b3, half, full),
-    ]
-    return np.stack([free_index[k] for k in keys], axis=1)
+    keys = (b0 | b1, b0 | b2, b0 | b3, b0, b1, b2, b3)
+    return np.stack([free_index[_canon_cols(k, half, full)] for k in keys], axis=1)
 
 
 #: Fixed seed for the row feed order.  Rank does not depend on row order,
@@ -603,13 +596,13 @@ def projection_formula_report(
         up_blocks = np.concatenate(rows)[:samples]
 
     half_m, full_m = 1 << (m - 1), full_mask(m)
-    lhs = _pair_chunk(lifted.dense_table(), up_blocks, half_m, full_m)
+    lhs = _pair_chunk(scan_table(lifted), up_blocks, half_m, full_m)
 
     last = 1 << n
     contracted = (up_blocks == last).any(axis=1)
     down_blocks = (up_blocks & ~last)[~contracted]
     half_n, full_n = 1 << (n - 1), full_mask(n)
-    rhs = _pair_chunk(d.dense_table(), down_blocks, half_n, full_n)
+    rhs = _pair_chunk(scan_table(d), down_blocks, half_n, full_n)
 
     mismatches = int(np.count_nonzero(lhs[contracted] != 0)) + int(
         np.count_nonzero(lhs[~contracted] != rhs)

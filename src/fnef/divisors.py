@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import lcm
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -121,6 +121,30 @@ class DivisorClass:
     __mul__ = __rmul__
 
 
+def check_int64_sums(values: Iterable[int], weight: int, what: str) -> None:
+    """Refuse integers whose sums, with integer weights of absolute total at
+    most `weight`, could leave int64: every such sum and partial sum is then
+    exact in int64.  Raises InvalidInputError."""
+    top = max(map(abs, values), default=0)
+    if top * weight >= 1 << 63:
+        raise InvalidInputError(f"{what}: coefficient {top} times {weight} exceeds int64")
+
+
+@lru_cache(maxsize=None)
+def relation_matrix(n: int) -> np.ndarray:
+    """The pair relations as a read-only 0/1 matrix: row (i, j), i < j, in
+    lexicographic order; column c is the canonical key c+1.  The relation of
+    i < j sums every generator with a side holding i and omitting j; a key K
+    never holds marking n and either K or its complement is that side, so
+    K enters iff bit_i(K) xor bit_j(K)."""
+    validate_n(n)
+    bits = (np.arange(1, 1 << (n - 1)) >> np.arange(n)[:, None]) & 1
+    i, j = np.triu_indices(n, 1)
+    rows = (bits[i] ^ bits[j]).astype(np.int8)
+    rows.flags.writeable = False
+    return rows
+
+
 def relation_row(i: int, j: int, n: int) -> DivisorClass:
     """The pair relation for markings i < j: the sum of all generators whose
     key side contains i and omits j (each with coefficient +1)."""
@@ -129,97 +153,86 @@ def relation_row(i: int, j: int, n: int) -> DivisorClass:
         raise InvalidInputError("relation needs two distinct markings")
     if not (1 <= i < j <= n):
         raise InvalidInputError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    bi = 1 << (i - 1)
-    bj = 1 << (j - 1)
-    rest = full_mask(n) & ~bi & ~bj
-    coeffs: dict[int, int] = {}
-    sub = rest
-    while True:
-        key = canonical_generator(sub | bi, n)
-        coeffs[key] = coeffs.get(key, 0) + 1
-        if sub == 0:
+    row = relation_matrix(n)[(i - 1) * (2 * n - i) // 2 + j - i - 1]  # pairs in lex order
+    return DivisorClass(n, dict.fromkeys((np.flatnonzero(row) + 1).tolist(), 1))
+
+
+def _normalize_rows(rows: np.ndarray) -> None:
+    """Divide each nonzero row by its gcd, first nonzero entry positive."""
+    g = np.gcd.reduce(rows, axis=1)
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    g[lead < 0] *= -1
+    rows[g != 0] //= g[g != 0, None]
+
+
+def row_reduce(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan elimination over the integers, exact in int64.
+
+    Pivots go left to right, each from the first row at or below the
+    current one that is nonzero there.  The pivot row is normalized (gcd 1,
+    leading entry positive); every other row x with entry a in the pivot
+    column becomes x*(piv/g) - pivot_row*(a/g), g = gcd(piv, a), and is
+    normalized too.  Each product is checked to stay below 2^62 first, so
+    nothing wraps (InvalidInputError).  Returns the rows and pivot columns.
+    """
+    rows = np.array(matrix, dtype=np.int64)
+    limit = (1 << 62) - 1
+    pivot_cols: list[int] = []
+    for c in range(rows.shape[1]):
+        r = len(pivot_cols)
+        if r == len(rows):
             break
-        sub = (sub - 1) & rest
-    return DivisorClass(n, coeffs)
-
-
-def _normalize_row(row: list[int]) -> None:
-    """Divide by the gcd and make the first nonzero entry positive."""
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-    if g == 0:
-        return
-    lead = next(x for x in row if x)
-    if lead < 0:
-        g = -g
-    if g != 1:
-        for c, x in enumerate(row):
-            row[c] = x // g
+        below = np.flatnonzero(rows[r:, c])
+        if not len(below):
+            continue
+        rows[[r, r + below[0]]] = rows[[r + below[0], r]]
+        _normalize_rows(rows[r : r + 1])
+        others = np.flatnonzero(rows[:, c])
+        others = others[others != r]
+        g = np.gcd(rows[r, c], rows[others, c])
+        ms, mo = rows[r, c] // g, rows[others, c] // g
+        if np.any(ms > limit // np.abs(rows[others]).max(axis=1)) or np.any(
+            np.abs(mo) > limit // np.abs(rows[r]).max()
+        ):
+            raise InvalidInputError("elimination entries too large for int64")
+        update = rows[others] * ms[:, None] - rows[r] * mo[:, None]
+        _normalize_rows(update)
+        rows[others] = update
+        pivot_cols.append(c)
+    return rows, pivot_cols
 
 
 class RelationSystem:
-    """Row-reduced form of the pair relations for a fixed marking count.
-
-    Columns are canonical key masks in ascending order, pivots chosen
-    left to right.  Rows are kept as integers with a per-row pivot value,
-    so all reductions are exact.
+    """Row-reduced form of the pair relations for a fixed marking count:
+    `row_reduce` of `relation_matrix(n)`, so columns are canonical key masks
+    in ascending order and pivots are chosen left to right.  Rows stay
+    integral with a per-row pivot value, so all reductions are exact.
+    `free_rows[k]` is pivot row k at the free keys (`free_masks` order); it
+    vanishes at every other pivot key.  For every n the pivots are exactly
+    the keys of one or two markings, each with pivot value 1.
     """
 
     def __init__(self, n: int):
         validate_n(n)
         self.n = n
-        ncols = (1 << (n - 1)) - 1  # column c <-> mask c+1
-        rows: list[list[int]] = []
-        for i, j in combinations(range(1, n + 1), 2):
-            dense = [0] * ncols
-            for mask, c in relation_row(i, j, n).coeffs.items():
-                dense[mask - 1] = c
-            rows.append(dense)
-
-        nrows = len(rows)
-        pivot_cols: list[int] = []
-        r = 0
-        for c in range(ncols):
-            pr = next((k for k in range(r, nrows) if rows[k][c]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            _normalize_row(rows[r])
-            piv = rows[r][c]
-            for k in range(nrows):
-                if k == r or not rows[k][c]:
-                    continue
-                a = rows[k][c]
-                g = gcd(piv, a)
-                ms, mo = piv // g, a // g
-                rk, rr = rows[k], rows[r]
-                rows[k] = [x * ms - y * mo for x, y in zip(rk, rr)]
-                _normalize_row(rows[k])
-            pivot_cols.append(c)
-            r += 1
-            if r == nrows:
-                break
-
-        self.rank = r
+        rows, pivot_cols = row_reduce(relation_matrix(n))
+        self.rank = len(pivot_cols)
         self.pivot_masks = [c + 1 for c in pivot_cols]
-        pivot_set = set(self.pivot_masks)
-        self.free_masks = [m for m in all_generator_keys(n) if m not in pivot_set]
+        free_cols = np.delete(np.arange(rows.shape[1]), pivot_cols)
+        self.free_masks = (free_cols + 1).tolist()
         # free_index[mask] = position among free columns, -1 on pivots
-        free_index = np.full(1 << (n - 1), -1, dtype=np.int64)
-        for pos, m in enumerate(self.free_masks):
-            free_index[m] = pos
-        self.free_index = free_index
-        self.pivot_vals = [rows[k][pivot_cols[k]] for k in range(r)]
-        # per pivot row, the sparse (free mask, value) tail
-        self.free_entries: list[list[tuple[int, int]]] = []
-        for k in range(r):
-            row = rows[k]
-            pc = pivot_cols[k]
-            self.free_entries.append(
-                [(c + 1, v) for c, v in enumerate(row) if v and c != pc]
-            )
+        self.free_index = np.full(1 << (n - 1), -1, dtype=np.int64)
+        self.free_index[free_cols + 1] = np.arange(len(free_cols))
+        pivots = rows[np.arange(self.rank), pivot_cols]
+        self.pivot_vals = pivots.tolist()
+        self.free_rows = rows[: self.rank, free_cols]
+        # reduce_canonical: numerators over the lcm of the pivot values, and
+        # the absolute weight of the widest one, for check_int64_sums
+        self.scale = lcm(*self.pivot_vals)
+        self._pivot_scale = self.scale // pivots
+        self.reduce_weight = self.scale + int(
+            (self._pivot_scale @ np.abs(self.free_rows)).max(initial=0)
+        )
 
     @property
     def ambient_dim(self) -> int:
@@ -238,21 +251,20 @@ def reduce_canonical(d: DivisorClass) -> dict[int, Fraction]:
     Eliminates every pivot key against the row-reduced relations; the
     result maps non-pivot key masks to exact rational coordinates (zeros
     dropped).  Two classes are numerically equivalent iff their reductions
-    are equal.
+    are equal.  The numerators over L = lcm(pivot values) are one integer
+    product, L*d[free] - (d[pivots] * L/pivot_vals) @ free_rows, exact in
+    int64 once the coefficients pass check_int64_sums with `reduce_weight`.
     """
     rs = relation_system(d.n)
-    out: dict[int, Fraction] = {}
-    for mask, c in d.coeffs.items():
-        if rs.free_index[mask] >= 0:
-            out[mask] = out.get(mask, Fraction(0)) + Fraction(c)
-    for k, pmask in enumerate(rs.pivot_masks):
-        delta = d.coeffs.get(pmask, 0)
-        if not delta:
-            continue
-        lam = Fraction(delta, rs.pivot_vals[k])
-        for fmask, v in rs.free_entries[k]:
-            out[fmask] = out.get(fmask, Fraction(0)) - lam * v
-    return {m: v for m, v in out.items() if v}
+    check_int64_sums(d.coeffs.values(), rs.reduce_weight, "canonical reduction")
+    table = d.dense_table()
+    pivot_part = table[rs.pivot_masks] * rs._pivot_scale
+    num = rs.scale * table[rs.free_masks] - pivot_part @ rs.free_rows
+    live = np.flatnonzero(num)
+    return {
+        rs.free_masks[k]: Fraction(x, rs.scale)
+        for k, x in zip(live.tolist(), num[live].tolist())
+    }
 
 
 def canonical_divisor(n: int) -> DivisorClass:
@@ -283,10 +295,7 @@ def symmetric_divisor(n: int = 12) -> DivisorClass:
     points = range(11)
     for size in range(5):
         for combo in combinations(points, size):
-            s_mask = 0
-            for p in combo:
-                s_mask |= 1 << p
-            coeffs[_exceptional_key(s_mask)] = size - 5
+            coeffs[_exceptional_key(sum(1 << p for p in combo))] = size - 5
     return DivisorClass(12, coeffs)
 
 
@@ -314,9 +323,7 @@ def biplane_divisor(bp: Biplane) -> DivisorClass:
     points = range(11)
     for size in (5, 6):
         for combo in combinations(points, size):
-            s_mask = 0
-            for p in combo:
-                s_mask |= 1 << p
+            s_mask = sum(1 << p for p in combo)
             if any(s_mask == b or s_mask & b == 0 for b in blocks):
                 key = _exceptional_key(s_mask)
                 coeffs[key] = coeffs.get(key, 0) - 1

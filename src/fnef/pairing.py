@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .biplane import Biplane
-from .divisors import DivisorClass
+from .divisors import DivisorClass, check_int64_sums, relation_matrix
 from .errors import InvalidInputError, MalformedInputError
 from .subsets import (
     FCurve,
@@ -159,27 +159,17 @@ class RelationCheck:
 
 
 def check_relations(f: CurveFunctional) -> RelationCheck:
-    """Sum the functional over each pair relation; all sums must vanish."""
+    """Sum the functional over each pair relation; all sums must vanish.
+    The first violation is the first pair (i, j) in lexicographic order."""
     n = f.n
-    full = full_mask(n)
-    table = f.dense_table()
-    half = 1 << (n - 1)
-    for i in range(1, n + 1):
-        bi = 1 << (i - 1)
-        for j in range(i + 1, n + 1):
-            bj = 1 << (j - 1)
-            rest = full & ~bi & ~bj
-            total = 0
-            sub = rest
-            while True:
-                s = sub | bi
-                total += table[s if s < half else s ^ full]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
-            if total != 0:
-                return RelationCheck(False, (i, j), int(total))
-    return RelationCheck(True)
+    check_int64_sums(f.psi + tuple(f.boundary.values()), 1 << (n - 2), "relation check")
+    totals = relation_matrix(n) @ f.dense_table()[1:]
+    bad = np.flatnonzero(totals)
+    if not len(bad):
+        return RelationCheck(True)
+    i, j = np.triu_indices(n, 1)
+    k = bad[0]
+    return RelationCheck(False, (int(i[k]) + 1, int(j[k]) + 1), int(totals[k]))
 
 
 def pushforward_fcurve(curve: FCurve) -> Optional[FCurve]:
@@ -198,6 +188,13 @@ def pushforward_fcurve(curve: FCurve) -> Optional[FCurve]:
 
 def _canon_cols(masks: np.ndarray, half: int, full: int) -> np.ndarray:
     return np.where(masks < half, masks, masks ^ full)
+
+
+def scan_table(d: DivisorClass) -> np.ndarray:
+    """`d.dense_table()` for `_pair_chunk`, whose sums of 7 lookups must
+    stay exact in int64; larger coefficients raise InvalidInputError."""
+    check_int64_sums(d.coeffs.values(), 7, "F-curve pairing scan")
+    return d.dense_table()
 
 
 def _pair_chunk(table: np.ndarray, chunk: np.ndarray, half: int, full: int) -> np.ndarray:
@@ -225,7 +222,7 @@ def pairing_values(
     """
     if blocks is None:
         blocks = fcurve_block_arrays(d.n)
-    table = d.dense_table()
+    table = scan_table(d)
     half = 1 << (d.n - 1)
     full = full_mask(d.n)
     if threads <= 1 or len(blocks) < 2 * threads:

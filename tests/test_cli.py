@@ -8,7 +8,7 @@ from fnef import __version__, biplane_divisor, build_biplane_qr, divisor_to_json
 from fnef.biplane import format_biplane
 from fnef.cli import main
 from fnef.divisors import divisor_to_text, pullback_forgetful
-from fnef.subsets import mask_from_elements
+from fnef.subsets import all_generator_keys, format_subset, is_psi_key, mask_from_elements
 
 
 def run(capsys, *argv):
@@ -183,6 +183,24 @@ def test_extremal_scans_the_curves_once(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "extremal", "--divisor", str(path), "--n", "6")
     assert code == 1 and "not F-nef" in out
     assert calls == [6]
+
+
+def test_extremal_refuses_coefficients_beyond_int64(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text(f"{1 << 63} 1,2\n")
+    code, out, err = run(capsys, "extremal", "--divisor", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "int64" in err
+    # every sum of 7 such coefficients fits no int64, though the exact minimum
+    # pairing, 3 * 2^62, is positive
+    lines = [
+        f"{-(1 << 62) if is_psi_key(m, 6) else 1 << 62} {format_subset(m)}"
+        for m in all_generator_keys(6)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "extremal", "--divisor", str(path), "--n", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "int64" in err
 
 
 def test_extremal_refuses_bad_prime_before_any_scan(monkeypatch, capsys):

@@ -3,6 +3,9 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -28,8 +31,9 @@ from fnef import (
     relation_system,
     symmetric_divisor,
 )
+from fnef.divisors import relation_matrix, row_reduce
 from fnef.errors import BoundaryFormError, InvalidInputError, MalformedInputError
-from fnef.subsets import canonical_generator, full_mask, mask_from_elements
+from fnef.subsets import all_generator_keys, canonical_generator, full_mask, mask_from_elements
 
 
 def add_reduced(a, b):
@@ -72,11 +76,143 @@ def test_relation_row_rejects_bad_pairs():
         relation_row(1, 7, 6)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_relation_rank_is_pair_count(n):
+# The list-based elimination the int64 one replaced, kept as its oracle:
+# relation rows by walking every side that holds i and omits j, then
+# Gauss-Jordan on Python integers with a gcd per entry.
+
+
+def oracle_relation_rows(n):
+    full = full_mask(n)
+    rows = []
+    for i, j in combinations(range(1, n + 1), 2):
+        bi, bj = 1 << (i - 1), 1 << (j - 1)
+        rest = full & ~bi & ~bj
+        row = [0] * ((1 << (n - 1)) - 1)
+        sub = rest
+        while True:
+            row[canonical_generator(sub | bi, n) - 1] += 1
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        rows.append(row)
+    return rows
+
+
+def oracle_normalize(row):
+    g = 0
+    for x in row:
+        if x:
+            g = gcd(g, x)
+    if g == 0:
+        return
+    lead = next(x for x in row if x)
+    if lead < 0:
+        g = -g
+    if g != 1:
+        for c, x in enumerate(row):
+            row[c] = x // g
+
+
+def oracle_row_reduce(rows):
+    rows = [list(r) for r in rows]
+    nrows, ncols = len(rows), len(rows[0])
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pr = next((k for k in range(r, nrows) if rows[k][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        oracle_normalize(rows[r])
+        piv = rows[r][c]
+        for k in range(nrows):
+            if k == r or not rows[k][c]:
+                continue
+            a = rows[k][c]
+            g = gcd(piv, a)
+            ms, mo = piv // g, a // g
+            rows[k] = [x * ms - y * mo for x, y in zip(rows[k], rows[r])]
+            oracle_normalize(rows[k])
+        pivot_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivot_cols
+
+
+@lru_cache(maxsize=None)
+def oracle_system(n):
+    return oracle_row_reduce(oracle_relation_rows(n))
+
+
+def oracle_reduce(d):
+    """Eliminate each pivot key with Fraction updates along its row."""
+    rows, pivot_cols = oracle_system(d.n)
+    pivots = set(pivot_cols)
+    out = {}
+    for mask, c in d.coeffs.items():
+        if mask - 1 not in pivots:
+            out[mask] = out.get(mask, Fraction(0)) + Fraction(c)
+    for k, pc in enumerate(pivot_cols):
+        delta = d.coeffs.get(pc + 1, 0)
+        if not delta:
+            continue
+        lam = Fraction(delta, rows[k][pc])
+        for c, v in enumerate(rows[k]):
+            if v and c != pc:
+                out[c + 1] = out.get(c + 1, Fraction(0)) - lam * v
+    return {m: v for m, v in out.items() if v}
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_relation_system_matches_list_oracle(n):
+    relations = oracle_relation_rows(n)
+    assert relation_matrix(n).tolist() == relations
+    for (i, j), row in zip(combinations(range(1, n + 1), 2), relations):
+        assert relation_row(i, j, n).coeffs == {c + 1: 1 for c, v in enumerate(row) if v}
+    rows, pivot_cols = oracle_system(n)
+    free_cols = [c for c in range(len(rows[0])) if c not in set(pivot_cols)]
+    free_index = [-1] * (1 << (n - 1))
+    for pos, c in enumerate(free_cols):
+        free_index[c + 1] = pos
     rs = relation_system(n)
-    assert rs.rank == n * (n - 1) // 2
+    assert rs.rank == len(pivot_cols)
+    assert rs.pivot_masks == [c + 1 for c in pivot_cols]
+    assert rs.free_masks == [c + 1 for c in free_cols]
+    assert rs.free_index.tolist() == free_index
+    assert rs.pivot_vals == [rows[k][c] for k, c in enumerate(pivot_cols)]
+    assert rs.free_rows.tolist() == [[row[c] for c in free_cols] for row in rows[: rs.rank]]
+    # free_rows drops nothing: a pivot row vanishes at every other pivot key
+    assert all(rows[k][c] == 0 for k in range(rs.rank) for c in pivot_cols if c != pivot_cols[k])
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_relation_rank_is_pair_count(n):
+    # and the pivots are exactly the keys of one or two markings, value 1
+    rs = relation_system(n)
+    assert rs.rank == comb(n, 2)
     assert rs.ambient_dim == (1 << (n - 1)) - 1 - rs.rank
+    assert rs.pivot_masks == [m for m in all_generator_keys(n) if bin(m).count("1") <= 2]
+    assert rs.pivot_vals == [1] * rs.rank
+
+
+@given(st.lists(st.lists(st.integers(-40, 40), min_size=7, max_size=7), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_row_reduce_matches_list_oracle(matrix):
+    rows, pivot_cols = row_reduce(np.array(matrix, dtype=np.int64))
+    assert (rows.tolist(), pivot_cols) == oracle_row_reduce(matrix)
+
+
+@pytest.mark.parametrize("big, fits", [((1 << 62) - 1, True), (1 << 62, False)])
+def test_row_reduce_refuses_products_beyond_2_62(big, fits):
+    # eliminating column 0 from row 1 subtracts big * 1
+    matrix = [[1, big], [1, 0]]
+    if fits:
+        rows, pivot_cols = row_reduce(np.array(matrix, dtype=np.int64))
+        assert (rows.tolist(), pivot_cols) == oracle_row_reduce(matrix)
+    else:
+        with pytest.raises(InvalidInputError):
+            row_reduce(np.array(matrix, dtype=np.int64))
 
 
 def test_dimension_at_five_and_twelve():
@@ -113,6 +249,52 @@ def test_reduce_invariance_under_random_relation_combos(seed):
         j = rng.randrange(i + 1, n + 1)
         shifted = shifted + rng.randrange(-4, 5) * relation_row(i, j, n)
     assert reduce_canonical(shifted) == reduce_canonical(d)
+
+
+def reduce_limit(n):
+    """Largest coefficient magnitude reduce_canonical accepts at n."""
+    return ((1 << 63) - 1) // relation_system(n).reduce_weight
+
+
+@given(st.integers(min_value=5, max_value=8), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_reduce_canonical_matches_fraction_oracle(n, pivots_only, data):
+    rs = relation_system(n)
+    limit = reduce_limit(n)
+    keys = rs.pivot_masks if pivots_only else list(all_generator_keys(n))
+    coeff = st.one_of(
+        st.integers(-5, 5),
+        st.integers(limit - 2, limit + 2),
+        st.integers(-limit - 2, -limit + 2),
+    )
+    d = DivisorClass(n, data.draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=12)))
+    if max(map(abs, d.coeffs.values()), default=0) > limit:
+        with pytest.raises(InvalidInputError):
+            reduce_canonical(d)
+    else:
+        assert reduce_canonical(d) == oracle_reduce(d)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_reduce_canonical_worst_case_at_the_bound(n):
+    # signs chosen so that one coordinate reaches limit * reduce_weight
+    rs = relation_system(n)
+    scaled = (rs.scale // np.array(rs.pivot_vals))[:, None] * rs.free_rows
+    f = int(np.abs(scaled).sum(axis=0).argmax())
+    signs = np.sign(scaled[:, f]).tolist()
+
+    def worst(c):
+        coeffs = {rs.free_masks[f]: c}
+        coeffs.update({m: -s * c for m, s in zip(rs.pivot_masks, signs) if s})
+        return DivisorClass(n, coeffs)
+
+    limit = reduce_limit(n)
+    reduced = reduce_canonical(worst(limit))
+    assert reduced[rs.free_masks[f]] == Fraction(limit * rs.reduce_weight, rs.scale)
+    assert limit * rs.reduce_weight < 1 << 63
+    assert reduced == oracle_reduce(worst(limit))
+    with pytest.raises(InvalidInputError):
+        reduce_canonical(worst(limit + 1))
 
 
 def test_canonical_divisor_coefficients():

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fnef import (
     CurveFunctional,
@@ -15,6 +16,7 @@ from fnef import (
     enumerate_fcurves,
     fcurve_block_arrays,
     fcurve_functional,
+    fnef_check,
     functional_from_json_dict,
     functional_to_json_dict,
     pair_divisor_fcurve,
@@ -29,9 +31,12 @@ from fnef import (
 from fnef.errors import InvalidInputError
 from fnef.subsets import (
     all_generator_keys,
+    canonical_generator,
     elements_from_mask,
     full_mask,
+    is_psi_key,
     mask_from_elements,
+    psi_marking,
 )
 
 
@@ -116,6 +121,87 @@ def test_flipped_value_breaks_relations(qr_witness):
     assert not report.ok
     assert report.first_violation is not None
     assert report.violation_value != 0
+
+
+def subset_walk_check(f):
+    """First pair (i, j) whose relation sum, over every side holding i and
+    omitting j, is nonzero, with that sum; None when all vanish."""
+    n, full = f.n, full_mask(f.n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            bi, bj = 1 << (i - 1), 1 << (j - 1)
+            rest = full & ~bi & ~bj
+            total, sub = 0, rest
+            while True:
+                total += f.value(canonical_generator(sub | bi, n))
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+            if total:
+                return (i, j), total
+    return None
+
+
+@given(st.integers(min_value=0, max_value=2**60))
+@settings(max_examples=40, deadline=None)
+def test_check_relations_matches_subset_walk(seed):
+    # an admissible functional (a curve row) with one value moved, so the
+    # first violation falls anywhere in the pair order
+    rng = random.Random(seed)
+    n = rng.choice([4, 5, 6, 7])
+    f = fcurve_functional(rng.choice(list(enumerate_fcurves(n))))
+    key = rng.randrange(1, 1 << (n - 1))
+    shift = rng.choice([-2, -1, 1, 3]) * rng.randrange(2)
+    psi, boundary = list(f.psi), dict(f.boundary)
+    if is_psi_key(key, n):
+        psi[psi_marking(key, n) - 1] += shift
+    else:
+        boundary[key] = boundary.get(key, 0) + shift
+    g = CurveFunctional(n, tuple(psi), boundary)
+    report = check_relations(g)
+    expected = subset_walk_check(g)
+    if expected is None:
+        assert report.ok and report.first_violation is None
+    else:
+        assert not report.ok
+        assert (report.first_violation, report.violation_value) == expected
+
+
+def test_check_relations_refuses_values_beyond_int64():
+    # a relation at n=6 sums 16 values
+    def constant(c):
+        boundary = {m: c for m in all_generator_keys(6) if not is_psi_key(m, 6)}
+        return CurveFunctional(6, (c,) * 6, boundary)
+
+    top = ((1 << 63) - 1) // 16
+    report = check_relations(constant(top))
+    assert (report.first_violation, report.violation_value) == ((1, 2), 16 * top)
+    with pytest.raises(InvalidInputError):
+        check_relations(constant(top + 1))
+
+
+def extreme_divisor(n, c):
+    """Coefficient c on every boundary key and -c on every psi key."""
+    return DivisorClass(n, {m: -c if is_psi_key(m, n) else c for m in all_generator_keys(n)})
+
+
+def test_scan_refuses_coefficients_whose_sums_leave_int64():
+    d = extreme_divisor(6, 1 << 62)
+    exact = min(pair_divisor_fcurve(d, c) for c in enumerate_fcurves(6))
+    assert exact == 13835058055282163712  # the int64 scan used to report -2^62
+    with pytest.raises(InvalidInputError):
+        fnef_check(d)
+    with pytest.raises(InvalidInputError):
+        pairing_values(DivisorClass(6, {3: 1 << 63}))
+
+
+def test_scan_is_exact_at_the_bound():
+    top = ((1 << 63) - 1) // 7
+    d = extreme_divisor(6, top)
+    values = pairing_values(d)
+    assert values.tolist() == [pair_divisor_fcurve(d, c) for c in enumerate_fcurves(6)]
+    with pytest.raises(InvalidInputError):
+        pairing_values(extreme_divisor(6, top + 1))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
