@@ -44,6 +44,7 @@ from .divisors import (
     eliminate_psi,
     load_divisor,
     pullback_forgetful,
+    reduce_canonical,
     symmetric_divisor,
 )
 from .errors import (
@@ -264,6 +265,9 @@ def cmd_extremal(args) -> int:
                 file=sys.stderr,
             )
     div = _load_divisor_arg(args, manifest)
+    # refuse before the scan a class whose primitive part, which the rank
+    # reduces, would leave int64
+    reduce_canonical(div.primitive())
     with manifest.phase("fnef_scan"):
         fnef = fnef_check(div, threads=args.threads)
     if not fnef.nonnegative:

@@ -33,9 +33,9 @@ from .pairing import (
     CurveFunctional,
     biplane_curve_functional,
     pair_divisor_functional,
+    pair_blocks,
     pairing_values,
     _canon_cols,
-    _pair_chunk,
     scan_table,
 )
 from .subsets import FCurve, count_fcurves, fcurve_block_arrays, full_mask
@@ -461,6 +461,9 @@ def extremality_rank(
     primes = tuple(primes)
     for p in primes:
         check_modulus(p)
+    # a positive multiple spans the same ray, so the primitive part stands
+    # in for d; its reduction fits int64 for the most coefficients
+    reduced = reduce_canonical(d.primitive())
     if scan is None:
         scan = fnef_check(d, threads=threads)
     elif scan.n != d.n:
@@ -477,7 +480,6 @@ def extremality_rank(
     # coordinates of d, so when those are nonzero the rational rank is at
     # most ambient-1 and the modular rank (never larger) may stop there
     # exactly.  Check the orthogonality on every row.
-    reduced = reduce_canonical(d)
     stop_rank = None
     if reduced:
         _check_orthogonal(col_rows, reduced, rs.free_index, rs.ambient_dim)
@@ -579,7 +581,7 @@ def projection_formula_report(
     lifted = pullback_forgetful(d)
     m = n + 1
     if samples is None:
-        up_blocks = np.asarray(fcurve_block_arrays(m), dtype=np.int64)
+        up_blocks = fcurve_block_arrays(m)
     else:
         rng = np.random.default_rng(seed)
         need = samples
@@ -595,14 +597,12 @@ def projection_formula_report(
             need = samples - sum(len(r) for r in rows)
         up_blocks = np.concatenate(rows)[:samples]
 
-    half_m, full_m = 1 << (m - 1), full_mask(m)
-    lhs = _pair_chunk(scan_table(lifted), up_blocks, half_m, full_m)
+    lhs = pair_blocks(scan_table(lifted), up_blocks)
 
     last = 1 << n
     contracted = (up_blocks == last).any(axis=1)
     down_blocks = (up_blocks & ~last)[~contracted]
-    half_n, full_n = 1 << (n - 1), full_mask(n)
-    rhs = _pair_chunk(scan_table(d), down_blocks, half_n, full_n)
+    rhs = pair_blocks(scan_table(d), down_blocks)
 
     mismatches = int(np.count_nonzero(lhs[contracted] != 0)) + int(
         np.count_nonzero(lhs[~contracted] != rhs)

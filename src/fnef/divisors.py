@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -85,6 +85,14 @@ class DivisorClass:
             for m, c in self.coeffs.items()
             if is_psi_key(m, self.n)
         }
+
+    def primitive(self) -> "DivisorClass":
+        """The class divided by the gcd of its coefficients (the zero class
+        is its own primitive part); it spans the same ray."""
+        g = gcd(*self.coeffs.values())
+        if g <= 1:
+            return self
+        return DivisorClass(self.n, {m: c // g for m, c in self.coeffs.items()})
 
     def is_boundary_only(self) -> bool:
         return not any(is_psi_key(m, self.n) for m in self.coeffs)

@@ -191,23 +191,70 @@ def _canon_cols(masks: np.ndarray, half: int, full: int) -> np.ndarray:
 
 
 def scan_table(d: DivisorClass) -> np.ndarray:
-    """`d.dense_table()` for `_pair_chunk`, whose sums of 7 lookups must
-    stay exact in int64; larger coefficients raise InvalidInputError."""
+    """The divisor's coefficients indexed by every subset mask m of its
+    markings: entry m is the coefficient of m's canonical key, m itself
+    below 2^(n-1) and otherwise its complement 2^n - 1 - m, so the table is
+    `d.dense_table()` followed by its reverse.  The scan's sums of 7 entries
+    must stay exact in int64; larger coefficients raise InvalidInputError."""
     check_int64_sums(d.coeffs.values(), 7, "F-curve pairing scan")
-    return d.dense_table()
+    table = d.dense_table()
+    return np.concatenate([table, table[::-1]])
 
 
-def _pair_chunk(table: np.ndarray, chunk: np.ndarray, half: int, full: int) -> np.ndarray:
-    b0, b1, b2, b3 = chunk[:, 0], chunk[:, 1], chunk[:, 2], chunk[:, 3]
-    return (
-        table[_canon_cols(b0 | b1, half, full)]
-        + table[_canon_cols(b0 | b2, half, full)]
-        + table[_canon_cols(b0 | b3, half, full)]
-        - table[_canon_cols(b0, half, full)]
-        - table[_canon_cols(b1, half, full)]
-        - table[_canon_cols(b2, half, full)]
-        - table[_canon_cols(b3, half, full)]
-    )
+#: Rows per slice of the pairing scan.  At n=12 and 13, slices of 8192 to
+#: 32768 rows ran within 15% of each other, and 4096 or 65536 up to a
+#: quarter slower; each of the two slice buffers holds 128 KiB.
+_SCAN_ROWS = 16384
+
+
+def _pair_slices(table: np.ndarray, blocks: np.ndarray, out: np.ndarray, starts) -> None:
+    """out[s:s+_SCAN_ROWS] = pairings of blocks[s:s+_SCAN_ROWS], for each s
+    in starts, through one index buffer and one value buffer."""
+    idx = np.empty(_SCAN_ROWS, dtype=np.intp)
+    val = np.empty(_SCAN_ROWS, dtype=np.int64)
+    for s in starts:
+        rows = blocks[s : s + _SCAN_ROWS]
+        k = len(rows)
+        acc, ix, v = out[s : s + k], idx[:k], val[:k]
+        np.bitwise_or(rows[:, 0], rows[:, 1], out=ix)
+        np.take(table, ix, out=acc, mode="wrap")
+        for j in (2, 3):
+            np.bitwise_or(rows[:, 0], rows[:, j], out=ix)
+            np.take(table, ix, out=v, mode="wrap")
+            acc += v
+        for j in range(4):
+            ix[...] = rows[:, j]
+            np.take(table, ix, out=v, mode="wrap")
+            acc -= v
+
+
+def pair_blocks(table: np.ndarray, blocks: np.ndarray, threads: int = 1) -> np.ndarray:
+    """The pairing with every row of `blocks`, for the divisor whose
+    `scan_table` is `table`: the three unions with block 0 count
+    positively, the four blocks negatively.
+
+    Rows are 4-block partitions of the divisor's markings, as int32 or int64
+    masks.  Every mask must lie below 2^n: np.take's "wrap" mode, which
+    takes a third less time than its checked default, does not check it.
+    The rows are taken in fixed slices of `_SCAN_ROWS`, each written into
+    its own part of the result, so the temporaries stay two slice-length
+    buffers per worker, and `threads` workers, which share the slices round
+    robin, give the same result as one.
+    """
+    out = np.empty(len(blocks), dtype=np.int64)
+    starts = range(0, len(blocks), _SCAN_ROWS)
+    workers = min(threads, len(starts))
+    if workers <= 1:
+        _pair_slices(table, blocks, out, starts)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(
+                pool.map(
+                    lambda w: _pair_slices(table, blocks, out, starts[w::workers]),
+                    range(workers),
+                )
+            )
+    return out
 
 
 def pairing_values(
@@ -215,22 +262,11 @@ def pairing_values(
     blocks: Optional[np.ndarray] = None,
     threads: int = 1,
 ) -> np.ndarray:
-    """Pairings of a divisor with every F-curve, in enumeration order.
-
-    The scan partitions the curve stream into fixed chunks and combines
-    them in order, so the result is independent of the thread count.
-    """
+    """Pairings of a divisor with every F-curve, in enumeration order:
+    `pair_blocks` over `fcurve_block_arrays(d.n)` (or `blocks`, its rows)."""
     if blocks is None:
         blocks = fcurve_block_arrays(d.n)
-    table = scan_table(d)
-    half = 1 << (d.n - 1)
-    full = full_mask(d.n)
-    if threads <= 1 or len(blocks) < 2 * threads:
-        return _pair_chunk(table, blocks, half, full)
-    chunks = np.array_split(blocks, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda ch: _pair_chunk(table, ch, half, full), chunks))
-    return np.concatenate(parts)
+    return pair_blocks(scan_table(d), blocks, threads)
 
 
 def functional_to_json_dict(f: CurveFunctional) -> dict:

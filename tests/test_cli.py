@@ -203,6 +203,32 @@ def test_extremal_refuses_coefficients_beyond_int64(tmp_path, capsys):
     assert err.startswith("error:") and "int64" in err
 
 
+def test_extremal_reduces_the_primitive_part(tmp_path, monkeypatch, capsys):
+    calls = []
+    scan = fnef.cone.pairing_values
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(fnef.cone, "pairing_values", counting)
+    # 2^59 times an extremal divisor at n=6: its own reduction (weight 26)
+    # leaves int64, that of its primitive part does not
+    d = pullback_forgetful(pullback_forgetful(DivisorClass(4, {0b011: 1})))
+    path = tmp_path / "d6.txt"
+    path.write_text(divisor_to_text((1 << 59) * d))
+    code, out, err = run(capsys, "extremal", "--divisor", str(path), "--n", "6", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["certified_extremal"] and calls == [6]
+    # a primitive class beyond that bound is refused before any scan, though
+    # the scan's sums of 7 would fit
+    calls.clear()
+    path.write_text(f"{(1 << 63) // 26 + 1} 1,2\n1 1,3\n")
+    code, out, err = run(capsys, "extremal", "--divisor", str(path), "--n", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: canonical reduction") and calls == []
+
+
 def test_extremal_refuses_bad_prime_before_any_scan(monkeypatch, capsys):
     def no_scan(n):
         raise AssertionError("scanned before the moduli were checked")

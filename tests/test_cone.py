@@ -256,6 +256,19 @@ def test_extremality_rank_reuses_the_callers_scan(monkeypatch):
         extremality_rank(d, primes=(P1,), scan=other)  # a scan at n=5
 
 
+def test_scaled_extremal_divisor_is_still_certified():
+    d = fnef_divisor_n6()
+    big = (1 << 59) * d
+    # the scan's sums of 7 fit int64; the reduction of `big` itself does not
+    assert fnef_check(big).nonnegative
+    with pytest.raises(InvalidInputError):
+        reduce_canonical(big)
+    expected = extremality_rank(d)
+    assert expected.certified_extremal
+    assert extremality_rank(big) == extremality_rank(3 * d) == expected
+    assert big.primitive() == d and DivisorClass.zero(6).primitive() == DivisorClass.zero(6)
+
+
 def test_extremality_of_zero_divisor_not_certified():
     rep = extremality_rank(DivisorClass.zero(5), primes=(P1,))
     assert rep.zero_set_size == 10

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from fnef import (
     relation_row,
     symmetric_divisor,
 )
+import fnef.pairing
 from fnef.errors import InvalidInputError
 from fnef.subsets import (
     all_generator_keys,
@@ -202,6 +204,47 @@ def test_scan_is_exact_at_the_bound():
     assert values.tolist() == [pair_divisor_fcurve(d, c) for c in enumerate_fcurves(6)]
     with pytest.raises(InvalidInputError):
         pairing_values(extreme_divisor(6, top + 1))
+
+
+@pytest.mark.parametrize("rows", [1, 5, 7])
+@pytest.mark.parametrize("n", [7, 8])
+def test_sliced_scan_matches_per_curve_oracle(n, rows, monkeypatch):
+    monkeypatch.setattr(fnef.pairing, "_SCAN_ROWS", rows)
+    rng = random.Random(100 * n + rows)
+    top = ((1 << 63) - 1) // 7
+    keys = all_generator_keys(n)
+    divisors = [
+        extreme_divisor(n, top),
+        extreme_divisor(n, -top),
+        DivisorClass(n, {m: rng.randint(-5, 5) for m in keys}),
+        DivisorClass(n, {m: rng.randint(-top, top) for m in keys if rng.random() < 0.3}),
+    ]
+    blocks = fcurve_block_arrays(n)
+    curves = list(enumerate_fcurves(n))
+    # 5 and 7 divide S(7, 4) = 350 and 7 divides S(8, 4) = 1701; two rows
+    # fewer leave slices of 5 and 7 rows a ragged last slice at both n
+    cut = len(blocks) - 2
+    for d in divisors:
+        expected = np.array([pair_divisor_fcurve(d, c) for c in curves])
+        for dtype in (np.int32, np.int64):
+            arr = blocks.astype(dtype)
+            for threads in (1, 3):
+                assert np.array_equal(pairing_values(d, arr, threads=threads), expected)
+                part = pairing_values(d, arr[:cut], threads=threads)
+                assert np.array_equal(part, expected[:cut])
+                empty = pairing_values(d, arr[:0], threads=threads)
+                assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
+def test_scan_temporaries_stay_bounded(qr_divisor):
+    blocks = fcurve_block_arrays(12)
+    tracemalloc.start()
+    try:
+        values = pairing_values(qr_divisor, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes + (1 << 20)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
