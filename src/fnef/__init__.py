@@ -22,13 +22,9 @@ from .cone import (
     ProjectionFormulaReport,
     certify_not_boundary,
     extremality_rank,
-    fcurve_matrix_rank_exact,
-    fcurve_matrix_rank_modp,
     fnef_check,
     projection_formula_report,
-    rank_exact,
     verify_counterexample,
-    zero_set_dense_rows,
 )
 from .divisors import (
     DivisorClass,
@@ -60,7 +56,6 @@ from .pairing import (
     RelationCheck,
     biplane_curve_functional,
     check_relations,
-    fcurve_functional,
     functional_from_json_dict,
     functional_to_json_dict,
     load_functional,
@@ -68,7 +63,6 @@ from .pairing import (
     pair_divisor_functional,
     pair_generator_fcurve,
     pairing_values,
-    pushforward_fcurve,
 )
 from .subsets import (
     FCurve,

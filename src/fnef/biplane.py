@@ -192,9 +192,9 @@ def parse_biplane(text: str) -> Biplane:
     return Biplane(tuple(blocks))
 
 
-def load_biplane(path: str, verify: bool = True) -> Biplane:
+def load_biplane(path: str) -> Biplane:
+    """Parse a block file and check the design axioms (verify_biplane)."""
     with open(path, "r", encoding="utf-8") as fh:
         bp = parse_biplane(fh.read())
-    if verify:
-        verify_biplane(bp)
+    verify_biplane(bp)
     return bp

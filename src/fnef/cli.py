@@ -121,10 +121,9 @@ def _fnef_dict(rep) -> dict:
 
 
 def _load_biplane_arg(args, manifest: Manifest) -> Biplane:
-    path = getattr(args, "biplane", None) or getattr(args, "file", None)
-    if path:
-        manifest.record_input(path)
-        return load_biplane(path, verify=not getattr(args, "no_verify", False))
+    if args.biplane:
+        manifest.record_input(args.biplane)
+        return load_biplane(args.biplane)
     return build_biplane_qr()
 
 
@@ -277,7 +276,7 @@ def cmd_extremal(args) -> int:
             print(f"not F-nef: pairing {fnef.min_value} on {fnef.argmin}")
         return EXIT_FAILED
     with manifest.phase("rank"):
-        rep = extremality_rank(div, primes=primes, threads=args.threads, scan=fnef)
+        rep = extremality_rank(div, primes=primes, scan=fnef)
     if args.json:
         _emit_json(
             {
@@ -346,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--threads", type=int, default=1,
                         help="worker count for scan phases (does not change results)")
-    common.add_argument("--biplane", metavar="FILE", help="biplane block file")
-    common.add_argument("--no-verify", action="store_true",
-                        help="skip design-axiom verification when loading a biplane file")
+    common.add_argument("--biplane", metavar="FILE",
+                        help="biplane block file (its design axioms are checked)")
 
     divisor_common = argparse.ArgumentParser(add_help=False)
     divisor_common.add_argument("--divisor", metavar="FILE",
@@ -369,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("biplane", parents=[common],
                        help="construct/verify the biplane and count its symmetries")
-    p.add_argument("--file", metavar="FILE", help="alias for --biplane")
     p.set_defaults(func=cmd_biplane)
 
     p = sub.add_parser("verify", parents=[common],

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .errors import InvalidInputError
 from .pairing import (
     CurveFunctional,
     biplane_curve_functional,
+    check_relations,
     pair_divisor_functional,
     pair_blocks,
     pairing_values,
@@ -165,13 +166,14 @@ def verify_counterexample(bp: Biplane, threads: int = 1) -> CounterexampleReport
 
 
 def certify_not_boundary(d: DivisorClass, f: CurveFunctional) -> BoundaryCertificate:
-    """Certified when f is nonnegative on every boundary key yet pairs
-    negatively with d; the stronger variant additionally needs f to pair
-    nonnegatively with the canonical class."""
+    """Certified when f vanishes on every pair relation, so that it is a
+    functional on numerical classes, is nonnegative on every boundary key,
+    and yet pairs negatively with d; the stronger variant additionally
+    needs f to pair nonnegatively with the canonical class."""
     boundary_min = f.boundary_min()
     pairing = pair_divisor_functional(d, f)
     canonical_pairing = pair_divisor_functional(canonical_divisor(d.n), f)
-    certified = boundary_min >= 0 and pairing < 0
+    certified = boundary_min >= 0 and pairing < 0 and check_relations(f).ok
     return BoundaryCertificate(
         boundary_min=boundary_min,
         pairing=pairing,
@@ -448,7 +450,6 @@ def _check_orthogonal(
 def extremality_rank(
     d: DivisorClass,
     primes: Iterable[int] = DEFAULT_PRIMES,
-    threads: int = 1,
     scan: Optional[FNefReport] = None,
 ) -> ExtremalityReport:
     """Rank certificate for extremality of an F-nef divisor.
@@ -465,7 +466,7 @@ def extremality_rank(
     # in for d; its reduction fits int64 for the most coefficients
     reduced = reduce_canonical(d.primitive())
     if scan is None:
-        scan = fnef_check(d, threads=threads)
+        scan = fnef_check(d)
     elif scan.n != d.n:
         raise InvalidInputError(f"scan is at n={scan.n}, the divisor at n={d.n}")
     if not scan.nonnegative:
@@ -496,74 +497,6 @@ def extremality_rank(
         rank_mod_p=ranks,
         certified_extremal=certified,
     )
-
-
-def fcurve_matrix_rank_modp(n: int, p: int) -> int:
-    """Rank over F_p of the full pairing matrix (all curves x free keys)."""
-    rs = relation_system(n)
-    blocks = fcurve_block_arrays(n)
-    col_rows = _free_col_rows(blocks, rs.free_index, n)
-    elim = ModpEliminator(rs.ambient_dim, p)
-    return _feed_rows(elim, col_rows)
-
-
-def rank_exact(rows: Iterable[Sequence], ncols: int) -> int:
-    """Rank over the rationals by dense fraction-valued elimination.
-
-    Intended for small cross-check instances; rows are any integer or
-    Fraction sequences of length ncols.
-    """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for c in range(ncols):
-        pr = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
-        if pr is None:
-            continue
-        mat[rank], mat[pr] = mat[pr], mat[rank]
-        piv = mat[rank][c]
-        prow = [x / piv for x in mat[rank]]
-        mat[rank] = prow
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [x - f * y for x, y in zip(mat[r], prow)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def _dense_rows(col_rows: np.ndarray, ncols: int) -> list[list[int]]:
-    """Curve rows of reduced coordinates as dense integer lists."""
-    dense = []
-    for row in col_rows:
-        vec = [0] * ncols
-        for c, v in zip(row, _ROW_PATTERN):
-            if c >= 0:
-                vec[int(c)] += int(v)
-        dense.append(vec)
-    return dense
-
-
-def fcurve_matrix_rank_exact(n: int) -> int:
-    """Exact rational rank of the full pairing matrix; small n only."""
-    if n > 7:
-        raise InvalidInputError("exact rank oracle is limited to n <= 7")
-    rs = relation_system(n)
-    col_rows = _free_col_rows(fcurve_block_arrays(n), rs.free_index, n)
-    return rank_exact(_dense_rows(col_rows, rs.ambient_dim), rs.ambient_dim)
-
-
-def zero_set_dense_rows(d: DivisorClass) -> list[list[int]]:
-    """Reduced-coordinate rows of all zero-pairing curves, densely; the
-    exact-arithmetic counterpart of the modular path, for small n."""
-    if d.n > 7:
-        raise InvalidInputError("dense zero-set rows are limited to n <= 7")
-    rs = relation_system(d.n)
-    blocks = fcurve_block_arrays(d.n)
-    values = pairing_values(d, blocks)
-    col_rows = _free_col_rows(blocks[values == 0], rs.free_index, d.n)
-    return _dense_rows(col_rows, rs.ambient_dim)
 
 
 def projection_formula_report(

@@ -153,6 +153,11 @@ def relation_matrix(n: int) -> np.ndarray:
     return rows
 
 
+def _pair_index(i: int, j: int, n: int) -> int:
+    """Row of the pair i < j in `relation_matrix(n)` (pairs in lex order)."""
+    return (i - 1) * (2 * n - i) // 2 + j - i - 1
+
+
 def relation_row(i: int, j: int, n: int) -> DivisorClass:
     """The pair relation for markings i < j: the sum of all generators whose
     key side contains i and omits j (each with coefficient +1)."""
@@ -161,7 +166,7 @@ def relation_row(i: int, j: int, n: int) -> DivisorClass:
         raise InvalidInputError("relation needs two distinct markings")
     if not (1 <= i < j <= n):
         raise InvalidInputError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    row = relation_matrix(n)[(i - 1) * (2 * n - i) // 2 + j - i - 1]  # pairs in lex order
+    row = relation_matrix(n)[_pair_index(i, j, n)]
     return DivisorClass(n, dict.fromkeys((np.flatnonzero(row) + 1).tolist(), 1))
 
 
@@ -346,7 +351,10 @@ def eliminate_psi(d: DivisorClass) -> DivisorClass:
     where y is an integer weighting whose degree at marking m is minus
     twice the psi coefficient there; every degree of y is even, so every
     cut sum - the amount added to a key - is an integer and the output
-    stays integral.
+    stays integral.  Twice the output is one int64 sum, 2*d plus y_e times
+    the relation row of e; the coefficients must pass check_int64_sums
+    with weight 2 + 5n, which bounds 2 + sum |y_e| in units of the largest
+    coefficient (InvalidInputError).
     """
     n = d.n
     psi = d.psi_part()
@@ -365,32 +373,24 @@ def eliminate_psi(d: DivisorClass) -> DivisorClass:
         y[(1, 3)] = y.get((1, 3), 0) - half
         y[(2, 3)] = y.get((2, 3), 0) + half
 
-    acc: dict[int, Fraction] = {m: Fraction(c) for m, c in d.coeffs.items()}
-    full = full_mask(n)
+    check_int64_sums(d.coeffs.values(), 2 + 5 * n, "psi elimination")
+    acc = 2 * d.dense_table()[1:]
+    relations = relation_matrix(n)
     for (i, j), w in y.items():
-        if not w:
-            continue
-        z = Fraction(w, 2)
-        bi, bj = 1 << (i - 1), 1 << (j - 1)
-        rest = full & ~bi & ~bj
-        sub = rest
-        while True:
-            key = canonical_generator(sub | bi, n)
-            acc[key] = acc.get(key, Fraction(0)) + z
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
+        if w:
+            acc += np.int64(w) * relations[_pair_index(i, j, n)]
 
-    coeffs: dict[int, int] = {}
-    for mask, v in acc.items():
-        if not v:
-            continue
-        if v.denominator != 1:
-            raise AssertionError(f"non-integral coefficient {v} at {format_subset(mask)}")
-        if is_psi_key(mask, n):
+    odd = np.flatnonzero(acc & 1)
+    if len(odd):
+        k = int(odd[0])
+        raise AssertionError(f"non-integral coefficient {acc[k]}/2 at {format_subset(k + 1)}")
+    acc >>= 1
+    psi_keys = [1 << (m - 1) for m in range(1, n)] + [full_mask(n - 1)]
+    for mask in psi_keys:
+        if acc[mask - 1]:
             raise AssertionError(f"psi key {format_subset(mask)} survived elimination")
-        coeffs[mask] = int(v)
-    return DivisorClass(n, coeffs)
+    live = np.flatnonzero(acc)
+    return DivisorClass(n, dict(zip((live + 1).tolist(), acc[live].tolist())))
 
 
 def pullback_forgetful(d: DivisorClass) -> DivisorClass:

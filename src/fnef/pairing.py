@@ -129,26 +129,6 @@ def biplane_curve_functional(bp: Biplane) -> CurveFunctional:
     return CurveFunctional(12, psi, {b: 1 for b in bp.blocks})
 
 
-def fcurve_functional(curve: FCurve) -> CurveFunctional:
-    """The pairing row of a single F-curve, as a curve functional."""
-    n = curve.n
-    psi = [0] * n
-    boundary: dict[int, int] = {}
-    half = 1 << (n - 1)
-    full = full_mask(n)
-    b0, b1, b2, b3 = curve.blocks
-    for b in curve.blocks:
-        key = b if b < half else b ^ full
-        if is_psi_key(key, n):
-            psi[psi_marking(key, n) - 1] -= 1
-        else:
-            boundary[key] = boundary.get(key, 0) - 1
-    for u in (b0 | b1, b0 | b2, b0 | b3):
-        key = u if u < half else u ^ full
-        boundary[key] = boundary.get(key, 0) + 1
-    return CurveFunctional(n, tuple(psi), boundary)
-
-
 @dataclass(frozen=True)
 class RelationCheck:
     """Outcome of testing a functional against every pair relation."""
@@ -170,20 +150,6 @@ def check_relations(f: CurveFunctional) -> RelationCheck:
     i, j = np.triu_indices(n, 1)
     k = bad[0]
     return RelationCheck(False, (int(i[k]) + 1, int(j[k]) + 1), int(totals[k]))
-
-
-def pushforward_fcurve(curve: FCurve) -> Optional[FCurve]:
-    """Push an F-curve down along the map forgetting the last marking.
-
-    Returns None when the last marking forms its own block (the curve is
-    contracted); otherwise drops that marking from its block.
-    """
-    n = curve.n
-    last = 1 << (n - 1)
-    if last in curve.blocks:
-        return None
-    blocks = tuple(b & ~last for b in curve.blocks)
-    return FCurve(n - 1, blocks)  # type: ignore[arg-type]
 
 
 def _canon_cols(masks: np.ndarray, half: int, full: int) -> np.ndarray:

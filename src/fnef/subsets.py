@@ -102,10 +102,6 @@ def psi_marking(mask: int, n: int) -> int:
     raise InvalidInputError(f"{format_subset(mask)} is not a psi-type key")
 
 
-def is_boundary_key(mask: int, n: int) -> bool:
-    return 2 <= mask.bit_count() <= n - 2
-
-
 def all_generator_keys(n: int) -> range:
     """All canonical key masks for n markings: the nonzero masks on bits 0..n-2."""
     validate_n(n)
@@ -162,17 +158,6 @@ class FCurve:
         object.__setattr__(curve, "n", n)
         object.__setattr__(curve, "blocks", blocks)
         return curve
-
-    @classmethod
-    def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "FCurve":
-        masks = tuple(mask_from_elements(b, n) for b in blocks)
-        if len(masks) != 4:
-            raise InvalidInputError("an F-curve needs exactly 4 blocks")
-        return cls(n, masks)  # type: ignore[arg-type]
-
-    def block_sizes(self) -> tuple[int, int, int, int]:
-        b = self.blocks
-        return (b[0].bit_count(), b[1].bit_count(), b[2].bit_count(), b[3].bit_count())
 
     def __str__(self) -> str:
         return "|".join(format_subset(b) for b in self.blocks)

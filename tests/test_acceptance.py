@@ -22,9 +22,6 @@ from fnef import (
     eliminate_psi,
     extremality_rank,
     fcurve_block_arrays,
-    fcurve_functional,
-    fcurve_matrix_rank_exact,
-    fcurve_matrix_rank_modp,
     fnef_check,
     pair_divisor_functional,
     pairing_values,
@@ -38,6 +35,7 @@ from fnef import (
     verify_biplane,
 )
 from fnef.subsets import _BLOCK_CACHE, all_generator_keys, full_mask
+from oracles import fcurve_functional, fcurve_matrix_rank_exact, fcurve_matrix_rank_modp
 
 FCURVE_COUNT_12 = 611501
 RELATION_RANK_12 = 66

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import fnef.cone
 import fnef.pairing
 from fnef import __version__, biplane_divisor, build_biplane_qr, divisor_to_json_dict, DivisorClass
@@ -38,7 +40,7 @@ def test_biplane_axiom_failure_exit_1(tmp_path, capsys):
     rows = [(1, 2, 3, 4, 5)] + [tuple(r) for r in rows[1:]]
     path = tmp_path / "broken.txt"
     path.write_text("\n".join(" ".join(map(str, r)) for r in rows) + "\n")
-    code, _, err = run(capsys, "biplane", "--file", str(path))
+    code, _, err = run(capsys, "biplane", "--biplane", str(path))
     assert code == 1
     assert "expected 2" in err
 
@@ -46,12 +48,31 @@ def test_biplane_axiom_failure_exit_1(tmp_path, capsys):
 def test_biplane_malformed_exit_2(tmp_path, capsys):
     path = tmp_path / "garbage.txt"
     path.write_text("this is not a design\n")
-    code, _, err = run(capsys, "biplane", "--file", str(path))
+    code, _, err = run(capsys, "biplane", "--biplane", str(path))
     assert code == 2
 
 
+def test_verify_refuses_a_broken_block_file(tmp_path, capsys):
+    # every loaded block file is checked, so the verdict never sees it
+    rows = build_biplane_qr().block_elements()
+    rows = [(1, 2, 3, 4, 5)] + [tuple(r) for r in rows[1:]]
+    path = tmp_path / "broken.txt"
+    path.write_text("\n".join(" ".join(map(str, r)) for r in rows) + "\n")
+    code, out, err = run(capsys, "verify", "--biplane", str(path))
+    assert (code, out) == (1, "")
+    assert "expected 2" in err
+
+
+def test_removed_options_are_refused(capsys):
+    for argv in (["verify", "--no-verify"], ["biplane", "--file", "blocks.txt"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_missing_file_exit_2(capsys):
-    code, _, err = run(capsys, "biplane", "--file", "/nonexistent/blocks.txt")
+    code, _, err = run(capsys, "biplane", "--biplane", "/nonexistent/blocks.txt")
     assert code == 2
 
 

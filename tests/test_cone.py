@@ -8,25 +8,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fnef import (
+    CurveFunctional,
     DivisorClass,
     certify_not_boundary,
+    check_relations,
     enumerate_fcurves,
     extremality_rank,
-    fcurve_matrix_rank_exact,
-    fcurve_matrix_rank_modp,
     fcurve_block_arrays,
     fnef_check,
     pair_divisor_fcurve,
     pairing_values,
     projection_formula_report,
     pullback_forgetful,
-    rank_exact,
     reduce_canonical,
     relation_row,
     relation_system,
     symmetric_divisor,
     verify_counterexample,
-    zero_set_dense_rows,
 )
 import fnef.cone
 from fnef.cone import (
@@ -34,11 +32,18 @@ from fnef.cone import (
     ModpEliminator,
     _ROW_PATTERN,
     _check_orthogonal,
-    _dense_rows,
     _free_col_rows,
 )
 from fnef.errors import InvalidInputError
 from fnef.subsets import mask_from_elements
+from oracles import (
+    dense_rows,
+    fcurve_matrix_rank_exact,
+    fcurve_matrix_rank_modp,
+    pushforward_fcurve,
+    rank_exact,
+    zero_set_dense_rows,
+)
 
 P1, P2 = DEFAULT_PRIMES
 
@@ -99,6 +104,18 @@ def test_certificates(qr_biplane, qr_divisor, qr_witness):
     assert not d0_cert.certified
 
 
+def test_witness_off_the_relations_is_not_certified(qr_biplane, qr_divisor, qr_witness):
+    # value 2 on one block key: still nonnegative on the boundary and negative
+    # on the divisor, but no longer a functional on numerical classes
+    boundary = dict(qr_witness.boundary)
+    boundary[qr_biplane.blocks[0]] = 2
+    broken = CurveFunctional(12, qr_witness.psi, boundary)
+    assert check_relations(broken).first_violation == (1, 4)
+    cert = certify_not_boundary(qr_divisor, broken)
+    assert (cert.boundary_min, cert.pairing) == (0, -2)
+    assert not cert.certified and not cert.certified_with_canonical
+
+
 @st.composite
 def pattern_matrices(draw):
     """Rows of the curve pattern on at most 8 columns, with -1 gaps, repeated
@@ -118,7 +135,7 @@ def pattern_matrices(draw):
 @settings(max_examples=60, deadline=None)
 def test_add_pattern_rows_matches_exact_rank(matrix, data):
     ncols, col_rows = matrix
-    expected = rank_exact(_dense_rows(col_rows, ncols), ncols)
+    expected = rank_exact(dense_rows(col_rows, ncols), ncols)
     nrows = len(col_rows)
     batch = data.draw(st.integers(1, nrows + 1), label="batch")
     split = data.draw(st.integers(0, nrows), label="split")
@@ -141,7 +158,7 @@ def test_add_pattern_rows_stops_at_stop_rank():
     ncols, used, nrows = 40, 30, 160
     col_rows = np.stack([rng.permutation(used)[:7] for _ in range(nrows)])
     col_rows[rng.random(col_rows.shape) < 0.1] = -1
-    expected = rank_exact(_dense_rows(col_rows, ncols), ncols)
+    expected = rank_exact(dense_rows(col_rows, ncols), ncols)
     assert expected <= used < ncols
     fed_all = ModpEliminator(ncols, P1)
     assert fed_all.add_pattern_rows(col_rows, _ROW_PATTERN, batch=16) == expected
@@ -298,8 +315,6 @@ def test_projection_formula_exhaustive_6_to_7():
 
 def test_projection_formula_via_pushforward_pairing():
     # independent statement of the same identity, via explicit pushforward
-    from fnef import pushforward_fcurve
-
     d = fnef_divisor_n6()
     lifted = pullback_forgetful(d)
     for c in enumerate_fcurves(7):

@@ -9,7 +9,7 @@ from math import comb, gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fnef import (
     DivisorClass,
@@ -31,6 +31,7 @@ from fnef import (
     relation_system,
     symmetric_divisor,
 )
+import fnef.divisors
 from fnef.divisors import relation_matrix, row_reduce
 from fnef.errors import BoundaryFormError, InvalidInputError, MalformedInputError
 from fnef.subsets import all_generator_keys, canonical_generator, full_mask, mask_from_elements
@@ -114,9 +115,12 @@ def oracle_normalize(row):
 
 
 def oracle_row_reduce(rows):
+    """Rows, pivot columns, and the largest |entry x multiplier| of any
+    update: the product row_reduce must keep below 2^62."""
     rows = [list(r) for r in rows]
     nrows, ncols = len(rows), len(rows[0])
     pivot_cols = []
+    peak = 0
     r = 0
     for c in range(ncols):
         pr = next((k for k in range(r, nrows) if rows[k][c]), None)
@@ -131,18 +135,19 @@ def oracle_row_reduce(rows):
             a = rows[k][c]
             g = gcd(piv, a)
             ms, mo = piv // g, a // g
+            peak = max(peak, max(map(abs, rows[k])) * abs(ms), max(map(abs, rows[r])) * abs(mo))
             rows[k] = [x * ms - y * mo for x, y in zip(rows[k], rows[r])]
             oracle_normalize(rows[k])
         pivot_cols.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivot_cols
+    return rows, pivot_cols, peak
 
 
 @lru_cache(maxsize=None)
 def oracle_system(n):
-    return oracle_row_reduce(oracle_relation_rows(n))
+    return oracle_row_reduce(oracle_relation_rows(n))[:2]
 
 
 def oracle_reduce(d):
@@ -197,10 +202,20 @@ def test_relation_rank_is_pair_count(n):
 
 
 @given(st.lists(st.lists(st.integers(-40, 40), min_size=7, max_size=7), min_size=1, max_size=6))
+@example([[0, 23, 0, 39, 0, 0, 0], [0, 36, 0, -10, -23, 40, 0], [1, -36, 0, 5, -16, 24, 0],
+          [-33, 0, 1, 0, 34, 39, 1], [-39, 0, 0, 0, -38, 0, 0], [0, 0, 37, 0, 0, 1, 0]])
 @settings(max_examples=200, deadline=None)
 def test_row_reduce_matches_list_oracle(matrix):
-    rows, pivot_cols = row_reduce(np.array(matrix, dtype=np.int64))
-    assert (rows.tolist(), pivot_cols) == oracle_row_reduce(matrix)
+    # entries grow without a Bareiss division, and row_reduce refuses exactly
+    # the matrices whose elimination needs a product of 2^62 or more; the
+    # example reaches one, though its reduced rows stay below 2^34
+    rows, pivot_cols, peak = oracle_row_reduce(matrix)
+    if peak >= 1 << 62:
+        with pytest.raises(InvalidInputError):
+            row_reduce(np.array(matrix, dtype=np.int64))
+    else:
+        reduced, pivots = row_reduce(np.array(matrix, dtype=np.int64))
+        assert (reduced.tolist(), pivots) == (rows, pivot_cols)
 
 
 @pytest.mark.parametrize("big, fits", [((1 << 62) - 1, True), (1 << 62, False)])
@@ -209,7 +224,7 @@ def test_row_reduce_refuses_products_beyond_2_62(big, fits):
     matrix = [[1, big], [1, 0]]
     if fits:
         rows, pivot_cols = row_reduce(np.array(matrix, dtype=np.int64))
-        assert (rows.tolist(), pivot_cols) == oracle_row_reduce(matrix)
+        assert (rows.tolist(), pivot_cols) == oracle_row_reduce(matrix)[:2]
     else:
         with pytest.raises(InvalidInputError):
             row_reduce(np.array(matrix, dtype=np.int64))
@@ -375,6 +390,106 @@ def test_eliminate_psi_random_classes(seed):
     flat = eliminate_psi(d)
     assert flat.is_boundary_only()
     assert reduce_canonical(flat) == reduce_canonical(d)
+
+
+# The subset walk the relation-matrix elimination replaced, kept as its
+# oracle: the same half-integer edge weights, each added along its relation
+# by walking every side that holds i and omits j, with a Fraction per key.
+
+
+def oracle_eliminate_psi(d):
+    n = d.n
+    psi = d.psi_part()
+    if not psi:
+        return d
+    target = {m: -2 * psi.get(m, 0) for m in range(1, n + 1)}
+    y = {}
+    for m in range(2, n + 1):
+        if target[m]:
+            y[(1, m)] = target[m]
+    delta = sum(target[m] for m in range(2, n + 1)) - target[1]
+    if delta:
+        half = delta // 2
+        y[(1, 2)] = y.get((1, 2), 0) - half
+        y[(1, 3)] = y.get((1, 3), 0) - half
+        y[(2, 3)] = y.get((2, 3), 0) + half
+    acc = {m: Fraction(c) for m, c in d.coeffs.items()}
+    full = full_mask(n)
+    for (i, j), w in y.items():
+        bi, bj = 1 << (i - 1), 1 << (j - 1)
+        rest = full & ~bi & ~bj
+        sub = rest
+        while True:
+            key = canonical_generator(sub | bi, n)
+            acc[key] = acc.get(key, Fraction(0)) + Fraction(w, 2)
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+    assert all(v.denominator == 1 for v in acc.values())
+    return DivisorClass(n, {m: int(v) for m, v in acc.items()})
+
+
+def psi_key(m, n):
+    return full_mask(n - 1) if m == n else 1 << (m - 1)
+
+
+def psi_limit(n):
+    """Largest coefficient magnitude eliminate_psi accepts at n."""
+    return ((1 << 63) - 1) // (2 + 5 * n)
+
+
+@given(st.integers(4, 10), st.sampled_from(["zero", "even", "odd"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_eliminate_psi_matches_subset_walk(n, half_kind, data):
+    # half = psi_1 - (psi_2 + ... + psi_n) is the weight moved onto the
+    # triangle 1, 2, 3; it is drawn zero, even or odd
+    psi = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n), label="psi")
+    half = psi[0] - sum(psi[1:])
+    if half_kind == "zero":
+        psi[0] -= half
+    elif half % 2 != (half_kind == "odd"):
+        psi[0] += 1
+    boundary = [m for m in all_generator_keys(n) if 2 <= m.bit_count() <= n - 2]
+    coeffs = data.draw(
+        st.dictionaries(st.sampled_from(boundary), st.integers(-9, 9), max_size=10),
+        label="boundary",
+    )
+    coeffs.update({psi_key(m, n): c for m, c in enumerate(psi, start=1)})
+    d = DivisorClass(n, coeffs)
+    flat = eliminate_psi(d)
+    assert flat.is_boundary_only()
+    assert flat == oracle_eliminate_psi(d)
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+def test_eliminate_psi_at_the_int64_bound(n):
+    # the largest coefficients the bound accepts, with psi of marking 1
+    # against all the others so that the weights on its edges add up
+    def worst(c):
+        coeffs = {psi_key(m, n): c for m in range(2, n + 1)}
+        coeffs[psi_key(1, n)] = -c
+        coeffs[0b011] = c
+        return DivisorClass(n, coeffs)
+
+    limit = psi_limit(n)
+    assert eliminate_psi(worst(limit)) == oracle_eliminate_psi(worst(limit))
+    assert eliminate_psi(worst(-limit)) == oracle_eliminate_psi(worst(-limit))
+    with pytest.raises(InvalidInputError):
+        eliminate_psi(worst(limit + 1))
+    with pytest.raises(InvalidInputError):
+        eliminate_psi(DivisorClass(n, {psi_key(1, n): 1, 0b011: -limit - 1}))
+
+
+def test_eliminate_psi_refuses_an_odd_sum(monkeypatch):
+    # the edge (1, 2) carries weight -1 here; a relation row with one entry
+    # off makes that entry a half-integer, which must not be rounded away
+    n = 5
+    d = DivisorClass(n, {psi_key(2, n): 1})
+    broken = relation_matrix(n).copy()
+    broken[0, 0b1100 - 1] ^= 1
+    monkeypatch.setattr(fnef.divisors, "relation_matrix", lambda m: broken)
+    with pytest.raises(AssertionError, match="non-integral"):
+        eliminate_psi(d)
 
 
 def test_pullback_of_single_boundary_term():

@@ -16,7 +16,6 @@ from fnef import (
     check_relations,
     enumerate_fcurves,
     fcurve_block_arrays,
-    fcurve_functional,
     fnef_check,
     functional_from_json_dict,
     functional_to_json_dict,
@@ -25,7 +24,6 @@ from fnef import (
     pair_generator_fcurve,
     pairing_values,
     parse_fcurve,
-    pushforward_fcurve,
     relation_row,
     symmetric_divisor,
 )
@@ -40,6 +38,7 @@ from fnef.subsets import (
     mask_from_elements,
     psi_marking,
 )
+from oracles import fcurve_functional, pushforward_fcurve
 
 
 def eq2_oracle(key, n, curve):
