@@ -6,10 +6,18 @@ is certified by the rank of its zero-pairing curves in reduced
 coordinates: modular rank never exceeds rational rank, and the rational
 rank is at most ambient-1 because the divisor itself annihilates every
 row, so hitting ambient-1 modulo a single prime is already a proof.
+
+The rank is computed in two stages.  A structural peel (singleton
+propagation, as in the first pass of Faugere and Lachartre, PASCO 2010,
+and of SpaSM, Bouillaguet and Delaplace, CASC 2016) settles the columns
+that some row reaches alone with coefficient +-1; it is integer-exact and
+the same for every prime.  The dense kernel `ModpEliminator` then ranks
+the rows restricted to the columns left, modulo each prime.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -245,6 +253,11 @@ class ModpEliminator:
     in int64 as ((hi*2^16 + mid) mod p)*2^16 + lo, where hi*2^16 + mid is
     below k*2^46, so k < 2^17 also keeps that exact.  The inner dimension
     never exceeds the column count, which is capped there.
+
+    `peeled` columns settled before the rows arrive (`_structural_peel`)
+    count in `rank`; the dense basis covers only the `ncols` columns left,
+    so the rows fed must already be restricted to those.  A basis that
+    would not fit in physical memory is refused before it is allocated.
     """
 
     MAX_COLUMNS = 1 << 17
@@ -253,13 +266,21 @@ class ModpEliminator:
     #: Rows per block of a product, which bounds the temporaries.
     BLOCK_ROWS = 256
 
-    def __init__(self, ncols: int, p: int):
+    def __init__(self, ncols: int, p: int, peeled: int = 0):
         check_modulus(p)
         if ncols >= self.MAX_COLUMNS:
             raise InvalidInputError(f"{ncols} columns reach the cap 2^17")
+        need = 8 * ncols * ncols  # the int64 basis
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise InvalidInputError(
+                f"a rank basis on {ncols} columns needs {need} bytes, "
+                f"more than the {have} bytes of physical memory"
+            )
         self.ncols = ncols
         self.p = p
-        self.rank = 0
+        self.peeled = peeled
+        self.rank = peeled
         self.rows_seen = 0
         self._rows = np.zeros((ncols, ncols), dtype=np.int64)
         self._pivot_row_of_col = np.full(ncols, -1, dtype=np.int64)
@@ -350,7 +371,7 @@ class ModpEliminator:
     def _extend(self, free: np.ndarray, pivots: np.ndarray, x: np.ndarray) -> None:
         """Add the echelon rows (`_rref` form on the free columns) to the
         basis, clearing their pivot columns from the stored rows."""
-        rows, rank, k = self._rows, self.rank, len(pivots)
+        rows, rank, k = self._rows, self.rank - self.peeled, len(pivots)
         new = free[pivots]
         rest = free[_complement(pivots, len(free))]
         if rank:
@@ -360,7 +381,7 @@ class ModpEliminator:
         rows[added, new] = 1
         rows[rank : rank + k, rest] = x
         self._pivot_row_of_col[new] = added
-        self.rank = rank + k
+        self.rank += k
 
     def add_pattern_rows(
         self,
@@ -376,10 +397,11 @@ class ModpEliminator:
         the basis of the earlier ones.  No further batch is fed once the
         rank reaches `stop_rank`, so the result is exactly the rank of all
         rows given whenever `stop_rank` is a proven upper bound for it (the
-        column count always is).
+        column count plus `peeled` always is).  Returns `rank`, peeled
+        columns included.
         """
-        ncols = self.ncols
-        cap = ncols if stop_rank is None else min(stop_rank, ncols)
+        full = self.peeled + self.ncols
+        cap = full if stop_rank is None else min(stop_rank, full)
         pattern = np.asarray(pattern, dtype=np.int64)
         if len(pattern) * int(np.abs(pattern).max(initial=0)) * self.p >= 1 << 63:
             raise InvalidInputError("row pattern too large for int64 reduction")
@@ -403,6 +425,60 @@ def _free_col_rows(blocks: np.ndarray, free_index: np.ndarray, n: int) -> np.nda
     b0, b1, b2, b3 = blocks[:, 0], blocks[:, 1], blocks[:, 2], blocks[:, 3]
     keys = (b0 | b1, b0 | b2, b0 | b3, b0, b1, b2, b3)
     return np.stack([free_index[_canon_cols(k, half, full)] for k in keys], axis=1)
+
+
+def _structural_peel(col_rows: np.ndarray, ncols: int) -> tuple[int, np.ndarray, int]:
+    """Singleton propagation to a fixpoint over pattern rows: row i has
+    `_ROW_PATTERN[k]` at column col_rows[i, k] (no entry where that is -1).
+
+    A row's net coefficient at a column is the sum of its pattern entries
+    there, and its support is the columns where that is nonzero.  A column
+    is covered once some row has it as the only uncovered column of its
+    support, with net coefficient +-1; where several rows compete for one
+    column, one of them takes it.  Each taking row touches only columns
+    covered before it, so these rows, in the order they took their columns,
+    are triangular with a unit diagonal.  Over the integers, and hence
+    modulo every prime, they span exactly the unit vectors of the covered
+    columns.  Every other row therefore reduces to its restriction to the
+    columns left, again a pattern row, and the rank of all rows is the
+    covered count plus the rank of the restricted rows.
+
+    Returns the covered count, the restricted rows with a nonzero entry
+    left (columns renumbered in increasing order, -1 where an entry was
+    dropped), and the number of columns left.
+    """
+    width = col_rows.shape[1]
+    # the support keeps each column at its first position in the row, with
+    # its net coefficient there; repeats and net zeros become -1
+    support = col_rows.astype(np.int32)
+    net = np.tile(_ROW_PATTERN.astype(np.int8), (len(col_rows), 1))
+    for k in range(width):
+        for j in range(k):
+            same = support[:, j] == support[:, k]
+            same &= support[:, k] >= 0
+            if same.any():
+                net[same, k] += _ROW_PATTERN[j]
+                net[same, j] += _ROW_PATTERN[k]
+                support[same, k] = -1
+    support[net == 0] = -1
+    unit = np.abs(net) == 1
+    # one extra column, always covered, where the -1 entries read
+    covered = np.zeros(ncols + 1, dtype=bool)
+    covered[ncols] = True
+    while True:
+        uncovered = ~covered[support]
+        single = np.flatnonzero(np.count_nonzero(uncovered, axis=1) == 1)
+        k = uncovered[single].argmax(axis=1)
+        takes = unit[single, k]
+        new = support[single[takes], k[takes]]
+        if not new.size:
+            break
+        covered[new] = True
+    left = np.flatnonzero(~covered[:ncols])
+    index = np.full(ncols + 1, -1, dtype=np.int64)
+    index[left] = np.arange(len(left))
+    keep = (~covered[support]).any(axis=1)
+    return ncols - len(left), index[col_rows[keep]], len(left)
 
 
 #: Fixed seed for the row feed order.  Rank does not depend on row order,
@@ -458,6 +534,16 @@ def extremality_rank(
     coordinate row, and computes the modular rank per prime; reaching
     ambient-1 for any prime certifies the extremal ray.  `scan`, the
     caller's `fnef_check(d)`, saves scanning the curves a second time.
+
+    The rows are peeled once (`_structural_peel`): the rows that take a
+    column are triangular with a unit diagonal over the integers, so they
+    span the unit vectors of the covered columns modulo every prime, and
+    the rank is the covered count plus the rank of the other rows
+    restricted to the columns left.  Only those restricted rows reach
+    `ModpEliminator`, once per prime, on a basis of the columns left.  At
+    n=12 the biplane divisor's 124366 zero rows cover 1331 of the 1981
+    columns, and 76296 of them touch the 650 left; every curve together
+    covers all 1981, so the full matrix feeds no row.
     """
     primes = tuple(primes)
     for p in primes:
@@ -486,10 +572,12 @@ def extremality_rank(
         _check_orthogonal(col_rows, reduced, rs.free_index, rs.ambient_dim)
         stop_rank = rs.ambient_dim - 1
 
+    # the peel is integer-exact, so one serves every prime
+    peeled, rest_rows, rest_cols = _structural_peel(col_rows, rs.ambient_dim)
     ranks: dict[int, int] = {}
     for p in primes:
-        elim = ModpEliminator(rs.ambient_dim, p)
-        ranks[int(p)] = _feed_rows(elim, col_rows, stop_rank=stop_rank)
+        elim = ModpEliminator(rest_cols, p, peeled=peeled)
+        ranks[int(p)] = _feed_rows(elim, rest_rows, stop_rank=stop_rank)
     certified = any(r == rs.ambient_dim - 1 for r in ranks.values())
     return ExtremalityReport(
         ambient_dim=rs.ambient_dim,

@@ -146,9 +146,12 @@ def relation_matrix(n: int) -> np.ndarray:
     never holds marking n and either K or its complement is that side, so
     K enters iff bit_i(K) xor bit_j(K)."""
     validate_n(n)
-    bits = (np.arange(1, 1 << (n - 1)) >> np.arange(n)[:, None]) & 1
+    # keys below 2^15 as little-endian bytes, unpacked to one uint8 bit row
+    # per marking, so no temporary is wider than the result
+    keys = np.arange(1, 1 << (n - 1), dtype="<u2").view(np.uint8).reshape(-1, 2)
+    bits = np.unpackbits(keys, axis=1, bitorder="little")[:, :n].T
     i, j = np.triu_indices(n, 1)
-    rows = (bits[i] ^ bits[j]).astype(np.int8)
+    rows = (bits[i] ^ bits[j]).view(np.int8)
     rows.flags.writeable = False
     return rows
 

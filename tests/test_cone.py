@@ -33,6 +33,7 @@ from fnef.cone import (
     _ROW_PATTERN,
     _check_orthogonal,
     _free_col_rows,
+    _structural_peel,
 )
 from fnef.errors import InvalidInputError
 from fnef.subsets import mask_from_elements
@@ -153,6 +154,99 @@ def test_add_pattern_rows_matches_exact_rank(matrix, data):
         assert two.add_pattern_rows(col_rows[split:], _ROW_PATTERN, batch=batch) == expected
 
 
+def peeled_rank(col_rows, ncols, p, batch=512, base=None, block=None):
+    """The rank of pattern rows as extremality_rank computes it: the
+    structural peel, then the dense kernel on the columns left."""
+    peeled, rows, left = _structural_peel(col_rows, ncols)
+    assert peeled + left == ncols
+    assert ((rows >= -1) & (rows < left)).all()
+    elim = ModpEliminator(left, p, peeled=peeled)
+    if base is not None:
+        elim.BASE_ROWS, elim.BLOCK_ROWS = base, block
+    return elim.add_pattern_rows(rows, _ROW_PATTERN, batch=batch)
+
+
+@given(pattern_matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_peeled_rank_matches_exact_rank(matrix, data):
+    # repeated columns give net coefficients 0, +-2 and +-3, which the peel
+    # must not take as pivots
+    ncols, col_rows = matrix
+    expected = rank_exact(dense_rows(col_rows, ncols), ncols)
+    batch = data.draw(st.integers(1, len(col_rows) + 1), label="batch")
+    base = data.draw(st.integers(1, 4), label="base rows")
+    block = data.draw(st.integers(1, 4), label="block rows")
+    for p in DEFAULT_PRIMES:
+        assert peeled_rank(col_rows, ncols, p, batch, base, block) == expected
+    # modulo 2 and 3 a net coefficient of 2 or 3 vanishes, so the peel
+    # must agree with the dense kernel alone there too
+    for p in (2, 3):
+        dense = ModpEliminator(ncols, p).add_pattern_rows(col_rows, _ROW_PATTERN)
+        assert peeled_rank(col_rows, ncols, p, batch) == dense
+
+
+def _rows(*entries):
+    """Pattern rows from {position: column} dicts, -1 elsewhere."""
+    col_rows = np.full((len(entries), len(_ROW_PATTERN)), -1, dtype=np.int64)
+    for i, row in enumerate(entries):
+        for k, c in row.items():
+            col_rows[i, k] = c
+    return col_rows
+
+
+def test_peel_competing_singletons_take_one_column():
+    # e0, -e0 and e0 + e1: two rows compete for column 0, one takes it
+    col_rows = _rows({0: 0}, {3: 0}, {0: 0, 1: 1})
+    peeled, rows, left = _structural_peel(col_rows, 3)
+    assert (peeled, len(rows), left) == (2, 0, 1)
+    for p in DEFAULT_PRIMES:
+        assert peeled_rank(col_rows, 3, p) == 2 == rank_exact(dense_rows(col_rows, 3), 3)
+
+
+def test_peel_without_singletons_is_all_dense():
+    # e0 + e1, e1 + e2, e2 + e0: rank 3 over the rationals, 2 modulo 2
+    col_rows = _rows({0: 0, 1: 1}, {0: 1, 1: 2}, {0: 2, 1: 0})
+    peeled, rows, left = _structural_peel(col_rows, 3)
+    assert (peeled, left) == (0, 3) and np.array_equal(rows, col_rows)
+    for p in DEFAULT_PRIMES:
+        assert peeled_rank(col_rows, 3, p) == 3 == rank_exact(dense_rows(col_rows, 3), 3)
+    assert peeled_rank(col_rows, 3, 2) == 2
+
+
+def test_peel_skips_non_unit_net_coefficients():
+    # 2 e0 (one column twice) and a net zero on column 1: neither is a pivot
+    col_rows = _rows({0: 0, 1: 0}, {0: 1, 3: 1})
+    peeled, rows, left = _structural_peel(col_rows, 2)
+    assert (peeled, left) == (0, 2)
+    assert np.array_equal(rows, col_rows[:1])  # the zero row is dropped
+    assert peeled_rank(col_rows, 2, P1) == 1
+    assert peeled_rank(col_rows, 2, 2) == 0
+
+
+def test_fully_peeled_matrix_feeds_no_row():
+    # e0, e0 - e1, e1 + e2, e1 + e2 - e3: triangular with a unit diagonal
+    col_rows = _rows({0: 0}, {0: 0, 3: 1}, {0: 1, 1: 2}, {0: 1, 1: 2, 4: 3})
+    peeled, rows, left = _structural_peel(col_rows, 4)
+    assert (peeled, len(rows), left) == (4, 0, 0)
+    for p in DEFAULT_PRIMES:
+        elim = ModpEliminator(left, p, peeled=peeled)
+        assert elim.add_pattern_rows(rows, _ROW_PATTERN) == 4
+        assert elim.rows_seen == 0
+
+
+def test_peel_counts_at_n12(qr_divisor):
+    rs = relation_system(12)
+    blocks = fcurve_block_arrays(12)
+    zero = _free_col_rows(blocks[fnef_check(qr_divisor).zero_mask()], rs.free_index, 12)
+    peeled, rows, left = _structural_peel(zero, rs.ambient_dim)
+    assert (peeled, left, len(rows)) == (1331, 650, 76296)
+    # the full matrix peels completely, so no row reaches the dense kernel
+    peeled, rows, left = _structural_peel(
+        _free_col_rows(blocks, rs.free_index, 12), rs.ambient_dim
+    )
+    assert (peeled, len(rows), left) == (rs.ambient_dim, 0, 0)
+
+
 def test_add_pattern_rows_stops_at_stop_rank():
     rng = np.random.default_rng(23)
     ncols, used, nrows = 40, 30, 160
@@ -204,6 +298,13 @@ def test_modp_eliminator_refuses_inexact_sizes():
         elim.add_pattern_rows(np.array([[0, 1]]), np.array([1, 1 << 32]))
 
 
+def test_modp_eliminator_refuses_a_basis_beyond_physical_memory():
+    # (2^17 - 1)^2 int64 entries are about 137 GB, more than the physical
+    # memory of any machine this suite targets; refused before allocating
+    with pytest.raises(InvalidInputError, match="physical memory"):
+        ModpEliminator(ModpEliminator.MAX_COLUMNS - 1, P1)
+
+
 def test_small_n_full_matrix_ranks():
     assert relation_system(5).rank == 10
     assert relation_system(5).ambient_dim == 5
@@ -235,6 +336,9 @@ def test_add_pattern_rows_zero_set_n6_in_batches(batch):
         elim = ModpEliminator(rs.ambient_dim, p)
         elim.BASE_ROWS, elim.BLOCK_ROWS = 2, 3
         assert elim.add_pattern_rows(col_rows, _ROW_PATTERN, batch=batch) == expected
+        # 6 columns peel, and 43 rows reach the dense kernel on the other 10
+        assert _structural_peel(col_rows, rs.ambient_dim)[0] == 6
+        assert peeled_rank(col_rows, rs.ambient_dim, p, batch, 2, 3) == expected
 
 
 def test_orthogonality_check_covers_every_row():

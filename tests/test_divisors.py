@@ -169,6 +169,17 @@ def oracle_reduce(d):
     return {m: v for m, v in out.items() if v}
 
 
+def test_relation_matrix_matches_the_int64_build():
+    # the uint8 build against the former int64 one, which cast at the end
+    for n in range(4, 14):
+        bits = (np.arange(1, 1 << (n - 1)) >> np.arange(n)[:, None]) & 1
+        i, j = np.triu_indices(n, 1)
+        expected = (bits[i] ^ bits[j]).astype(np.int8)
+        got = relation_matrix(n)
+        assert got.dtype == np.int8 and np.array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("n", range(4, 11))
 def test_relation_system_matches_list_oracle(n):
     relations = oracle_relation_rows(n)
