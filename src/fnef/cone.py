@@ -17,7 +17,6 @@ the rows restricted to the columns left, modulo each prime.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -47,7 +46,7 @@ from .pairing import (
     _canon_cols,
     scan_table,
 )
-from .subsets import FCurve, count_fcurves, fcurve_block_arrays, full_mask
+from .subsets import FCurve, check_memory, count_fcurves, fcurve_block_arrays, full_mask
 
 #: Fixed moduli for extremality certification, both just below the 2^31
 #: cap that keeps the rank kernel's arithmetic exact: residue products stay
@@ -270,13 +269,7 @@ class ModpEliminator:
         check_modulus(p)
         if ncols >= self.MAX_COLUMNS:
             raise InvalidInputError(f"{ncols} columns reach the cap 2^17")
-        need = 8 * ncols * ncols  # the int64 basis
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise InvalidInputError(
-                f"a rank basis on {ncols} columns needs {need} bytes, "
-                f"more than the {have} bytes of physical memory"
-            )
+        check_memory(8 * ncols * ncols, f"a rank basis on {ncols} columns")  # int64
         self.ncols = ncols
         self.p = p
         self.peeled = peeled
@@ -491,16 +484,6 @@ def _feed_order(nrows: int) -> np.ndarray:
     return np.random.default_rng(_FEED_SEED).permutation(nrows)
 
 
-def _feed_rows(
-    elim: ModpEliminator, col_rows: np.ndarray, stop_rank: Optional[int] = None
-) -> int:
-    """Feed curve rows into the eliminator in the fixed decorrelated order;
-    stops once the rank hits its proven cap."""
-    return elim.add_pattern_rows(
-        col_rows[_feed_order(len(col_rows))], _ROW_PATTERN, stop_rank=stop_rank
-    )
-
-
 def _check_orthogonal(
     col_rows: np.ndarray, reduced: dict[int, Fraction], free_index: np.ndarray, ncols: int
 ) -> None:
@@ -572,12 +555,14 @@ def extremality_rank(
         _check_orthogonal(col_rows, reduced, rs.free_index, rs.ambient_dim)
         stop_rank = rs.ambient_dim - 1
 
-    # the peel is integer-exact, so one serves every prime
+    # the peel is integer-exact, so one peel serves every prime, and so does
+    # one permutation of the rows left into the fixed decorrelated order
     peeled, rest_rows, rest_cols = _structural_peel(col_rows, rs.ambient_dim)
+    rest_rows = rest_rows[_feed_order(len(rest_rows))]
     ranks: dict[int, int] = {}
     for p in primes:
         elim = ModpEliminator(rest_cols, p, peeled=peeled)
-        ranks[int(p)] = _feed_rows(elim, rest_rows, stop_rank=stop_rank)
+        ranks[int(p)] = elim.add_pattern_rows(rest_rows, _ROW_PATTERN, stop_rank=stop_rank)
     certified = any(r == rs.ambient_dim - 1 for r in ranks.values())
     return ExtremalityReport(
         ambient_dim=rs.ambient_dim,

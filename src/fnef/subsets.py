@@ -8,6 +8,7 @@ All higher modules iterate partitions in the fixed order produced here.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -26,6 +27,21 @@ def validate_n(n: int) -> int:
             f"marking count must be an integer in [{MIN_MARKINGS}, {MAX_MARKINGS}], got {n!r}"
         )
     return n
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(need: int, what: str) -> None:
+    """Refuse, before allocating, `what` needing more than the physical
+    memory: raises InvalidInputError."""
+    have = physical_memory()
+    if need > have:
+        raise InvalidInputError(
+            f"{what} needs {need} bytes, more than the {have} bytes of physical memory"
+        )
 
 
 def full_mask(n: int) -> int:
@@ -200,7 +216,9 @@ def fcurve_block_arrays(n: int) -> np.ndarray:
     Row order is restricted-growth-string lexicographic: markings are
     assigned in increasing order, trying existing blocks by index before
     opening a new one.  Blocks within a row are ordered by smallest element.
-    The array is cached per n and must not be mutated by callers.
+    The array is cached per n and must not be mutated by callers.  An array
+    that would not fit in physical memory is refused before it is allocated
+    (InvalidInputError; 2.6 GiB at n=16).
 
     Built as prefixes times suffix tables: the prefixes assign the markings
     before the last 6, and for each count u of blocks a prefix opened, one
@@ -212,13 +230,15 @@ def fcurve_block_arrays(n: int) -> np.ndarray:
     cached = _BLOCK_CACHE.get(n)
     if cached is not None:
         return cached
+    rows = stirling2(n, 4)
+    check_memory(16 * rows, f"the {rows} x 4 int32 partition array")
 
     split = max(1, n - _SUFFIX)
     one = np.array([[1, 0, 0, 0]], dtype=np.int32)  # marking 1 opens block 0
     prefixes, opened = _assign(one, np.array([1]), range(1, split), n)
     tables = {u: _assign(np.zeros_like(one), np.array([u]), range(split, n), n)[0]
               for u in set(opened.tolist())}
-    arr = np.empty((stirling2(n, 4), 4), dtype=np.int32)
+    arr = np.empty((rows, 4), dtype=np.int32)
     start = 0
     for prefix, u in zip(prefixes, opened.tolist()):
         table = tables[u]

@@ -16,7 +16,6 @@ from fnef import (
     CurveFunctional,
     DivisorClass,
     FCurve,
-    extremality_rank,
     fcurve_block_arrays,
     pairing_values,
     relation_system,
@@ -24,13 +23,6 @@ from fnef import (
 from fnef.cone import _ROW_PATTERN, _free_col_rows
 from fnef.errors import InvalidInputError
 from fnef.subsets import full_mask, is_psi_key, psi_marking
-
-
-def fcurve_matrix_rank_modp(n: int, p: int) -> int:
-    """Rank over F_p of the full pairing matrix (all curves x free keys):
-    every curve pairs to zero with the zero class, whose reduction is empty,
-    so its extremality rank runs over all of them with no stop rank."""
-    return extremality_rank(DivisorClass.zero(n), (p,)).rank_mod_p[p]
 
 
 def rank_exact(rows: Iterable[Sequence], ncols: int) -> int:
@@ -52,7 +44,7 @@ def rank_exact(rows: Iterable[Sequence], ncols: int) -> int:
         for r in range(len(mat)):
             if r != rank and mat[r][c]:
                 f = mat[r][c]
-                mat[r] = [x - f * y for x, y in zip(mat[r], prow)]
+                mat[r] = [x - f * y if y else x for x, y in zip(mat[r], prow)]
         rank += 1
         if rank == len(mat):
             break

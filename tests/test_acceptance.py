@@ -34,8 +34,9 @@ from fnef import (
     symmetric_divisor,
     verify_biplane,
 )
+from fnef.divisors import relation_matrix
 from fnef.subsets import _BLOCK_CACHE, all_generator_keys, full_mask
-from oracles import fcurve_functional, fcurve_matrix_rank_exact, fcurve_matrix_rank_modp
+from oracles import fcurve_functional, fcurve_matrix_rank_exact, rank_exact
 
 FCURVE_COUNT_12 = 611501
 RELATION_RANK_12 = 66
@@ -130,12 +131,20 @@ def test_criterion_5_symmetric_degree_formula():
 def test_criterion_6_linear_algebra_dimensions():
     t0 = time.perf_counter()
     rs12 = relation_system(12)
-    ranks12 = [fcurve_matrix_rank_modp(12, p) for p in DEFAULT_PRIMES]
+    # the relation rank on its own: rs12.rank counts the pivot keys, and the
+    # relations have that rank iff their block on those keys is invertible
+    pivot_block = relation_matrix(12)[:, np.array(rs12.pivot_masks) - 1]
+    relation_rank12 = rank_exact(pivot_block.tolist(), rs12.rank)
+    # the zero class pairs to zero with every curve and reduces to nothing,
+    # so its extremality rank is the full-matrix rank, per prime, one scan
+    full = extremality_rank(DivisorClass.zero(12), DEFAULT_PRIMES).rank_mod_p
+    ranks12 = [full[p] for p in DEFAULT_PRIMES]
     rs5 = relation_system(5)
     rank5_exact = fcurve_matrix_rank_exact(5)
     elapsed = time.perf_counter() - t0
     ok = (
         rs12.rank == RELATION_RANK_12
+        and relation_rank12 == RELATION_RANK_12
         and rs12.ambient_dim == AMBIENT_DIM_12
         and ranks12 == [AMBIENT_DIM_12, AMBIENT_DIM_12]
         and rs5.rank == 10
@@ -143,7 +152,8 @@ def test_criterion_6_linear_algebra_dimensions():
         and rank5_exact == 5
     )
     report(6, ok, elapsed,
-           f"relations12={rs12.rank} ambient12={rs12.ambient_dim} "
+           f"relations12={rs12.rank} relation_rank12={relation_rank12} "
+           f"ambient12={rs12.ambient_dim} "
            f"full_rank12={ranks12} n5=({rs5.rank}, {rs5.ambient_dim}, {rank5_exact})")
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import fnef.cone
 import fnef.pairing
+import fnef.subsets
 from fnef import __version__, biplane_divisor, build_biplane_qr, divisor_to_json_dict, DivisorClass
 from fnef.biplane import format_biplane
 from fnef.cli import main
@@ -296,3 +297,11 @@ def test_biplane_file_via_global_flag(tmp_path, capsys):
     path.write_text(format_biplane(build_biplane_qr()))
     code, out, _ = run(capsys, "pair", "--biplane", str(path))
     assert code == 0 and out.strip() == "-1"
+
+
+def test_block_array_beyond_physical_memory_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(fnef.subsets, "_BLOCK_CACHE", {})
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 1 << 10)
+    code, out, err = run(capsys, "fcurves", "enumerate", "--n", "9", "--limit", "1")
+    assert code == 2 and not out
+    assert "partition array needs" in err and "physical memory" in err

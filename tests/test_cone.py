@@ -27,6 +27,7 @@ from fnef import (
     verify_counterexample,
 )
 import fnef.cone
+import fnef.subsets
 from fnef.cone import (
     DEFAULT_PRIMES,
     ModpEliminator,
@@ -40,7 +41,6 @@ from fnef.subsets import mask_from_elements
 from oracles import (
     dense_rows,
     fcurve_matrix_rank_exact,
-    fcurve_matrix_rank_modp,
     pushforward_fcurve,
     rank_exact,
     zero_set_dense_rows,
@@ -305,12 +305,27 @@ def test_modp_eliminator_refuses_a_basis_beyond_physical_memory():
         ModpEliminator(ModpEliminator.MAX_COLUMNS - 1, P1)
 
 
+def test_modp_eliminator_memory_guard_reads_physical_memory(monkeypatch):
+    # the guard shared with the partition array: 8 * 10^2 bytes for 10 columns
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 799)
+    with pytest.raises(InvalidInputError, match="physical memory"):
+        ModpEliminator(10, P1)
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 800)
+    assert ModpEliminator(10, P1).rank == 0
+
+
+def full_matrix_rank_modp(n, p):
+    # every curve pairs to zero with the zero class, whose reduction is
+    # empty, so its extremality rank runs over all of them with no stop rank
+    return extremality_rank(DivisorClass.zero(n), (p,)).rank_mod_p[p]
+
+
 def test_small_n_full_matrix_ranks():
     assert relation_system(5).rank == 10
     assert relation_system(5).ambient_dim == 5
     assert fcurve_matrix_rank_exact(5) == 5
-    assert fcurve_matrix_rank_modp(5, P1) == 5
-    assert fcurve_matrix_rank_exact(6) == fcurve_matrix_rank_modp(6, P1) == 16
+    assert full_matrix_rank_modp(5, P1) == 5
+    assert fcurve_matrix_rank_exact(6) == full_matrix_rank_modp(6, P1) == 16
 
 
 def test_extremality_small_n_matches_exact_oracle():

@@ -1,5 +1,6 @@
 """Divisor classes, pair relations, canonical reduction, named divisors."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from math import comb, gcd
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fnef import (
     DivisorClass,
@@ -32,9 +33,10 @@ from fnef import (
     symmetric_divisor,
 )
 import fnef.divisors
-from fnef.divisors import relation_matrix, row_reduce
+from fnef.divisors import relation_matrix
 from fnef.errors import BoundaryFormError, InvalidInputError, MalformedInputError
 from fnef.subsets import all_generator_keys, canonical_generator, full_mask, mask_from_elements
+from oracles import rank_exact
 
 
 def add_reduced(a, b):
@@ -77,7 +79,7 @@ def test_relation_row_rejects_bad_pairs():
         relation_row(1, 7, 6)
 
 
-# The list-based elimination the int64 one replaced, kept as its oracle:
+# The list-based elimination the closed form replaced, kept as its oracle:
 # relation rows by walking every side that holds i and omits j, then
 # Gauss-Jordan on Python integers with a gcd per entry.
 
@@ -115,12 +117,11 @@ def oracle_normalize(row):
 
 
 def oracle_row_reduce(rows):
-    """Rows, pivot columns, and the largest |entry x multiplier| of any
-    update: the product row_reduce must keep below 2^62."""
+    """Rows and pivot columns of the reduced row echelon form, each row
+    normalized to gcd 1 with a positive leading entry."""
     rows = [list(r) for r in rows]
     nrows, ncols = len(rows), len(rows[0])
     pivot_cols = []
-    peak = 0
     r = 0
     for c in range(ncols):
         pr = next((k for k in range(r, nrows) if rows[k][c]), None)
@@ -135,19 +136,18 @@ def oracle_row_reduce(rows):
             a = rows[k][c]
             g = gcd(piv, a)
             ms, mo = piv // g, a // g
-            peak = max(peak, max(map(abs, rows[k])) * abs(ms), max(map(abs, rows[r])) * abs(mo))
             rows[k] = [x * ms - y * mo for x, y in zip(rows[k], rows[r])]
             oracle_normalize(rows[k])
         pivot_cols.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivot_cols, peak
+    return rows, pivot_cols
 
 
 @lru_cache(maxsize=None)
 def oracle_system(n):
-    return oracle_row_reduce(oracle_relation_rows(n))[:2]
+    return oracle_row_reduce(oracle_relation_rows(n))
 
 
 def oracle_reduce(d):
@@ -196,7 +196,7 @@ def test_relation_system_matches_list_oracle(n):
     assert rs.pivot_masks == [c + 1 for c in pivot_cols]
     assert rs.free_masks == [c + 1 for c in free_cols]
     assert rs.free_index.tolist() == free_index
-    assert rs.pivot_vals == [rows[k][c] for k, c in enumerate(pivot_cols)]
+    assert all(rows[k][c] == 1 for k, c in enumerate(pivot_cols))
     assert rs.free_rows.tolist() == [[row[c] for c in free_cols] for row in rows[: rs.rank]]
     # free_rows drops nothing: a pivot row vanishes at every other pivot key
     assert all(rows[k][c] == 0 for k in range(rs.rank) for c in pivot_cols if c != pivot_cols[k])
@@ -204,41 +204,59 @@ def test_relation_system_matches_list_oracle(n):
 
 @pytest.mark.parametrize("n", range(4, 14))
 def test_relation_rank_is_pair_count(n):
-    # and the pivots are exactly the keys of one or two markings, value 1
+    # and the pivots are exactly the keys of one or two markings
     rs = relation_system(n)
     assert rs.rank == comb(n, 2)
     assert rs.ambient_dim == (1 << (n - 1)) - 1 - rs.rank
     assert rs.pivot_masks == [m for m in all_generator_keys(n) if bin(m).count("1") <= 2]
-    assert rs.pivot_vals == [1] * rs.rank
 
 
-@given(st.lists(st.lists(st.integers(-40, 40), min_size=7, max_size=7), min_size=1, max_size=6))
-@example([[0, 23, 0, 39, 0, 0, 0], [0, 36, 0, -10, -23, 40, 0], [1, -36, 0, 5, -16, 24, 0],
-          [-33, 0, 1, 0, 34, 39, 1], [-39, 0, 0, 0, -38, 0, 0], [0, 0, 37, 0, 0, 1, 0]])
-@settings(max_examples=200, deadline=None)
-def test_row_reduce_matches_list_oracle(matrix):
-    # entries grow without a Bareiss division, and row_reduce refuses exactly
-    # the matrices whose elimination needs a product of 2^62 or more; the
-    # example reaches one, though its reduced rows stay below 2^34
-    rows, pivot_cols, peak = oracle_row_reduce(matrix)
-    if peak >= 1 << 62:
-        with pytest.raises(InvalidInputError):
-            row_reduce(np.array(matrix, dtype=np.int64))
-    else:
-        reduced, pivots = row_reduce(np.array(matrix, dtype=np.int64))
-        assert (reduced.tolist(), pivots) == (rows, pivot_cols)
+@pytest.mark.parametrize("n", range(4, 17))
+def test_relation_system_spans_the_relations(n):
+    # containment, in int64 and over every column: relation (a, b) is the sum
+    # of the reduced rows at the pivot keys it holds, namely {a}, {b} and the
+    # pairs with exactly one of a, b (a 0/1 row of relation_matrix)
+    rs = relation_system(n)
+    relations = relation_matrix(n)
+    pivots = np.array(rs.pivot_masks) - 1
+    reduced = np.zeros(relations.shape, dtype=np.int64)
+    reduced[np.arange(rs.rank), pivots] = 1
+    reduced[:, np.array(rs.free_masks) - 1] = rs.free_rows
+    for row in relations:
+        assert np.array_equal(reduced[row[pivots] == 1].sum(axis=0), row)
+    # independence: the relations have rank C(n,2), so they span exactly
+    # the reduced rows
+    assert rank_exact(relations[:, pivots].tolist(), rs.rank) == rs.rank == comb(n, 2)
 
 
-@pytest.mark.parametrize("big, fits", [((1 << 62) - 1, True), (1 << 62, False)])
-def test_row_reduce_refuses_products_beyond_2_62(big, fits):
-    # eliminating column 0 from row 1 subtracts big * 1
-    matrix = [[1, big], [1, 0]]
-    if fits:
-        rows, pivot_cols = row_reduce(np.array(matrix, dtype=np.int64))
-        assert (rows.tolist(), pivot_cols) == oracle_row_reduce(matrix)[:2]
-    else:
-        with pytest.raises(InvalidInputError):
-            row_reduce(np.array(matrix, dtype=np.int64))
+#: sha256 of `free_rows.tobytes()` and of the pivot masks as int64 bytes,
+#: and `reduce_weight`, as the former Gauss-Jordan elimination produced them.
+PINNED_SYSTEMS = {
+    11: ("a92311c3d8914facd7010f57db8b82e03dc9fe896fdc91c3595a423b3ca2fa1a",
+         "a018cdaf9baeb886221f5dd0b0f40a7b9455a6b7d465001101f260b2ada2aafb", 126),
+    12: ("22d058a3b0483c153f6eb80f22c98d2aaa3a5fe4228fcd836c028c183b93a4e1",
+         "513e96658ba7d9693038434d1099acd8f4ae20f2ca0020003193f0932800bfc9", 155),
+    13: ("bb5741333e3d50e6f02b6a7344269235f4089f6f107df2961b5c376a50d39092",
+         "af0c6f51606fe4ea073a094a28df7e7e94c8b12503878edcfafe285c8b5b9bd5", 187),
+    14: ("e004994ca528b2937ce38bd2b3bc3b72572a80137a529a3117354364f334aba5",
+         "d8b75211a5fe80b200d6da4f9ebd93c1aa552cc95a360fdd97047fd71880b15b", 222),
+    15: ("800a8d2b224eee3395cac29111e892921f939c06cd76b2038b5a3ec1f0da9c72",
+         "5777930072aafb105116c2c5b34a91e3a01c48857f9667ad705fe2e049ea27c7", 260),
+    16: ("97d9770f2fe720fd01358f87b7284210aadb5a5647c6292ca51e1c3945902c1c",
+         "76e7f3bc86f57f130c7d8f7fbba0592a95ec7ab2443e9ee1d5a447e8ab4e97d2", 301),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SYSTEMS))
+def test_relation_system_matches_pinned_elimination(n):
+    rs = relation_system(n)
+    rows_sha, pivots_sha, weight = PINNED_SYSTEMS[n]
+    assert rs.free_rows.dtype == np.int64
+    assert rs.free_rows.shape == (comb(n, 2), (1 << (n - 1)) - 1 - comb(n, 2))
+    assert hashlib.sha256(rs.free_rows.astype("<i8").tobytes()).hexdigest() == rows_sha
+    pivots = np.array(rs.pivot_masks, dtype="<i8").tobytes()
+    assert hashlib.sha256(pivots).hexdigest() == pivots_sha
+    assert rs.reduce_weight == weight
 
 
 def test_dimension_at_five_and_twelve():
@@ -303,11 +321,13 @@ def test_reduce_canonical_matches_fraction_oracle(n, pivots_only, data):
 
 @pytest.mark.parametrize("n", [5, 8])
 def test_reduce_canonical_worst_case_at_the_bound(n):
-    # signs chosen so that one coordinate reaches limit * reduce_weight
+    # signs chosen so that one coordinate reaches limit * reduce_weight; the
+    # oracle's pivot entries are all 1, so free_rows are the weights
     rs = relation_system(n)
-    scaled = (rs.scale // np.array(rs.pivot_vals))[:, None] * rs.free_rows
-    f = int(np.abs(scaled).sum(axis=0).argmax())
-    signs = np.sign(scaled[:, f]).tolist()
+    rows, pivot_cols = oracle_system(n)
+    assert all(rows[k][c] == 1 for k, c in enumerate(pivot_cols))
+    f = int(np.abs(rs.free_rows).sum(axis=0).argmax())
+    signs = np.sign(rs.free_rows[:, f]).tolist()
 
     def worst(c):
         coeffs = {rs.free_masks[f]: c}
@@ -316,7 +336,7 @@ def test_reduce_canonical_worst_case_at_the_bound(n):
 
     limit = reduce_limit(n)
     reduced = reduce_canonical(worst(limit))
-    assert reduced[rs.free_masks[f]] == Fraction(limit * rs.reduce_weight, rs.scale)
+    assert reduced[rs.free_masks[f]] == limit * rs.reduce_weight
     assert limit * rs.reduce_weight < 1 << 63
     assert reduced == oracle_reduce(worst(limit))
     with pytest.raises(InvalidInputError):

@@ -242,3 +242,16 @@ def test_stream_is_restartable(n):
     first = [c.blocks for c in enumerate_fcurves(n)]
     second = [c.blocks for c in enumerate_fcurves(n)]
     assert first == second
+
+
+def test_block_array_refused_beyond_physical_memory(monkeypatch):
+    # S(9,4) rows of 4 int32 need 16 * 7770 bytes; one byte less is refused
+    # before the array is allocated, and exactly that much is enough
+    monkeypatch.setattr(fnef.subsets, "_BLOCK_CACHE", {})
+    need = 16 * stirling2(9, 4)
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
+    with pytest.raises(InvalidInputError, match="physical memory"):
+        fcurve_block_arrays(9)
+    assert 9 not in fnef.subsets._BLOCK_CACHE
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
+    assert len(fcurve_block_arrays(9)) == stirling2(9, 4)
