@@ -10,16 +10,14 @@ row, so hitting ambient-1 modulo a single prime is already a proof.
 The rank is computed in two stages.  A structural peel (singleton
 propagation, as in the first pass of Faugere and Lachartre, PASCO 2010,
 and of SpaSM, Bouillaguet and Delaplace, CASC 2016) settles the columns
-that some row reaches alone with coefficient +-1; it is integer-exact and
-the same for every prime.  The dense kernel `ModpEliminator` then ranks
-the rows restricted to the columns left, modulo each prime.
+that some row reaches alone; it is integer-exact and the same for every
+prime.  The dense kernel `ModpEliminator` then ranks the rows restricted
+to the columns left, modulo each prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional
 
 import numpy as np
@@ -43,10 +41,9 @@ from .pairing import (
     pair_divisor_functional,
     pair_blocks,
     pairing_values,
-    _canon_cols,
     scan_table,
 )
-from .subsets import FCurve, check_memory, count_fcurves, fcurve_block_arrays, full_mask
+from .subsets import FCurve, check_memory, count_fcurves, fcurve_block_arrays
 
 #: Fixed moduli for extremality certification, both just below the 2^31
 #: cap that keeps the rank kernel's arithmetic exact: residue products stay
@@ -54,6 +51,8 @@ from .subsets import FCurve, check_memory, count_fcurves, fcurve_block_arrays, f
 #: stay below 2^53 (see ModpEliminator).
 DEFAULT_PRIMES = (2147483629, 2147483647)
 
+#: An F-curve row's value at its seven keys b0|b1, b0|b2, b0|b3, b0, b1, b2,
+#: b3 (`_free_col_rows`): the three unions with block 0 count +1, the blocks -1.
 _ROW_PATTERN = np.array([1, 1, 1, -1, -1, -1, -1], dtype=np.int64)
 
 
@@ -338,9 +337,7 @@ class ModpEliminator:
         x1 = self._mulsub(x1[:, rest2], x1[:, piv2], x2)
         return np.concatenate([piv1, rest1[piv2]]), np.vstack([x1, x2])
 
-    def _reduce_batch(
-        self, chunk: np.ndarray, pattern: np.ndarray, free: np.ndarray
-    ) -> np.ndarray:
+    def _reduce_batch(self, chunk: np.ndarray, free: np.ndarray) -> np.ndarray:
         """The batch's rows cleared of every pivot column, as residues on
         the free columns; rows that vanish are dropped."""
         rows, pivot_of = self._rows, self._pivot_row_of_col
@@ -351,12 +348,12 @@ class ModpEliminator:
             row_k = np.flatnonzero(chunk[:, k] >= 0)
             col_k = chunk[row_k, k]
             on_pivot = pivot_of[col_k] >= 0
-            dense[row_k[~on_pivot], at[col_k[~on_pivot]]] += pattern[k]
+            dense[row_k[~on_pivot], at[col_k[~on_pivot]]] += _ROW_PATTERN[k]
             if on_pivot.any():
-                # a pivot entry v is cleared by v times its basis row, which
-                # is 0 at every other pivot; |entry| <= width*max|v|*p < 2^63
+                # a pivot entry v = +-1 is cleared by v times its basis row,
+                # which is 0 at every other pivot; |entry| <= 7p < 2^63
                 basis = rows[np.ix_(pivot_of[col_k[on_pivot]], free)]
-                basis *= pattern[k]
+                basis *= _ROW_PATTERN[k]
                 dense[row_k[on_pivot]] -= basis
         dense %= self.p
         return dense[dense.any(axis=1)]
@@ -377,14 +374,12 @@ class ModpEliminator:
         self.rank += k
 
     def add_pattern_rows(
-        self,
-        col_rows: np.ndarray,
-        pattern: np.ndarray,
-        batch: int = 512,
-        stop_rank: Optional[int] = None,
+        self, col_rows: np.ndarray, batch: int = 512, stop_rank: Optional[int] = None
     ) -> int:
-        """Feed sparse rows sharing one value pattern: row i has
-        pattern[k] at column col_rows[i, k] (no entry where that is -1).
+        """Feed F-curve rows: row i has `_ROW_PATTERN[k]` at column
+        col_rows[i, k] (no entry where that is -1).  Every entry is +-1 and
+        p <= 2^31, so clearing a row's at most 7 pivot entries keeps its
+        values below 7p < 2^63.
 
         Rows are fed in batches of `batch`, and a later call continues from
         the basis of the earlier ones.  No further batch is fed once the
@@ -395,82 +390,71 @@ class ModpEliminator:
         """
         full = self.peeled + self.ncols
         cap = full if stop_rank is None else min(stop_rank, full)
-        pattern = np.asarray(pattern, dtype=np.int64)
-        if len(pattern) * int(np.abs(pattern).max(initial=0)) * self.p >= 1 << 63:
-            raise InvalidInputError("row pattern too large for int64 reduction")
         for start in range(0, len(col_rows), batch):
             if self.rank >= cap:
                 break
             chunk = np.asarray(col_rows[start : start + batch], dtype=np.int64)
             self.rows_seen += len(chunk)
             free = np.flatnonzero(self._pivot_row_of_col < 0)
-            dense = self._reduce_batch(chunk, pattern, free)
+            dense = self._reduce_batch(chunk, free)
             if len(dense):
                 self._extend(free, *self._rref(dense))
         return self.rank
 
 
-def _free_col_rows(blocks: np.ndarray, free_index: np.ndarray, n: int) -> np.ndarray:
+def _free_col_rows(blocks: np.ndarray, free_index: np.ndarray) -> np.ndarray:
     """Per curve, the reduced-coordinate column of each of its 7 pairing
-    keys (-1 where the key is a pivot and the entry is dropped)."""
-    half = 1 << (n - 1)
-    full = full_mask(n)
+    keys (-1 where the key is a pivot and the entry is dropped).  The table
+    is indexed by every subset mask, `free_index` followed by its reverse,
+    as in `scan_table`."""
+    cols = np.concatenate([free_index, free_index[::-1]])
     b0, b1, b2, b3 = blocks[:, 0], blocks[:, 1], blocks[:, 2], blocks[:, 3]
     keys = (b0 | b1, b0 | b2, b0 | b3, b0, b1, b2, b3)
-    return np.stack([free_index[_canon_cols(k, half, full)] for k in keys], axis=1)
+    return np.stack([cols[k] for k in keys], axis=1)
 
 
 def _structural_peel(col_rows: np.ndarray, ncols: int) -> tuple[int, np.ndarray, int]:
-    """Singleton propagation to a fixpoint over pattern rows: row i has
+    """Singleton propagation to a fixpoint over F-curve rows: row i has
     `_ROW_PATTERN[k]` at column col_rows[i, k] (no entry where that is -1).
 
-    A row's net coefficient at a column is the sum of its pattern entries
-    there, and its support is the columns where that is nonzero.  A column
-    is covered once some row has it as the only uncovered column of its
-    support, with net coefficient +-1; where several rows compete for one
-    column, one of them takes it.  Each taking row touches only columns
-    covered before it, so these rows, in the order they took their columns,
-    are triangular with a unit diagonal.  Over the integers, and hence
-    modulo every prime, they span exactly the unit vectors of the covered
-    columns.  Every other row therefore reduces to its restriction to the
-    columns left, again a pattern row, and the rank of all rows is the
-    covered count plus the rank of the restricted rows.
+    The columns of a row are pairwise distinct, because its seven keys
+    b0|b1, b0|b2, b0|b3, b0, b1, b2, b3 are and no two of them are
+    complements.  The blocks are nonempty and disjoint, so no block equals
+    another block or a union of two, and no two of the unions are equal.
+    The complement of a block is a union of three blocks, and that of
+    b0|bi the union of the two blocks other than b0; neither is among the
+    seven.  So the seven canonical keys differ, and `free_index` maps them
+    to distinct columns or to -1.  Each entry is therefore the row's
+    coefficient at its column, +-1.
 
-    Returns the covered count, the restricted rows with a nonzero entry
-    left (columns renumbered in increasing order, -1 where an entry was
+    A column is covered once some row has it as its only uncovered column;
+    where several rows compete for one column, one of them takes it.  Each
+    taking row touches only columns covered before it, so these rows, in
+    the order they took their columns, are triangular with a unit diagonal.
+    Over the integers, and hence modulo every prime, they span exactly the
+    unit vectors of the covered columns.  Every other row therefore reduces
+    to its restriction to the columns left, again an F-curve row with
+    fewer entries, and the rank of all rows is the covered count plus the
+    rank of the restricted rows.
+
+    Returns the covered count, the restricted rows with an entry left
+    (columns renumbered in increasing order, -1 where an entry was
     dropped), and the number of columns left.
     """
-    width = col_rows.shape[1]
-    # the support keeps each column at its first position in the row, with
-    # its net coefficient there; repeats and net zeros become -1
-    support = col_rows.astype(np.int32)
-    net = np.tile(_ROW_PATTERN.astype(np.int8), (len(col_rows), 1))
-    for k in range(width):
-        for j in range(k):
-            same = support[:, j] == support[:, k]
-            same &= support[:, k] >= 0
-            if same.any():
-                net[same, k] += _ROW_PATTERN[j]
-                net[same, j] += _ROW_PATTERN[k]
-                support[same, k] = -1
-    support[net == 0] = -1
-    unit = np.abs(net) == 1
     # one extra column, always covered, where the -1 entries read
     covered = np.zeros(ncols + 1, dtype=bool)
-    covered[ncols] = True
+    covered[-1] = True
     while True:
-        uncovered = ~covered[support]
+        uncovered = ~covered[col_rows]
         single = np.flatnonzero(np.count_nonzero(uncovered, axis=1) == 1)
-        k = uncovered[single].argmax(axis=1)
-        takes = unit[single, k]
-        new = support[single[takes], k[takes]]
+        new = col_rows[single, uncovered[single].argmax(axis=1)]
         if not new.size:
             break
         covered[new] = True
     left = np.flatnonzero(~covered[:ncols])
     index = np.full(ncols + 1, -1, dtype=np.int64)
     index[left] = np.arange(len(left))
-    keep = (~covered[support]).any(axis=1)
+    keep = (~covered[col_rows]).any(axis=1)
     return ncols - len(left), index[col_rows[keep]], len(left)
 
 
@@ -485,20 +469,18 @@ def _feed_order(nrows: int) -> np.ndarray:
 
 
 def _check_orthogonal(
-    col_rows: np.ndarray, reduced: dict[int, Fraction], free_index: np.ndarray, ncols: int
+    col_rows: np.ndarray, reduced: dict[int, int], free_index: np.ndarray, ncols: int
 ) -> None:
-    """Exact int64 dot product of every row with the reduced coordinates,
-    scaled by the lcm of their denominators; raises unless all vanish."""
-    scale = lcm(*(v.denominator for v in reduced.values()))
-    scaled = {int(free_index[m]): int(v * scale) for m, v in reduced.items()}
+    """Exact int64 dot product of every row with the reduced coordinates;
+    raises unless all vanish."""
     width = len(_ROW_PATTERN)
-    if width * max(abs(x) for x in scaled.values()) >= 1 << 63:
+    if width * max(map(abs, reduced.values())) >= 1 << 63:
         raise InvalidInputError(
             "reduced coordinates too large for the int64 orthogonality check"
         )
     # one extra zero entry, so the -1 of a dropped pivot key reads 0
     coords = np.zeros(ncols + 1, dtype=np.int64)
-    coords[list(scaled)] = list(scaled.values())
+    coords[free_index[list(reduced)]] = list(reduced.values())
     dots = np.zeros(len(col_rows), dtype=np.int64)
     for k in range(width):
         dots += _ROW_PATTERN[k] * coords[col_rows[:, k]]
@@ -544,7 +526,7 @@ def extremality_rank(
         )
     rs = relation_system(d.n)
     zero_blocks = fcurve_block_arrays(d.n)[scan.zero_mask()]
-    col_rows = _free_col_rows(zero_blocks, rs.free_index, d.n)
+    col_rows = _free_col_rows(zero_blocks, rs.free_index)
 
     # Every zero row is an integer vector orthogonal to the reduced
     # coordinates of d, so when those are nonzero the rational rank is at
@@ -562,7 +544,7 @@ def extremality_rank(
     ranks: dict[int, int] = {}
     for p in primes:
         elim = ModpEliminator(rest_cols, p, peeled=peeled)
-        ranks[int(p)] = elim.add_pattern_rows(rest_rows, _ROW_PATTERN, stop_rank=stop_rank)
+        ranks[int(p)] = elim.add_pattern_rows(rest_rows, stop_rank=stop_rank)
     certified = any(r == rs.ambient_dim - 1 for r in ranks.values())
     return ExtremalityReport(
         ambient_dim=rs.ambient_dim,
@@ -572,10 +554,12 @@ def extremality_rank(
     )
 
 
+#: Fixed seed for the sampled partitions of `projection_formula_report`.
+_SAMPLE_SEED = 20260810
+
+
 def projection_formula_report(
-    d: DivisorClass,
-    samples: Optional[int] = None,
-    seed: int = 20260810,
+    d: DivisorClass, samples: Optional[int] = None
 ) -> ProjectionFormulaReport:
     """Compare pairings of the pulled-back class at n+1 with pairings of the
     class against pushed-forward curves (contracted curves must pair 0).
@@ -589,7 +573,7 @@ def projection_formula_report(
     if samples is None:
         up_blocks = fcurve_block_arrays(m)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_SAMPLE_SEED)
         need = samples
         rows = []
         bits = (1 << np.arange(m, dtype=np.int64))[None, :]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -138,6 +137,15 @@ def check_int64_sums(values: Iterable[int], weight: int, what: str) -> None:
         raise InvalidInputError(f"{what}: coefficient {top} times {weight} exceeds int64")
 
 
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer (a Python int, not a bool); raises
+    TypeError for anything else, so that 1.7, 12.0, true or "3" is refused
+    rather than truncated or converted."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @lru_cache(maxsize=None)
 def relation_matrix(n: int) -> np.ndarray:
     """The pair relations as a read-only 0/1 matrix: row (i, j), i < j, in
@@ -238,12 +246,12 @@ def relation_system(n: int) -> RelationSystem:
     return RelationSystem(n)
 
 
-def reduce_canonical(d: DivisorClass) -> dict[int, Fraction]:
+def reduce_canonical(d: DivisorClass) -> dict[int, int]:
     """Canonical coordinates of the class modulo the pair relations.
 
     Eliminates every pivot key against the reduced relations; the result
-    maps non-pivot key masks to exact rational coordinates (zeros dropped).
-    Two classes are numerically equivalent iff their reductions are equal.
+    maps non-pivot key masks to integer coordinates (zeros dropped).  Two
+    classes are numerically equivalent iff their reductions are equal.
     Every pivot value is 1, so the coordinates are the one integer product
     d[free] - d[pivots] @ free_rows, exact in int64 once the coefficients
     pass check_int64_sums with `reduce_weight`.
@@ -253,10 +261,7 @@ def reduce_canonical(d: DivisorClass) -> dict[int, Fraction]:
     table = d.dense_table()
     coords = table[rs.free_masks] - table[rs.pivot_masks] @ rs.free_rows
     live = np.flatnonzero(coords)
-    return {
-        rs.free_masks[k]: Fraction(x)
-        for k, x in zip(live.tolist(), coords[live].tolist())
-    }
+    return {rs.free_masks[k]: x for k, x in zip(live.tolist(), coords[live].tolist())}
 
 
 def canonical_divisor(n: int) -> DivisorClass:
@@ -435,9 +440,9 @@ def divisor_to_json_dict(d: DivisorClass) -> dict:
 
 def divisor_from_json_dict(obj: dict) -> DivisorClass:
     try:
-        n = int(obj["n"])
+        n = json_int(obj["n"], "n")
         items = obj["terms"]
-        terms = [(parse_subset(t["subset"], n), int(t["coeff"])) for t in items]
+        terms = [(parse_subset(t["subset"], n), json_int(t["coeff"], "coeff")) for t in items]
         return DivisorClass.from_terms(n, terms)
     except InvalidInputError as exc:
         raise MalformedInputError(str(exc)) from None

@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .biplane import Biplane
-from .divisors import DivisorClass, check_int64_sums, relation_matrix
+from .divisors import DivisorClass, check_int64_sums, json_int, relation_matrix
 from .errors import InvalidInputError, MalformedInputError
 from .subsets import (
     FCurve,
@@ -152,10 +152,6 @@ def check_relations(f: CurveFunctional) -> RelationCheck:
     return RelationCheck(False, (int(i[k]) + 1, int(j[k]) + 1), int(totals[k]))
 
 
-def _canon_cols(masks: np.ndarray, half: int, full: int) -> np.ndarray:
-    return np.where(masks < half, masks, masks ^ full)
-
-
 def scan_table(d: DivisorClass) -> np.ndarray:
     """The divisor's coefficients indexed by every subset mask m of its
     markings: entry m is the coefficient of m's canonical key, m itself
@@ -248,10 +244,11 @@ def functional_to_json_dict(f: CurveFunctional) -> dict:
 
 def functional_from_json_dict(obj: dict) -> CurveFunctional:
     try:
-        n = int(obj["n"])
-        psi = tuple(int(v) for v in obj["psi"])
+        n = json_int(obj["n"], "n")
+        psi = tuple(json_int(v, "psi") for v in obj["psi"])
         boundary = {
-            parse_subset(t["subset"], n): int(t["value"]) for t in obj["boundary"]
+            parse_subset(t["subset"], n): json_int(t["value"], "value")
+            for t in obj["boundary"]
         }
         return CurveFunctional(n, psi, boundary)
     except InvalidInputError as exc:

@@ -68,7 +68,7 @@ def fcurve_matrix_rank_exact(n: int) -> int:
     if n > 7:
         raise InvalidInputError("exact rank oracle is limited to n <= 7")
     rs = relation_system(n)
-    col_rows = _free_col_rows(fcurve_block_arrays(n), rs.free_index, n)
+    col_rows = _free_col_rows(fcurve_block_arrays(n), rs.free_index)
     return rank_exact(dense_rows(col_rows, rs.ambient_dim), rs.ambient_dim)
 
 
@@ -80,7 +80,7 @@ def zero_set_dense_rows(d: DivisorClass) -> list[list[int]]:
     rs = relation_system(d.n)
     blocks = fcurve_block_arrays(d.n)
     values = pairing_values(d, blocks)
-    col_rows = _free_col_rows(blocks[values == 0], rs.free_index, d.n)
+    col_rows = _free_col_rows(blocks[values == 0], rs.free_index)
     return dense_rows(col_rows, rs.ambient_dim)
 
 

@@ -1,8 +1,10 @@
-"""The names the benchmark's span recorder wraps exist in the package.
+"""The benchmark's hooks into the package still hold.
 
 `perfbench/spans.py` wraps library functions from outside the package and
 counts a name it cannot find as `trace.absent`, so a rename there would drop
-a layer from the per-layer metrics without failing anything else.
+a layer from the per-layer metrics without failing anything else.  Likewise
+`perfbench/candidates.py` records a candidate the library API no longer
+serves as a failed operation, not as a test failure.
 """
 
 import importlib
@@ -15,9 +17,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_spans():
+def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", ROOT / "perfbench" / "spans.py"
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -25,11 +27,21 @@ def load_spans():
 
 
 def test_every_span_target_resolves():
-    for module_name, attr, *_ in load_spans().TARGETS:
+    for module_name, attr, *_ in load_perfbench("spans").TARGETS:
         owner = importlib.import_module(module_name)
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{attr}"
+
+
+def test_candidate_screen_passes_its_checks(qr_biplane):
+    candidates = load_perfbench("candidates")
+    specs = candidates.candidate_specs(1, 0, count=3)
+    assert "relation" in specs[2]  # every third candidate is shifted
+    for out in candidates.screen(specs, qr_biplane, 0):
+        assert "error" not in out, out["error"]
+        assert out["reduced_matches"] is True
+        assert (out["min_value"], out["zero_count"], out["oracle"]) == (0, 124366, 0)
 
 
 def test_import_fnef_loads_the_wrapped_layers():

@@ -11,6 +11,7 @@ from fnef import __version__, biplane_divisor, build_biplane_qr, divisor_to_json
 from fnef.biplane import format_biplane
 from fnef.cli import main
 from fnef.divisors import divisor_to_text, pullback_forgetful
+from fnef.pairing import biplane_curve_functional, functional_to_json_dict
 from fnef.subsets import all_generator_keys, format_subset, is_psi_key, mask_from_elements
 
 
@@ -170,6 +171,26 @@ def test_pair_divisor_file_with_witness(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["value"] == -1
     assert str(path) in payload["manifest"]["inputs"]
+
+
+def test_pair_refuses_a_fractional_divisor_coefficient(tmp_path, capsys):
+    obj = divisor_to_json_dict(biplane_divisor(build_biplane_qr()))
+    obj["terms"][0]["coeff"] = 1.7
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "pair", "--divisor", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "coeff must be an integer, got 1.7" in err
+
+
+def test_pair_refuses_a_fractional_functional_value(tmp_path, capsys):
+    obj = functional_to_json_dict(biplane_curve_functional(build_biplane_qr()))
+    obj["psi"][0] = 1.5
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "pair", "--named", "symmetric", "--functional", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "psi must be an integer, got 1.5" in err
 
 
 def test_extremal_rejects_non_fnef_divisor(tmp_path, capsys):

@@ -119,15 +119,17 @@ def test_witness_off_the_relations_is_not_certified(qr_biplane, qr_divisor, qr_w
 
 @st.composite
 def pattern_matrices(draw):
-    """Rows of the curve pattern on at most 8 columns, with -1 gaps, repeated
-    columns and duplicated rows; columns at or past `used` stay empty, so
-    the rank is often below the column count.  A row has at most 7 unit
-    entries, so its Euclidean norm is at most 7 and, by Hadamard's bound,
-    every minor is below 7^8 < p: the rank mod p equals the rational rank."""
+    """Rows of the curve pattern on at most 8 columns, with distinct columns
+    in each row as in an F-curve row, -1 gaps and duplicated rows; columns
+    at or past `used` stay empty, so the rank is often below the column
+    count.  A row has at most 7 entries +-1, so its Euclidean norm is at
+    most sqrt(7) and, by Hadamard's bound, every minor is below 7^4 < p:
+    the rank mod p equals the rational rank."""
     ncols = draw(st.integers(1, 8))
     used = draw(st.integers(1, ncols))
-    key = st.integers(-1, used - 1)
-    rows = draw(st.lists(st.lists(key, min_size=7, max_size=7), min_size=1, max_size=40))
+    cols = st.lists(st.integers(0, used - 1), max_size=min(7, used), unique=True)
+    row = cols.map(lambda c: c + [-1] * (7 - len(c))).flatmap(st.permutations)
+    rows = draw(st.lists(row, min_size=1, max_size=40))
     rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))]
     return ncols, np.array(rows, dtype=np.int64)
 
@@ -146,12 +148,12 @@ def test_add_pattern_rows_matches_exact_rank(matrix, data):
     for p in DEFAULT_PRIMES:
         one = ModpEliminator(ncols, p)
         one.BASE_ROWS, one.BLOCK_ROWS = base, block
-        assert one.add_pattern_rows(col_rows, _ROW_PATTERN, batch=batch) == expected
+        assert one.add_pattern_rows(col_rows, batch=batch) == expected
         assert one.rows_seen == nrows or one.rank == ncols
         two = ModpEliminator(ncols, p)
         two.BASE_ROWS, two.BLOCK_ROWS = base, block
-        two.add_pattern_rows(col_rows[:split], _ROW_PATTERN, batch=batch)
-        assert two.add_pattern_rows(col_rows[split:], _ROW_PATTERN, batch=batch) == expected
+        two.add_pattern_rows(col_rows[:split], batch=batch)
+        assert two.add_pattern_rows(col_rows[split:], batch=batch) == expected
 
 
 def peeled_rank(col_rows, ncols, p, batch=512, base=None, block=None):
@@ -163,14 +165,12 @@ def peeled_rank(col_rows, ncols, p, batch=512, base=None, block=None):
     elim = ModpEliminator(left, p, peeled=peeled)
     if base is not None:
         elim.BASE_ROWS, elim.BLOCK_ROWS = base, block
-    return elim.add_pattern_rows(rows, _ROW_PATTERN, batch=batch)
+    return elim.add_pattern_rows(rows, batch=batch)
 
 
 @given(pattern_matrices(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_peeled_rank_matches_exact_rank(matrix, data):
-    # repeated columns give net coefficients 0, +-2 and +-3, which the peel
-    # must not take as pivots
     ncols, col_rows = matrix
     expected = rank_exact(dense_rows(col_rows, ncols), ncols)
     batch = data.draw(st.integers(1, len(col_rows) + 1), label="batch")
@@ -178,10 +178,10 @@ def test_peeled_rank_matches_exact_rank(matrix, data):
     block = data.draw(st.integers(1, 4), label="block rows")
     for p in DEFAULT_PRIMES:
         assert peeled_rank(col_rows, ncols, p, batch, base, block) == expected
-    # modulo 2 and 3 a net coefficient of 2 or 3 vanishes, so the peel
-    # must agree with the dense kernel alone there too
+    # the taking rows have a unit diagonal, so the peel agrees with the
+    # dense kernel alone modulo the smallest primes too
     for p in (2, 3):
-        dense = ModpEliminator(ncols, p).add_pattern_rows(col_rows, _ROW_PATTERN)
+        dense = ModpEliminator(ncols, p).add_pattern_rows(col_rows)
         assert peeled_rank(col_rows, ncols, p, batch) == dense
 
 
@@ -205,22 +205,13 @@ def test_peel_competing_singletons_take_one_column():
 
 def test_peel_without_singletons_is_all_dense():
     # e0 + e1, e1 + e2, e2 + e0: rank 3 over the rationals, 2 modulo 2
-    col_rows = _rows({0: 0, 1: 1}, {0: 1, 1: 2}, {0: 2, 1: 0})
+    col_rows = _rows({0: 0, 1: 1}, {0: 1, 1: 2}, {0: 2, 1: 0}, {})
     peeled, rows, left = _structural_peel(col_rows, 3)
-    assert (peeled, left) == (0, 3) and np.array_equal(rows, col_rows)
+    assert (peeled, left) == (0, 3)
+    assert np.array_equal(rows, col_rows[:3])  # the row with no free column is dropped
     for p in DEFAULT_PRIMES:
         assert peeled_rank(col_rows, 3, p) == 3 == rank_exact(dense_rows(col_rows, 3), 3)
     assert peeled_rank(col_rows, 3, 2) == 2
-
-
-def test_peel_skips_non_unit_net_coefficients():
-    # 2 e0 (one column twice) and a net zero on column 1: neither is a pivot
-    col_rows = _rows({0: 0, 1: 0}, {0: 1, 3: 1})
-    peeled, rows, left = _structural_peel(col_rows, 2)
-    assert (peeled, left) == (0, 2)
-    assert np.array_equal(rows, col_rows[:1])  # the zero row is dropped
-    assert peeled_rank(col_rows, 2, P1) == 1
-    assert peeled_rank(col_rows, 2, 2) == 0
 
 
 def test_fully_peeled_matrix_feeds_no_row():
@@ -230,21 +221,32 @@ def test_fully_peeled_matrix_feeds_no_row():
     assert (peeled, len(rows), left) == (4, 0, 0)
     for p in DEFAULT_PRIMES:
         elim = ModpEliminator(left, p, peeled=peeled)
-        assert elim.add_pattern_rows(rows, _ROW_PATTERN) == 4
+        assert elim.add_pattern_rows(rows) == 4
         assert elim.rows_seen == 0
 
 
 def test_peel_counts_at_n12(qr_divisor):
     rs = relation_system(12)
     blocks = fcurve_block_arrays(12)
-    zero = _free_col_rows(blocks[fnef_check(qr_divisor).zero_mask()], rs.free_index, 12)
+    zero = _free_col_rows(blocks[fnef_check(qr_divisor).zero_mask()], rs.free_index)
     peeled, rows, left = _structural_peel(zero, rs.ambient_dim)
     assert (peeled, left, len(rows)) == (1331, 650, 76296)
     # the full matrix peels completely, so no row reaches the dense kernel
     peeled, rows, left = _structural_peel(
-        _free_col_rows(blocks, rs.free_index, 12), rs.ambient_dim
+        _free_col_rows(blocks, rs.free_index), rs.ambient_dim
     )
     assert (peeled, len(rows), left) == (rs.ambient_dim, 0, 0)
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_fcurve_rows_have_distinct_columns(n):
+    # the peel reads each entry of a row as its coefficient at that column
+    rs = relation_system(n)
+    blocks = fcurve_block_arrays(n)
+    step = 1 << 18
+    for s in range(0, len(blocks), step):
+        cols = np.sort(_free_col_rows(blocks[s : s + step], rs.free_index), axis=1)
+        assert not ((cols[:, 1:] == cols[:, :-1]) & (cols[:, 1:] >= 0)).any()
 
 
 def test_add_pattern_rows_stops_at_stop_rank():
@@ -255,14 +257,14 @@ def test_add_pattern_rows_stops_at_stop_rank():
     expected = rank_exact(dense_rows(col_rows, ncols), ncols)
     assert expected <= used < ncols
     fed_all = ModpEliminator(ncols, P1)
-    assert fed_all.add_pattern_rows(col_rows, _ROW_PATTERN, batch=16) == expected
+    assert fed_all.add_pattern_rows(col_rows, batch=16) == expected
     assert fed_all.rows_seen == nrows
     stopped = ModpEliminator(ncols, P1)
-    assert stopped.add_pattern_rows(col_rows, _ROW_PATTERN, 16, stop_rank=expected) == expected
+    assert stopped.add_pattern_rows(col_rows, 16, stop_rank=expected) == expected
     seen = stopped.rows_seen
     assert seen < nrows
     # once the bound is reached a further call feeds nothing
-    assert stopped.add_pattern_rows(col_rows, _ROW_PATTERN, 16, stop_rank=expected) == expected
+    assert stopped.add_pattern_rows(col_rows, 16, stop_rank=expected) == expected
     assert stopped.rows_seen == seen
 
 
@@ -293,9 +295,6 @@ def test_modp_eliminator_refuses_inexact_sizes():
     # refused before the ncols^2 basis is allocated
     with pytest.raises(InvalidInputError):
         ModpEliminator(ModpEliminator.MAX_COLUMNS, P1)
-    elim = ModpEliminator(4, P1)
-    with pytest.raises(InvalidInputError):
-        elim.add_pattern_rows(np.array([[0, 1]]), np.array([1, 1 << 32]))
 
 
 def test_modp_eliminator_refuses_a_basis_beyond_physical_memory():
@@ -344,13 +343,13 @@ def test_add_pattern_rows_zero_set_n6_in_batches(batch):
     d = fnef_divisor_n6()
     rs = relation_system(6)
     blocks = fcurve_block_arrays(6)
-    col_rows = _free_col_rows(blocks[pairing_values(d, blocks) == 0], rs.free_index, 6)
+    col_rows = _free_col_rows(blocks[pairing_values(d, blocks) == 0], rs.free_index)
     expected = rank_exact(zero_set_dense_rows(d), rs.ambient_dim)
     assert expected == rs.ambient_dim - 1
     for p in DEFAULT_PRIMES:
         elim = ModpEliminator(rs.ambient_dim, p)
         elim.BASE_ROWS, elim.BLOCK_ROWS = 2, 3
-        assert elim.add_pattern_rows(col_rows, _ROW_PATTERN, batch=batch) == expected
+        assert elim.add_pattern_rows(col_rows, batch=batch) == expected
         # 6 columns peel, and 43 rows reach the dense kernel on the other 10
         assert _structural_peel(col_rows, rs.ambient_dim)[0] == 6
         assert peeled_rank(col_rows, rs.ambient_dim, p, batch, 2, 3) == expected
@@ -361,16 +360,16 @@ def test_orthogonality_check_covers_every_row():
     rs = relation_system(6)
     blocks = fcurve_block_arrays(6)
     values = pairing_values(d, blocks)
-    rows = _free_col_rows(blocks, rs.free_index, 6)
+    rows = _free_col_rows(blocks, rs.free_index)
     zero, nonzero = rows[values == 0], rows[values != 0]
     # a row's dot product with the reduced coordinates is the curve's pairing
-    thirds = {m: v / 3 for m, v in reduce_canonical(d).items()}
-    _check_orthogonal(zero, thirds, rs.free_index, rs.ambient_dim)
+    reduced = reduce_canonical(d)
+    _check_orthogonal(zero, reduced, rs.free_index, rs.ambient_dim)
     # a bad row off any every-k-th sample (here at index 1) is still caught
     bad = np.concatenate([zero[:1], nonzero[:1], zero[1:]])
     with pytest.raises(AssertionError):
-        _check_orthogonal(bad, thirds, rs.free_index, rs.ambient_dim)
-    huge = {m: v * 2**62 for m, v in thirds.items()}
+        _check_orthogonal(bad, reduced, rs.free_index, rs.ambient_dim)
+    huge = {m: v * 2**62 for m, v in reduced.items()}
     with pytest.raises(InvalidInputError):
         _check_orthogonal(zero, huge, rs.free_index, rs.ambient_dim)
 

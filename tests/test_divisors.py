@@ -42,7 +42,7 @@ from oracles import rank_exact
 def add_reduced(a, b):
     out = dict(a)
     for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
+        out[k] = out.get(k, 0) + v
         if not out[k]:
             del out[k]
     return out
@@ -316,7 +316,9 @@ def test_reduce_canonical_matches_fraction_oracle(n, pivots_only, data):
         with pytest.raises(InvalidInputError):
             reduce_canonical(d)
     else:
-        assert reduce_canonical(d) == oracle_reduce(d)
+        reduced = reduce_canonical(d)
+        assert reduced == oracle_reduce(d)
+        assert all(type(x) is int for x in reduced.values())
 
 
 @pytest.mark.parametrize("n", [5, 8])
@@ -563,6 +565,17 @@ def test_json_round_trip(qr_biplane):
     obj = divisor_to_json_dict(div)
     assert obj["n"] == 12
     assert divisor_from_json_dict(json.loads(json.dumps(obj))) == div
+
+
+@pytest.mark.parametrize("value", [1.7, 12.0, True, "12"])
+@pytest.mark.parametrize("field", ["n", "coeff"])
+def test_divisor_json_refuses_non_integers(field, value):
+    # a float, bool or string was truncated or converted: 1.7 loaded as 1
+    obj = divisor_to_json_dict(DivisorClass(12, {mask_from_elements([1, 2], 12): 1}))
+    target = obj if field == "n" else obj["terms"][0]
+    target[field] = value
+    with pytest.raises(MalformedInputError, match=f"{field} must be an integer"):
+        divisor_from_json_dict(json.loads(json.dumps(obj)))
 
 
 def test_load_divisor_formats(tmp_path, qr_biplane):

@@ -28,7 +28,7 @@ from fnef import (
     symmetric_divisor,
 )
 import fnef.pairing
-from fnef.errors import InvalidInputError
+from fnef.errors import InvalidInputError, MalformedInputError
 from fnef.subsets import (
     all_generator_keys,
     canonical_generator,
@@ -343,6 +343,21 @@ def test_functional_json_round_trip(qr_witness):
     assert obj["psi"] == [-3] * 11 + [-2]
     again = functional_from_json_dict(json.loads(json.dumps(obj)))
     assert again == qr_witness
+
+
+@pytest.mark.parametrize("value", [1.5, -3.0, True, "1"])
+@pytest.mark.parametrize("field", ["n", "psi", "value"])
+def test_functional_json_refuses_non_integers(qr_witness, field, value):
+    # a float, bool or string was truncated or converted: psi 1.5 loaded as 1
+    obj = functional_to_json_dict(qr_witness)
+    if field == "n":
+        obj["n"] = value
+    elif field == "psi":
+        obj["psi"][0] = value
+    else:
+        obj["boundary"][0]["value"] = value
+    with pytest.raises(MalformedInputError, match=f"{field} must be an integer"):
+        functional_from_json_dict(json.loads(json.dumps(obj)))
 
 
 def test_functional_validation():
