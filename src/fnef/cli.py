@@ -343,10 +343,12 @@ def cmd_pullback(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker count for scan phases (does not change results)")
-    common.add_argument("--biplane", metavar="FILE",
-                        help="biplane block file (its design axioms are checked)")
+    biplane = argparse.ArgumentParser(add_help=False)
+    biplane.add_argument("--biplane", metavar="FILE",
+                         help="biplane block file (its design axioms are checked)")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1,
+                         help="worker count for scan phases (does not change results)")
 
     divisor_common = argparse.ArgumentParser(add_help=False)
     divisor_common.add_argument("--divisor", metavar="FILE",
@@ -365,11 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("biplane", parents=[common],
+    p = sub.add_parser("biplane", parents=[common, biplane],
                        help="construct/verify the biplane and count its symmetries")
     p.set_defaults(func=cmd_biplane)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, biplane, threads],
                        help="run the full counterexample verification at n=12")
     p.set_defaults(func=cmd_verify)
 
@@ -380,19 +382,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, help="stop enumeration after this many curves")
     p.set_defaults(func=cmd_fcurves)
 
-    p = sub.add_parser("pair", parents=[common, divisor_common],
+    p = sub.add_parser("pair", parents=[common, biplane, divisor_common],
                        help="pair a divisor with an F-curve or a curve functional")
     p.add_argument("--curve", metavar="BLOCKS", help="F-curve like '1|2|3|4,5,...'")
     p.add_argument("--functional", metavar="FILE", help="curve functional JSON file")
     p.set_defaults(func=cmd_pair)
 
-    p = sub.add_parser("extremal", parents=[common, divisor_common],
+    p = sub.add_parser("extremal", parents=[common, biplane, threads, divisor_common],
                        help="certify extremality of an F-nef divisor by modular rank")
     p.add_argument("--prime", type=int, action="append",
                    help="modulus for the rank computation (repeatable)")
     p.set_defaults(func=cmd_extremal)
 
-    p = sub.add_parser("pullback", parents=[common, divisor_common],
+    p = sub.add_parser("pullback", parents=[common, biplane, threads, divisor_common],
                        help="pull a divisor back along the forgetful map to n+1 markings")
     p.add_argument("--out", metavar="FILE", help="write the pulled-back divisor here")
     p.add_argument("--scan", action="store_true", help="F-nef scan at n+1")

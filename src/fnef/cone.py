@@ -28,6 +28,7 @@ from .divisors import (
     biplane_block_star_divisor,
     biplane_divisor,
     canonical_divisor,
+    check_int64_sums,
     pullback_forgetful,
     reduce_canonical,
     relation_system,
@@ -235,11 +236,10 @@ def _complement(idx: np.ndarray, width: int) -> np.ndarray:
 class ModpEliminator:
     """Incremental Gaussian elimination over a prime field, in blocks.
 
-    The basis is kept in reduced row echelon form: each stored row has 1 at
-    its own pivot column and 0 at every other pivot column.  Rows arrive in
-    batches; a batch is cleared of the known pivot columns by a few sparse
-    gathers, eliminated among itself by recursive halving, and the new
-    pivots are cleared from the basis with one matrix product.
+    The basis is one reduced row echelon form in `_rref`'s shape (pivots, x),
+    rank x (ncols - rank) residues.  Rows arrive in batches; a batch is
+    cleared of the pivot columns by a few sparse gathers of basis rows and
+    joins the basis through `_stack`, the merge step that ends `_rref`.
 
     Every product of two residue matrices is exact in float64, as in
     FFLAS-FFPACK (Dumas, Giorgi, Pernet, "Dense linear algebra over
@@ -254,8 +254,10 @@ class ModpEliminator:
 
     `peeled` columns settled before the rows arrive (`_structural_peel`)
     count in `rank`; the dense basis covers only the `ncols` columns left,
-    so the rows fed must already be restricted to those.  A basis that
-    would not fit in physical memory is refused before it is allocated.
+    so the rows fed must already be restricted to those.  The basis and
+    its copies while a batch joins it hold at most 3 ncols^2/4 residues
+    besides the batch's rows; 8 ncols^2 bytes beyond physical memory is
+    refused up front.
     """
 
     MAX_COLUMNS = 1 << 17
@@ -274,8 +276,8 @@ class ModpEliminator:
         self.peeled = peeled
         self.rank = peeled
         self.rows_seen = 0
-        self._rows = np.zeros((ncols, ncols), dtype=np.int64)
-        self._pivot_row_of_col = np.full(ncols, -1, dtype=np.int64)
+        self._pivots = np.zeros(0, dtype=np.int64)
+        self._x = np.zeros((0, ncols), dtype=np.int64)
 
     def _mulsub(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """c = (c - a @ b) mod p in place, for residue matrices, exactly (see
@@ -324,54 +326,52 @@ class ModpEliminator:
         pivots, and x[i] at the remaining columns in increasing order.
 
         The top half is reduced first; the bottom half is cleared of its
-        pivots and reduced on the remaining columns; the top half's rows
-        are then cleared of the bottom half's pivots."""
+        pivots and joins it (`_stack`)."""
         if len(a) <= self.BASE_ROWS:
             return self._rref_rows(a)
         half = len(a) // 2
         piv1, x1 = self._rref(a[:half])
         rest1 = _complement(piv1, a.shape[1])
-        bottom = self._mulsub(a[half:, rest1], a[half:, piv1], x1)
-        piv2, x2 = self._rref(bottom[bottom.any(axis=1)])
+        return self._stack(piv1, x1, self._mulsub(a[half:, rest1], a[half:, piv1], x1))
+
+    def _stack(
+        self, piv1: np.ndarray, x1: np.ndarray, bottom: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The echelon form (piv1, x1) joined by the rows of `bottom`, which
+        are already 0 at piv1 and given on the other columns: they are
+        reduced on those (zero rows dropped), and x1 is cleared of their
+        pivots with one product."""
+        bottom = bottom[bottom.any(axis=1)]
+        if not len(bottom):
+            return piv1, x1
+        rest1 = _complement(piv1, len(piv1) + bottom.shape[1])
+        piv2, x2 = self._rref(bottom)
         rest2 = _complement(piv2, len(rest1))
         x1 = self._mulsub(x1[:, rest2], x1[:, piv2], x2)
         return np.concatenate([piv1, rest1[piv2]]), np.vstack([x1, x2])
 
-    def _reduce_batch(self, chunk: np.ndarray, free: np.ndarray) -> np.ndarray:
+    def _reduce_batch(self, chunk: np.ndarray) -> np.ndarray:
         """The batch's rows cleared of every pivot column, as residues on
-        the free columns; rows that vanish are dropped."""
-        rows, pivot_of = self._rows, self._pivot_row_of_col
-        at = np.full(self.ncols, -1, dtype=np.int64)
+        the free columns."""
+        pivots = self._pivots
+        free = _complement(pivots, self.ncols)
+        # a free column's position among the free ones; a pivot column's
+        # basis row i as ~i, so that negative means pivot
+        at = np.empty(self.ncols, dtype=np.int64)
         at[free] = np.arange(len(free))
+        at[pivots] = ~np.arange(len(pivots))
         dense = np.zeros((len(chunk), len(free)), dtype=np.int64)
         for k in range(chunk.shape[1]):
             row_k = np.flatnonzero(chunk[:, k] >= 0)
-            col_k = chunk[row_k, k]
-            on_pivot = pivot_of[col_k] >= 0
-            dense[row_k[~on_pivot], at[col_k[~on_pivot]]] += _ROW_PATTERN[k]
+            at_k = at[chunk[row_k, k]]
+            on_pivot = at_k < 0
+            dense[row_k[~on_pivot], at_k[~on_pivot]] += _ROW_PATTERN[k]
             if on_pivot.any():
                 # a pivot entry v = +-1 is cleared by v times its basis row,
                 # which is 0 at every other pivot; |entry| <= 7p < 2^63
-                basis = rows[np.ix_(pivot_of[col_k[on_pivot]], free)]
-                basis *= _ROW_PATTERN[k]
-                dense[row_k[on_pivot]] -= basis
+                dense[row_k[on_pivot]] -= _ROW_PATTERN[k] * self._x[~at_k[on_pivot]]
         dense %= self.p
-        return dense[dense.any(axis=1)]
-
-    def _extend(self, free: np.ndarray, pivots: np.ndarray, x: np.ndarray) -> None:
-        """Add the echelon rows (`_rref` form on the free columns) to the
-        basis, clearing their pivot columns from the stored rows."""
-        rows, rank, k = self._rows, self.rank - self.peeled, len(pivots)
-        new = free[pivots]
-        rest = free[_complement(pivots, len(free))]
-        if rank:
-            rows[:rank, rest] = self._mulsub(rows[:rank][:, rest], rows[:rank][:, new], x)
-            rows[:rank, new] = 0
-        added = rank + np.arange(k)
-        rows[added, new] = 1
-        rows[rank : rank + k, rest] = x
-        self._pivot_row_of_col[new] = added
-        self.rank += k
+        return dense
 
     def add_pattern_rows(
         self, col_rows: np.ndarray, batch: int = 512, stop_rank: Optional[int] = None
@@ -395,10 +395,8 @@ class ModpEliminator:
                 break
             chunk = np.asarray(col_rows[start : start + batch], dtype=np.int64)
             self.rows_seen += len(chunk)
-            free = np.flatnonzero(self._pivot_row_of_col < 0)
-            dense = self._reduce_batch(chunk, free)
-            if len(dense):
-                self._extend(free, *self._rref(dense))
+            self._pivots, self._x = self._stack(self._pivots, self._x, self._reduce_batch(chunk))
+            self.rank = self.peeled + len(self._pivots)
         return self.rank
 
 
@@ -473,16 +471,12 @@ def _check_orthogonal(
 ) -> None:
     """Exact int64 dot product of every row with the reduced coordinates;
     raises unless all vanish."""
-    width = len(_ROW_PATTERN)
-    if width * max(map(abs, reduced.values())) >= 1 << 63:
-        raise InvalidInputError(
-            "reduced coordinates too large for the int64 orthogonality check"
-        )
+    check_int64_sums(reduced.values(), len(_ROW_PATTERN), "orthogonality check")
     # one extra zero entry, so the -1 of a dropped pivot key reads 0
     coords = np.zeros(ncols + 1, dtype=np.int64)
     coords[free_index[list(reduced)]] = list(reduced.values())
     dots = np.zeros(len(col_rows), dtype=np.int64)
-    for k in range(width):
+    for k in range(len(_ROW_PATTERN)):
         dots += _ROW_PATTERN[k] * coords[col_rows[:, k]]
     if dots.any():
         raise AssertionError("zero-pairing row not orthogonal to the class")
@@ -565,8 +559,10 @@ def projection_formula_report(
     class against pushed-forward curves (contracted curves must pair 0).
 
     With samples=None the check is exhaustive over all curves at n+1;
-    otherwise that many random 4-block partitions are drawn.
+    otherwise that many random 4-block partitions are drawn, at least one.
     """
+    if samples is not None and samples < 1:
+        raise InvalidInputError(f"sample count must be positive, got {samples}")
     n = d.n
     lifted = pullback_forgetful(d)
     m = n + 1

@@ -186,9 +186,10 @@ class RelationSystem:
 
     Columns are the canonical key masks in ascending order.  The pivots are
     the C(n,2) keys of one or two markings, in ascending mask order, each
-    with pivot value 1; every other key F (|F| >= 3) is free.  `free_rows[k]`
-    is reduced row k at the free keys (`free_masks` order), and vanishes at
-    every other pivot:
+    with pivot value 1; every other key F (|F| >= 3) is free.  `pivot_masks`
+    and `free_masks` are the two key sets as ascending uint16 index arrays.
+    `free_rows[k]` is reduced row k at the free keys (`free_masks` order),
+    and vanishes at every other pivot:
 
     - row {i, j}: +1 at every free F holding i and j;
     - row {i}: -(|F| - 2) at every free F holding i.
@@ -214,8 +215,7 @@ class RelationSystem:
         size = np.bitwise_count(keys).astype(np.int64)
         pivots, free = keys[size <= 2], keys[size >= 3]
         self.rank = len(pivots)
-        self.pivot_masks = pivots.tolist()
-        self.free_masks = free.tolist()
+        self.pivot_masks, self.free_masks = pivots, free
         # free_index[mask] = position among free columns, -1 on pivots
         self.free_index = np.full(1 << (n - 1), -1, dtype=np.int64)
         self.free_index[free] = np.arange(len(free))
@@ -261,7 +261,7 @@ def reduce_canonical(d: DivisorClass) -> dict[int, int]:
     table = d.dense_table()
     coords = table[rs.free_masks] - table[rs.pivot_masks] @ rs.free_rows
     live = np.flatnonzero(coords)
-    return {rs.free_masks[k]: x for k, x in zip(live.tolist(), coords[live].tolist())}
+    return dict(zip(rs.free_masks[live].tolist(), coords[live].tolist()))
 
 
 def canonical_divisor(n: int) -> DivisorClass:

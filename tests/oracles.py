@@ -16,11 +16,12 @@ from fnef import (
     CurveFunctional,
     DivisorClass,
     FCurve,
-    fcurve_block_arrays,
-    pairing_values,
+    enumerate_fcurves,
+    pair_divisor_fcurve,
+    pair_generator_fcurve,
     relation_system,
 )
-from fnef.cone import _ROW_PATTERN, _free_col_rows
+from fnef.cone import _ROW_PATTERN
 from fnef.errors import InvalidInputError
 from fnef.subsets import full_mask, is_psi_key, psi_marking
 
@@ -52,7 +53,8 @@ def rank_exact(rows: Iterable[Sequence], ncols: int) -> int:
 
 
 def dense_rows(col_rows: np.ndarray, ncols: int) -> list[list[int]]:
-    """Curve rows of reduced coordinates as dense integer lists."""
+    """Pattern rows (`_ROW_PATTERN[k]` at column col_rows[i, k], none where
+    that is -1) as dense integer lists."""
     dense = []
     for row in col_rows:
         vec = [0] * ncols
@@ -63,13 +65,19 @@ def dense_rows(col_rows: np.ndarray, ncols: int) -> list[list[int]]:
     return dense
 
 
+def reduced_row(curve: FCurve) -> list[int]:
+    """The curve's pairing with the generator of every free key, which is
+    its row in reduced coordinates: the pivot keys are eliminated and a
+    curve pairs to zero with every relation."""
+    return [pair_generator_fcurve(f, curve) for f in relation_system(curve.n).free_masks.tolist()]
+
+
 def fcurve_matrix_rank_exact(n: int) -> int:
     """Exact rational rank of the full pairing matrix; small n only."""
     if n > 7:
         raise InvalidInputError("exact rank oracle is limited to n <= 7")
-    rs = relation_system(n)
-    col_rows = _free_col_rows(fcurve_block_arrays(n), rs.free_index)
-    return rank_exact(dense_rows(col_rows, rs.ambient_dim), rs.ambient_dim)
+    rows = [reduced_row(c) for c in enumerate_fcurves(n)]
+    return rank_exact(rows, relation_system(n).ambient_dim)
 
 
 def zero_set_dense_rows(d: DivisorClass) -> list[list[int]]:
@@ -77,11 +85,7 @@ def zero_set_dense_rows(d: DivisorClass) -> list[list[int]]:
     exact-arithmetic counterpart of the modular path, for small n."""
     if d.n > 7:
         raise InvalidInputError("dense zero-set rows are limited to n <= 7")
-    rs = relation_system(d.n)
-    blocks = fcurve_block_arrays(d.n)
-    values = pairing_values(d, blocks)
-    col_rows = _free_col_rows(blocks[values == 0], rs.free_index)
-    return dense_rows(col_rows, rs.ambient_dim)
+    return [reduced_row(c) for c in enumerate_fcurves(d.n) if pair_divisor_fcurve(d, c) == 0]
 
 
 def fcurve_functional(curve: FCurve) -> CurveFunctional:

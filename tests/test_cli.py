@@ -66,7 +66,15 @@ def test_verify_refuses_a_broken_block_file(tmp_path, capsys):
 
 
 def test_removed_options_are_refused(capsys):
-    for argv in (["verify", "--no-verify"], ["biplane", "--file", "blocks.txt"]):
+    for argv in (
+        ["verify", "--no-verify"],
+        ["biplane", "--file", "blocks.txt"],
+        # options that these subcommands would never read
+        ["fcurves", "count", "--n", "12", "--threads", "4"],
+        ["fcurves", "count", "--n", "12", "--biplane", "/nonexistent"],
+        ["biplane", "--threads", "2"],
+        ["pair", "--curve", "1,2,3|4,5,6|7,8,9|10,11,12", "--threads", "2"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -151,6 +159,12 @@ def test_fcurves_enumerate_limit_zero_prints_nothing(capsys):
 
 def test_fcurves_enumerate_refuses_negative_limit(capsys):
     code, out, err = run(capsys, "fcurves", "enumerate", "--n", "5", "--limit", "-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "-3" in err
+
+
+def test_pullback_refuses_a_negative_spot_check(capsys):
+    code, out, err = run(capsys, "pullback", "--spot-check", "-3")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "-3" in err
 

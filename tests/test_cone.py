@@ -12,6 +12,7 @@ from fnef import (
     DivisorClass,
     certify_not_boundary,
     check_relations,
+    eliminate_psi,
     enumerate_fcurves,
     extremality_rank,
     fcurve_block_arrays,
@@ -292,7 +293,7 @@ def test_modp_eliminator_rejects_bad_modulus():
 
 
 def test_modp_eliminator_refuses_inexact_sizes():
-    # refused before the ncols^2 basis is allocated
+    # refused before any basis is allocated
     with pytest.raises(InvalidInputError):
         ModpEliminator(ModpEliminator.MAX_COLUMNS, P1)
 
@@ -404,6 +405,15 @@ def test_scaled_extremal_divisor_is_still_certified():
     assert big.primitive() == d and DivisorClass.zero(6).primitive() == DivisorClass.zero(6)
 
 
+def test_pulled_back_biplane_divisor_is_extremal_at_n13(qr_divisor):
+    # the dense stage runs here on 1751 columns over many batches per prime
+    lifted = pullback_forgetful(eliminate_psi(qr_divisor))
+    rep = extremality_rank(lifted)
+    assert (rep.ambient_dim, rep.zero_set_size) == (4017, 583990)
+    assert rep.rank_mod_p == {P1: 4016, P2: 4016}
+    assert rep.certified_extremal
+
+
 def test_extremality_of_zero_divisor_not_certified():
     rep = extremality_rank(DivisorClass.zero(5), primes=(P1,))
     assert rep.zero_set_size == 10
@@ -429,6 +439,13 @@ def test_projection_formula_exhaustive_6_to_7():
         rep = projection_formula_report(d)
         assert rep.total == 350 == rep.contracted + (rep.total - rep.contracted)
         assert rep.mismatches == 0
+
+
+def test_projection_formula_refuses_no_samples():
+    # samples=None is the exhaustive check; a sample count must be positive
+    for samples in (0, -3):
+        with pytest.raises(InvalidInputError):
+            projection_formula_report(fnef_divisor_n6(), samples=samples)
 
 
 def test_projection_formula_via_pushforward_pairing():
