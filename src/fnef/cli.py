@@ -3,8 +3,8 @@
 Every JSON report embeds a run manifest (command line, input digests,
 library version, primes, per-phase wall clock).  Exit codes: 0 verified or
 certified, 1 verification failed or inconclusive, 2 malformed input.
-Reports are byte-identical across runs and thread counts, apart from the
-manifest timing fields.
+Reports are byte-identical from run to run, apart from the manifest timing
+fields.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -42,6 +43,7 @@ from .divisors import (
     divisor_to_json_dict,
     divisor_to_text,
     eliminate_psi,
+    is_json_text,
     load_divisor,
     pullback_forgetful,
     reduce_canonical,
@@ -78,21 +80,18 @@ class Manifest:
     primes: list[int] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
-    def record_input(self, path: str) -> None:
+    def record_input(self, path: str) -> bytes:
+        """Digest the file at `path`; return its contents."""
         with open(path, "rb") as fh:
-            self.inputs[path] = hashlib.sha256(fh.read()).hexdigest()
+            data = fh.read()
+        self.inputs[path] = hashlib.sha256(data).hexdigest()
+        return data
 
+    @contextmanager
     def phase(self, name: str):
-        manifest = self
-
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                manifest.timings[name] = round(time.perf_counter() - self.t0, 6)
-
-        return _Timer()
+        t0 = time.perf_counter()
+        yield
+        self.timings[name] = round(time.perf_counter() - t0, 6)
 
     def to_dict(self) -> dict:
         return {
@@ -128,9 +127,13 @@ def _load_biplane_arg(args, manifest: Manifest) -> Biplane:
 
 
 def _load_divisor_arg(args, manifest: Manifest) -> DivisorClass:
+    n = 12 if args.n is None else args.n
     if getattr(args, "divisor", None):
-        manifest.record_input(args.divisor)
-        return load_divisor(args.divisor, n=args.n)
+        data = manifest.record_input(args.divisor)
+        # a JSON file declares its own marking count, checked against --n if given
+        if args.n is None and is_json_text(data.decode("utf-8", errors="replace")):
+            n = None
+        return load_divisor(args.divisor, n=n)
     named = getattr(args, "named", None) or "biplane"
     if named == "biplane":
         return biplane_divisor(_load_biplane_arg(args, manifest))
@@ -139,12 +142,11 @@ def _load_divisor_arg(args, manifest: Manifest) -> DivisorClass:
     if named == "block-star":
         return biplane_block_star_divisor(_load_biplane_arg(args, manifest))
     if named == "canonical":
-        return canonical_divisor(args.n)
+        return canonical_divisor(n)
     raise InvalidInputError(f"unknown named divisor {named!r}")
 
 
-def cmd_biplane(args) -> int:
-    manifest = Manifest(command=sys.argv[1:])
+def cmd_biplane(args, manifest: Manifest) -> int:
     with manifest.phase("verify"):
         bp = _load_biplane_arg(args, manifest)
         report = verify_biplane(bp)
@@ -172,11 +174,10 @@ def cmd_biplane(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    manifest = Manifest(command=sys.argv[1:])
+def cmd_verify(args, manifest: Manifest) -> int:
     bp = _load_biplane_arg(args, manifest)
     with manifest.phase("verify"):
-        rep = verify_counterexample(bp, threads=args.threads)
+        rep = verify_counterexample(bp)
     cert = rep.certificate
     if args.json:
         _emit_json(
@@ -212,8 +213,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep.verified else EXIT_FAILED
 
 
-def cmd_fcurves(args) -> int:
-    manifest = Manifest(command=sys.argv[1:])
+def cmd_fcurves(args, manifest: Manifest) -> int:
     validate_n(args.n)
     if args.action == "count":
         with manifest.phase("count"):
@@ -230,8 +230,7 @@ def cmd_fcurves(args) -> int:
     return EXIT_OK
 
 
-def cmd_pair(args) -> int:
-    manifest = Manifest(command=sys.argv[1:])
+def cmd_pair(args, manifest: Manifest) -> int:
     div = _load_divisor_arg(args, manifest)
     with manifest.phase("pair"):
         if args.curve:
@@ -250,8 +249,7 @@ def cmd_pair(args) -> int:
     return EXIT_OK
 
 
-def cmd_extremal(args) -> int:
-    manifest = Manifest(command=sys.argv[1:])
+def cmd_extremal(args, manifest: Manifest) -> int:
     primes = args.prime or list(DEFAULT_PRIMES)
     manifest.primes = list(primes)
     for p in primes:
@@ -268,7 +266,7 @@ def cmd_extremal(args) -> int:
     # reduces, would leave int64
     reduce_canonical(div.primitive())
     with manifest.phase("fnef_scan"):
-        fnef = fnef_check(div, threads=args.threads)
+        fnef = fnef_check(div)
     if not fnef.nonnegative:
         if args.json:
             _emit_json({"fnef": _fnef_dict(fnef), "certified_extremal": False}, manifest)
@@ -295,8 +293,7 @@ def cmd_extremal(args) -> int:
     return EXIT_OK if rep.certified_extremal else EXIT_FAILED
 
 
-def cmd_pullback(args) -> int:
-    manifest = Manifest(command=sys.argv[1:])
+def cmd_pullback(args, manifest: Manifest) -> int:
     div = _load_divisor_arg(args, manifest)
     with manifest.phase("eliminate_psi"):
         boundary_form = eliminate_psi(div)
@@ -305,7 +302,7 @@ def cmd_pullback(args) -> int:
     scan = None
     if args.scan:
         with manifest.phase("scan"):
-            scan = fnef_check(lifted, threads=args.threads)
+            scan = fnef_check(lifted)
     spot = None
     if args.spot_check:
         with manifest.phase("spot_check"):
@@ -346,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     biplane = argparse.ArgumentParser(add_help=False)
     biplane.add_argument("--biplane", metavar="FILE",
                          help="biplane block file (its design axioms are checked)")
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1,
-                         help="worker count for scan phases (does not change results)")
+    one_thread = argparse.ArgumentParser(add_help=False)
+    one_thread.add_argument("--threads", type=int, choices=[1],
+                            help="the scan runs on one thread; only 1 is accepted")
 
     divisor_common = argparse.ArgumentParser(add_help=False)
     divisor_common.add_argument("--divisor", metavar="FILE",
@@ -356,8 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     divisor_common.add_argument("--named",
                                 choices=["biplane", "symmetric", "block-star", "canonical"],
                                 help="use a built-in divisor instead of a file")
-    divisor_common.add_argument("--n", type=int, default=12,
-                                help="marking count for text divisor files (default 12)")
+    divisor_common.add_argument("--n", type=int,
+                                help="marking count for text divisor files and --named "
+                                     "canonical (default 12); a JSON divisor file "
+                                     "declares its own, which must match --n if given")
 
     parser = argparse.ArgumentParser(
         prog="fnef",
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="construct/verify the biplane and count its symmetries")
     p.set_defaults(func=cmd_biplane)
 
-    p = sub.add_parser("verify", parents=[common, biplane, threads],
+    p = sub.add_parser("verify", parents=[common, biplane, one_thread],
                        help="run the full counterexample verification at n=12")
     p.set_defaults(func=cmd_verify)
 
@@ -388,13 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional", metavar="FILE", help="curve functional JSON file")
     p.set_defaults(func=cmd_pair)
 
-    p = sub.add_parser("extremal", parents=[common, biplane, threads, divisor_common],
+    p = sub.add_parser("extremal", parents=[common, biplane, one_thread, divisor_common],
                        help="certify extremality of an F-nef divisor by modular rank")
     p.add_argument("--prime", type=int, action="append",
                    help="modulus for the rank computation (repeatable)")
     p.set_defaults(func=cmd_extremal)
 
-    p = sub.add_parser("pullback", parents=[common, biplane, threads, divisor_common],
+    p = sub.add_parser("pullback", parents=[common, biplane, one_thread, divisor_common],
                        help="pull a divisor back along the forgetful map to n+1 markings")
     p.add_argument("--out", metavar="FILE", help="write the pulled-back divisor here")
     p.add_argument("--scan", action="store_true", help="F-nef scan at n+1")
@@ -406,10 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, Manifest(command=argv))
     except (MalformedInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

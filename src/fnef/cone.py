@@ -132,9 +132,12 @@ def _argmin_curve(n: int, blocks: np.ndarray, idx: int) -> FCurve:
 
 def fnef_check(d: DivisorClass, threads: int = 1) -> FNefReport:
     """Scan every F-curve once; report the exact minimum pairing, the first
-    curve attaining it, and the number of zero pairings."""
+    curve attaining it, and the number of zero pairings.  The scan runs on
+    one thread; `threads` accepts only 1."""
+    if threads != 1:
+        raise InvalidInputError(f"the scan runs on one thread, got threads={threads}")
     blocks = fcurve_block_arrays(d.n)
-    values = pairing_values(d, blocks, threads=threads)
+    values = pairing_values(d, blocks)
     idx = int(values.argmin())
     mn = int(values[idx])
     zero = values == 0
@@ -148,7 +151,7 @@ def fnef_check(d: DivisorClass, threads: int = 1) -> FNefReport:
     )
 
 
-def verify_counterexample(bp: Biplane, threads: int = 1) -> CounterexampleReport:
+def verify_counterexample(bp: Biplane) -> CounterexampleReport:
     """Run the four-part check on the biplane divisor and its witness
     functional; the verdict requires F-nefness, nonnegative boundary
     values, nonnegative canonical pairing, and a negative divisor pairing.
@@ -156,13 +159,13 @@ def verify_counterexample(bp: Biplane, threads: int = 1) -> CounterexampleReport
     sides pair identically with every F-curve iff their difference pairs
     to zero, and one scan of the difference decides it."""
     div = biplane_divisor(bp)
-    fnef = fnef_check(div, threads=threads)
+    fnef = fnef_check(div)
     cert = certify_not_boundary(div, biplane_curve_functional(bp))
     decomposition = symmetric_divisor(12) - biplane_block_star_divisor(bp)
     decomposition_equal = (
         div == decomposition
         and reduce_canonical(div) == reduce_canonical(decomposition)
-        and not pairing_values(div - decomposition, threads=threads).any()
+        and not pairing_values(div - decomposition).any()
     )
     return CounterexampleReport(
         fnef=fnef,

@@ -450,12 +450,16 @@ def divisor_from_json_dict(obj: dict) -> DivisorClass:
         raise MalformedInputError(f"bad divisor object: {exc!r}") from None
 
 
+def is_json_text(text: str) -> bool:
+    """Whether a divisor file's text is JSON: its first non-space is '{'."""
+    return text.lstrip().startswith("{")
+
+
 def load_divisor(path: str, n: int | None = None) -> DivisorClass:
-    """Load a divisor from a JSON or text file (sniffed by leading '{')."""
+    """Load a divisor from a JSON or text file (see `is_json_text`)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if is_json_text(text):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -10,7 +10,6 @@ when those values vanish on all pair relations.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -169,12 +168,22 @@ def scan_table(d: DivisorClass) -> np.ndarray:
 _SCAN_ROWS = 16384
 
 
-def _pair_slices(table: np.ndarray, blocks: np.ndarray, out: np.ndarray, starts) -> None:
-    """out[s:s+_SCAN_ROWS] = pairings of blocks[s:s+_SCAN_ROWS], for each s
-    in starts, through one index buffer and one value buffer."""
+def pair_blocks(table: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The pairing with every row of `blocks`, for the divisor whose
+    `scan_table` is `table`: the three unions with block 0 count
+    positively, the four blocks negatively.
+
+    Rows are 4-block partitions of the divisor's markings, as int32 or int64
+    masks.  Every mask must lie below 2^n: np.take's "wrap" mode, which
+    takes a third less time than its checked default, does not check it.
+    The rows are taken in slices of `_SCAN_ROWS`, each summed in place in
+    its part of the result through one index buffer and one value buffer,
+    so the temporaries stay two slice-length buffers at every n.
+    """
+    out = np.empty(len(blocks), dtype=np.int64)
     idx = np.empty(_SCAN_ROWS, dtype=np.intp)
     val = np.empty(_SCAN_ROWS, dtype=np.int64)
-    for s in starts:
+    for s in range(0, len(blocks), _SCAN_ROWS):
         rows = blocks[s : s + _SCAN_ROWS]
         k = len(rows)
         acc, ix, v = out[s : s + k], idx[:k], val[:k]
@@ -188,47 +197,15 @@ def _pair_slices(table: np.ndarray, blocks: np.ndarray, out: np.ndarray, starts)
             ix[...] = rows[:, j]
             np.take(table, ix, out=v, mode="wrap")
             acc -= v
-
-
-def pair_blocks(table: np.ndarray, blocks: np.ndarray, threads: int = 1) -> np.ndarray:
-    """The pairing with every row of `blocks`, for the divisor whose
-    `scan_table` is `table`: the three unions with block 0 count
-    positively, the four blocks negatively.
-
-    Rows are 4-block partitions of the divisor's markings, as int32 or int64
-    masks.  Every mask must lie below 2^n: np.take's "wrap" mode, which
-    takes a third less time than its checked default, does not check it.
-    The rows are taken in fixed slices of `_SCAN_ROWS`, each written into
-    its own part of the result, so the temporaries stay two slice-length
-    buffers per worker, and `threads` workers, which share the slices round
-    robin, give the same result as one.
-    """
-    out = np.empty(len(blocks), dtype=np.int64)
-    starts = range(0, len(blocks), _SCAN_ROWS)
-    workers = min(threads, len(starts))
-    if workers <= 1:
-        _pair_slices(table, blocks, out, starts)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(
-                pool.map(
-                    lambda w: _pair_slices(table, blocks, out, starts[w::workers]),
-                    range(workers),
-                )
-            )
     return out
 
 
-def pairing_values(
-    d: DivisorClass,
-    blocks: Optional[np.ndarray] = None,
-    threads: int = 1,
-) -> np.ndarray:
+def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.ndarray:
     """Pairings of a divisor with every F-curve, in enumeration order:
     `pair_blocks` over `fcurve_block_arrays(d.n)` (or `blocks`, its rows)."""
     if blocks is None:
         blocks = fcurve_block_arrays(d.n)
-    return pair_blocks(scan_table(d), blocks, threads)
+    return pair_blocks(scan_table(d), blocks)
 
 
 def functional_to_json_dict(f: CurveFunctional) -> dict:

@@ -11,8 +11,14 @@ from fnef import __version__, biplane_divisor, build_biplane_qr, divisor_to_json
 from fnef.biplane import format_biplane
 from fnef.cli import main
 from fnef.divisors import divisor_to_text, pullback_forgetful
-from fnef.pairing import biplane_curve_functional, functional_to_json_dict
-from fnef.subsets import all_generator_keys, format_subset, is_psi_key, mask_from_elements
+from fnef.pairing import biplane_curve_functional, functional_to_json_dict, pair_divisor_fcurve
+from fnef.subsets import (
+    all_generator_keys,
+    format_subset,
+    is_psi_key,
+    mask_from_elements,
+    parse_fcurve,
+)
 
 
 def run(capsys, *argv):
@@ -74,6 +80,12 @@ def test_removed_options_are_refused(capsys):
         ["fcurves", "count", "--n", "12", "--biplane", "/nonexistent"],
         ["biplane", "--threads", "2"],
         ["pair", "--curve", "1,2,3|4,5,6|7,8,9|10,11,12", "--threads", "2"],
+        # the scan runs on one thread; --threads accepts only 1
+        *(
+            [cmd, "--threads", count]
+            for cmd in ("verify", "extremal", "pullback")
+            for count in ("0", "-2", "2")
+        ),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -132,7 +144,7 @@ def test_verify_text(capsys):
 
 def test_verify_reports_are_reproducible(capsys):
     def stripped():
-        code, out, _ = run(capsys, "verify", "--json", "--threads", "2")
+        code, out, _ = run(capsys, "verify", "--json")
         assert code == 0
         payload = json.loads(out)
         payload["manifest"].pop("timings")
@@ -141,6 +153,17 @@ def test_verify_reports_are_reproducible(capsys):
     first = stripped()
     second = stripped()
     assert first == second
+
+
+def test_manifest_records_the_argv_main_was_given(monkeypatch, capsys):
+    argv = ["fcurves", "count", "--n", "5", "--json"]
+    monkeypatch.setattr("sys.argv", ["driver", "--unrelated", "x"])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["manifest"]["command"] == argv
+    # without an argv, main reads the process's own
+    monkeypatch.setattr("sys.argv", ["fnef", *argv])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["command"] == argv
 
 
 def test_fcurves_count_and_enumerate(capsys):
@@ -185,6 +208,30 @@ def test_pair_divisor_file_with_witness(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["value"] == -1
     assert str(path) in payload["manifest"]["inputs"]
+
+
+def test_json_divisor_files_carry_their_own_marking_count(tmp_path, capsys):
+    d = pullback_forgetful(DivisorClass(5, {0b00011: 1}))
+    jpath = tmp_path / "d6.json"
+    jpath.write_text(json.dumps(divisor_to_json_dict(d)))
+    curve = ["--curve", "1,2|3|4|5,6"]
+    value = f"{pair_divisor_fcurve(d, parse_fcurve(curve[1], 6))}\n"
+    code, out, _ = run(capsys, "pair", "--divisor", str(jpath), *curve)
+    assert (code, out) == (0, value)
+    code, out, _ = run(capsys, "pair", "--divisor", str(jpath), "--n", "6", *curve)
+    assert (code, out) == (0, value)
+    # an explicit --n must agree with the file's declared count
+    code, out, err = run(capsys, "pair", "--divisor", str(jpath), "--n", "7", *curve)
+    assert (code, out) == (2, "")
+    assert "declares n=6, expected n=7" in err
+    # a text file carries no count: --n, or 12 by default
+    tpath = tmp_path / "d6.txt"
+    tpath.write_text(divisor_to_text(d))
+    code, out, _ = run(capsys, "pair", "--divisor", str(tpath), "--n", "6", *curve)
+    assert (code, out) == (0, value)
+    code, out, err = run(capsys, "pair", "--divisor", str(tpath), *curve)
+    assert (code, out) == (2, "")
+    assert "must partition 1..12" in err
 
 
 def test_pair_refuses_a_fractional_divisor_coefficient(tmp_path, capsys):

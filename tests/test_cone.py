@@ -77,10 +77,11 @@ def test_argmin_is_first_minimizer_in_enumeration_order():
     assert rep.argmin == next(enumerate_fcurves(6))
 
 
-def test_scan_reports_match_across_threads(qr_divisor):
-    a = fnef_check(qr_divisor, threads=1)
-    b = fnef_check(qr_divisor, threads=3)
-    assert a == b
+def test_scan_accepts_one_thread_only(qr_divisor):
+    assert fnef_check(qr_divisor, threads=1) == fnef_check(qr_divisor)
+    for threads in (0, -2, 3):
+        with pytest.raises(InvalidInputError):
+            fnef_check(qr_divisor, threads=threads)
 
 
 def test_counterexample_report(qr_biplane):

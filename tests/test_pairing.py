@@ -227,12 +227,10 @@ def test_sliced_scan_matches_per_curve_oracle(n, rows, monkeypatch):
         expected = np.array([pair_divisor_fcurve(d, c) for c in curves])
         for dtype in (np.int32, np.int64):
             arr = blocks.astype(dtype)
-            for threads in (1, 3):
-                assert np.array_equal(pairing_values(d, arr, threads=threads), expected)
-                part = pairing_values(d, arr[:cut], threads=threads)
-                assert np.array_equal(part, expected[:cut])
-                empty = pairing_values(d, arr[:0], threads=threads)
-                assert empty.dtype == np.int64 and empty.shape == (0,)
+            assert np.array_equal(pairing_values(d, arr), expected)
+            assert np.array_equal(pairing_values(d, arr[:cut]), expected[:cut])
+            empty = pairing_values(d, arr[:0])
+            assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 def test_scan_temporaries_stay_bounded(qr_divisor):
@@ -320,12 +318,6 @@ def test_vectorized_scan_matches_per_curve(qr_divisor):
         row = blocks[idx]
         c = FCurve(12, tuple(int(x) for x in row))
         assert values[idx] == pair_divisor_fcurve(qr_divisor, c)
-
-
-def test_scan_thread_count_does_not_change_values(qr_divisor):
-    single = pairing_values(qr_divisor, threads=1)
-    multi = pairing_values(qr_divisor, threads=4)
-    assert np.array_equal(single, multi)
 
 
 def test_mismatched_marking_counts_rejected(qr_witness):
