@@ -9,7 +9,6 @@ from .biplane import (
     automorphism_group_order,
     automorphisms,
     build_biplane_qr,
-    load_biplane,
     parse_biplane,
     verify_biplane,
 )
@@ -36,7 +35,7 @@ from .divisors import (
     divisor_to_json_dict,
     divisor_to_text,
     eliminate_psi,
-    load_divisor,
+    parse_divisor,
     pullback_forgetful,
     reduce_canonical,
     relation_row,
@@ -58,7 +57,6 @@ from .pairing import (
     check_relations,
     functional_from_json_dict,
     functional_to_json_dict,
-    load_functional,
     pair_divisor_fcurve,
     pair_divisor_functional,
     pair_generator_fcurve,

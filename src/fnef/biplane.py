@@ -191,10 +191,3 @@ def parse_biplane(text: str) -> Biplane:
         blocks.append(mask)
     return Biplane(tuple(blocks))
 
-
-def load_biplane(path: str) -> Biplane:
-    """Parse a block file and check the design axioms (verify_biplane)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        bp = parse_biplane(fh.read())
-    verify_biplane(bp)
-    return bp

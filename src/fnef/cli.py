@@ -1,7 +1,10 @@
 """Command-line front-end: biplane / verify / fcurves / pair / extremal / pullback.
 
-Every JSON report embeds a run manifest (command line, input digests,
-library version, primes, per-phase wall clock).  Exit codes: 0 verified or
+Input files (biplane blocks, divisors, curve functionals) are opened here
+and nowhere else: each is read once, its bytes digested into the manifest,
+decoded as strict UTF-8 and parsed by the library from that text.  Every
+JSON report embeds a run manifest (command line, input digests, library
+version, primes, per-phase wall clock).  Exit codes: 0 verified or
 certified, 1 verification failed or inconclusive, 2 malformed input.
 Reports are byte-identical from run to run, apart from the manifest timing
 fields.
@@ -24,7 +27,7 @@ from .biplane import (
     build_biplane_qr,
     automorphism_group_order,
     format_biplane,
-    load_biplane,
+    parse_biplane,
     verify_biplane,
 )
 from .cone import (
@@ -43,8 +46,7 @@ from .divisors import (
     divisor_to_json_dict,
     divisor_to_text,
     eliminate_psi,
-    is_json_text,
-    load_divisor,
+    parse_divisor,
     pullback_forgetful,
     reduce_canonical,
     symmetric_divisor,
@@ -57,7 +59,7 @@ from .errors import (
 )
 from .pairing import (
     biplane_curve_functional,
-    load_functional,
+    functional_from_json_dict,
     pair_divisor_fcurve,
     pair_divisor_functional,
 )
@@ -79,13 +81,6 @@ class Manifest:
     inputs: dict[str, str] = field(default_factory=dict)
     primes: list[int] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
-
-    def record_input(self, path: str) -> bytes:
-        """Digest the file at `path`; return its contents."""
-        with open(path, "rb") as fh:
-            data = fh.read()
-        self.inputs[path] = hashlib.sha256(data).hexdigest()
-        return data
 
     @contextmanager
     def phase(self, name: str):
@@ -119,31 +114,44 @@ def _fnef_dict(rep) -> dict:
     }
 
 
+def _read_input(path: str, manifest: Manifest, parse):
+    """Read the file at `path` once and return `parse` of its text.
+
+    The sha256 of its bytes goes into the manifest; the bytes are decoded
+    as strict UTF-8.  Every parse error is raised again naming the file.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    manifest.inputs[path] = hashlib.sha256(data).hexdigest()
+    try:
+        return parse(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise MalformedInputError(f"{path} is not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"{path}: bad JSON: {exc}") from None
+    except MalformedInputError as exc:
+        raise MalformedInputError(f"{path}: {exc}") from None
+
+
 def _load_biplane_arg(args, manifest: Manifest) -> Biplane:
-    if args.biplane:
-        manifest.record_input(args.biplane)
-        return load_biplane(args.biplane)
-    return build_biplane_qr()
+    if not args.biplane:
+        return build_biplane_qr()
+    bp = _read_input(args.biplane, manifest, parse_biplane)
+    verify_biplane(bp)
+    return bp
 
 
-def _load_divisor_arg(args, manifest: Manifest) -> DivisorClass:
-    n = 12 if args.n is None else args.n
-    if getattr(args, "divisor", None):
-        data = manifest.record_input(args.divisor)
-        # a JSON file declares its own marking count, checked against --n if given
-        if args.n is None and is_json_text(data.decode("utf-8", errors="replace")):
-            n = None
-        return load_divisor(args.divisor, n=n)
-    named = getattr(args, "named", None) or "biplane"
-    if named == "biplane":
-        return biplane_divisor(_load_biplane_arg(args, manifest))
+def _load_divisor_arg(args, manifest: Manifest, bp: Biplane) -> DivisorClass:
+    if args.divisor:
+        return _read_input(args.divisor, manifest, lambda text: parse_divisor(text, args.n))
+    named = args.named or "biplane"
+    if named == "canonical":
+        return canonical_divisor(12 if args.n is None else args.n)
+    if args.n not in (None, 12):
+        raise InvalidInputError(f"the {named} divisor has 12 markings, got --n {args.n}")
     if named == "symmetric":
         return symmetric_divisor(12)
-    if named == "block-star":
-        return biplane_block_star_divisor(_load_biplane_arg(args, manifest))
-    if named == "canonical":
-        return canonical_divisor(n)
-    raise InvalidInputError(f"unknown named divisor {named!r}")
+    return biplane_divisor(bp) if named == "biplane" else biplane_block_star_divisor(bp)
 
 
 def cmd_biplane(args, manifest: Manifest) -> int:
@@ -231,17 +239,18 @@ def cmd_fcurves(args, manifest: Manifest) -> int:
 
 
 def cmd_pair(args, manifest: Manifest) -> int:
-    div = _load_divisor_arg(args, manifest)
+    bp = _load_biplane_arg(args, manifest)
+    div = _load_divisor_arg(args, manifest, bp)
     with manifest.phase("pair"):
         if args.curve:
             value = pair_divisor_fcurve(div, parse_fcurve(args.curve, div.n))
         elif args.functional:
-            manifest.record_input(args.functional)
-            value = pair_divisor_functional(div, load_functional(args.functional))
-        else:  # the biplane witness functional
-            value = pair_divisor_functional(
-                div, biplane_curve_functional(_load_biplane_arg(args, manifest))
+            functional = _read_input(
+                args.functional, manifest, lambda text: functional_from_json_dict(json.loads(text))
             )
+            value = pair_divisor_functional(div, functional)
+        else:  # the biplane witness functional
+            value = pair_divisor_functional(div, biplane_curve_functional(bp))
     if args.json:
         _emit_json({"n": div.n, "value": value}, manifest)
     else:
@@ -261,7 +270,7 @@ def cmd_extremal(args, manifest: Manifest) -> int:
                 f"(the certificate stays sound, rank can only drop)",
                 file=sys.stderr,
             )
-    div = _load_divisor_arg(args, manifest)
+    div = _load_divisor_arg(args, manifest, _load_biplane_arg(args, manifest))
     # refuse before the scan a class whose primitive part, which the rank
     # reduces, would leave int64
     reduce_canonical(div.primitive())
@@ -294,7 +303,7 @@ def cmd_extremal(args, manifest: Manifest) -> int:
 
 
 def cmd_pullback(args, manifest: Manifest) -> int:
-    div = _load_divisor_arg(args, manifest)
+    div = _load_divisor_arg(args, manifest, _load_biplane_arg(args, manifest))
     with manifest.phase("eliminate_psi"):
         boundary_form = eliminate_psi(div)
     with manifest.phase("pullback"):
@@ -348,15 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
                             help="the scan runs on one thread; only 1 is accepted")
 
     divisor_common = argparse.ArgumentParser(add_help=False)
-    divisor_common.add_argument("--divisor", metavar="FILE",
-                                help="divisor file (JSON or '<coeff> <subset>' lines)")
-    divisor_common.add_argument("--named",
-                                choices=["biplane", "symmetric", "block-star", "canonical"],
-                                help="use a built-in divisor instead of a file")
+    source = divisor_common.add_mutually_exclusive_group()
+    source.add_argument("--divisor", metavar="FILE",
+                        help="divisor file (JSON or '<coeff> <subset>' lines)")
+    source.add_argument("--named",
+                        choices=["biplane", "symmetric", "block-star", "canonical"],
+                        help="use a built-in divisor instead of a file (default biplane)")
     divisor_common.add_argument("--n", type=int,
                                 help="marking count for text divisor files and --named "
                                      "canonical (default 12); a JSON divisor file "
-                                     "declares its own, which must match --n if given")
+                                     "declares its own, which must match --n if given; "
+                                     "the other named divisors are at 12")
 
     parser = argparse.ArgumentParser(
         prog="fnef",
@@ -383,8 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pair", parents=[common, biplane, divisor_common],
                        help="pair a divisor with an F-curve or a curve functional")
-    p.add_argument("--curve", metavar="BLOCKS", help="F-curve like '1|2|3|4,5,...'")
-    p.add_argument("--functional", metavar="FILE", help="curve functional JSON file")
+    curve = p.add_mutually_exclusive_group()
+    curve.add_argument("--curve", metavar="BLOCKS", help="F-curve like '1|2|3|4,5,...'")
+    curve.add_argument("--functional", metavar="FILE", help="curve functional JSON file")
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("extremal", parents=[common, biplane, one_thread, divisor_common],

@@ -450,28 +450,19 @@ def divisor_from_json_dict(obj: dict) -> DivisorClass:
         raise MalformedInputError(f"bad divisor object: {exc!r}") from None
 
 
-def is_json_text(text: str) -> bool:
-    """Whether a divisor file's text is JSON: its first non-space is '{'."""
-    return text.lstrip().startswith("{")
+def parse_divisor(text: str, n: int | None = None) -> DivisorClass:
+    """A divisor from the text of a divisor file.
 
-
-def load_divisor(path: str, n: int | None = None) -> DivisorClass:
-    """Load a divisor from a JSON or text file (see `is_json_text`)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if is_json_text(text):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedInputError(f"bad JSON in {path}: {exc}") from None
-        d = divisor_from_json_dict(obj)
-        if n is not None and d.n != n:
-            raise MalformedInputError(
-                f"{path} declares n={d.n}, expected n={n}"
-            )
-        return d
-    if n is None:
-        raise MalformedInputError(
-            f"{path} is in text format, which carries no marking count; pass n"
-        )
-    return divisor_from_text(text, n)
+    JSON (first non-space '{') declares its own marking count, which must
+    equal `n` if given; '<coeff> <subset>' lines are at `n` markings, 12 if
+    `n` is None.
+    """
+    if not text.lstrip().startswith("{"):
+        return divisor_from_text(text, 12 if n is None else n)
+    try:
+        d = divisor_from_json_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"bad JSON: {exc}") from None
+    if n is not None and d.n != n:
+        raise MalformedInputError(f"divisor declares n={d.n}, expected n={n}")
+    return d

@@ -9,7 +9,6 @@ when those values vanish on all pair relations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -233,11 +232,3 @@ def functional_from_json_dict(obj: dict) -> CurveFunctional:
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad functional object: {exc!r}") from None
 
-
-def load_functional(path: str) -> CurveFunctional:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedInputError(f"bad JSON in {path}: {exc}") from None
-    return functional_from_json_dict(obj)

@@ -12,7 +12,7 @@ from fnef import (
     parse_biplane,
     verify_biplane,
 )
-from fnef.biplane import format_biplane, load_biplane
+from fnef.biplane import format_biplane
 from fnef.errors import MalformedDesignError, VerificationFailedError
 from fnef.subsets import elements_from_mask, mask_from_elements
 
@@ -90,24 +90,22 @@ def test_relabeled_biplane_still_has_order_660(qr_biplane):
     assert automorphism_group_order(moved) == 660
 
 
-def test_file_round_trip(tmp_path, qr_biplane):
-    path = tmp_path / "blocks.txt"
-    path.write_text(format_biplane(qr_biplane))
-    loaded = load_biplane(str(path))
+def test_file_round_trip(qr_biplane):
+    loaded = parse_biplane(format_biplane(qr_biplane))
+    verify_biplane(loaded)
     assert loaded == qr_biplane
 
 
-def test_loader_verification_toggle(tmp_path, qr_biplane):
+def test_loader_verification_toggle(qr_biplane):
     blocks = list(qr_biplane.block_elements())
     blocks[0] = (1, 2, 3, 4, 5)
     text = "\n".join(" ".join(map(str, b)) for b in blocks) + "\n"
-    path = tmp_path / "broken.txt"
-    path.write_text(text)
-    # the loader always checks the axioms; the parser alone does not
-    with pytest.raises(VerificationFailedError):
-        load_biplane(str(path))
+    # the parser alone does not check the axioms; verify_biplane, which the
+    # CLI runs on every block file, does
     bad = parse_biplane(text)
     assert len(bad.blocks) == 11
+    with pytest.raises(VerificationFailedError):
+        verify_biplane(bad)
 
 
 def test_parse_rejects_garbage():

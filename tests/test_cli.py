@@ -1,5 +1,7 @@
 """Exit codes, JSON output, and determinism of the command-line front-end."""
 
+import builtins
+import hashlib
 import json
 
 import pytest
@@ -10,7 +12,14 @@ import fnef.subsets
 from fnef import __version__, biplane_divisor, build_biplane_qr, divisor_to_json_dict, DivisorClass
 from fnef.biplane import format_biplane
 from fnef.cli import main
-from fnef.divisors import divisor_to_text, pullback_forgetful
+from fnef.cone import DEFAULT_PRIMES, extremality_rank, fnef_check
+from fnef.divisors import (
+    biplane_block_star_divisor,
+    canonical_divisor,
+    divisor_to_text,
+    eliminate_psi,
+    pullback_forgetful,
+)
 from fnef.pairing import biplane_curve_functional, functional_to_json_dict, pair_divisor_fcurve
 from fnef.subsets import (
     all_generator_keys,
@@ -86,11 +95,111 @@ def test_removed_options_are_refused(capsys):
             for cmd in ("verify", "extremal", "pullback")
             for count in ("0", "-2", "2")
         ),
+        # one divisor source and one curve source per run
+        ["pair", "--divisor", "d.txt", "--named", "symmetric"],
+        ["extremal", "--named", "canonical", "--divisor", "d.txt"],
+        ["pullback", "--divisor", "d.txt", "--named", "biplane"],
+        ["pair", "--curve", "1,2,3|4,5,6|7,8,9|10,11,12", "--functional", "f.json"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+def test_named_divisors_at_12_markings_refuse_another_n(capsys):
+    # only the canonical divisor takes a marking count; the others, the
+    # default biplane divisor among them, have 12
+    curve = "1,2,3|4,5,6|7,8,9|10,11,12"
+    for named in (["--named", "biplane"], ["--named", "symmetric"],
+                  ["--named", "block-star"], []):
+        code, out, err = run(capsys, "pair", *named, "--n", "7", "--curve", curve)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "12 markings, got --n 7" in err
+        code, _, err = run(capsys, "pair", *named, "--n", "12", "--curve", curve)
+        assert (code, err) == (0, "")
+    for cmd in ("extremal", "pullback"):
+        code, out, err = run(capsys, cmd, "--named", "symmetric", "--n", "13")
+        assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_named_block_star_and_canonical(capsys):
+    curve = "1,2,3|4,5,6|7,8,9|10,11,12"
+    star = biplane_block_star_divisor(build_biplane_qr())
+    code, out, _ = run(capsys, "pair", "--named", "block-star", "--curve", curve)
+    assert (code, out) == (0, f"{pair_divisor_fcurve(star, parse_fcurve(curve, 12))}\n")
+    small = "1,2|3|4|5,6,7"
+    value = pair_divisor_fcurve(canonical_divisor(7), parse_fcurve(small, 7))
+    code, out, _ = run(capsys, "pair", "--named", "canonical", "--n", "7", "--curve", small)
+    assert (code, out) == (0, f"{value}\n")
+
+
+def test_each_input_file_is_read_once(tmp_path, monkeypatch, capsys):
+    bp = build_biplane_qr()
+    paths = {
+        "--biplane": tmp_path / "blocks.txt",
+        "--divisor": tmp_path / "d.json",
+        "--functional": tmp_path / "f.json",
+    }
+    paths["--biplane"].write_text(format_biplane(bp))
+    paths["--divisor"].write_text(json.dumps(divisor_to_json_dict(biplane_divisor(bp))))
+    paths["--functional"].write_text(
+        json.dumps(functional_to_json_dict(biplane_curve_functional(bp)))
+    )
+    names = {str(path) for path in paths.values()}
+    opened = []
+    real_open = builtins.open
+
+    def counting(file, *args, **kwargs):
+        if str(file) in names:
+            opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    argv = [arg for flag, path in paths.items() for arg in (flag, str(path))]
+    code, out, _ = run(capsys, "pair", "--json", *argv)
+    assert code == 0
+    assert sorted(opened) == sorted(names)
+    # the biplane divisor and the witness come from one read of the blocks
+    opened.clear()
+    code, biplane_out, _ = run(capsys, "pair", "--biplane", str(paths["--biplane"]))
+    monkeypatch.setattr(builtins, "open", real_open)
+    assert (code, biplane_out, opened) == (0, "-1\n", [str(paths["--biplane"])])
+    payload = json.loads(out)
+    assert payload["value"] == -1
+    assert payload["manifest"]["inputs"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in paths.values()
+    }
+    # a file that is not UTF-8 is refused on each flag, naming the file
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe1 1,2\n")
+    for flag in paths:
+        code, out, err = run(capsys, "pair", flag, str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and str(bad) in err and "UTF-8" in err
+
+
+def test_malformed_divisor_and_functional_files(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text('{"n": 12, "terms": [')
+    code, out, err = run(capsys, "pair", "--divisor", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: bad JSON")
+    code, out, err = run(capsys, "pair", "--named", "symmetric", "--functional", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: bad JSON")
+    # blank lines in a text divisor file are skipped; a bad line is named
+    d = DivisorClass(6, {mask_from_elements([1, 2], 6): 2, mask_from_elements([1, 3], 6): -1})
+    path = tmp_path / "d.txt"
+    path.write_text("\n" + divisor_to_text(d).replace("\n", "\n\n", 1))
+    curve = ["--curve", "1,2|3|4|5,6"]
+    value = pair_divisor_fcurve(d, parse_fcurve(curve[1], 6))
+    code, out, _ = run(capsys, "pair", "--divisor", str(path), "--n", "6", *curve)
+    assert (code, out) == (0, f"{value}\n")
+    path.write_text("2 1,2\n\nx 1,3\n")
+    code, out, err = run(capsys, "pair", "--divisor", str(path), "--n", "6", *curve)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: line 3:")
 
 
 def test_missing_file_exit_2(capsys):
@@ -287,6 +396,83 @@ def test_extremal_scans_the_curves_once(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "extremal", "--divisor", str(path), "--n", "6")
     assert code == 1 and "not F-nef" in out
     assert calls == [6]
+
+
+def fnef_at_6():
+    """An F-nef class at n=6: a boundary class F-nef at 4 markings, pulled back twice."""
+    return pullback_forgetful(pullback_forgetful(DivisorClass(4, {0b011: 1})))
+
+
+def test_extremal_text_report(tmp_path, capsys):
+    d = fnef_at_6()
+    path = tmp_path / "d6.txt"
+    path.write_text(divisor_to_text(d))
+    rep = extremality_rank(d, primes=DEFAULT_PRIMES)
+    ranks = ", ".join(f"rank {r} mod {p}" for p, r in rep.rank_mod_p.items())
+    code, out, err = run(capsys, "extremal", "--divisor", str(path), "--n", "6")
+    assert (code, err) == (0 if rep.certified_extremal else 1, "")
+    assert out.splitlines() == [
+        f"zero-pairing curves: {rep.zero_set_size}",
+        f"{ranks} (ambient dimension {rep.ambient_dim})",
+        "extremal ray certified" if rep.certified_extremal else "NOT certified",
+    ]
+    # a small prime is warned about on stderr, and still used
+    code, out, err = run(capsys, "extremal", "--divisor", str(path), "--n", "6",
+                         "--prime", "101")
+    assert err.startswith("warning: prime 101 is small")
+    assert "mod 101 (ambient dimension" in out
+
+
+def test_extremal_json_on_a_divisor_that_is_not_fnef(tmp_path, capsys):
+    d = DivisorClass(6, {mask_from_elements([1, 2], 6): 1})
+    path = tmp_path / "single.txt"
+    path.write_text(divisor_to_text(d))
+    scan = fnef_check(d)
+    code, out, _ = run(capsys, "extremal", "--divisor", str(path), "--n", "6", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    payload.pop("manifest")
+    assert payload == {
+        "fnef": {
+            "n": 6,
+            "min_value": scan.min_value,
+            "argmin": str(scan.argmin),
+            "zero_count": scan.zero_count,
+            "nonnegative": False,
+        },
+        "certified_extremal": False,
+    }
+
+
+def test_pullback_scan_text_and_json(tmp_path, capsys):
+    d = pullback_forgetful(DivisorClass(4, {0b011: 1}))
+    path = tmp_path / "d5.txt"
+    path.write_text(divisor_to_text(d))
+    lifted = pullback_forgetful(eliminate_psi(d))
+    scan = fnef_check(lifted)
+    assert scan.nonnegative and lifted.n == 6
+    argv = ["pullback", "--divisor", str(path), "--n", "5", "--scan"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == divisor_to_text(lifted) + (
+        f"pullback F-nef scan at n=6: min {scan.min_value}, {scan.zero_count} zeros -> ok\n"
+    )
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    payload.pop("manifest")
+    assert payload == {
+        "n": 6,
+        "support_size": lifted.support_size(),
+        "fnef": {
+            "n": 6,
+            "min_value": scan.min_value,
+            "argmin": str(scan.argmin),
+            "zero_count": scan.zero_count,
+            "nonnegative": True,
+        },
+        "divisor": divisor_to_json_dict(lifted),
+    }
 
 
 def test_extremal_refuses_coefficients_beyond_int64(tmp_path, capsys):

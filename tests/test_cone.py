@@ -1,6 +1,7 @@
 """F-nef scans, the counterexample checks, and rank certificates."""
 
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from fnef.cone import (
     _check_orthogonal,
     _free_col_rows,
     _structural_peel,
+    check_modulus,
 )
 from fnef.errors import InvalidInputError
 from fnef.subsets import mask_from_elements
@@ -291,6 +293,46 @@ def test_modp_eliminator_rejects_bad_modulus():
         ModpEliminator(4, 91)  # 7 x 13
     with pytest.raises(InvalidInputError):
         ModpEliminator(4, (1 << 31) + 11)
+
+
+def test_check_modulus_agrees_with_a_sieve():
+    limit = 200_000
+    prime = np.ones(limit + 1, dtype=bool)
+    prime[:2] = False
+    for q in range(2, isqrt(limit) + 1):
+        if prime[q]:
+            prime[q * q :: q] = False
+
+    def accepted(p):
+        try:
+            check_modulus(p)
+        except InvalidInputError:
+            return False
+        return True
+
+    assert [p for p in range(limit + 1) if accepted(p)] == np.flatnonzero(prime).tolist()
+
+
+def test_check_modulus_at_the_cap(monkeypatch):
+    for p, message in (
+        (-7, "modulus -7 is not prime"),
+        (91, "modulus 91 is not prime"),
+        (46337 * 46337, "is not prime"),  # composite, just under the cap
+        (1 << 31, "is not prime"),
+    ):
+        with pytest.raises(InvalidInputError, match=message):
+            check_modulus(p)
+    check_modulus((1 << 31) - 1)
+    check_modulus(46337)
+
+    # beyond the cap a modulus is refused before any divisor is tried
+    def no_trial_division(p):
+        raise AssertionError("trial division beyond the cap")
+
+    monkeypatch.setattr(fnef.cone, "isqrt", no_trial_division)
+    for p in ((1 << 31) + 11, 10**30 + 57):
+        with pytest.raises(InvalidInputError, match=f"modulus {p} exceeds the cap 2"):
+            check_modulus(p)
 
 
 def test_modp_eliminator_refuses_inexact_sizes():

@@ -23,8 +23,8 @@ from fnef import (
     divisor_to_text,
     eliminate_psi,
     enumerate_fcurves,
-    load_divisor,
     pair_divisor_fcurve,
+    parse_divisor,
     pairing_values,
     pullback_forgetful,
     reduce_canonical,
@@ -579,18 +579,21 @@ def test_divisor_json_refuses_non_integers(field, value):
         divisor_from_json_dict(json.loads(json.dumps(obj)))
 
 
-def test_load_divisor_formats(tmp_path, qr_biplane):
+def test_load_divisor_formats(qr_biplane):
     div = biplane_divisor(qr_biplane)
-    jpath = tmp_path / "d.json"
-    jpath.write_text(json.dumps(divisor_to_json_dict(div)))
-    assert load_divisor(str(jpath)) == div
-    tpath = tmp_path / "d.txt"
-    tpath.write_text(divisor_to_text(div))
-    assert load_divisor(str(tpath), n=12) == div
-    with pytest.raises(MalformedInputError):
-        load_divisor(str(tpath))  # text needs the marking count
-    with pytest.raises(MalformedInputError):
-        load_divisor(str(jpath), n=11)
+    json_text = json.dumps(divisor_to_json_dict(div))
+    assert parse_divisor(json_text) == div
+    text = divisor_to_text(div)
+    assert parse_divisor(text, n=12) == div
+    assert parse_divisor(text) == div  # text lines default to 12 markings
+    with pytest.raises(MalformedInputError, match="declares n=12, expected n=11"):
+        parse_divisor(json_text, n=11)
+    # a JSON file declares its own count; text lines take the given one
+    small = DivisorClass(6, {mask_from_elements([1, 2], 6): 3})
+    assert parse_divisor(json.dumps(divisor_to_json_dict(small))) == small
+    assert parse_divisor(divisor_to_text(small), n=6) == small
+    with pytest.raises(MalformedInputError, match="bad JSON"):
+        parse_divisor(json_text[:-1])
 
 
 def test_malformed_divisor_text():
