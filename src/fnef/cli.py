@@ -48,7 +48,6 @@ from .divisors import (
     eliminate_psi,
     parse_divisor,
     pullback_forgetful,
-    reduce_canonical,
     symmetric_divisor,
 )
 from .errors import (
@@ -261,8 +260,10 @@ def cmd_pair(args, manifest: Manifest) -> int:
 def cmd_extremal(args, manifest: Manifest) -> int:
     primes = args.prime or list(DEFAULT_PRIMES)
     manifest.primes = list(primes)
-    for p in primes:
+    for i, p in enumerate(primes):
         check_modulus(p)
+        if p in primes[:i]:
+            raise InvalidInputError(f"--prime {p} is given twice")
     for p in primes:
         if p < TINY_PRIME_BOUND:
             print(
@@ -271,19 +272,15 @@ def cmd_extremal(args, manifest: Manifest) -> int:
                 file=sys.stderr,
             )
     div = _load_divisor_arg(args, manifest, _load_biplane_arg(args, manifest))
-    # refuse before the scan a class whose primitive part, which the rank
-    # reduces, would leave int64
-    reduce_canonical(div.primitive())
-    with manifest.phase("fnef_scan"):
-        fnef = fnef_check(div)
+    with manifest.phase("rank"):
+        rep = extremality_rank(div, primes=primes)
+    fnef = rep.fnef
     if not fnef.nonnegative:
         if args.json:
             _emit_json({"fnef": _fnef_dict(fnef), "certified_extremal": False}, manifest)
         else:
             print(f"not F-nef: pairing {fnef.min_value} on {fnef.argmin}")
         return EXIT_FAILED
-    with manifest.phase("rank"):
-        rep = extremality_rank(div, primes=primes, scan=fnef)
     if args.json:
         _emit_json(
             {

@@ -41,9 +41,7 @@ from .pairing import (
     biplane_curve_functional,
     check_relations,
     pair_divisor_functional,
-    pair_blocks,
     pairing_values,
-    scan_table,
 )
 from .subsets import FCurve, check_memory, count_fcurves, fcurve_block_arrays
 
@@ -93,8 +91,9 @@ class CounterexampleReport:
     """The four checks (`verdict`): the divisor is F-nef, the witness
     functional is nonnegative on boundary keys and on the canonical class,
     and pairs negatively with the divisor.  `decomposition_equal` is the
-    identity divisor = symmetric - block star, as coefficients, as reduced
-    coordinates and as pairings with every F-curve."""
+    identity divisor = symmetric - block star, as coefficients and as
+    reduced coordinates; equal coefficients pair equally with every
+    F-curve."""
 
     fnef: FNefReport
     certificate: BoundaryCertificate
@@ -109,10 +108,17 @@ class CounterexampleReport:
 
 @dataclass(frozen=True)
 class ExtremalityReport:
+    """`fnef` is the scan the zero set came from; a divisor that is not
+    F-nef is ranked modulo no prime and is not certified."""
+
     ambient_dim: int
-    zero_set_size: int
+    fnef: FNefReport
     rank_mod_p: dict[int, int]
     certified_extremal: bool
+
+    @property
+    def zero_set_size(self) -> int:
+        return self.fnef.zero_count
 
 
 @dataclass(frozen=True)
@@ -156,17 +162,15 @@ def verify_counterexample(bp: Biplane) -> CounterexampleReport:
     """Run the four-part check on the biplane divisor and its witness
     functional; the verdict requires F-nefness, nonnegative boundary
     values, nonnegative canonical pairing, and a negative divisor pairing.
-    Also checks the decomposition identity; pairing is linear, so the two
-    sides pair identically with every F-curve iff their difference pairs
-    to zero, and one scan of the difference decides it."""
+    Also checks the decomposition identity.  The curves are scanned once."""
     div = biplane_divisor(bp)
     fnef = fnef_check(div)
     cert = certify_not_boundary(div, biplane_curve_functional(bp))
     decomposition = symmetric_divisor(12) - biplane_block_star_divisor(bp)
-    decomposition_equal = (
-        div == decomposition
-        and reduce_canonical(div) == reduce_canonical(decomposition)
-        and not pairing_values(div - decomposition).any()
+    # equal coefficients reduce equally; perfbench/selftest.py still wants
+    # verify12's relation_system and reduce_canonical spans (ROADMAP item 1)
+    decomposition_equal = div == decomposition and (
+        reduce_canonical(div) == reduce_canonical(decomposition)
     )
     return CounterexampleReport(
         fnef=fnef,
@@ -389,7 +393,7 @@ def _free_col_rows(blocks: np.ndarray, free_index: np.ndarray) -> np.ndarray:
     """Per curve, the reduced-coordinate column of each of its 7 pairing
     keys (-1 where the key is a pivot and the entry is dropped).  The table
     is indexed by every subset mask, `free_index` followed by its reverse,
-    as in `scan_table`."""
+    as in `pairing_values`."""
     cols = np.concatenate([free_index, free_index[::-1]])
     b0, b1, b2, b3 = blocks[:, 0], blocks[:, 1], blocks[:, 2], blocks[:, 3]
     keys = (b0 | b1, b0 | b2, b0 | b3, b0, b1, b2, b3)
@@ -468,16 +472,15 @@ def _check_orthogonal(
 
 
 def extremality_rank(
-    d: DivisorClass,
-    primes: Iterable[int] = DEFAULT_PRIMES,
-    scan: Optional[FNefReport] = None,
+    d: DivisorClass, primes: Iterable[int] = DEFAULT_PRIMES
 ) -> ExtremalityReport:
     """Rank certificate for extremality of an F-nef divisor.
 
-    Collects every curve pairing to zero, maps each to its reduced
-    coordinate row, and computes the modular rank per prime; reaching
-    ambient-1 for any prime certifies the extremal ray.  `scan`, the
-    caller's `fnef_check(d)`, saves scanning the curves a second time.
+    Scans the curves once (`fnef_check`), collects every curve pairing to
+    zero, maps each to its reduced coordinate row, and computes the modular
+    rank per distinct prime; reaching ambient-1 for any prime certifies the
+    extremal ray.  A divisor that is not F-nef is not in the cone: it is
+    ranked modulo no prime and not certified.
 
     The rows are peeled once (`_structural_peel`): the rows that take a
     column are triangular with a unit diagonal over the integers, so they
@@ -489,22 +492,17 @@ def extremality_rank(
     columns, and 76296 of them touch the 650 left; every curve together
     covers all 1981, so the full matrix feeds no row.
     """
-    primes = tuple(primes)
+    primes = tuple(dict.fromkeys(primes))
     for p in primes:
         check_modulus(p)
     # a positive multiple spans the same ray, so the primitive part stands
     # in for d; its reduction fits int64 for the most coefficients
     reduced = reduce_canonical(d.primitive())
-    if scan is None:
-        scan = fnef_check(d)
-    elif scan.n != d.n:
-        raise InvalidInputError(f"scan is at n={scan.n}, the divisor at n={d.n}")
-    if not scan.nonnegative:
-        raise InvalidInputError(
-            "divisor is not F-nef; extremality needs a member of the cone"
-        )
+    fnef = fnef_check(d)
     rs = relation_system(d.n)
-    zero_blocks = fcurve_block_arrays(d.n)[scan.zero_mask()]
+    if not fnef.nonnegative:
+        return ExtremalityReport(rs.ambient_dim, fnef, {}, False)
+    zero_blocks = fcurve_block_arrays(d.n)[fnef.zero_mask()]
     col_rows = _free_col_rows(zero_blocks, rs.free_index)
 
     # Every zero row is an integer vector orthogonal to the reduced
@@ -527,7 +525,7 @@ def extremality_rank(
     certified = any(r == rs.ambient_dim - 1 for r in ranks.values())
     return ExtremalityReport(
         ambient_dim=rs.ambient_dim,
-        zero_set_size=int(len(zero_blocks)),
+        fnef=fnef,
         rank_mod_p=ranks,
         certified_extremal=certified,
     )
@@ -554,6 +552,11 @@ def projection_formula_report(
     if samples is None:
         up_blocks = fcurve_block_arrays(m)
     else:
+        # the first draw is the largest: its int64 labels, their int64
+        # product with the bits and the boolean comparison (17 bytes per
+        # label), then 64 bytes per row for the four masks and their stack
+        draw = int(samples * 1.25) + 16
+        check_memory(draw * (17 * m + 64), f"sampling {samples} partitions")
         rng = np.random.default_rng(_SAMPLE_SEED)
         need = samples
         rows = []
@@ -568,12 +571,12 @@ def projection_formula_report(
             need = samples - sum(len(r) for r in rows)
         up_blocks = np.concatenate(rows)[:samples]
 
-    lhs = pair_blocks(scan_table(lifted), up_blocks)
+    lhs = pairing_values(lifted, up_blocks)
 
     last = 1 << n
     contracted = (up_blocks == last).any(axis=1)
     down_blocks = (up_blocks & ~last)[~contracted]
-    rhs = pair_blocks(scan_table(d), down_blocks)
+    rhs = pairing_values(d, down_blocks)
 
     mismatches = int(np.count_nonzero(lhs[contracted] != 0)) + int(
         np.count_nonzero(lhs[~contracted] != rhs)

@@ -150,35 +150,32 @@ def check_relations(f: CurveFunctional) -> RelationCheck:
     return RelationCheck(False, (int(i[k]) + 1, int(j[k]) + 1), int(totals[k]))
 
 
-def scan_table(d: DivisorClass) -> np.ndarray:
-    """The divisor's coefficients indexed by every subset mask m of its
-    markings: entry m is the coefficient of m's canonical key, m itself
-    below 2^(n-1) and otherwise its complement 2^n - 1 - m, so the table is
-    `d.dense_table()` followed by its reverse.  The scan's sums of 7 entries
-    must stay exact in int64; larger coefficients raise InvalidInputError."""
-    check_int64_sums(d.coeffs.values(), 7, "F-curve pairing scan")
-    table = d.dense_table()
-    return np.concatenate([table, table[::-1]])
-
-
 #: Rows per slice of the pairing scan.  At n=12 and 13, slices of 8192 to
 #: 32768 rows ran within 15% of each other, and 4096 or 65536 up to a
 #: quarter slower; each of the two slice buffers holds 128 KiB.
 _SCAN_ROWS = 16384
 
 
-def pair_blocks(table: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The pairing with every row of `blocks`, for the divisor whose
-    `scan_table` is `table`: the three unions with block 0 count
-    positively, the four blocks negatively.
+def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.ndarray:
+    """Pairings of a divisor with every F-curve, in enumeration order (or
+    with the rows of `blocks`): the three unions with block 0 count
+    positively, the four blocks negatively.  The sums of 7 coefficients
+    must stay exact in int64; larger coefficients raise InvalidInputError.
 
-    Rows are 4-block partitions of the divisor's markings, as int32 or int64
-    masks.  Every mask must lie below 2^n: np.take's "wrap" mode, which
-    takes a third less time than its checked default, does not check it.
+    The table holds the coefficient of m's canonical key at every subset
+    mask m: `d.dense_table()` followed by its reverse, since a mask at or
+    above 2^(n-1) reads its complement 2^n - 1 - m.  Rows are 4-block
+    partitions as int32 or int64 masks, each below 2^n: np.take's "wrap"
+    mode, a third faster than its checked default, does not check it.
     The rows are taken in slices of `_SCAN_ROWS`, each summed in place in
     its part of the result through one index buffer and one value buffer,
     so the temporaries stay two slice-length buffers at every n.
     """
+    check_int64_sums(d.coeffs.values(), 7, "F-curve pairing scan")
+    if blocks is None:
+        blocks = fcurve_block_arrays(d.n)
+    table = d.dense_table()
+    table = np.concatenate([table, table[::-1]])
     out = np.empty(len(blocks), dtype=np.int64)
     idx = np.empty(_SCAN_ROWS, dtype=np.intp)
     val = np.empty(_SCAN_ROWS, dtype=np.int64)
@@ -197,14 +194,6 @@ def pair_blocks(table: np.ndarray, blocks: np.ndarray) -> np.ndarray:
             np.take(table, ix, out=v, mode="wrap")
             acc -= v
     return out
-
-
-def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.ndarray:
-    """Pairings of a divisor with every F-curve, in enumeration order:
-    `pair_blocks` over `fcurve_block_arrays(d.n)` (or `blocks`, its rows)."""
-    if blocks is None:
-        blocks = fcurve_block_arrays(d.n)
-    return pair_blocks(scan_table(d), blocks)
 
 
 def functional_to_json_dict(f: CurveFunctional) -> dict:

@@ -4,7 +4,8 @@
 counts a name it cannot find as `trace.absent`, so a rename there would drop
 a layer from the per-layer metrics without failing anything else.  Likewise
 `perfbench/candidates.py` records a candidate the library API no longer
-serves as a failed operation, not as a test failure.
+serves as a failed operation, and `perfbench/run.py` a command line the CLI
+no longer accepts, not as a test failure.
 """
 
 import importlib
@@ -13,6 +14,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from fnef.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,3 +61,16 @@ def test_import_fnef_loads_the_wrapped_layers():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["subsets", "divisors", "pairing", "cone"]
+
+
+def test_every_benchmark_command_line_parses(tmp_path, monkeypatch):
+    # run.py imports its sibling modules by name
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = load_perfbench("run").CLI_WORKLOADS
+    parser = build_parser()
+    for name, workload in workloads.items():
+        argv = [a.replace("{out}", str(tmp_path / "out.json")) for a in workload["argv"]]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{name}: fnef refuses {argv}")

@@ -533,6 +533,55 @@ def test_extremal_refuses_bad_prime_before_any_scan(monkeypatch, capsys):
     assert "warning" not in err
 
 
+def test_extremal_refuses_a_repeated_prime_before_any_scan(monkeypatch, capsys):
+    def no_scan(n):
+        raise AssertionError("scanned before the moduli were checked")
+
+    monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_scan)
+    monkeypatch.setattr(fnef.pairing, "fcurve_block_arrays", no_scan)
+    code, out, err = run(capsys, "extremal", "--prime", "3", "--prime", "101", "--prime", "3")
+    assert (code, out, err) == (2, "", "error: --prime 3 is given twice\n")
+
+
+def test_verify_scans_once_and_fails_on_a_decomposition_mismatch(
+    qr_biplane, monkeypatch, capsys
+):
+    calls = []
+    scan = fnef.cone.pairing_values
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(fnef.cone, "pairing_values", counting)
+    code, out, _ = run(capsys, "verify")
+    assert code == 0 and calls == [12]
+    # the block-star decomposition with one extra boundary term
+    calls.clear()
+    symmetric = fnef.cone.symmetric_divisor
+    monkeypatch.setattr(
+        fnef.cone, "symmetric_divisor",
+        lambda n: symmetric(n) + DivisorClass(n, {mask_from_elements([1, 2], n): 1}),
+    )
+    code, out, _ = run(capsys, "verify")
+    assert code == 1 and calls == [12]
+    assert out.splitlines()[-2:] == ["decomposition identity: FAIL", "verdict: FAILED"]
+    rep = fnef.cone.verify_counterexample(qr_biplane)
+    assert rep.verdict and not rep.decomposition_equal and not rep.verified
+
+
+def test_pullback_refuses_a_spot_check_beyond_physical_memory(monkeypatch, capsys):
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 1 << 30)
+    argv = ["pullback", "--named", "canonical", "--n", "5", "--json"]
+    code, out, err = run(capsys, *argv, "--spot-check", "100000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sampling 100000000000 partitions needs")
+    assert "physical memory" in err
+    code, out, _ = run(capsys, *argv, "--spot-check", "100000")
+    assert code == 0
+    assert json.loads(out)["projection_formula"]["total"] == 100000
+
+
 def test_pullback_writes_divisor_and_spot_checks(tmp_path, capsys):
     out_path = tmp_path / "lifted.json"
     code, out, _ = run(

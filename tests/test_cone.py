@@ -32,6 +32,7 @@ import fnef.cone
 import fnef.subsets
 from fnef.cone import (
     DEFAULT_PRIMES,
+    ExtremalityReport,
     ModpEliminator,
     _ROW_PATTERN,
     _check_orthogonal,
@@ -418,21 +419,37 @@ def test_orthogonality_check_covers_every_row():
         _check_orthogonal(zero, huge, rs.free_index, rs.ambient_dim)
 
 
-def test_extremality_rank_reuses_the_callers_scan(monkeypatch):
+def test_extremality_rank_scans_once(monkeypatch):
     d = fnef_divisor_n6()
-    expected = extremality_rank(d, primes=(P1,))
     scan = fnef_check(d)
     assert np.array_equal(scan.zero_mask(), pairing_values(d) == 0)
     assert scan.zero_count == int(scan.zero_mask().sum())
-    other = fnef_check(DivisorClass.zero(5))
+    calls = []
 
-    def no_scan(*args, **kwargs):
-        raise AssertionError("scanned the curves again")
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return pairing_values(*args, **kwargs)
 
-    monkeypatch.setattr(fnef.cone, "pairing_values", no_scan)
-    assert extremality_rank(d, primes=(P1,), scan=scan) == expected
-    with pytest.raises(InvalidInputError):
-        extremality_rank(d, primes=(P1,), scan=other)  # a scan at n=5
+    monkeypatch.setattr(fnef.cone, "pairing_values", counting)
+    rep = extremality_rank(d, primes=(P1,))
+    assert calls == [6]
+    assert rep.fnef == scan and rep.zero_set_size == scan.zero_count
+    # `==` leaves out the packed zero set
+    assert np.array_equal(rep.fnef.zero_mask(), scan.zero_mask())
+
+
+def test_extremality_ranks_each_prime_once(monkeypatch):
+    built = []
+
+    class Counting(ModpEliminator):
+        def __init__(self, ncols, p, peeled=0):
+            built.append(p)
+            super().__init__(ncols, p, peeled)
+
+    monkeypatch.setattr(fnef.cone, "ModpEliminator", Counting)
+    rep = extremality_rank(fnef_divisor_n6(), primes=(P1, P1, P2, P1))
+    assert built == [P1, P2]
+    assert list(rep.rank_mod_p) == [P1, P2]
 
 
 def test_scaled_extremal_divisor_is_still_certified():
@@ -464,10 +481,17 @@ def test_extremality_of_zero_divisor_not_certified():
     assert not rep.certified_extremal
 
 
-def test_extremality_requires_fnef_input():
+def test_extremality_of_a_divisor_not_fnef_is_not_certified(monkeypatch):
     d = DivisorClass(6, {mask_from_elements([1, 2], 6): 1})
-    with pytest.raises(InvalidInputError):
-        extremality_rank(d, primes=(P1,))
+    scan = fnef_check(d)
+    assert not scan.nonnegative
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("ranked a divisor that is not F-nef")
+
+    monkeypatch.setattr(fnef.cone, "ModpEliminator", no_rank)
+    rep = extremality_rank(d, primes=(P1,))
+    assert rep == ExtremalityReport(relation_system(6).ambient_dim, scan, {}, False)
 
 
 def test_projection_formula_exhaustive_6_to_7():
