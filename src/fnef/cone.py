@@ -7,12 +7,15 @@ coordinates: modular rank never exceeds rational rank, and the rational
 rank is at most ambient-1 because the divisor itself annihilates every
 row, so hitting ambient-1 modulo a single prime is already a proof.
 
-The rank is computed in two stages.  A structural peel (singleton
-propagation, as in the first pass of Faugere and Lachartre, PASCO 2010,
-and of SpaSM, Bouillaguet and Delaplace, CASC 2016) settles the columns
-that some row reaches alone; it is integer-exact and the same for every
-prime.  The dense kernel `ModpEliminator` then ranks the rows restricted
-to the columns left, modulo each prime.
+The rank is computed in two stages.  A structural peel settles every
+column the rows touch: singleton propagation, as in the first pass of
+Faugere and Lachartre (PASCO 2010) and of SpaSM (Bouillaguet and
+Delaplace, CASC 2016), and where it stalls a column is set aside and the
+cascade resumes, the "heavy column" step of structured Gaussian
+elimination (LaMacchia and Odlyzko, CRYPTO 1990; Pomerance and Smith,
+Experimental Math. 1, 1992).  The peel is integer-exact and the same for
+every prime.  The kernel `ModpEliminator` then ranks, modulo each prime,
+the rows' Schur complement on the few set-aside columns.
 """
 
 from __future__ import annotations
@@ -222,31 +225,78 @@ def _complement(idx: np.ndarray, width: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+@dataclass(frozen=True, eq=False)
+class Peel:
+    """The structural peel of F-curve rows on `ncols` columns
+    (`_structural_peel`): every column some row touches is either taken by
+    one row or set aside.
+
+    `taken` counts the taken columns and `aside` lists the set-aside ones in
+    the order they were set aside.  `rounds` holds the cascade after the
+    first set-aside, one entry per round: the columns taken, their taking
+    rows (one array per key, as `col_rows.T`) and each taking row's
+    coefficient at its own column.
+    """
+
+    ncols: int
+    taken: int
+    aside: np.ndarray
+    rounds: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = ()
+
+    @property
+    def singletons(self) -> int:
+        """Columns covered before the first set-aside."""
+        return self.taken - sum(len(cols) for cols, _, _ in self.rounds)
+
+
+def _pattern_sum(x: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """sum_k _ROW_PATTERN[k] * x[keys[k]] for the seven key columns of some
+    F-curve rows, one array per key (-1 reads the last row of x).  With x
+    in residues modulo p every entry is below 7p in size."""
+    out = np.zeros((keys.shape[1], x.shape[1]), dtype=np.int64)
+    for sign, cols in zip(_ROW_PATTERN, keys):
+        out += sign * x[cols]
+    return out
+
+
 class ModpEliminator:
-    """Incremental Gaussian elimination over a prime field, in blocks.
+    """Incremental Gaussian elimination over a prime field, in blocks, of
+    the Schur complement that a structural peel leaves.
+
+    Modulo the rows that took a column (`Peel`), which are triangular with
+    a +-1 diagonal and so invertible modulo every prime, 2 included, every
+    unit vector is a combination of those of the k set-aside columns.  The
+    Schur map X records it, (peel.ncols + 1) x k residues:
+
+    - X[a] = e_j for the j-th set-aside column a;
+    - X[c] = -s * sum(other entries * X[col]) for a column c taken by a row
+      with coefficient s at c, filled in peel order, so every X[col] read
+      is already final;
+    - a column covered before the first set-aside, a column no row touches
+      and the -1 entries (the last row) map to 0.
+
+    A row's Schur row is its image through X, so the rank of the rows is
+    `taken` plus the rank of their Schur rows, on k columns (`ncols`).
 
     The basis is one reduced row echelon form in `_rref`'s shape (pivots, x),
-    rank x (ncols - rank) residues.  Rows arrive in batches; a batch is
-    cleared of the pivot columns by a few sparse gathers of basis rows and
-    joins the basis through `_stack`, the merge step that ends `_rref`.
+    rank x (k - rank) residues.  Rows arrive in batches; a batch's Schur
+    rows are cleared of the pivot columns by one product with x and join
+    the basis through `_stack`, the merge step that ends `_rref`.
 
     Every product of two residue matrices is exact in float64, as in
     FFLAS-FFPACK (Dumas, Giorgi, Pernet, "Dense linear algebra over
     word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 2008).
     A residue below p < 2^31 splits into a high half below 2^15 and a low
     half below 2^16, so each term of the four products of halves is below
-    2^32; with an inner dimension k < 2^21 every sum stays below 2^53 and
+    2^32; with an inner dimension m < 2^21 every sum stays below 2^53 and
     the four float64 matrix products round nothing.  The halves recombine
     in int64 as ((hi*2^16 + mid) mod p)*2^16 + lo, where hi*2^16 + mid is
-    below k*2^46, so k < 2^17 also keeps that exact.  The inner dimension
-    never exceeds the column count, which is capped there.
+    below m*2^46, so m < 2^17 also keeps that exact.  The inner dimension
+    never exceeds k, which is capped there.
 
-    `peeled` columns settled before the rows arrive (`_structural_peel`)
-    count in `rank`; the dense basis covers only the `ncols` columns left,
-    so the rows fed must already be restricted to those.  The basis and
-    its copies while a batch joins it hold at most 3 ncols^2/4 residues
-    besides the batch's rows; 8 ncols^2 bytes beyond physical memory is
-    refused up front.
+    The map takes 8 (peel.ncols + 1) k bytes; the basis and its copies
+    while a batch joins it hold at most 3 k^2/4 residues, fewer.  A map
+    beyond physical memory is refused up front, before it is allocated.
     """
 
     MAX_COLUMNS = 1 << 17
@@ -255,18 +305,24 @@ class ModpEliminator:
     #: Rows per block of a product, which bounds the temporaries.
     BLOCK_ROWS = 256
 
-    def __init__(self, ncols: int, p: int, peeled: int = 0):
+    def __init__(self, peel: Peel, p: int):
         check_modulus(p)
-        if ncols >= self.MAX_COLUMNS:
-            raise InvalidInputError(f"{ncols} columns reach the cap 2^17")
-        check_memory(8 * ncols * ncols, f"a rank basis on {ncols} columns")  # int64
-        self.ncols = ncols
+        k = len(peel.aside)
+        if k >= self.MAX_COLUMNS:
+            raise InvalidInputError(f"{k} set-aside columns reach the cap 2^17")
+        check_memory(8 * (peel.ncols + 1) * k, f"a Schur map on {k} columns")  # int64
+        self.ncols = k
         self.p = p
-        self.peeled = peeled
-        self.rank = peeled
+        self.taken = peel.taken
+        self.rank = peel.taken
         self.rows_seen = 0
+        self._map = np.zeros((peel.ncols + 1, k), dtype=np.int64)
+        self._map[peel.aside, np.arange(k)] = 1
+        for cols, keys, signs in peel.rounds:
+            # the taking row's own column is still 0 here
+            self._map[cols] = -signs[:, None] * _pattern_sum(self._map, keys) % p
         self._pivots = np.zeros(0, dtype=np.int64)
-        self._x = np.zeros((0, ncols), dtype=np.int64)
+        self._x = np.zeros((0, k), dtype=np.int64)
 
     def _mulsub(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """c = (c - a @ b) mod p in place, for residue matrices, exactly (see
@@ -340,52 +396,36 @@ class ModpEliminator:
         return np.concatenate([piv1, rest1[piv2]]), np.vstack([x1, x2])
 
     def _reduce_batch(self, chunk: np.ndarray) -> np.ndarray:
-        """The batch's rows cleared of every pivot column, as residues on
-        the free columns."""
+        """The batch's Schur rows cleared of every pivot column, as residues
+        on the free columns."""
+        dense = _pattern_sum(self._map, chunk.T) % self.p
         pivots = self._pivots
         free = _complement(pivots, self.ncols)
-        # a free column's position among the free ones; a pivot column's
-        # basis row i as ~i, so that negative means pivot
-        at = np.empty(self.ncols, dtype=np.int64)
-        at[free] = np.arange(len(free))
-        at[pivots] = ~np.arange(len(pivots))
-        dense = np.zeros((len(chunk), len(free)), dtype=np.int64)
-        for k in range(chunk.shape[1]):
-            row_k = np.flatnonzero(chunk[:, k] >= 0)
-            at_k = at[chunk[row_k, k]]
-            on_pivot = at_k < 0
-            dense[row_k[~on_pivot], at_k[~on_pivot]] += _ROW_PATTERN[k]
-            if on_pivot.any():
-                # a pivot entry v = +-1 is cleared by v times its basis row,
-                # which is 0 at every other pivot; |entry| <= 7p < 2^63
-                dense[row_k[on_pivot]] -= _ROW_PATTERN[k] * self._x[~at_k[on_pivot]]
-        dense %= self.p
-        return dense
+        return self._mulsub(dense[:, free], dense[:, pivots], self._x)
 
     def add_pattern_rows(
         self, col_rows: np.ndarray, batch: int = 512, stop_rank: Optional[int] = None
     ) -> int:
         """Feed F-curve rows: row i has `_ROW_PATTERN[k]` at column
-        col_rows[i, k] (no entry where that is -1).  Every entry is +-1 and
-        p <= 2^31, so clearing a row's at most 7 pivot entries keeps its
-        values below 7p < 2^63.
+        col_rows[i, k] of the peel's columns (no entry where that is -1).
 
         Rows are fed in batches of `batch`, and a later call continues from
         the basis of the earlier ones.  No further batch is fed once the
         rank reaches `stop_rank`, so the result is exactly the rank of all
-        rows given whenever `stop_rank` is a proven upper bound for it (the
-        column count plus `peeled` always is).  Returns `rank`, peeled
-        columns included.
+        rows given (the taking rows among them) whenever `stop_rank` is a
+        proven upper bound for it (`taken` plus k always is).  Returns
+        `rank`, taken columns included.
         """
-        full = self.peeled + self.ncols
-        cap = full if stop_rank is None else min(stop_rank, full)
+        cap = self.taken + self.ncols
+        if stop_rank is not None:
+            cap = min(stop_rank, cap)
         for start in range(0, len(col_rows), batch):
             if self.rank >= cap:
                 break
             chunk = np.asarray(col_rows[start : start + batch], dtype=np.int64)
             self.rows_seen += len(chunk)
             self._pivots, self._x = self._stack(self._pivots, self._x, self._reduce_batch(chunk))
-            self.rank = self.peeled + len(self._pivots)
+            self.rank = self.taken + len(self._pivots)
         return self.rank
 
 
@@ -393,15 +433,16 @@ def _free_col_rows(blocks: np.ndarray, free_index: np.ndarray) -> np.ndarray:
     """Per curve, the reduced-coordinate column of each of its 7 pairing
     keys (-1 where the key is a pivot and the entry is dropped).  The table
     is indexed by every subset mask, `free_index` followed by its reverse,
-    as in `pairing_values`."""
+    as in `pairing_values`.  The rows are stored key by key (column-major),
+    so each key's columns are contiguous for the peel's gathers."""
     cols = np.concatenate([free_index, free_index[::-1]])
     b0, b1, b2, b3 = blocks[:, 0], blocks[:, 1], blocks[:, 2], blocks[:, 3]
     keys = (b0 | b1, b0 | b2, b0 | b3, b0, b1, b2, b3)
-    return np.stack([cols[k] for k in keys], axis=1)
+    return np.stack([cols[k] for k in keys]).T
 
 
-def _structural_peel(col_rows: np.ndarray, ncols: int) -> tuple[int, np.ndarray, int]:
-    """Singleton propagation to a fixpoint over F-curve rows: row i has
+def _structural_peel(col_rows: np.ndarray, ncols: int) -> Peel:
+    """Singleton propagation with set-asides, over F-curve rows: row i has
     `_ROW_PATTERN[k]` at column col_rows[i, k] (no entry where that is -1).
 
     The columns of a row are pairwise distinct, because its seven keys
@@ -415,44 +456,54 @@ def _structural_peel(col_rows: np.ndarray, ncols: int) -> tuple[int, np.ndarray,
     coefficient at its column, +-1.
 
     A column is covered once some row has it as its only uncovered column;
-    where several rows compete for one column, one of them takes it.  Each
-    taking row touches only columns covered before it, so these rows, in
-    the order they took their columns, are triangular with a unit diagonal.
-    Over the integers, and hence modulo every prime, they span exactly the
-    unit vectors of the covered columns.  Every other row therefore reduces
-    to its restriction to the columns left, again an F-curve row with
-    fewer entries, and the rank of all rows is the covered count plus the
-    rank of the restricted rows.
+    where several rows compete for one column, the first takes it.  When no
+    row has exactly one uncovered column, one column is set aside (it
+    counts as covered from then on) and the cascade resumes: the uncovered
+    column that occurs most often among the rows with the fewest uncovered
+    entries, the lowest such column on ties.  The peel ends when no row has
+    an uncovered column; the columns still uncovered then occur in no row.
 
-    Returns the covered count, the restricted rows with an entry left
-    (columns renumbered in increasing order, -1 where an entry was
-    dropped), and the number of columns left.
+    Each taking row's other entries lie in columns covered before its round
+    or set aside, so the taking rows, in the order they took their columns,
+    restricted to the taken columns, are triangular with a +-1 diagonal:
+    invertible over the integers and modulo every prime.  The rank of all
+    rows is therefore the taken count plus the rank of their Schur
+    complement on the set-aside columns (`ModpEliminator`).
     """
-    # one extra column, always covered, where the -1 entries read
-    covered = np.zeros(ncols + 1, dtype=bool)
-    covered[-1] = True
+    keys = col_rows.T
+    # one extra column, never uncovered, where the -1 entries read
+    uncovered_col = np.ones(ncols + 1, dtype=bool)
+    uncovered_col[-1] = False
+    aside: list[int] = []
+    rounds = []
     while True:
-        uncovered = ~covered[col_rows]
-        single = np.flatnonzero(np.count_nonzero(uncovered, axis=1) == 1)
-        new = col_rows[single, uncovered[single].argmax(axis=1)]
-        if not new.size:
+        uncovered = uncovered_col[keys]
+        count = uncovered.sum(axis=0, dtype=np.int8)
+        single = np.flatnonzero(count == 1)
+        if single.size:
+            own = uncovered[:, single].argmax(axis=0)
+            new = keys[own, single]
+            if aside:
+                # one taking row per column, recorded for the Schur map
+                new, first = np.unique(new, return_index=True)
+                single, own = single[first], own[first]
+                rounds.append((new, keys[:, single], _ROW_PATTERN[own]))
+            uncovered_col[new] = False
+            continue
+        live = count > 0
+        if not live.any():
             break
-        covered[new] = True
-    left = np.flatnonzero(~covered[:ncols])
-    index = np.full(ncols + 1, -1, dtype=np.int64)
-    index[left] = np.arange(len(left))
-    keep = (~covered[col_rows]).any(axis=1)
-    return ncols - len(left), index[col_rows[keep]], len(left)
-
-
-#: Fixed seed for the row feed order.  Rank does not depend on row order,
-#: but a decorrelated order saturates the pivot basis far sooner than the
-#: enumeration order, whose neighboring partitions share most blocks.
-_FEED_SEED = 0x5E7C0DE
-
-
-def _feed_order(nrows: int) -> np.ndarray:
-    return np.random.default_rng(_FEED_SEED).permutation(nrows)
+        fewest = count == count.min(where=live, initial=len(keys))
+        heavy = int(np.bincount(keys[uncovered & fewest]).argmax())
+        aside.append(heavy)
+        uncovered_col[heavy] = False
+    covered = ncols - int(np.count_nonzero(uncovered_col[:ncols]))
+    return Peel(
+        ncols=ncols,
+        taken=covered - len(aside),
+        aside=np.array(aside, dtype=np.int64),
+        rounds=tuple(rounds),
+    )
 
 
 def _check_orthogonal(
@@ -482,15 +533,15 @@ def extremality_rank(
     extremal ray.  A divisor that is not F-nef is not in the cone: it is
     ranked modulo no prime and not certified.
 
-    The rows are peeled once (`_structural_peel`): the rows that take a
-    column are triangular with a unit diagonal over the integers, so they
-    span the unit vectors of the covered columns modulo every prime, and
-    the rank is the covered count plus the rank of the other rows
-    restricted to the columns left.  Only those restricted rows reach
-    `ModpEliminator`, once per prime, on a basis of the columns left.  At
-    n=12 the biplane divisor's 124366 zero rows cover 1331 of the 1981
-    columns, and 76296 of them touch the 650 left; every curve together
-    covers all 1981, so the full matrix feeds no row.
+    The rows are peeled once (`_structural_peel`): every column is taken by
+    a row or set aside, and the taking rows are triangular with a +-1
+    diagonal, so the rank is the taken count plus the rank of the Schur
+    complement on the set-aside columns.  `ModpEliminator` ranks that, once
+    per prime, feeding the zero rows in enumeration order.  At n=12 the
+    biplane divisor's 124366 zero rows cover 1331 of the 1981 columns before
+    the peel first stalls; 4 columns are set aside and 1977 taken, and the
+    first 512 rows reach rank 1980.  Every curve together peels all 1981
+    columns with none set aside, so the full matrix feeds no row.
     """
     primes = tuple(dict.fromkeys(primes))
     for p in primes:
@@ -514,14 +565,12 @@ def extremality_rank(
         _check_orthogonal(col_rows, reduced, rs.free_index, rs.ambient_dim)
         stop_rank = rs.ambient_dim - 1
 
-    # the peel is integer-exact, so one peel serves every prime, and so does
-    # one permutation of the rows left into the fixed decorrelated order
-    peeled, rest_rows, rest_cols = _structural_peel(col_rows, rs.ambient_dim)
-    rest_rows = rest_rows[_feed_order(len(rest_rows))]
+    # the peel is integer-exact, so one peel serves every prime; every zero
+    # row is fed, in enumeration order, and the taking rows map to 0
+    peel = _structural_peel(col_rows, rs.ambient_dim)
     ranks: dict[int, int] = {}
     for p in primes:
-        elim = ModpEliminator(rest_cols, p, peeled=peeled)
-        ranks[int(p)] = elim.add_pattern_rows(rest_rows, stop_rank=stop_rank)
+        ranks[int(p)] = ModpEliminator(peel, p).add_pattern_rows(col_rows, stop_rank=stop_rank)
     certified = any(r == rs.ambient_dim - 1 for r in ranks.values())
     return ExtremalityReport(
         ambient_dim=rs.ambient_dim,

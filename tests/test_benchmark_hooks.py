@@ -39,6 +39,28 @@ def test_every_span_target_resolves():
         assert callable(owner), f"{module_name}.{attr}"
 
 
+def test_rank_spans_count_each_prime_once():
+    # the rank span is named by the kernel's `p` and counts its `rows_seen`
+    from fnef import DivisorClass, extremality_rank, pullback_forgetful
+    from fnef.cone import DEFAULT_PRIMES, ModpEliminator
+
+    spans = load_perfbench("spans")
+    [target] = [t for t in spans.TARGETS if t[1] == "ModpEliminator.add_pattern_rows"]
+    _, _, name, counters, snapshot = target
+    recorder = spans.Recorder("test")
+    original = ModpEliminator.add_pattern_rows
+    d = pullback_forgetful(pullback_forgetful(DivisorClass(4, {0b011: 1})))
+    try:
+        ModpEliminator.add_pattern_rows = recorder._wrapper(original, name, counters, snapshot)
+        rep = extremality_rank(d, primes=DEFAULT_PRIMES + DEFAULT_PRIMES[:1])
+    finally:
+        ModpEliminator.add_pattern_rows = original
+    assert [s["name"] for s in recorder.spans] == [f"cone.rank.{p}" for p in DEFAULT_PRIMES]
+    for p, span in zip(DEFAULT_PRIMES, recorder.spans):
+        assert span["counters"]["rows_fed"] > 0
+        assert span["counters"]["rank"] == rep.rank_mod_p[p] == 15
+
+
 def test_candidate_screen_passes_its_checks(qr_biplane):
     candidates = load_perfbench("candidates")
     specs = candidates.candidate_specs(1, 0, count=3)

@@ -1,7 +1,11 @@
 """F-nef scans, the counterexample checks, and rank certificates."""
 
+import os
 import random
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from fnef.cone import (
     DEFAULT_PRIMES,
     ExtremalityReport,
     ModpEliminator,
+    Peel,
     _ROW_PATTERN,
     _check_orthogonal,
     _free_col_rows,
@@ -139,6 +144,12 @@ def pattern_matrices(draw):
     return ncols, np.array(rows, dtype=np.int64)
 
 
+def dense_kernel(ncols, p):
+    """The kernel under the identity map: nothing taken, every column set
+    aside, so it ranks the rows themselves."""
+    return ModpEliminator(Peel(ncols, 0, np.arange(ncols)), p)
+
+
 @given(pattern_matrices(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_add_pattern_rows_matches_exact_rank(matrix, data):
@@ -151,26 +162,37 @@ def test_add_pattern_rows_matches_exact_rank(matrix, data):
     base = data.draw(st.integers(1, 4), label="base rows")
     block = data.draw(st.integers(1, 4), label="block rows")
     for p in DEFAULT_PRIMES:
-        one = ModpEliminator(ncols, p)
+        one = dense_kernel(ncols, p)
         one.BASE_ROWS, one.BLOCK_ROWS = base, block
         assert one.add_pattern_rows(col_rows, batch=batch) == expected
         assert one.rows_seen == nrows or one.rank == ncols
-        two = ModpEliminator(ncols, p)
+        two = dense_kernel(ncols, p)
         two.BASE_ROWS, two.BLOCK_ROWS = base, block
         two.add_pattern_rows(col_rows[:split], batch=batch)
         assert two.add_pattern_rows(col_rows[split:], batch=batch) == expected
 
 
+def check_peel(peel, col_rows, ncols):
+    """Every column a row touches is taken by one row or set aside, once."""
+    touched = np.unique(col_rows[col_rows >= 0])
+    assert peel.ncols == ncols
+    assert len(np.unique(peel.aside)) == len(peel.aside)
+    assert set(peel.aside.tolist()) <= set(touched.tolist())
+    assert peel.taken + len(peel.aside) == len(touched)
+    assert 0 <= peel.singletons <= peel.taken
+    assert (peel.rounds == ()) == (peel.singletons == peel.taken)
+
+
 def peeled_rank(col_rows, ncols, p, batch=512, base=None, block=None):
     """The rank of pattern rows as extremality_rank computes it: the
-    structural peel, then the dense kernel on the columns left."""
-    peeled, rows, left = _structural_peel(col_rows, ncols)
-    assert peeled + left == ncols
-    assert ((rows >= -1) & (rows < left)).all()
-    elim = ModpEliminator(left, p, peeled=peeled)
+    structural peel, then the kernel on the Schur complement of every row."""
+    peel = _structural_peel(col_rows, ncols)
+    check_peel(peel, col_rows, ncols)
+    elim = ModpEliminator(peel, p)
+    assert elim.ncols == len(peel.aside)
     if base is not None:
         elim.BASE_ROWS, elim.BLOCK_ROWS = base, block
-    return elim.add_pattern_rows(rows, batch=batch)
+    return elim.add_pattern_rows(col_rows, batch=batch)
 
 
 @given(pattern_matrices(), st.data())
@@ -183,10 +205,10 @@ def test_peeled_rank_matches_exact_rank(matrix, data):
     block = data.draw(st.integers(1, 4), label="block rows")
     for p in DEFAULT_PRIMES:
         assert peeled_rank(col_rows, ncols, p, batch, base, block) == expected
-    # the taking rows have a unit diagonal, so the peel agrees with the
-    # dense kernel alone modulo the smallest primes too
+    # the taking rows have a +-1 diagonal, so the peel agrees with the
+    # kernel under the identity map modulo the smallest primes too
     for p in (2, 3):
-        dense = ModpEliminator(ncols, p).add_pattern_rows(col_rows)
+        dense = dense_kernel(ncols, p).add_pattern_rows(col_rows)
         assert peeled_rank(col_rows, ncols, p, batch) == dense
 
 
@@ -202,31 +224,36 @@ def _rows(*entries):
 def test_peel_competing_singletons_take_one_column():
     # e0, -e0 and e0 + e1: two rows compete for column 0, one takes it
     col_rows = _rows({0: 0}, {3: 0}, {0: 0, 1: 1})
-    peeled, rows, left = _structural_peel(col_rows, 3)
-    assert (peeled, len(rows), left) == (2, 0, 1)
+    peel = _structural_peel(col_rows, 3)
+    assert (peel.singletons, peel.taken, len(peel.aside)) == (2, 2, 0)
     for p in DEFAULT_PRIMES:
         assert peeled_rank(col_rows, 3, p) == 2 == rank_exact(dense_rows(col_rows, 3), 3)
 
 
-def test_peel_without_singletons_is_all_dense():
+def test_peel_sets_aside_one_column_of_a_triangle():
     # e0 + e1, e1 + e2, e2 + e0: rank 3 over the rationals, 2 modulo 2
     col_rows = _rows({0: 0, 1: 1}, {0: 1, 1: 2}, {0: 2, 1: 0}, {})
-    peeled, rows, left = _structural_peel(col_rows, 3)
-    assert (peeled, left) == (0, 3)
-    assert np.array_equal(rows, col_rows[:3])  # the row with no free column is dropped
+    peel = _structural_peel(col_rows, 3)
+    # no singleton: column 0, the lowest of three tied, is set aside, and
+    # the cascade takes the other two
+    assert (peel.singletons, peel.taken, peel.aside.tolist()) == (0, 2, [0])
+    assert [cols.tolist() for cols, _, _ in peel.rounds] == [[1, 2]]
+    # the Schur complement is one column, where e1 + e2, which takes no
+    # column, reads -2 e0
     for p in DEFAULT_PRIMES:
         assert peeled_rank(col_rows, 3, p) == 3 == rank_exact(dense_rows(col_rows, 3), 3)
-    assert peeled_rank(col_rows, 3, 2) == 2
+    assert peeled_rank(col_rows, 3, 2) == 2 == dense_kernel(3, 2).add_pattern_rows(col_rows)
 
 
 def test_fully_peeled_matrix_feeds_no_row():
     # e0, e0 - e1, e1 + e2, e1 + e2 - e3: triangular with a unit diagonal
     col_rows = _rows({0: 0}, {0: 0, 3: 1}, {0: 1, 1: 2}, {0: 1, 1: 2, 4: 3})
-    peeled, rows, left = _structural_peel(col_rows, 4)
-    assert (peeled, len(rows), left) == (4, 0, 0)
+    peel = _structural_peel(col_rows, 4)
+    assert (peel.taken, len(peel.aside), peel.rounds) == (4, 0, ())
     for p in DEFAULT_PRIMES:
-        elim = ModpEliminator(left, p, peeled=peeled)
-        assert elim.add_pattern_rows(rows) == 4
+        elim = ModpEliminator(peel, p)
+        assert elim.ncols == 0
+        assert elim.add_pattern_rows(col_rows) == 4
         assert elim.rows_seen == 0
 
 
@@ -234,13 +261,11 @@ def test_peel_counts_at_n12(qr_divisor):
     rs = relation_system(12)
     blocks = fcurve_block_arrays(12)
     zero = _free_col_rows(blocks[fnef_check(qr_divisor).zero_mask()], rs.free_index)
-    peeled, rows, left = _structural_peel(zero, rs.ambient_dim)
-    assert (peeled, left, len(rows)) == (1331, 650, 76296)
-    # the full matrix peels completely, so no row reaches the dense kernel
-    peeled, rows, left = _structural_peel(
-        _free_col_rows(blocks, rs.free_index), rs.ambient_dim
-    )
-    assert (peeled, len(rows), left) == (rs.ambient_dim, 0, 0)
+    peel = _structural_peel(zero, rs.ambient_dim)
+    assert (peel.singletons, len(peel.aside), peel.taken) == (1331, 4, 1977)
+    # the full matrix peels completely, so no row reaches the kernel
+    peel = _structural_peel(_free_col_rows(blocks, rs.free_index), rs.ambient_dim)
+    assert (peel.taken, len(peel.aside)) == (rs.ambient_dim, 0)
 
 
 @pytest.mark.parametrize("n", range(4, 14))
@@ -261,10 +286,10 @@ def test_add_pattern_rows_stops_at_stop_rank():
     col_rows[rng.random(col_rows.shape) < 0.1] = -1
     expected = rank_exact(dense_rows(col_rows, ncols), ncols)
     assert expected <= used < ncols
-    fed_all = ModpEliminator(ncols, P1)
+    fed_all = dense_kernel(ncols, P1)
     assert fed_all.add_pattern_rows(col_rows, batch=16) == expected
     assert fed_all.rows_seen == nrows
-    stopped = ModpEliminator(ncols, P1)
+    stopped = dense_kernel(ncols, P1)
     assert stopped.add_pattern_rows(col_rows, 16, stop_rank=expected) == expected
     seen = stopped.rows_seen
     assert seen < nrows
@@ -284,16 +309,16 @@ def test_split_product_exact_at_extremes(p, inner):
     c = rng.integers(0, p, size=(5, 3))
     c[0, 0] = p - 1
     expected = (c.astype(object) - a.astype(object) @ b.astype(object)) % p
-    elim = ModpEliminator(1, p)
+    elim = dense_kernel(1, p)
     elim.BLOCK_ROWS = 2
     assert (elim._mulsub(c.copy(), a, b) == expected).all()
 
 
 def test_modp_eliminator_rejects_bad_modulus():
     with pytest.raises(InvalidInputError):
-        ModpEliminator(4, 91)  # 7 x 13
+        dense_kernel(4, 91)  # 7 x 13
     with pytest.raises(InvalidInputError):
-        ModpEliminator(4, (1 << 31) + 11)
+        dense_kernel(4, (1 << 31) + 11)
 
 
 def test_check_modulus_agrees_with_a_sieve():
@@ -337,25 +362,35 @@ def test_check_modulus_at_the_cap(monkeypatch):
 
 
 def test_modp_eliminator_refuses_inexact_sizes():
-    # refused before any basis is allocated
-    with pytest.raises(InvalidInputError):
-        ModpEliminator(ModpEliminator.MAX_COLUMNS, P1)
+    # as many set-aside columns as the cap: refused before the map is
+    # allocated
+    with pytest.raises(InvalidInputError, match="set-aside columns reach the cap"):
+        dense_kernel(ModpEliminator.MAX_COLUMNS, P1)
 
 
 def test_modp_eliminator_refuses_a_basis_beyond_physical_memory():
-    # (2^17 - 1)^2 int64 entries are about 137 GB, more than the physical
-    # memory of any machine this suite targets; refused before allocating
+    # a Schur map of 2^17 x (2^17 - 1) int64 entries is about 137 GB, more
+    # than the physical memory of any machine this suite targets; refused
+    # before it is allocated
     with pytest.raises(InvalidInputError, match="physical memory"):
-        ModpEliminator(ModpEliminator.MAX_COLUMNS - 1, P1)
+        dense_kernel(ModpEliminator.MAX_COLUMNS - 1, P1)
 
 
 def test_modp_eliminator_memory_guard_reads_physical_memory(monkeypatch):
-    # the guard shared with the partition array: 8 * 10^2 bytes for 10 columns
-    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 799)
+    # the guard shared with the partition array: a Schur map of
+    # 8 * (10 + 1) * 10 bytes for 10 set-aside columns of 10
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 879)
     with pytest.raises(InvalidInputError, match="physical memory"):
-        ModpEliminator(10, P1)
-    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 800)
-    assert ModpEliminator(10, P1).rank == 0
+        dense_kernel(10, P1)
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 880)
+    assert dense_kernel(10, P1).rank == 0
+    # the map spans every column of the peel, not only the set-aside ones
+    peel = Peel(20, 18, np.array([3, 7]))
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 8 * 21 * 2 - 1)
+    with pytest.raises(InvalidInputError, match="a Schur map on 2 columns"):
+        ModpEliminator(peel, P1)
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 8 * 21 * 2)
+    assert ModpEliminator(peel, P1).rank == 18
 
 
 def full_matrix_rank_modp(n, p):
@@ -391,12 +426,14 @@ def test_add_pattern_rows_zero_set_n6_in_batches(batch):
     col_rows = _free_col_rows(blocks[pairing_values(d, blocks) == 0], rs.free_index)
     expected = rank_exact(zero_set_dense_rows(d), rs.ambient_dim)
     assert expected == rs.ambient_dim - 1
+    peel = _structural_peel(col_rows, rs.ambient_dim)
+    # 6 columns peel as singletons, then the set-asides settle the other 10
+    assert peel.singletons == 6
+    assert peel.taken + len(peel.aside) == rs.ambient_dim
     for p in DEFAULT_PRIMES:
-        elim = ModpEliminator(rs.ambient_dim, p)
+        elim = dense_kernel(rs.ambient_dim, p)
         elim.BASE_ROWS, elim.BLOCK_ROWS = 2, 3
         assert elim.add_pattern_rows(col_rows, batch=batch) == expected
-        # 6 columns peel, and 43 rows reach the dense kernel on the other 10
-        assert _structural_peel(col_rows, rs.ambient_dim)[0] == 6
         assert peeled_rank(col_rows, rs.ambient_dim, p, batch, 2, 3) == expected
 
 
@@ -438,13 +475,30 @@ def test_extremality_rank_scans_once(monkeypatch):
     assert np.array_equal(rep.fnef.zero_mask(), scan.zero_mask())
 
 
+def test_extremality_rank_leaves_numpy_random_unloaded():
+    # rows are fed in enumeration order, so the rank path draws nothing
+    code = (
+        "import sys\n"
+        "from fnef import DivisorClass, extremality_rank, pullback_forgetful\n"
+        "d = pullback_forgetful(pullback_forgetful(DivisorClass(4, {0b011: 1})))\n"
+        "assert extremality_rank(d).certified_extremal\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = Path(fnef.cone.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False"]
+
+
 def test_extremality_ranks_each_prime_once(monkeypatch):
     built = []
 
     class Counting(ModpEliminator):
-        def __init__(self, ncols, p, peeled=0):
+        def __init__(self, peel, p):
             built.append(p)
-            super().__init__(ncols, p, peeled)
+            super().__init__(peel, p)
 
     monkeypatch.setattr(fnef.cone, "ModpEliminator", Counting)
     rep = extremality_rank(fnef_divisor_n6(), primes=(P1, P1, P2, P1))
@@ -465,10 +519,19 @@ def test_scaled_extremal_divisor_is_still_certified():
     assert big.primitive() == d and DivisorClass.zero(6).primitive() == DivisorClass.zero(6)
 
 
-def test_pulled_back_biplane_divisor_is_extremal_at_n13(qr_divisor):
-    # the dense stage runs here on 1751 columns over many batches per prime
+def test_pulled_back_biplane_divisor_is_extremal_at_n13(qr_divisor, monkeypatch):
+    # the kernel runs here on the 5 set-aside columns over 7 batches per prime
+    peels = []
+
+    def recording(*args):
+        peels.append(_structural_peel(*args))
+        return peels[-1]
+
+    monkeypatch.setattr(fnef.cone, "_structural_peel", recording)
     lifted = pullback_forgetful(eliminate_psi(qr_divisor))
     rep = extremality_rank(lifted)
+    [peel] = peels
+    assert (len(peel.aside), peel.taken) == (5, 4012)
     assert (rep.ambient_dim, rep.zero_set_size) == (4017, 583990)
     assert rep.rank_mod_p == {P1: 4016, P2: 4016}
     assert rep.certified_extremal
