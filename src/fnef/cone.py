@@ -146,8 +146,10 @@ def fnef_check(d: DivisorClass, threads: int = 1) -> FNefReport:
     one thread; `threads` accepts only 1."""
     if threads != 1:
         raise InvalidInputError(f"the scan runs on one thread, got threads={threads}")
+    # the rows are read only at the argmin, but are built first: an array
+    # beyond physical memory is refused before any scan
     blocks = fcurve_block_arrays(d.n)
-    values = pairing_values(d, blocks)
+    values = pairing_values(d)
     idx = int(values.argmin())
     mn = int(values[idx])
     zero = values == 0
@@ -600,6 +602,7 @@ def projection_formula_report(
     m = n + 1
     if samples is None:
         up_blocks = fcurve_block_arrays(m)
+        lhs = pairing_values(lifted)
     else:
         # the first draw is the largest: its int64 labels, their int64
         # product with the bits and the boolean comparison (17 bytes per
@@ -619,8 +622,7 @@ def projection_formula_report(
             rows.append(masks[good])
             need = samples - sum(len(r) for r in rows)
         up_blocks = np.concatenate(rows)[:samples]
-
-    lhs = pairing_values(lifted, up_blocks)
+        lhs = pairing_values(lifted, up_blocks)
 
     last = 1 << n
     contracted = (up_blocks == last).any(axis=1)

@@ -10,6 +10,7 @@ when those values vanish on all pair relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Optional
 
 import numpy as np
@@ -20,7 +21,8 @@ from .errors import InvalidInputError, MalformedInputError
 from .subsets import (
     FCurve,
     canonical_generator,
-    fcurve_block_arrays,
+    count_fcurves,
+    fcurve_prefixes,
     format_subset,
     full_mask,
     is_psi_key,
@@ -150,10 +152,107 @@ def check_relations(f: CurveFunctional) -> RelationCheck:
     return RelationCheck(False, (int(i[k]) + 1, int(j[k]) + 1), int(totals[k]))
 
 
-#: Rows per slice of the pairing scan.  At n=12 and 13, slices of 8192 to
-#: 32768 rows ran within 15% of each other, and 4096 or 65536 up to a
-#: quarter slower; each of the two slice buffers holds 128 KiB.
+#: Rows per slice of the pairing scan of explicit rows.  At n=12 and 13,
+#: slices of 8192 to 32768 rows ran within 15% of each other, and 4096 or
+#: 65536 up to a quarter slower; each of the two slice buffers holds 128 KiB.
 _SCAN_ROWS = 16384
+
+#: Markings in the suffix of the enumeration scan.  Its plan takes 0.93 MiB
+#: at 7 and serves every n >= 8.  At n=12 the block array's 6 (187
+#: prefixes, not 51) scanned about a fifth slower, and 8 no faster, with a
+#: 3.7 MiB plan.
+_SCAN_SUFFIX = 7
+
+#: Prefixes whose tables the enumeration scan builds in one set of calls.
+#: At a 7-marking suffix the tables of 2 prefixes hold 103 KiB, and 1 to 8
+#: ran within noise of each other at n=12 and 13; 2 keeps the temporaries
+#: about 0.6 MiB.
+_SCAN_PREFIXES = 2
+
+
+#: Per digit 0, 1, 2 of a pair code (neither, X, Y): its bit in X | Y, X, Y.
+_PAIR_BITS = np.array([[0, 1, 1], [0, 1, 0], [0, 0, 1]])
+#: Per block 0..3 of a suffix marking: its digit in the codes of
+#: (S1, S2), (S0, S1) and (S3, S1).
+_KEY_DIGITS = np.array([[0, 1, 2, 0], [1, 2, 0, 0], [0, 2, 0, 1]])
+
+
+@lru_cache(maxsize=None)
+def _scan_plan(s: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Index arrays of the enumeration scan for an s-marking suffix; they do
+    not depend on n.
+
+    A disjoint pair (X, Y) of suffix subsets has the ternary code with digit
+    1 at each marking of X and 2 at each marking of Y, marking i at weight
+    3^i.  `pick` holds X | Y, X and Y at every code.  `keys[u]` holds, for
+    each completion of a start with u blocks, in enumeration order, with
+    suffix parts S0..S3, the codes of (S1, S2), (S0, S1) and (S3, S1), the
+    last two offset by 3^s and 2 * 3^s.  The completions are the
+    assignments of the suffix markings to blocks, first marking most
+    significant, that open blocks in order and end with 4 open.
+    """
+    width = 3**s
+    pick = np.zeros((3, 1), dtype=np.intp)
+    for i in reversed(range(s)):
+        pick = (pick[:, :, None] + (_PAIR_BITS << i)[:, None, :]).reshape(3, -1)
+    codes = np.array([[0], [width], [2 * width]], dtype=np.intp)
+    slot = np.arange(4, dtype=np.int8)
+    top = slot[:, None]  # the last block open, for u = 1..4
+    ok = np.ones((4, 1), dtype=bool)
+    for i in range(s):
+        codes = (codes[:, :, None] + (_KEY_DIGITS * 3**i)[:, None, :]).reshape(3, -1)
+        ok = (ok[:, :, None] & (slot <= top[:, :, None] + 1)).reshape(4, -1)
+        top = np.maximum(top[:, :, None], slot).reshape(4, -1)
+    keys = {
+        u: np.take(codes, np.flatnonzero(ok[u - 1] & (top[u - 1] == 3)), axis=1)
+        for u in range(1, 5)
+    }
+    for a in (pick, *keys.values()):
+        a.setflags(write=False)
+    return pick, keys
+
+
+def _scan_enumeration(table: np.ndarray, n: int) -> np.ndarray:
+    """`pairing_values` over the enumeration, as prefixes times completions.
+
+    A row is a prefix's blocks P0..P3 joined with a completion's S0..S3, and
+    the table reads a mask and its complement alike, so b0|b3 reads as b1|b2
+    and b0|b2 as b1|b3.  The seven terms regroup into three functions of a
+    disjoint pair of suffix parts: A(S1, S2) = c(b1|b2) - c(b1) - c(b2),
+    E(S0, S1) = c(b0|b1) - c(b0) and F(S3, S1) = c(b1|b3) - c(b3).  Each
+    prefix tabulates them over every code of `_scan_plan`, and each of its
+    rows is then three lookups and two adds: partial sums of at most 7
+    coefficients, exact once `check_int64_sums` has passed.
+    """
+    split, prefixes, opened = fcurve_prefixes(n, _SCAN_SUFFIX)
+    s = n - split
+    pick, keys = _scan_plan(s)
+    # by_suffix[P, T] is c(P | T << split): one row per prefix mask
+    by_suffix = table.reshape(1 << s, 1 << split).T.copy()
+    p0, p1, p2, p3 = prefixes.T
+    # the unions and the singles of A, E and F, then the second single of A
+    masks = np.stack([p1 | p2, p0 | p1, p1 | p3, p1, p0, p3, p2], axis=1)
+    opened = opened.tolist()
+    out = np.empty(count_fcurves(n), dtype=np.int64)
+    val = np.empty(max(k.shape[1] for k in keys.values()), dtype=np.int64)
+    start = 0
+    for lo in range(0, len(prefixes), _SCAN_PREFIXES):
+        # ndarray.take, not np.take: its Python wrapper would add about
+        # 0.2 ms to the 5 ms of n=12
+        rows = by_suffix[masks[lo : lo + _SCAN_PREFIXES]]
+        tables = rows[:, :3].take(pick[0], axis=2, mode="wrap")
+        tables -= rows[:, 3:6].take(pick[1], axis=2, mode="wrap")
+        tables[:, 0] -= rows[:, 6].take(pick[2], axis=1, mode="wrap")
+        for t, u in zip(tables.reshape(len(rows), -1), opened[lo : lo + _SCAN_PREFIXES]):
+            k_a, k_e, k_f = keys[u]
+            acc, v = out[start : start + len(k_a)], val[: len(k_a)]
+            t.take(k_a, out=acc, mode="wrap")
+            t.take(k_e, out=v, mode="wrap")
+            acc += v
+            t.take(k_f, out=v, mode="wrap")
+            acc += v
+            start += len(k_a)
+    return out
 
 
 def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.ndarray:
@@ -164,18 +263,28 @@ def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.n
 
     The table holds the coefficient of m's canonical key at every subset
     mask m: `d.dense_table()` followed by its reverse, since a mask at or
-    above 2^(n-1) reads its complement 2^n - 1 - m.  Rows are 4-block
-    partitions as int32 or int64 masks, each below 2^n: np.take's "wrap"
-    mode, a third faster than its checked default, does not check it.
-    The rows are taken in slices of `_SCAN_ROWS`, each summed in place in
-    its part of the result through one index buffer and one value buffer,
-    so the temporaries stay two slice-length buffers at every n.
+    above 2^(n-1) reads its complement 2^n - 1 - m.  The two paths read it
+    differently:
+
+    - Without `blocks`, the enumeration is scanned as prefixes times
+      completions (`_scan_enumeration`): three lookups per curve in small
+      per-prefix tables, about half the time of the row loop at n=12 and
+      13.  It needs the enumeration's structure, so it serves only the
+      whole enumeration.
+    - With `blocks`, any rows are scanned: 4-block partitions as int32 or
+      int64 masks, each below 2^n (np.take's "wrap" mode, a third faster
+      than its checked default, does not check it).  The rows are taken in
+      slices of `_SCAN_ROWS`, each summed in place in its part of the
+      result through one index buffer and one value buffer, so the
+      temporaries stay two slice-length buffers at every n.  This path
+      serves sampled rows and is the enumeration scan's oracle in the
+      tests.
     """
     check_int64_sums(d.coeffs.values(), 7, "F-curve pairing scan")
-    if blocks is None:
-        blocks = fcurve_block_arrays(d.n)
     table = d.dense_table()
     table = np.concatenate([table, table[::-1]])
+    if blocks is None:
+        return _scan_enumeration(table, d.n)
     out = np.empty(len(blocks), dtype=np.int64)
     idx = np.empty(_SCAN_ROWS, dtype=np.intp)
     val = np.empty(_SCAN_ROWS, dtype=np.int64)

@@ -210,6 +210,18 @@ def _assign(blocks: np.ndarray, used: np.ndarray, bits: range, n: int):
     return blocks, used
 
 
+def fcurve_prefixes(n: int, suffix: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The enumeration cut before its last `suffix` markings, or after
+    marking 1 when n is smaller: returns the number `split` of markings
+    before the cut, every way they start a 4-block partition of {1..n} as a
+    (k, 4) int32 mask array in enumeration order, and the number of blocks
+    each one opened."""
+    split = max(1, n - suffix)
+    one = np.array([[1, 0, 0, 0]], dtype=np.int32)  # marking 1 opens block 0
+    prefixes, opened = _assign(one, np.array([1]), range(1, split), n)
+    return split, prefixes, opened
+
+
 def fcurve_block_arrays(n: int) -> np.ndarray:
     """All 4-block partitions of {1..n} as an (S(n,4), 4) int32 mask array.
 
@@ -220,10 +232,10 @@ def fcurve_block_arrays(n: int) -> np.ndarray:
     that would not fit in physical memory is refused before it is allocated
     (InvalidInputError; 2.6 GiB at n=16).
 
-    Built as prefixes times suffix tables: the prefixes assign the markings
-    before the last 6, and for each count u of blocks a prefix opened, one
-    table holds every completion of u blocks to 4 by the last markings, in
-    the same order.  Each prefix in turn writes `table | prefix` into the
+    Built as prefixes times suffix tables: the prefixes (`fcurve_prefixes`)
+    assign the markings before the last 6, and for each count u of blocks a
+    prefix opened, one table holds every completion of u blocks to 4 by the
+    last markings, in the same order.  Each prefix in turn writes `table | prefix` into the
     next slice of the result, which keeps exactly the row order above.
     """
     validate_n(n)
@@ -233,10 +245,8 @@ def fcurve_block_arrays(n: int) -> np.ndarray:
     rows = stirling2(n, 4)
     check_memory(16 * rows, f"the {rows} x 4 int32 partition array")
 
-    split = max(1, n - _SUFFIX)
-    one = np.array([[1, 0, 0, 0]], dtype=np.int32)  # marking 1 opens block 0
-    prefixes, opened = _assign(one, np.array([1]), range(1, split), n)
-    tables = {u: _assign(np.zeros_like(one), np.array([u]), range(split, n), n)[0]
+    split, prefixes, opened = fcurve_prefixes(n, _SUFFIX)
+    tables = {u: _assign(np.zeros_like(prefixes[:1]), np.array([u]), range(split, n), n)[0]
               for u in set(opened.tolist())}
     arr = np.empty((rows, 4), dtype=np.int32)
     start = 0

@@ -520,11 +520,12 @@ def test_extremal_reduces_the_primitive_part(tmp_path, monkeypatch, capsys):
 
 
 def test_extremal_refuses_bad_prime_before_any_scan(monkeypatch, capsys):
-    def no_scan(n):
+    def no_scan(*args):
         raise AssertionError("scanned before the moduli were checked")
 
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_scan)
-    monkeypatch.setattr(fnef.pairing, "fcurve_block_arrays", no_scan)
+    monkeypatch.setattr(fnef.cone, "pairing_values", no_scan)
+    monkeypatch.setattr(fnef.pairing, "fcurve_prefixes", no_scan)
     code, out, err = run(capsys, "extremal", "--prime", "2147483629", "--prime", "91")
     assert (code, out) == (2, "")
     assert "modulus 91 is not prime" in err
@@ -534,11 +535,12 @@ def test_extremal_refuses_bad_prime_before_any_scan(monkeypatch, capsys):
 
 
 def test_extremal_refuses_a_repeated_prime_before_any_scan(monkeypatch, capsys):
-    def no_scan(n):
+    def no_scan(*args):
         raise AssertionError("scanned before the moduli were checked")
 
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_scan)
-    monkeypatch.setattr(fnef.pairing, "fcurve_block_arrays", no_scan)
+    monkeypatch.setattr(fnef.cone, "pairing_values", no_scan)
+    monkeypatch.setattr(fnef.pairing, "fcurve_prefixes", no_scan)
     code, out, err = run(capsys, "extremal", "--prime", "3", "--prime", "101", "--prime", "3")
     assert (code, out, err) == (2, "", "error: --prime 3 is given twice\n")
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import islice
 from math import isqrt
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from fnef import (
     CurveFunctional,
     DivisorClass,
+    automorphisms,
     certify_not_boundary,
     check_relations,
     eliminate_psi,
@@ -46,7 +48,7 @@ from fnef.cone import (
     check_modulus,
 )
 from fnef.errors import InvalidInputError
-from fnef.subsets import mask_from_elements
+from fnef.subsets import all_generator_keys, mask_from_elements
 from oracles import (
     dense_rows,
     fcurve_matrix_rank_exact,
@@ -83,6 +85,58 @@ def test_argmin_is_first_minimizer_in_enumeration_order():
     rep = fnef_check(DivisorClass.zero(6))
     assert rep.min_value == 0 and rep.zero_count == 65
     assert rep.argmin == next(enumerate_fcurves(6))
+
+
+def mask_images(image, n):
+    """The image of every subset mask of {1..n}, as a 2^n-entry table, under
+    the relabelling that sends marking i + 1 to image[i] + 1."""
+    masks = np.arange(1 << n)
+    out = np.zeros_like(masks)
+    for i, j in enumerate(image):
+        out |= ((masks >> i) & 1) << j
+    return out
+
+
+def curve_keys(rows):
+    """The curves of 4-block mask rows as sorted integers, each its four
+    masks sorted and packed 16 bits apart: equal keys, equal curve sets."""
+    rows = np.sort(rows.astype(np.int64), axis=1)
+    return np.sort(rows[:, 0] << 48 | rows[:, 1] << 32 | rows[:, 2] << 16 | rows[:, 3])
+
+
+def test_biplane_zero_set_is_invariant_under_automorphisms(qr_biplane, qr_divisor):
+    # the automorphisms fix D_PP and marking 12, so they permute its zero
+    # curves whatever code computed the pairings
+    zero = fcurve_block_arrays(12)[fnef_check(qr_divisor).zero_mask()]
+    expected = curve_keys(zero)
+    identity = tuple(range(11))
+    images = [im for im in islice(automorphisms(qr_biplane), 6) if im != identity]
+    images.append(identity[1:] + (0,))  # the cyclic shift
+    assert len(images) >= 5
+    for image in images:
+        moved = mask_images(image + (11,), 12)[zero]
+        assert np.array_equal(curve_keys(moved), expected)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_scan_is_equivariant_under_relabelling(data):
+    n = data.draw(st.integers(4, 9), label="n")
+    image = data.draw(st.permutations(range(n)), label="image")
+    keys = all_generator_keys(n)
+    coeffs = data.draw(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=len(keys), max_size=len(keys)),
+        label="coeffs",
+    )
+    d = DivisorClass(n, dict(zip(keys, coeffs)))
+    table = mask_images(image, n)
+    moved = DivisorClass.from_terms(n, ((int(table[m]), c) for m, c in d.coeffs.items()))
+    rep, rep_moved = fnef_check(d), fnef_check(moved)
+    assert (rep_moved.min_value, rep_moved.zero_count) == (rep.min_value, rep.zero_count)
+    blocks = fcurve_block_arrays(n)
+    assert np.array_equal(
+        curve_keys(table[blocks[rep.zero_mask()]]), curve_keys(blocks[rep_moved.zero_mask()])
+    )
 
 
 def test_scan_accepts_one_thread_only(qr_divisor):

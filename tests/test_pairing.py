@@ -244,6 +244,74 @@ def test_scan_temporaries_stay_bounded(qr_divisor):
     assert peak < values.nbytes + (1 << 20)
 
 
+def scan_divisors(n, seed):
+    """Both int64 extremes, small coefficients on every key, and coefficients
+    up to the bound on a sparse support."""
+    rng = random.Random(seed)
+    top = ((1 << 63) - 1) // 7
+    keys = all_generator_keys(n)
+    return [
+        extreme_divisor(n, top),
+        extreme_divisor(n, -top),
+        DivisorClass(n, {m: rng.randint(-5, 5) for m in keys}),
+        DivisorClass(n, {m: rng.randint(-top, top) for m in keys if rng.random() < 0.3}),
+    ]
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_enumeration_scan_matches_per_curve_oracle(n):
+    curves = list(enumerate_fcurves(n))
+    for d in scan_divisors(n, n):
+        assert pairing_values(d).tolist() == [pair_divisor_fcurve(d, c) for c in curves]
+
+
+@pytest.mark.parametrize("n", [10, 11, 12, 13])
+def test_enumeration_scan_matches_row_scan(n):
+    blocks = fcurve_block_arrays(n)
+    for d in scan_divisors(n, n):
+        assert np.array_equal(pairing_values(d), pairing_values(d, blocks))
+
+
+def test_both_scans_refuse_sums_beyond_int64():
+    top = ((1 << 63) - 1) // 7
+    blocks = fcurve_block_arrays(9)
+    for rows in (None, blocks):
+        for c in (top + 1, -top - 1):
+            with pytest.raises(InvalidInputError, match="exceeds int64"):
+                pairing_values(extreme_divisor(9, c), rows)
+        with pytest.raises(InvalidInputError, match="exceeds int64"):
+            pairing_values(DivisorClass(9, {3: 1 << 63}), rows)
+
+
+def test_enumeration_scan_temporaries_stay_bounded(qr_divisor):
+    pairing_values(qr_divisor)  # builds the plan
+    tracemalloc.start()
+    try:
+        values = pairing_values(qr_divisor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes + (1 << 20)
+
+
+def test_scan_plan_is_small_and_shared_across_n(qr_divisor, monkeypatch):
+    plan = fnef.pairing._scan_plan
+    asked = []
+
+    def recording(s):
+        asked.append(s)
+        return plan(s)
+
+    monkeypatch.setattr(fnef.pairing, "_scan_plan", recording)
+    for d in (DivisorClass(8, {3: 1}), qr_divisor, DivisorClass(13, {3: 1})):
+        pairing_values(d)
+    assert asked == [7, 7, 7]
+    pick, keys = plan(7)
+    assert plan(7)[0] is pick and plan(7)[1] is keys
+    assert pick.nbytes + sum(k.nbytes for k in keys.values()) < 1.5 * (1 << 20)
+    assert not any(a.flags.writeable for a in (pick, *keys.values()))
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_fcurve_pairing_rows_respect_relations(n):
     for c in enumerate_fcurves(n):
