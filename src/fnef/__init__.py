@@ -67,6 +67,7 @@ from .subsets import (
     canonical_generator,
     count_fcurves,
     enumerate_fcurves,
+    fcurve_at,
     fcurve_block_arrays,
     format_subset,
     parse_fcurve,

@@ -46,7 +46,7 @@ from .pairing import (
     pair_divisor_functional,
     pairing_values,
 )
-from .subsets import FCurve, check_memory, count_fcurves, fcurve_block_arrays
+from .subsets import FCurve, check_memory, count_fcurves, fcurve_at, fcurve_block_arrays
 
 #: Fixed moduli for extremality certification, both just below the 2^31
 #: cap that keeps the rank kernel's arithmetic exact: residue products stay
@@ -61,8 +61,10 @@ _ROW_PATTERN = np.array([1, 1, 1, -1, -1, -1, -1], dtype=np.int64)
 
 @dataclass(frozen=True)
 class FNefReport:
-    """One scan of every F-curve.  `zero_bits` marks the curves pairing to
-    zero, in enumeration order, packed 8 to a byte."""
+    """One scan of every F-curve (`fnef_check`).  `argmin` is the first
+    curve in enumeration order at `min_value`.  `zero_bits` marks the curves
+    pairing to zero, in enumeration order, packed 8 to a byte; it is the
+    only per-curve array the report keeps."""
 
     n: int
     min_value: int
@@ -72,7 +74,8 @@ class FNefReport:
     zero_bits: np.ndarray = field(repr=False, compare=False)
 
     def zero_mask(self) -> np.ndarray:
-        """Boolean mask of the zero-pairing rows of fcurve_block_arrays(n)."""
+        """Boolean mask of the zero-pairing curves, indexed like the rows of
+        fcurve_block_arrays(n)."""
         return np.unpackbits(self.zero_bits, count=count_fcurves(self.n)).view(bool)
 
 
@@ -135,20 +138,21 @@ class ProjectionFormulaReport:
         return self.mismatches == 0
 
 
-def _argmin_curve(n: int, blocks: np.ndarray, idx: int) -> FCurve:
-    row = blocks[idx]
-    return FCurve(n, (int(row[0]), int(row[1]), int(row[2]), int(row[3])))
-
-
 def fnef_check(d: DivisorClass, threads: int = 1) -> FNefReport:
     """Scan every F-curve once; report the exact minimum pairing, the first
     curve attaining it, and the number of zero pairings.  The scan runs on
-    one thread; `threads` accepts only 1."""
+    one thread; `threads` accepts only 1.
+
+    The values come from the enumeration scan (`pairing_values(d)`) and the
+    argmin curve from its index (`fcurve_at`), so no partition array is
+    built.  The scan's own arrays, 8 bytes of int64 value and 1 byte of zero
+    flag per curve, are refused before any scan when they would not fit in
+    physical memory (InvalidInputError; 1.4 GiB at n=16).
+    """
     if threads != 1:
         raise InvalidInputError(f"the scan runs on one thread, got threads={threads}")
-    # the rows are read only at the argmin, but are built first: an array
-    # beyond physical memory is refused before any scan
-    blocks = fcurve_block_arrays(d.n)
+    rows = count_fcurves(d.n)
+    check_memory(9 * rows, f"the F-nef scan of {rows} curves")
     values = pairing_values(d)
     idx = int(values.argmin())
     mn = int(values[idx])
@@ -156,7 +160,7 @@ def fnef_check(d: DivisorClass, threads: int = 1) -> FNefReport:
     return FNefReport(
         n=d.n,
         min_value=mn,
-        argmin=_argmin_curve(d.n, blocks, idx),
+        argmin=fcurve_at(d.n, idx),
         zero_count=int(np.count_nonzero(zero)),
         nonnegative=mn >= 0,
         zero_bits=np.packbits(zero),
@@ -586,6 +590,45 @@ def extremality_rank(
 _SAMPLE_SEED = 20260810
 
 
+def _label_masks(k: int) -> np.ndarray:
+    """Per base-4 code of k labels, label j at weight 4^j, the masks of the
+    markings j labelled 0, 1, 2 and 3: a (4^k, 4) int32 table."""
+    table = np.zeros((1, 4), dtype=np.int32)
+    for j in reversed(range(k)):
+        table = (table[:, None, :] | (np.eye(4, dtype=np.int32) << j)).reshape(-1, 4)
+    return table
+
+
+def _sample_partitions(m: int, samples: int) -> np.ndarray:
+    """`samples` seeded random 4-block partitions of {1..m}, as a
+    (samples, 4) int32 mask array with the blocks in label order.
+
+    Each draw labels every marking 0..3 at random, about a quarter more
+    rows than still needed, and keeps the rows with no empty block.  A
+    row's masks come from two table lookups, one per half of its labels
+    read as a base-4 code (`_label_masks`), so no temporary grows with
+    the draw's label count beyond the labels themselves.
+    """
+    # the first draw is the largest: its int64 labels, then per row two
+    # int64 codes, two int32 mask rows, a keep flag, and the kept rows and
+    # their concatenation
+    draw = int(samples * 1.25) + 16
+    check_memory(draw * (8 * m + 81), f"sampling {samples} partitions")
+    h = m // 2
+    low, high = _label_masks(h), _label_masks(m - h) << h
+    low_weights, high_weights = 4 ** np.arange(h), 4 ** np.arange(m - h)
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    need = samples
+    rows = []
+    while need > 0:
+        labels = rng.integers(0, 4, size=(int(need * 1.25) + 16, m))
+        masks = low[labels[:, :h] @ low_weights]
+        masks |= high[labels[:, h:] @ high_weights]
+        rows.append(masks[masks.all(axis=1)])
+        need = samples - sum(len(r) for r in rows)
+    return np.concatenate(rows)[:samples]
+
+
 def projection_formula_report(
     d: DivisorClass, samples: Optional[int] = None
 ) -> ProjectionFormulaReport:
@@ -593,41 +636,31 @@ def projection_formula_report(
     class against pushed-forward curves (contracted curves must pair 0).
 
     With samples=None the check is exhaustive over all curves at n+1;
-    otherwise that many random 4-block partitions are drawn, at least one.
+    otherwise that many random 4-block partitions are drawn, at least one
+    (`_sample_partitions`).
+
+    A curve at n+1 is contracted when {n+1} is one of its blocks; its image
+    at n drops marking n+1.  In enumeration order the other curves at n+1
+    are the curves at n, each four times in a row (n+1 joins block 0, 1, 2,
+    then 3), so the exhaustive check compares them with the scan at n
+    repeated, and a canonical row's singleton {n+1} is always its last
+    block.
     """
     if samples is not None and samples < 1:
         raise InvalidInputError(f"sample count must be positive, got {samples}")
     n = d.n
     lifted = pullback_forgetful(d)
-    m = n + 1
-    if samples is None:
-        up_blocks = fcurve_block_arrays(m)
-        lhs = pairing_values(lifted)
-    else:
-        # the first draw is the largest: its int64 labels, their int64
-        # product with the bits and the boolean comparison (17 bytes per
-        # label), then 64 bytes per row for the four masks and their stack
-        draw = int(samples * 1.25) + 16
-        check_memory(draw * (17 * m + 64), f"sampling {samples} partitions")
-        rng = np.random.default_rng(_SAMPLE_SEED)
-        need = samples
-        rows = []
-        bits = (1 << np.arange(m, dtype=np.int64))[None, :]
-        while need > 0:
-            labels = rng.integers(0, 4, size=(int(need * 1.25) + 16, m))
-            masks = np.stack(
-                [((labels == k) * bits).sum(axis=1) for k in range(4)], axis=1
-            )
-            good = masks.all(axis=1)
-            rows.append(masks[good])
-            need = samples - sum(len(r) for r in rows)
-        up_blocks = np.concatenate(rows)[:samples]
-        lhs = pairing_values(lifted, up_blocks)
-
     last = 1 << n
-    contracted = (up_blocks == last).any(axis=1)
-    down_blocks = (up_blocks & ~last)[~contracted]
-    rhs = pairing_values(d, down_blocks)
+    if samples is None:
+        up_blocks = fcurve_block_arrays(n + 1)
+        lhs = pairing_values(lifted)
+        contracted = up_blocks[:, 3] == last
+        rhs = np.repeat(pairing_values(d), 4)
+    else:
+        up_blocks = _sample_partitions(n + 1, samples)
+        lhs = pairing_values(lifted, up_blocks)
+        contracted = (up_blocks == last).any(axis=1)
+        rhs = pairing_values(d, (up_blocks & ~last)[~contracted])
 
     mismatches = int(np.count_nonzero(lhs[contracted] != 0)) + int(
         np.count_nonzero(lhs[~contracted] != rhs)

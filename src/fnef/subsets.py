@@ -230,7 +230,8 @@ def fcurve_block_arrays(n: int) -> np.ndarray:
     opening a new one.  Blocks within a row are ordered by smallest element.
     The array is cached per n and must not be mutated by callers.  An array
     that would not fit in physical memory is refused before it is allocated
-    (InvalidInputError; 2.6 GiB at n=16).
+    (InvalidInputError; 2.6 GiB at n=16).  `fcurve_at` gives one row
+    without building it.
 
     Built as prefixes times suffix tables: the prefixes (`fcurve_prefixes`)
     assign the markings before the last 6, and for each count u of blocks a
@@ -257,6 +258,42 @@ def fcurve_block_arrays(n: int) -> np.ndarray:
     arr.setflags(write=False)
     _BLOCK_CACHE[n] = arr
     return arr
+
+
+@lru_cache(maxsize=None)
+def _completions(r: int, u: int) -> int:
+    """Ways to place r more markings, u blocks open, ending with 4 open:
+    each joins one of the u blocks or opens the next."""
+    if r == 0 or u > 4:
+        return int(u == 4)
+    return u * _completions(r - 1, u) + _completions(r - 1, u + 1)
+
+
+def fcurve_at(n: int, index: int) -> FCurve:
+    """The curve at `index` in the enumeration order, row `index` of
+    `fcurve_block_arrays(n)`, without building the array.
+
+    The order assigns markings in turn, joining an open block by index
+    before opening the next one, so the rows where a marking joins one of
+    u open blocks come in u runs of `_completions(r, u)` rows each, and the
+    rows where it opens the next block after them.  Each marking's choice
+    is read off the index with plain integers.
+    """
+    rows = count_fcurves(n)
+    if not 0 <= index < rows:
+        raise InvalidInputError(f"F-curve index {index} is outside [0, {rows})")
+    blocks = [1, 0, 0, 0]  # marking 1 opens block 0
+    u = 1
+    for i in range(1, n):
+        run = _completions(n - 1 - i, u)
+        if index < u * run:
+            slot, index = divmod(index, run)
+        else:  # past the u runs: the marking opens block u
+            index -= u * run
+            slot = u
+            u += 1
+        blocks[slot] |= 1 << i
+    return FCurve._trusted(n, tuple(blocks))  # type: ignore[arg-type]
 
 
 #: Rows converted to Python ints per `tolist` call: one call per row view

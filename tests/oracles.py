@@ -1,8 +1,9 @@
 """Slow exact oracles that the tests compare the library against.
 
 Dense Fraction elimination for ranks over the rationals, the pairing row
-of a single F-curve as a curve functional, and the pushforward of one
-F-curve along the forgetful map.  None of this runs outside the tests.
+of a single F-curve as a curve functional, the pushforward of one F-curve
+along the forgetful map, and the first, array-based forms of the sampled
+and exhaustive projection formula.  None of this runs outside the tests.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from fnef import (
     DivisorClass,
     FCurve,
     enumerate_fcurves,
+    fcurve_block_arrays,
     pair_divisor_fcurve,
     pair_generator_fcurve,
+    pairing_values,
     relation_system,
 )
 from fnef.cone import _ROW_PATTERN
@@ -120,3 +123,33 @@ def pushforward_fcurve(curve: FCurve) -> Optional[FCurve]:
         return None
     blocks = tuple(b & ~last for b in curve.blocks)
     return FCurve(n - 1, blocks)  # type: ignore[arg-type]
+
+
+def sample_partitions_oracle(m: int, samples: int, seed: int) -> np.ndarray:
+    """The seeded partition sampler in its first form: one labels-times-bits
+    sum per block, over the same stream of draws."""
+    rng = np.random.default_rng(seed)
+    need = samples
+    rows = []
+    bits = (1 << np.arange(m, dtype=np.int64))[None, :]
+    while need > 0:
+        labels = rng.integers(0, 4, size=(int(need * 1.25) + 16, m))
+        masks = np.stack([((labels == k) * bits).sum(axis=1) for k in range(4)], axis=1)
+        good = masks.all(axis=1)
+        rows.append(masks[good])
+        need = samples - sum(len(r) for r in rows)
+    return np.concatenate(rows)[:samples]
+
+
+def projection_formula_oracle(d: DivisorClass, lifted: DivisorClass) -> tuple[int, int, int]:
+    """(total, contracted, mismatches) of the exhaustive projection formula
+    for the class `lifted` at n+1 against d, from the rows at n+1: a row is
+    contracted when one of its blocks is {n+1}, and any other row is
+    compared with its image at n, scanned row by row."""
+    up_blocks = fcurve_block_arrays(d.n + 1)
+    lhs = pairing_values(lifted)
+    last = 1 << d.n
+    contracted = (up_blocks == last).any(axis=1)
+    rhs = pairing_values(d, (up_blocks & ~last)[~contracted])
+    mismatches = np.count_nonzero(lhs[contracted]) + np.count_nonzero(lhs[~contracted] != rhs)
+    return len(up_blocks), int(np.count_nonzero(contracted)), int(mismatches)

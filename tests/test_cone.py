@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from fnef import (
     CurveFunctional,
     DivisorClass,
+    FCurve,
     automorphisms,
+    canonical_divisor,
     certify_not_boundary,
     check_relations,
     eliminate_psi,
@@ -48,12 +50,14 @@ from fnef.cone import (
     check_modulus,
 )
 from fnef.errors import InvalidInputError
-from fnef.subsets import all_generator_keys, mask_from_elements
+from fnef.subsets import all_generator_keys, mask_from_elements, stirling2
 from oracles import (
     dense_rows,
     fcurve_matrix_rank_exact,
+    projection_formula_oracle,
     pushforward_fcurve,
     rank_exact,
+    sample_partitions_oracle,
     zero_set_dense_rows,
 )
 
@@ -134,9 +138,59 @@ def test_scan_is_equivariant_under_relabelling(data):
     rep, rep_moved = fnef_check(d), fnef_check(moved)
     assert (rep_moved.min_value, rep_moved.zero_count) == (rep.min_value, rep.zero_count)
     blocks = fcurve_block_arrays(n)
+    for div, r in ((d, rep), (moved, rep_moved)):
+        row = blocks[pairing_values(div).argmin()]
+        assert r.argmin == FCurve(n, tuple(int(b) for b in row))
     assert np.array_equal(
         curve_keys(table[blocks[rep.zero_mask()]]), curve_keys(blocks[rep_moved.zero_mask()])
     )
+
+
+def count_scans(monkeypatch):
+    """The arguments of every `pairing_values` call from fnef.cone, as a list
+    that grows as they are made."""
+    scans = []
+    scan = fnef.cone.pairing_values
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(fnef.cone, "pairing_values", counted)
+    return scans
+
+
+@pytest.mark.parametrize("n", [6, 12, 13])
+def test_fnef_check_builds_no_partition_array(n, qr_divisor, monkeypatch):
+    d = {
+        6: fnef_divisor_n6(),
+        12: qr_divisor,
+        13: pullback_forgetful(eliminate_psi(qr_divisor)),
+    }[n]
+    scans = count_scans(monkeypatch)
+
+    def no_array(n):
+        raise AssertionError(f"built the partition array at n={n}")
+
+    for module in (fnef.cone, fnef.subsets):
+        monkeypatch.setattr(module, "fcurve_block_arrays", no_array)
+    rep = fnef_check(d)
+    assert len(scans) == 1 and rep.nonnegative and rep.min_value == 0
+    assert rep.zero_count == {6: 49, 12: 124366, 13: 583990}[n]
+
+
+def test_fnef_check_refuses_a_scan_beyond_physical_memory(monkeypatch):
+    # 8 bytes of value and 1 of zero flag per curve: one byte less is
+    # refused before the scan, and exactly that much is enough
+    need = 9 * stirling2(9, 4)
+    scans = count_scans(monkeypatch)
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
+    d = canonical_divisor(9)
+    with pytest.raises(InvalidInputError, match="F-nef scan of 7770 curves needs 69930 bytes"):
+        fnef_check(d)
+    assert scans == []
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
+    assert fnef_check(d).n == 9 and len(scans) == 1
 
 
 def test_scan_accepts_one_thread_only(qr_divisor):
@@ -623,6 +677,52 @@ def test_projection_formula_exhaustive_6_to_7():
         rep = projection_formula_report(d)
         assert rep.total == 350 == rep.contracted + (rep.total - rep.contracted)
         assert rep.mismatches == 0
+
+
+@pytest.mark.parametrize("m", range(5, 14))
+def test_sampler_matches_the_labels_times_bits_oracle(m):
+    for samples in (1, 2, 17, 1000, 4099):
+        rows = fnef.cone._sample_partitions(m, samples)
+        expected = sample_partitions_oracle(m, samples, fnef.cone._SAMPLE_SEED)
+        assert rows.shape == (samples, 4) and np.array_equal(rows, expected)
+
+
+def test_sampler_keeps_pullback13s_spot_check(qr_divisor):
+    rep = projection_formula_report(eliminate_psi(qr_divisor), samples=100000)
+    assert (rep.total, rep.contracted, rep.mismatches) == (100000, 3492, 0)
+
+
+def projection_divisors(n):
+    """Two seeded small classes at n, the canonical class, and the pullback
+    of an F-nef boundary class at 4 markings, all in boundary form."""
+    rng = random.Random(n)
+    keys = all_generator_keys(n)
+    out = [DivisorClass(n, {m: rng.randint(-3, 3) for m in keys}) for _ in range(2)]
+    out.append(canonical_divisor(n))
+    d = fnef_divisor_n6()
+    for _ in range(6, n):
+        d = pullback_forgetful(d)
+    if n >= 6:
+        out.append(d)
+    return [eliminate_psi(d) for d in out]
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_exhaustive_projection_formula_matches_the_row_oracle(n, monkeypatch):
+    # a wrong extra term on the lift makes the mismatch count nonzero,
+    # so the two formulas must agree on every count, not only on zero
+    pullback = fnef.cone.pullback_forgetful
+    keys = all_generator_keys(n + 1)
+    for d in projection_divisors(n):
+        for extra in (None, keys[len(keys) // 3], 1 << (n - 1)):
+            lifted = pullback(d)
+            if extra is not None:
+                lifted = lifted + DivisorClass(n + 1, {extra: 1})
+            monkeypatch.setattr(fnef.cone, "pullback_forgetful", lambda _, lifted=lifted: lifted)
+            rep = projection_formula_report(d)
+            expected = projection_formula_oracle(d, lifted)
+            assert (rep.total, rep.contracted, rep.mismatches) == expected
+            assert (rep.mismatches == 0) == (extra is None)
 
 
 def test_projection_formula_refuses_no_samples():

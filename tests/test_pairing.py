@@ -272,6 +272,14 @@ def test_enumeration_scan_matches_row_scan(n):
         assert np.array_equal(pairing_values(d), pairing_values(d, blocks))
 
 
+@pytest.mark.parametrize("n", [4, 7, 10, 13])
+def test_fnef_check_argmin_is_the_scan_argmin_row(n):
+    blocks = fcurve_block_arrays(n)
+    for d in scan_divisors(n, n):
+        row = blocks[pairing_values(d).argmin()]
+        assert fnef_check(d).argmin == FCurve(n, tuple(int(b) for b in row))
+
+
 def test_both_scans_refuse_sums_beyond_int64():
     top = ((1 << 63) - 1) // 7
     blocks = fcurve_block_arrays(9)

@@ -1,6 +1,7 @@
 """Mask canonicalization and 4-block partition enumeration."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fnef import (
     canonical_generator,
     count_fcurves,
     enumerate_fcurves,
+    fcurve_at,
     fcurve_block_arrays,
     parse_fcurve,
     stirling2,
@@ -255,3 +257,31 @@ def test_block_array_refused_beyond_physical_memory(monkeypatch):
     assert 9 not in fnef.subsets._BLOCK_CACHE
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
     assert len(fcurve_block_arrays(9)) == stirling2(9, 4)
+
+
+def row_curve(n, row):
+    return FCurve(n, tuple(int(b) for b in row))
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_fcurve_at_is_every_row_of_the_array(n):
+    arr = fcurve_block_arrays(n)
+    assert [fcurve_at(n, i) for i in range(len(arr))] == [row_curve(n, r) for r in arr]
+
+
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_fcurve_at_matches_sampled_rows(n):
+    arr = fcurve_block_arrays(n)
+    rng = random.Random(n)
+    for i in [0, len(arr) - 1] + [rng.randrange(len(arr)) for _ in range(1000)]:
+        assert fcurve_at(n, i) == row_curve(n, arr[i])
+
+
+@pytest.mark.parametrize("n", [4, 9, 16])
+def test_fcurve_at_refuses_positions_outside_the_enumeration(n):
+    rows = stirling2(n, 4)
+    for index in (-1, rows):
+        with pytest.raises(InvalidInputError, match="outside"):
+            fcurve_at(n, index)
+    # the last curve: markings 1, 2, 3 open blocks 0, 1, 2 and the rest block 3
+    assert fcurve_at(n, rows - 1).blocks == (1, 2, 4, full_mask(n) ^ 7)
