@@ -21,6 +21,7 @@ the rows' Schur complement on the few set-aside columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import isqrt
 from typing import Iterable, Optional
 
@@ -46,7 +47,14 @@ from .pairing import (
     pair_divisor_functional,
     pairing_values,
 )
-from .subsets import FCurve, check_memory, count_fcurves, fcurve_at, fcurve_block_arrays
+from .subsets import (
+    FCurve,
+    check_memory,
+    count_fcurves,
+    fcurve_at,
+    fcurve_block_arrays,
+    last_marking_alone,
+)
 
 #: Fixed moduli for extremality certification, both just below the 2^31
 #: cap that keeps the rank kernel's arithmetic exact: residue products stay
@@ -439,12 +447,20 @@ def _free_col_rows(blocks: np.ndarray, free_index: np.ndarray) -> np.ndarray:
     """Per curve, the reduced-coordinate column of each of its 7 pairing
     keys (-1 where the key is a pivot and the entry is dropped).  The table
     is indexed by every subset mask, `free_index` followed by its reverse,
-    as in `pairing_values`.  The rows are stored key by key (column-major),
-    so each key's columns are contiguous for the peel's gathers."""
+    as in `pairing_values`.  The rows are stored key by key: the result is
+    the transpose of a C-contiguous (7, N) array, so each key's columns are
+    contiguous for the peel's gathers.  Each key's columns are taken
+    straight into their row of it, so besides the result and `blocks` only
+    one key's masks are held at a time.  Every mask is below 2^n, so
+    take's "wrap" mode, faster than its checked default, reads the same.
+    """
     cols = np.concatenate([free_index, free_index[::-1]])
-    b0, b1, b2, b3 = blocks[:, 0], blocks[:, 1], blocks[:, 2], blocks[:, 3]
-    keys = (b0 | b1, b0 | b2, b0 | b3, b0, b1, b2, b3)
-    return np.stack([cols[k] for k in keys]).T
+    b0 = blocks[:, 0]
+    keys = chain((b0 | b for b in blocks.T[1:]), blocks.T)
+    out = np.empty((len(_ROW_PATTERN), len(blocks)), dtype=cols.dtype)
+    for row, key in zip(out, keys):
+        cols.take(key, out=row, mode="wrap")
+    return out.T
 
 
 def _structural_peel(col_rows: np.ndarray, ncols: int) -> Peel:
@@ -528,6 +544,11 @@ def _check_orthogonal(
         raise AssertionError("zero-pairing row not orthogonal to the class")
 
 
+#: Bytes `extremality_rank` holds per zero curve while it builds the column
+#: rows: the curve's 4 int32 block masks and its 7 int64 columns.
+_ZERO_ROW_BYTES = 16 + 56
+
+
 def extremality_rank(
     d: DivisorClass, primes: Iterable[int] = DEFAULT_PRIMES
 ) -> ExtremalityReport:
@@ -548,6 +569,12 @@ def extremality_rank(
     the peel first stalls; 4 columns are set aside and 1977 taken, and the
     first 512 rows reach rank 1980.  Every curve together peels all 1981
     columns with none set aside, so the full matrix feeds no row.
+
+    The zero rows are gathered from a fresh partition array, which is freed
+    once they are.  Their blocks and column rows, `_ZERO_ROW_BYTES` per zero
+    curve, are refused once the scan has counted them, before either is
+    allocated, when they would not fit in physical memory
+    (InvalidInputError).
     """
     primes = tuple(dict.fromkeys(primes))
     for p in primes:
@@ -559,8 +586,10 @@ def extremality_rank(
     rs = relation_system(d.n)
     if not fnef.nonnegative:
         return ExtremalityReport(rs.ambient_dim, fnef, {}, False)
-    zero_blocks = fcurve_block_arrays(d.n)[fnef.zero_mask()]
-    col_rows = _free_col_rows(zero_blocks, rs.free_index)
+    zeros = fnef.zero_count
+    check_memory(_ZERO_ROW_BYTES * zeros, f"ranking {zeros} zero curves")
+    # the partition array is freed once the zero rows are gathered from it
+    col_rows = _free_col_rows(fcurve_block_arrays(d.n)[fnef.zero_mask()], rs.free_index)
 
     # Every zero row is an integer vector orthogonal to the reduced
     # coordinates of d, so when those are nonzero the rational rank is at
@@ -642,31 +671,27 @@ def projection_formula_report(
     A curve at n+1 is contracted when {n+1} is one of its blocks; its image
     at n drops marking n+1.  In enumeration order the other curves at n+1
     are the curves at n, each four times in a row (n+1 joins block 0, 1, 2,
-    then 3), so the exhaustive check compares them with the scan at n
-    repeated, and a canonical row's singleton {n+1} is always its last
-    block.
+    then 3), so the exhaustive check compares them with the scan at n, and
+    it marks the contracted rows from the completion counts
+    (`last_marking_alone`): no partition array is built at either n.
     """
     if samples is not None and samples < 1:
         raise InvalidInputError(f"sample count must be positive, got {samples}")
     n = d.n
     lifted = pullback_forgetful(d)
-    last = 1 << n
     if samples is None:
-        up_blocks = fcurve_block_arrays(n + 1)
         lhs = pairing_values(lifted)
-        contracted = up_blocks[:, 3] == last
-        rhs = np.repeat(pairing_values(d), 4)
+        contracted = last_marking_alone(n + 1)
+        differ = lhs[~contracted].reshape(-1, 4) != pairing_values(d)[:, None]
     else:
+        last = 1 << n
         up_blocks = _sample_partitions(n + 1, samples)
         lhs = pairing_values(lifted, up_blocks)
         contracted = (up_blocks == last).any(axis=1)
-        rhs = pairing_values(d, (up_blocks & ~last)[~contracted])
+        differ = lhs[~contracted] != pairing_values(d, (up_blocks & ~last)[~contracted])
 
-    mismatches = int(np.count_nonzero(lhs[contracted] != 0)) + int(
-        np.count_nonzero(lhs[~contracted] != rhs)
-    )
     return ProjectionFormulaReport(
-        total=int(len(up_blocks)),
+        total=len(lhs),
         contracted=int(np.count_nonzero(contracted)),
-        mismatches=mismatches,
+        mismatches=int(np.count_nonzero(lhs[contracted])) + int(np.count_nonzero(differ)),
     )

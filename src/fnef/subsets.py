@@ -186,8 +186,6 @@ def parse_fcurve(text: str, n: int) -> FCurve:
     return FCurve(n, tuple(parse_subset(p, n) for p in parts))  # type: ignore[arg-type]
 
 
-_BLOCK_CACHE: dict[int, np.ndarray] = {}
-
 #: Markings in the suffix tables of `fcurve_block_arrays`.  Six builds as fast
 #: as 5, 7 or 8, and no temporary reaches 128 KiB up to n=13: freeing larger
 #: ones raises glibc's mmap threshold and the later scans stay MBs larger.
@@ -228,10 +226,11 @@ def fcurve_block_arrays(n: int) -> np.ndarray:
     Row order is restricted-growth-string lexicographic: markings are
     assigned in increasing order, trying existing blocks by index before
     opening a new one.  Blocks within a row are ordered by smallest element.
-    The array is cached per n and must not be mutated by callers.  An array
-    that would not fit in physical memory is refused before it is allocated
-    (InvalidInputError; 2.6 GiB at n=16).  `fcurve_at` gives one row
-    without building it.
+    Each call builds a fresh read-only array and nothing keeps it: a caller
+    that reads it once per job frees it when done (9.8 MB at n=12, 38.6 MiB
+    at n=13).  An array that would not fit in physical memory is refused
+    before it is allocated (InvalidInputError; 2.6 GiB at n=16).
+    `fcurve_at` gives one row without building it.
 
     Built as prefixes times suffix tables: the prefixes (`fcurve_prefixes`)
     assign the markings before the last 6, and for each count u of blocks a
@@ -240,9 +239,6 @@ def fcurve_block_arrays(n: int) -> np.ndarray:
     next slice of the result, which keeps exactly the row order above.
     """
     validate_n(n)
-    cached = _BLOCK_CACHE.get(n)
-    if cached is not None:
-        return cached
     rows = stirling2(n, 4)
     check_memory(16 * rows, f"the {rows} x 4 int32 partition array")
 
@@ -256,7 +252,6 @@ def fcurve_block_arrays(n: int) -> np.ndarray:
         np.bitwise_or(table, prefix, out=arr[start : start + len(table)])
         start += len(table)
     arr.setflags(write=False)
-    _BLOCK_CACHE[n] = arr
     return arr
 
 
@@ -294,6 +289,31 @@ def fcurve_at(n: int, index: int) -> FCurve:
             u += 1
         blocks[slot] |= 1 << i
     return FCurve._trusted(n, tuple(blocks))  # type: ignore[arg-type]
+
+
+def last_marking_alone(n: int) -> np.ndarray:
+    """Boolean mask over the enumeration of {1..n}, True at the rows where
+    {n} is a block, from the completion counts alone: no partition array
+    is built.
+
+    Marking n is alone when it opens the last of the four blocks, so a
+    start of markings 1..n-1 that opened 3 blocks gives one such row, and
+    a start that opened 4 gives 4 rows that are not (n joins block 0, 1, 2
+    or 3).  Further back, as in `fcurve_at`, the completions of r markings
+    from u open blocks are u runs of those of r-1 markings from u, then
+    those from u+1.
+    """
+    validate_n(n)
+    none = np.zeros(0, dtype=bool)
+    # the masks over the completions of the last r markings, by open blocks u
+    level = {3: np.ones(1, dtype=bool), 4: np.zeros(4, dtype=bool)}
+    for r in range(2, n):
+        # markings 1..n-r have opened at most n-r blocks
+        level = {
+            u: np.concatenate([np.tile(level.get(u, none), u), level.get(u + 1, none)])
+            for u in range(1, min(4, n - r) + 1)
+        }
+    return level[1]  # marking 1 opened block 0
 
 
 #: Rows converted to Python ints per `tolist` call: one call per row view

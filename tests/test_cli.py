@@ -619,7 +619,7 @@ def test_biplane_file_via_global_flag(tmp_path, capsys):
 
 
 def test_block_array_beyond_physical_memory_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(fnef.subsets, "_BLOCK_CACHE", {})
+    # no array is kept between calls, so every call meets the guard
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 1 << 10)
     code, out, err = run(capsys, "fcurves", "enumerate", "--n", "9", "--limit", "1")
     assert code == 2 and not out
@@ -635,3 +635,14 @@ def test_extremal_refuses_a_scan_beyond_physical_memory(json_flag, tmp_path, mon
     code, out, err = run(capsys, "extremal", "--divisor", str(path), *json_flag)
     assert (code, out) == (2, "")
     assert err.startswith("error: the F-nef scan of 7770 curves needs 69930 bytes")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_extremal_refuses_zero_rows_beyond_physical_memory(json_flag, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "d6.txt"
+    path.write_text(divisor_to_text(fnef_at_6()))
+    # 49 zero curves at 72 bytes each, one byte short; the scan itself fits
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 72 * 49 - 1)
+    code, out, err = run(capsys, "extremal", "--divisor", str(path), "--n", "6", *json_flag)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ranking 49 zero curves needs 3528 bytes")

@@ -376,6 +376,28 @@ def test_peel_counts_at_n12(qr_divisor):
     assert (peel.taken, len(peel.aside)) == (rs.ambient_dim, 0)
 
 
+def stacked_col_rows(blocks, free_index):
+    """The column rows as `_free_col_rows` built them with seven
+    temporaries stacked into one array."""
+    cols = np.concatenate([free_index, free_index[::-1]])
+    b0, b1, b2, b3 = blocks[:, 0], blocks[:, 1], blocks[:, 2], blocks[:, 3]
+    keys = (b0 | b1, b0 | b2, b0 | b3, b0, b1, b2, b3)
+    return np.stack([cols[k] for k in keys]).T
+
+
+@pytest.mark.parametrize("n", [*range(4, 11), 12])
+def test_col_rows_built_in_place_match_the_stacked_rows(n, qr_divisor):
+    rs = relation_system(n)
+    blocks = fcurve_block_arrays(n)
+    if n == 12:
+        blocks = blocks[fnef_check(qr_divisor).zero_mask()]
+    rows, expected = _free_col_rows(blocks, rs.free_index), stacked_col_rows(blocks, rs.free_index)
+    assert rows.dtype == expected.dtype == np.int64 and rows.shape == (len(blocks), 7)
+    assert np.array_equal(rows, expected)
+    # key-major: each key's columns are contiguous
+    assert rows.T.flags.c_contiguous and expected.T.flags.c_contiguous
+
+
 @pytest.mark.parametrize("n", range(4, 14))
 def test_fcurve_rows_have_distinct_columns(n):
     # the peel reads each entry of a row as its coefficient at that column
@@ -600,6 +622,26 @@ def test_extremality_rank_leaves_numpy_random_unloaded():
     assert out.stdout.split() == ["False"]
 
 
+def test_extremality_rank_refuses_zero_rows_beyond_physical_memory(monkeypatch):
+    # 49 zero curves at 16 bytes of blocks and 56 of columns each: one byte
+    # less is refused before the partition array is built, exactly that
+    # much is enough for every allocation of the run
+    d = fnef_divisor_n6()
+    need = 72 * 49
+    build = fnef.cone.fcurve_block_arrays
+
+    def no_array(n):
+        raise AssertionError("built the partition array")
+
+    monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_array)
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
+    with pytest.raises(InvalidInputError, match="ranking 49 zero curves needs 3528 bytes"):
+        extremality_rank(d)
+    monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", build)
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
+    assert extremality_rank(d).certified_extremal
+
+
 def test_extremality_ranks_each_prime_once(monkeypatch):
     built = []
 
@@ -723,6 +765,18 @@ def test_exhaustive_projection_formula_matches_the_row_oracle(n, monkeypatch):
             expected = projection_formula_oracle(d, lifted)
             assert (rep.total, rep.contracted, rep.mismatches) == expected
             assert (rep.mismatches == 0) == (extra is None)
+
+
+def test_exhaustive_projection_formula_12_to_13_builds_no_partition_array(
+    qr_divisor, monkeypatch
+):
+    def no_array(n):
+        raise AssertionError(f"built the partition array at n={n}")
+
+    for module in (fnef.cone, fnef.subsets):
+        monkeypatch.setattr(module, "fcurve_block_arrays", no_array)
+    rep = projection_formula_report(eliminate_psi(qr_divisor))
+    assert (rep.total, rep.contracted, rep.mismatches) == (2532530, 86526, 0)
 
 
 def test_projection_formula_refuses_no_samples():

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from fnef.subsets import (
     elements_from_mask,
     format_subset,
     full_mask,
+    last_marking_alone,
     mask_from_elements,
     parse_subset,
 )
@@ -249,14 +252,37 @@ def test_stream_is_restartable(n):
 def test_block_array_refused_beyond_physical_memory(monkeypatch):
     # S(9,4) rows of 4 int32 need 16 * 7770 bytes; one byte less is refused
     # before the array is allocated, and exactly that much is enough
-    monkeypatch.setattr(fnef.subsets, "_BLOCK_CACHE", {})
     need = 16 * stirling2(9, 4)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
-    with pytest.raises(InvalidInputError, match="physical memory"):
-        fcurve_block_arrays(9)
-    assert 9 not in fnef.subsets._BLOCK_CACHE
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="physical memory"):
+            fcurve_block_arrays(9)
+        assert tracemalloc.get_traced_memory()[1] < need // 4
+    finally:
+        tracemalloc.stop()
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
     assert len(fcurve_block_arrays(9)) == stirling2(9, 4)
+
+
+def test_block_array_is_fresh_on_every_call():
+    # nothing keeps the array: it dies with its last reference
+    first = fcurve_block_arrays(9)
+    ref = weakref.ref(first)
+    second = fcurve_block_arrays(9)
+    assert np.array_equal(first, second) and not np.shares_memory(first, second)
+    assert not first.flags.writeable and not second.flags.writeable
+    del first
+    assert ref() is None
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_last_marking_alone_is_the_arrays_last_block(n):
+    mask = last_marking_alone(n)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, fcurve_block_arrays(n)[:, 3] == 1 << (n - 1))
+    # {n} alone leaves a 3-block partition of {1..n-1}
+    assert np.count_nonzero(mask) == stirling2(n - 1, 3)
 
 
 def row_curve(n, row):
