@@ -15,7 +15,9 @@ cascade resumes, the "heavy column" step of structured Gaussian
 elimination (LaMacchia and Odlyzko, CRYPTO 1990; Pomerance and Smith,
 Experimental Math. 1, 1992).  The peel is integer-exact and the same for
 every prime.  The kernel `ModpEliminator` then ranks, modulo each prime,
-the rows' Schur complement on the few set-aside columns.
+the rows' Schur complement on the few set-aside columns, one pivot at a
+time in int64, which is exact: residues are below p <= 2^31, so every
+product of two is below 2^62.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ from .subsets import (
 
 #: Fixed moduli for extremality certification, both just below the 2^31
 #: cap that keeps the rank kernel's arithmetic exact: residue products stay
-#: below 2^62 in int64, and the float64 matrix products on 16-bit halves
-#: stay below 2^53 (see ModpEliminator).
+#: below 2^62 in int64 (see ModpEliminator).
 DEFAULT_PRIMES = (2147483629, 2147483647)
 
 #: An F-curve row's value at its seven keys b0|b1, b0|b2, b0|b3, b0, b1, b2,
@@ -232,13 +233,6 @@ def check_modulus(p: int) -> None:
         raise InvalidInputError(f"modulus {p} is not prime")
 
 
-def _complement(idx: np.ndarray, width: int) -> np.ndarray:
-    """The positions in range(width) not in idx, increasing."""
-    keep = np.ones(width, dtype=bool)
-    keep[idx] = False
-    return np.flatnonzero(keep)
-
-
 @dataclass(frozen=True, eq=False)
 class Peel:
     """The structural peel of F-curve rows on `ncols` columns
@@ -274,8 +268,8 @@ def _pattern_sum(x: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 class ModpEliminator:
-    """Incremental Gaussian elimination over a prime field, in blocks, of
-    the Schur complement that a structural peel leaves.
+    """Incremental Gaussian elimination over a prime field of the Schur
+    complement that a structural peel leaves.
 
     Modulo the rows that took a column (`Peel`), which are triangular with
     a +-1 diagonal and so invertible modulo every prime, 2 included, every
@@ -292,38 +286,23 @@ class ModpEliminator:
     A row's Schur row is its image through X, so the rank of the rows is
     `taken` plus the rank of their Schur rows, on k columns (`ncols`).
 
-    The basis is one reduced row echelon form in `_rref`'s shape (pivots, x),
-    rank x (k - rank) residues.  Rows arrive in batches; a batch's Schur
-    rows are cleared of the pivot columns by one product with x and join
-    the basis through `_stack`, the merge step that ends `_rref`.
+    The basis is a list of (pivot column, row) pairs in the order the
+    pivots were found: each row is 1 at its pivot and 0 at every earlier
+    pivot.  A batch's Schur rows are reduced by the basis rows in that
+    order, which clears every pivot column; then each column still nonzero
+    in some row takes the first such row, scaled to 1 there, as a new pivot
+    and is cleared from the batch.  Every entry is a residue below
+    p <= 2^31, so every product of two is below 2^62 and the int64
+    arithmetic is exact.
 
-    Every product of two residue matrices is exact in float64, as in
-    FFLAS-FFPACK (Dumas, Giorgi, Pernet, "Dense linear algebra over
-    word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 2008).
-    A residue below p < 2^31 splits into a high half below 2^15 and a low
-    half below 2^16, so each term of the four products of halves is below
-    2^32; with an inner dimension m < 2^21 every sum stays below 2^53 and
-    the four float64 matrix products round nothing.  The halves recombine
-    in int64 as ((hi*2^16 + mid) mod p)*2^16 + lo, where hi*2^16 + mid is
-    below m*2^46, so m < 2^17 also keeps that exact.  The inner dimension
-    never exceeds k, which is capped there.
-
-    The map takes 8 (peel.ncols + 1) k bytes; the basis and its copies
-    while a batch joins it hold at most 3 k^2/4 residues, fewer.  A map
-    beyond physical memory is refused up front, before it is allocated.
+    The map takes 8 (peel.ncols + 1) k bytes and the basis at most 8 k^2;
+    a map beyond physical memory is refused up front, before it is
+    allocated.
     """
-
-    MAX_COLUMNS = 1 << 17
-    #: Row count at which the recursive elimination switches to row-by-row.
-    BASE_ROWS = 32
-    #: Rows per block of a product, which bounds the temporaries.
-    BLOCK_ROWS = 256
 
     def __init__(self, peel: Peel, p: int):
         check_modulus(p)
         k = len(peel.aside)
-        if k >= self.MAX_COLUMNS:
-            raise InvalidInputError(f"{k} set-aside columns reach the cap 2^17")
         check_memory(8 * (peel.ncols + 1) * k, f"a Schur map on {k} columns")  # int64
         self.ncols = k
         self.p = p
@@ -335,87 +314,7 @@ class ModpEliminator:
         for cols, keys, signs in peel.rounds:
             # the taking row's own column is still 0 here
             self._map[cols] = -signs[:, None] * _pattern_sum(self._map, keys) % p
-        self._pivots = np.zeros(0, dtype=np.int64)
-        self._x = np.zeros((0, k), dtype=np.int64)
-
-    def _mulsub(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """c = (c - a @ b) mod p in place, for residue matrices, exactly (see
-        the class); row blocks bound the temporaries."""
-        p = self.p
-        b_hi, b_lo = (b >> 16).astype(np.float64), (b & 0xFFFF).astype(np.float64)
-        for s in range(0, len(c), self.BLOCK_ROWS):
-            blk = a[s : s + self.BLOCK_ROWS]
-            a_hi, a_lo = (blk >> 16).astype(np.float64), (blk & 0xFFFF).astype(np.float64)
-            mid = a_hi @ b_lo
-            mid += a_lo @ b_hi
-            out = (a_hi @ b_hi).astype(np.int64)
-            out <<= 16
-            out += mid.astype(np.int64)
-            out %= p
-            out <<= 16
-            out += (a_lo @ b_lo).astype(np.int64)
-            part = c[s : s + self.BLOCK_ROWS]
-            np.subtract(part, out, out=part)
-            part %= p
-        return c
-
-    def _rref_rows(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`_rref` of a few rows, one pivot at a time."""
-        p = self.p
-        a = a.copy()
-        rows, pivots = [], []
-        for i in range(len(a)):
-            nz = np.flatnonzero(a[i])
-            if not nz.size:
-                continue
-            j = int(nz[0])
-            a[i] = a[i] * pow(int(a[i, j]), -1, p) % p
-            hit = np.flatnonzero(a[:, j])
-            hit = hit[hit != i]
-            if hit.size:
-                a[hit] = (a[hit] - np.outer(a[hit, j], a[i])) % p
-            rows.append(i)
-            pivots.append(j)
-        pivots = np.array(pivots, dtype=np.int64)
-        return pivots, a[rows][:, _complement(pivots, a.shape[1])]
-
-    def _rref(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Reduced row echelon form of the residue matrix a, as (pivots, x):
-        row i of the echelon form has 1 at column pivots[i], 0 at the other
-        pivots, and x[i] at the remaining columns in increasing order.
-
-        The top half is reduced first; the bottom half is cleared of its
-        pivots and joins it (`_stack`)."""
-        if len(a) <= self.BASE_ROWS:
-            return self._rref_rows(a)
-        half = len(a) // 2
-        piv1, x1 = self._rref(a[:half])
-        rest1 = _complement(piv1, a.shape[1])
-        return self._stack(piv1, x1, self._mulsub(a[half:, rest1], a[half:, piv1], x1))
-
-    def _stack(
-        self, piv1: np.ndarray, x1: np.ndarray, bottom: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The echelon form (piv1, x1) joined by the rows of `bottom`, which
-        are already 0 at piv1 and given on the other columns: they are
-        reduced on those (zero rows dropped), and x1 is cleared of their
-        pivots with one product."""
-        bottom = bottom[bottom.any(axis=1)]
-        if not len(bottom):
-            return piv1, x1
-        rest1 = _complement(piv1, len(piv1) + bottom.shape[1])
-        piv2, x2 = self._rref(bottom)
-        rest2 = _complement(piv2, len(rest1))
-        x1 = self._mulsub(x1[:, rest2], x1[:, piv2], x2)
-        return np.concatenate([piv1, rest1[piv2]]), np.vstack([x1, x2])
-
-    def _reduce_batch(self, chunk: np.ndarray) -> np.ndarray:
-        """The batch's Schur rows cleared of every pivot column, as residues
-        on the free columns."""
-        dense = _pattern_sum(self._map, chunk.T) % self.p
-        pivots = self._pivots
-        free = _complement(pivots, self.ncols)
-        return self._mulsub(dense[:, free], dense[:, pivots], self._x)
+        self._basis: list[tuple[int, np.ndarray]] = []
 
     def add_pattern_rows(
         self, col_rows: np.ndarray, batch: int = 512, stop_rank: Optional[int] = None
@@ -430,6 +329,7 @@ class ModpEliminator:
         proven upper bound for it (`taken` plus k always is).  Returns
         `rank`, taken columns included.
         """
+        p = self.p
         cap = self.taken + self.ncols
         if stop_rank is not None:
             cap = min(stop_rank, cap)
@@ -438,8 +338,18 @@ class ModpEliminator:
                 break
             chunk = np.asarray(col_rows[start : start + batch], dtype=np.int64)
             self.rows_seen += len(chunk)
-            self._pivots, self._x = self._stack(self._pivots, self._x, self._reduce_batch(chunk))
-            self.rank = self.taken + len(self._pivots)
+            rows = _pattern_sum(self._map, chunk.T) % p
+            for j, row in self._basis:
+                rows -= np.outer(rows[:, j], row)
+                rows %= p
+            for j in range(self.ncols):
+                hit = np.flatnonzero(rows[:, j])
+                if hit.size:
+                    row = rows[hit[0]] * pow(int(rows[hit[0], j]), -1, p) % p
+                    self._basis.append((j, row))
+                    rows -= np.outer(rows[:, j], row)
+                    rows %= p
+            self.rank = self.taken + len(self._basis)
         return self.rank
 
 
@@ -544,11 +454,6 @@ def _check_orthogonal(
         raise AssertionError("zero-pairing row not orthogonal to the class")
 
 
-#: Bytes `extremality_rank` holds per zero curve while it builds the column
-#: rows: the curve's 4 int32 block masks and its 7 int64 columns.
-_ZERO_ROW_BYTES = 16 + 56
-
-
 def extremality_rank(
     d: DivisorClass, primes: Iterable[int] = DEFAULT_PRIMES
 ) -> ExtremalityReport:
@@ -571,10 +476,13 @@ def extremality_rank(
     columns with none set aside, so the full matrix feeds no row.
 
     The zero rows are gathered from a fresh partition array, which is freed
-    once they are.  Their blocks and column rows, `_ZERO_ROW_BYTES` per zero
-    curve, are refused once the scan has counted them, before either is
-    allocated, when they would not fit in physical memory
-    (InvalidInputError).
+    once they are.  The larger of two peaks is refused once the scan has
+    counted the zero curves, before the array is built, when it would not
+    fit in physical memory (InvalidInputError): while the rows are
+    gathered, the partition array (16 bytes per curve), its unpacked zero
+    mask (1 byte per curve) and the gathered blocks (16 bytes per zero
+    curve); then the blocks and their seven int64 columns (72 bytes per
+    zero curve).  The first is larger at n=12: 12.4 MB against 9.0 MB.
     """
     primes = tuple(dict.fromkeys(primes))
     for p in primes:
@@ -587,7 +495,8 @@ def extremality_rank(
     if not fnef.nonnegative:
         return ExtremalityReport(rs.ambient_dim, fnef, {}, False)
     zeros = fnef.zero_count
-    check_memory(_ZERO_ROW_BYTES * zeros, f"ranking {zeros} zero curves")
+    need = max(17 * count_fcurves(d.n) + 16 * zeros, 72 * zeros)
+    check_memory(need, f"ranking {zeros} zero curves")
     # the partition array is freed once the zero rows are gathered from it
     col_rows = _free_col_rows(fcurve_block_arrays(d.n)[fnef.zero_mask()], rs.free_index)
 

@@ -1,5 +1,6 @@
 """F-nef scans, the counterexample checks, and rank certificates."""
 
+import functools
 import os
 import random
 import subprocess
@@ -266,16 +267,11 @@ def test_add_pattern_rows_matches_exact_rank(matrix, data):
     nrows = len(col_rows)
     batch = data.draw(st.integers(1, nrows + 1), label="batch")
     split = data.draw(st.integers(0, nrows), label="split")
-    # small recursion base and product blocks, so the blocked paths run
-    base = data.draw(st.integers(1, 4), label="base rows")
-    block = data.draw(st.integers(1, 4), label="block rows")
     for p in DEFAULT_PRIMES:
         one = dense_kernel(ncols, p)
-        one.BASE_ROWS, one.BLOCK_ROWS = base, block
         assert one.add_pattern_rows(col_rows, batch=batch) == expected
         assert one.rows_seen == nrows or one.rank == ncols
         two = dense_kernel(ncols, p)
-        two.BASE_ROWS, two.BLOCK_ROWS = base, block
         two.add_pattern_rows(col_rows[:split], batch=batch)
         assert two.add_pattern_rows(col_rows[split:], batch=batch) == expected
 
@@ -291,15 +287,13 @@ def check_peel(peel, col_rows, ncols):
     assert (peel.rounds == ()) == (peel.singletons == peel.taken)
 
 
-def peeled_rank(col_rows, ncols, p, batch=512, base=None, block=None):
+def peeled_rank(col_rows, ncols, p, batch=512):
     """The rank of pattern rows as extremality_rank computes it: the
     structural peel, then the kernel on the Schur complement of every row."""
     peel = _structural_peel(col_rows, ncols)
     check_peel(peel, col_rows, ncols)
     elim = ModpEliminator(peel, p)
     assert elim.ncols == len(peel.aside)
-    if base is not None:
-        elim.BASE_ROWS, elim.BLOCK_ROWS = base, block
     return elim.add_pattern_rows(col_rows, batch=batch)
 
 
@@ -309,10 +303,8 @@ def test_peeled_rank_matches_exact_rank(matrix, data):
     ncols, col_rows = matrix
     expected = rank_exact(dense_rows(col_rows, ncols), ncols)
     batch = data.draw(st.integers(1, len(col_rows) + 1), label="batch")
-    base = data.draw(st.integers(1, 4), label="base rows")
-    block = data.draw(st.integers(1, 4), label="block rows")
     for p in DEFAULT_PRIMES:
-        assert peeled_rank(col_rows, ncols, p, batch, base, block) == expected
+        assert peeled_rank(col_rows, ncols, p, batch) == expected
     # the taking rows have a +-1 diagonal, so the peel agrees with the
     # kernel under the identity map modulo the smallest primes too
     for p in (2, 3):
@@ -428,20 +420,25 @@ def test_add_pattern_rows_stops_at_stop_rank():
     assert stopped.rows_seen == seen
 
 
-@pytest.mark.parametrize("p", DEFAULT_PRIMES)
-@pytest.mark.parametrize("inner", [2048, ModpEliminator.MAX_COLUMNS - 1])
-def test_split_product_exact_at_extremes(p, inner):
-    rng = np.random.default_rng(inner)
-    a = np.full((5, inner), p - 1, dtype=np.int64)
-    b = np.full((inner, 3), p - 1, dtype=np.int64)
-    a[1] = rng.integers(0, p, size=inner)
-    b[:, 1] = rng.integers(0, p, size=inner)
-    c = rng.integers(0, p, size=(5, 3))
-    c[0, 0] = p - 1
-    expected = (c.astype(object) - a.astype(object) @ b.astype(object)) % p
-    elim = dense_kernel(1, p)
-    elim.BLOCK_ROWS = 2
-    assert (elim._mulsub(c.copy(), a, b) == expected).all()
+def test_kernel_reduces_by_the_basis_rows_in_the_order_they_were_added():
+    # batch 1, e1 + e2, takes pivot 1; in batch 2, e0 takes pivot 0, left of
+    # it, and e2 takes pivot 2, where the first basis row is nonzero; in
+    # batch 3, e1 = (e1 + e2) - e2 is cleared at column 1 by the first basis
+    # row and at column 2, which that reintroduces, by the third
+    col_rows = _rows({0: 1, 1: 2}, {0: 0}, {0: 2}, {0: 1})
+    expected = rank_exact(dense_rows(col_rows, 4), 4)
+    assert expected == 3
+    for p in (*DEFAULT_PRIMES, 2):
+        elim = dense_kernel(4, p)
+        for rows in (col_rows[:1], col_rows[1:3], col_rows[3:]):
+            elim.add_pattern_rows(rows)
+        assert [j for j, _ in elim._basis] == [1, 0, 2]
+        assert (elim.rank, elim.rows_seen) == (expected, 4)
+        # the same basis rows in the reverse order leave the last row nonzero
+        last = np.array(dense_rows(col_rows[3:], 4)[0]) % p
+        for j, row in reversed(elim._basis):
+            last = (last - last[j] * row) % p
+        assert last.any()
 
 
 def test_modp_eliminator_rejects_bad_modulus():
@@ -491,19 +488,12 @@ def test_check_modulus_at_the_cap(monkeypatch):
             check_modulus(p)
 
 
-def test_modp_eliminator_refuses_inexact_sizes():
-    # as many set-aside columns as the cap: refused before the map is
-    # allocated
-    with pytest.raises(InvalidInputError, match="set-aside columns reach the cap"):
-        dense_kernel(ModpEliminator.MAX_COLUMNS, P1)
-
-
 def test_modp_eliminator_refuses_a_basis_beyond_physical_memory():
     # a Schur map of 2^17 x (2^17 - 1) int64 entries is about 137 GB, more
     # than the physical memory of any machine this suite targets; refused
     # before it is allocated
     with pytest.raises(InvalidInputError, match="physical memory"):
-        dense_kernel(ModpEliminator.MAX_COLUMNS - 1, P1)
+        dense_kernel((1 << 17) - 1, P1)
 
 
 def test_modp_eliminator_memory_guard_reads_physical_memory(monkeypatch):
@@ -546,6 +536,33 @@ def test_extremality_small_n_matches_exact_oracle():
     assert set(rep.rank_mod_p.values()) == {exact}
 
 
+@functools.cache
+def pulled_back_n6_rank(n):
+    """fnef_divisor_n6 pulled back to n markings, and its extremality
+    report."""
+    d = fnef_divisor_n6()
+    while d.n < n:
+        d = pullback_forgetful(d)
+    return d, extremality_rank(d)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_extremality_rank_is_invariant_under_relabelling(data):
+    # a relabelled divisor has the relabelled zero curves, whose rows peel
+    # and reach the kernel differently, but the same ranks
+    n = data.draw(st.sampled_from([6, 7, 8]), label="n")
+    image = data.draw(st.permutations(range(n)), label="image")
+    d, rep = pulled_back_n6_rank(n)
+    assert rep.fnef.nonnegative and len(rep.rank_mod_p) == len(DEFAULT_PRIMES)
+    table = mask_images(image, n)
+    moved = DivisorClass.from_terms(n, ((int(table[m]), c) for m, c in d.coeffs.items()))
+    rep_moved = extremality_rank(moved)
+    assert rep_moved.rank_mod_p == rep.rank_mod_p
+    assert rep_moved.zero_set_size == rep.zero_set_size
+    assert rep_moved.certified_extremal == rep.certified_extremal
+
+
 @pytest.mark.parametrize("batch", [1, 5, 64])
 def test_add_pattern_rows_zero_set_n6_in_batches(batch):
     # unlike the random matrices, the zero set has rank below the number of
@@ -562,9 +579,8 @@ def test_add_pattern_rows_zero_set_n6_in_batches(batch):
     assert peel.taken + len(peel.aside) == rs.ambient_dim
     for p in DEFAULT_PRIMES:
         elim = dense_kernel(rs.ambient_dim, p)
-        elim.BASE_ROWS, elim.BLOCK_ROWS = 2, 3
         assert elim.add_pattern_rows(col_rows, batch=batch) == expected
-        assert peeled_rank(col_rows, rs.ambient_dim, p, batch, 2, 3) == expected
+        assert peeled_rank(col_rows, rs.ambient_dim, p, batch) == expected
 
 
 def test_orthogonality_check_covers_every_row():
@@ -623,9 +639,10 @@ def test_extremality_rank_leaves_numpy_random_unloaded():
 
 
 def test_extremality_rank_refuses_zero_rows_beyond_physical_memory(monkeypatch):
-    # 49 zero curves at 16 bytes of blocks and 56 of columns each: one byte
-    # less is refused before the partition array is built, exactly that
-    # much is enough for every allocation of the run
+    # 49 zero curves at 16 bytes of blocks and 56 of columns each, more
+    # than the gather's 17 x 65 + 16 x 49 bytes: one byte less is refused
+    # before the partition array is built, exactly that much is enough for
+    # every allocation of the run
     d = fnef_divisor_n6()
     need = 72 * 49
     build = fnef.cone.fcurve_block_arrays
@@ -640,6 +657,27 @@ def test_extremality_rank_refuses_zero_rows_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", build)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
     assert extremality_rank(d).certified_extremal
+
+
+def test_extremality_rank_refuses_the_gather_peak_at_n12(qr_divisor, monkeypatch):
+    # while the 124366 zero rows are gathered, the partition array and its
+    # unpacked zero mask (17 bytes per curve) and the gathered blocks (16
+    # per zero curve) are alive at once: more than the 72 bytes per zero
+    # curve held once they are gathered
+    need = 17 * 611501 + 16 * 124366
+    assert need == 12385373 > 72 * 124366
+    build = fnef.cone.fcurve_block_arrays
+
+    def no_array(n):
+        raise AssertionError("built the partition array")
+
+    monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_array)
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
+    with pytest.raises(InvalidInputError, match="ranking 124366 zero curves needs 12385373 bytes"):
+        extremality_rank(qr_divisor)
+    monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", build)
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
+    assert extremality_rank(qr_divisor).certified_extremal
 
 
 def test_extremality_ranks_each_prime_once(monkeypatch):
