@@ -84,7 +84,7 @@ class FNefReport:
 
     def zero_mask(self) -> np.ndarray:
         """Boolean mask of the zero-pairing curves, indexed like the rows of
-        fcurve_block_arrays(n)."""
+        fcurve_block_arrays(n); as its `keep` it builds the zero rows alone."""
         return np.unpackbits(self.zero_bits, count=count_fcurves(self.n)).view(bool)
 
 
@@ -475,14 +475,11 @@ def extremality_rank(
     first 512 rows reach rank 1980.  Every curve together peels all 1981
     columns with none set aside, so the full matrix feeds no row.
 
-    The zero rows are gathered from a fresh partition array, which is freed
-    once they are.  The larger of two peaks is refused once the scan has
-    counted the zero curves, before the array is built, when it would not
-    fit in physical memory (InvalidInputError): while the rows are
-    gathered, the partition array (16 bytes per curve), its unpacked zero
-    mask (1 byte per curve) and the gathered blocks (16 bytes per zero
-    curve); then the blocks and their seven int64 columns (72 bytes per
-    zero curve).  The first is larger at n=12: 12.4 MB against 9.0 MB.
+    Only the zero rows are built, straight from the enumeration's prefix
+    walk (`fcurve_block_arrays` with the zero mask as `keep`), and they are
+    refused once the scan has counted them, before any is built, when they
+    and their seven int64 columns (72 bytes per zero curve) would not fit
+    in physical memory (InvalidInputError).
     """
     primes = tuple(dict.fromkeys(primes))
     for p in primes:
@@ -494,11 +491,9 @@ def extremality_rank(
     rs = relation_system(d.n)
     if not fnef.nonnegative:
         return ExtremalityReport(rs.ambient_dim, fnef, {}, False)
-    zeros = fnef.zero_count
-    need = max(17 * count_fcurves(d.n) + 16 * zeros, 72 * zeros)
-    check_memory(need, f"ranking {zeros} zero curves")
-    # the partition array is freed once the zero rows are gathered from it
-    col_rows = _free_col_rows(fcurve_block_arrays(d.n)[fnef.zero_mask()], rs.free_index)
+    # the gather holds S + 16 zeros bytes: more only if 56 zeros < S, and then below fnef_check's 9 S
+    check_memory(72 * fnef.zero_count, f"ranking {fnef.zero_count} zero curves")
+    col_rows = _free_col_rows(fcurve_block_arrays(d.n, fnef.zero_mask()), rs.free_index)
 
     # Every zero row is an integer vector orthogonal to the reduced
     # coordinates of d, so when those are nonzero the rational rank is at

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -186,9 +186,9 @@ def parse_fcurve(text: str, n: int) -> FCurve:
     return FCurve(n, tuple(parse_subset(p, n) for p in parts))  # type: ignore[arg-type]
 
 
-#: Markings in the suffix tables of `fcurve_block_arrays`.  Six builds as fast
-#: as 5, 7 or 8, and no temporary reaches 128 KiB up to n=13: freeing larger
-#: ones raises glibc's mmap threshold and the later scans stay MBs larger.
+#: Markings in the completion tables of `fcurve_block_arrays`.  Six builds
+#: as fast as 5, 7 or 8, and no temporary reaches 128 KiB up to n=13: freeing
+#: larger ones raises glibc's mmap threshold and the later scans stay MBs larger.
 _SUFFIX = 6
 
 
@@ -220,35 +220,49 @@ def fcurve_prefixes(n: int, suffix: int) -> tuple[int, np.ndarray, np.ndarray]:
     return split, prefixes, opened
 
 
-def fcurve_block_arrays(n: int) -> np.ndarray:
-    """All 4-block partitions of {1..n} as an (S(n,4), 4) int32 mask array.
+def completion_tables(n: int, split: int) -> dict[int, np.ndarray]:
+    """Per count u = 1..4 of blocks markings 1..split opened, the ways the
+    markings after them complete a 4-block partition of {1..n}, as a (k, 4)
+    int32 mask array in enumeration order."""
+    empty = np.zeros((1, 4), dtype=np.int32)
+    return {u: _assign(empty, np.array([u]), range(split, n), n)[0] for u in range(1, 5)}
+
+
+def fcurve_block_arrays(n: int, keep: Optional[np.ndarray] = None) -> np.ndarray:
+    """All 4-block partitions of {1..n} as an (S(n,4), 4) int32 mask array,
+    or with a boolean `keep` over them only the rows it marks, without
+    building the others.
 
     Row order is restricted-growth-string lexicographic: markings are
     assigned in increasing order, trying existing blocks by index before
     opening a new one.  Blocks within a row are ordered by smallest element.
     Each call builds a fresh read-only array and nothing keeps it: a caller
     that reads it once per job frees it when done (9.8 MB at n=12, 38.6 MiB
-    at n=13).  An array that would not fit in physical memory is refused
-    before it is allocated (InvalidInputError; 2.6 GiB at n=16).
-    `fcurve_at` gives one row without building it.
+    at n=13).  An array that would not fit in physical memory, 16 bytes a
+    row, is refused before it is allocated (InvalidInputError; 2.6 GiB at
+    n=16).  `fcurve_at` gives one row without building it.
 
-    Built as prefixes times suffix tables: the prefixes (`fcurve_prefixes`)
-    assign the markings before the last 6, and for each count u of blocks a
-    prefix opened, one table holds every completion of u blocks to 4 by the
-    last markings, in the same order.  Each prefix in turn writes `table | prefix` into the
-    next slice of the result, which keeps exactly the row order above.
+    Built as prefixes times completion tables: the prefixes
+    (`fcurve_prefixes`) assign the markings before the last 6, and each
+    prefix that opened u blocks writes its table (`completion_tables`), or
+    the rows of it `keep` marks at its positions, `| prefix` into the next
+    slice of the result, which keeps exactly the row order above.
     """
-    validate_n(n)
-    rows = stirling2(n, 4)
+    rows = count_fcurves(n)
+    if keep is not None:
+        if not (isinstance(keep, np.ndarray) and keep.dtype == bool and keep.shape == (rows,)):
+            raise InvalidInputError(f"keep must be a 1-D boolean array of length {rows} for n={n}")
+        rows = int(np.count_nonzero(keep))
     check_memory(16 * rows, f"the {rows} x 4 int32 partition array")
 
     split, prefixes, opened = fcurve_prefixes(n, _SUFFIX)
-    tables = {u: _assign(np.zeros_like(prefixes[:1]), np.array([u]), range(split, n), n)[0]
-              for u in set(opened.tolist())}
+    tables = completion_tables(n, split)
     arr = np.empty((rows, 4), dtype=np.int32)
     start = 0
     for prefix, u in zip(prefixes, opened.tolist()):
         table = tables[u]
+        if keep is not None:  # the table rows kept at this prefix's positions
+            table, keep = table[keep[: len(table)]], keep[len(table) :]
         np.bitwise_or(table, prefix, out=arr[start : start + len(table)])
         start += len(table)
     arr.setflags(write=False)
@@ -293,27 +307,17 @@ def fcurve_at(n: int, index: int) -> FCurve:
 
 def last_marking_alone(n: int) -> np.ndarray:
     """Boolean mask over the enumeration of {1..n}, True at the rows where
-    {n} is a block, from the completion counts alone: no partition array
-    is built.
+    {n} is a block, read off the completion tables of
+    `fcurve_block_arrays`: no partition array is built.
 
-    Marking n is alone when it opens the last of the four blocks, so a
-    start of markings 1..n-1 that opened 3 blocks gives one such row, and
-    a start that opened 4 gives 4 rows that are not (n joins block 0, 1, 2
-    or 3).  Further back, as in `fcurve_at`, the completions of r markings
-    from u open blocks are u runs of those of r-1 markings from u, then
-    those from u+1.
+    Marking n is alone when it is all of block 3, which a completion can
+    give only after a prefix that opened fewer than 4 blocks; the
+    prefixes' completions follow one another in enumeration order.
     """
     validate_n(n)
-    none = np.zeros(0, dtype=bool)
-    # the masks over the completions of the last r markings, by open blocks u
-    level = {3: np.ones(1, dtype=bool), 4: np.zeros(4, dtype=bool)}
-    for r in range(2, n):
-        # markings 1..n-r have opened at most n-r blocks
-        level = {
-            u: np.concatenate([np.tile(level.get(u, none), u), level.get(u + 1, none)])
-            for u in range(1, min(4, n - r) + 1)
-        }
-    return level[1]  # marking 1 opened block 0
+    split, _, opened = fcurve_prefixes(n, _SUFFIX)
+    alone = {u: (t[:, 3] == 1 << (n - 1)) & (u < 4) for u, t in completion_tables(n, split).items()}
+    return np.concatenate([alone[u] for u in opened.tolist()])
 
 
 #: Rows converted to Python ints per `tolist` call: one call per row view

@@ -84,6 +84,17 @@ def test_fnef_relation_invariance_n6():
     rep = fnef_check(d)
     shifted = fnef_check(d + 3 * relation_row(1, 4, 6))
     assert (rep.min_value, rep.zero_count) == (shifted.min_value, shifted.zero_count)
+    # a seeded integer combination of every pair relation changes no
+    # pairing value at all
+    rng = random.Random(6)
+    for n in range(5, 10):
+        d = DivisorClass(n, {k: rng.randint(-3, 3) for k in all_generator_keys(n)})
+        shift = DivisorClass.zero(n)
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                shift += rng.randint(-4, 4) * relation_row(i, j, n)
+        assert shift.support_size() > 0
+        assert np.array_equal(pairing_values(d + shift), pairing_values(d))
 
 
 def test_argmin_is_first_minimizer_in_enumeration_order():
@@ -639,16 +650,15 @@ def test_extremality_rank_leaves_numpy_random_unloaded():
 
 
 def test_extremality_rank_refuses_zero_rows_beyond_physical_memory(monkeypatch):
-    # 49 zero curves at 16 bytes of blocks and 56 of columns each, more
-    # than the gather's 17 x 65 + 16 x 49 bytes: one byte less is refused
-    # before the partition array is built, exactly that much is enough for
-    # every allocation of the run
+    # 49 zero curves at 16 bytes of blocks and 56 of columns each: one byte
+    # less is refused before any row is built, exactly that much is enough
+    # for every allocation of the run
     d = fnef_divisor_n6()
     need = 72 * 49
     build = fnef.cone.fcurve_block_arrays
 
-    def no_array(n):
-        raise AssertionError("built the partition array")
+    def no_array(n, keep=None):
+        raise AssertionError("built partition rows")
 
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_array)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
@@ -660,24 +670,50 @@ def test_extremality_rank_refuses_zero_rows_beyond_physical_memory(monkeypatch):
 
 
 def test_extremality_rank_refuses_the_gather_peak_at_n12(qr_divisor, monkeypatch):
-    # while the 124366 zero rows are gathered, the partition array and its
-    # unpacked zero mask (17 bytes per curve) and the gathered blocks (16
-    # per zero curve) are alive at once: more than the 72 bytes per zero
-    # curve held once they are gathered
-    need = 17 * 611501 + 16 * 124366
-    assert need == 12385373 > 72 * 124366
+    # only the 124366 zero rows are built, from the prefix walk: their
+    # blocks and seven int64 columns, 72 bytes each, are the one peak
+    # counted; one byte less is refused before any row is built
+    need = 72 * 124366
+    assert need == 8954352
     build = fnef.cone.fcurve_block_arrays
+    built = []
 
-    def no_array(n):
-        raise AssertionError("built the partition array")
+    def no_array(n, keep=None):
+        raise AssertionError("built partition rows")
+
+    def kept_rows(n, keep=None):
+        assert keep is not None
+        rows = build(n, keep)
+        built.append(len(rows))
+        return rows
 
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_array)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
-    with pytest.raises(InvalidInputError, match="ranking 124366 zero curves needs 12385373 bytes"):
+    with pytest.raises(InvalidInputError, match="ranking 124366 zero curves needs 8954352 bytes"):
         extremality_rank(qr_divisor)
-    monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", build)
+    monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", kept_rows)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
     assert extremality_rank(qr_divisor).certified_extremal
+    assert built == [124366]
+
+
+def test_extremality_rank_builds_no_row_without_zero_curves(monkeypatch):
+    # every generator at -1 pairs positively with every curve at n=9: an
+    # F-nef class with no zero curve, ranked 0 and not certified
+    d = DivisorClass(9, dict.fromkeys(all_generator_keys(9), -1))
+    build = fnef.cone.fcurve_block_arrays
+    built = []
+
+    def kept_rows(n, keep=None):
+        rows = build(n, keep)
+        built.append(rows.shape)
+        return rows
+
+    monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", kept_rows)
+    rep = extremality_rank(d)
+    assert rep.fnef.nonnegative and rep.fnef.zero_count == 0
+    assert rep.rank_mod_p == {P1: 0, P2: 0} and not rep.certified_extremal
+    assert built == [(0, 4)]
 
 
 def test_extremality_ranks_each_prime_once(monkeypatch):

@@ -276,6 +276,47 @@ def test_block_array_is_fresh_on_every_call():
     assert ref() is None
 
 
+@pytest.mark.parametrize("n", range(4, 12))
+def test_kept_rows_are_the_arrays_rows_at_the_mask(n):
+    arr = fcurve_block_arrays(n)
+    rng = np.random.default_rng(n)
+    masks = [rng.random(len(arr)) < share for share in (0.01, 0.2, 0.5, 0.9)]
+    masks += [np.zeros(len(arr), dtype=bool), np.ones(len(arr), dtype=bool)]
+    for keep in masks:
+        kept = fcurve_block_arrays(n, keep)
+        assert kept.dtype == np.int32 and not kept.flags.writeable
+        assert np.array_equal(kept, arr[keep])
+    assert fcurve_block_arrays(n, masks[-2]).shape == (0, 4)
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [
+        [True] * stirling2(9, 4),  # not an array
+        np.ones(stirling2(9, 4), dtype=np.int8),  # not boolean
+        np.ones(stirling2(9, 4) - 1, dtype=bool),
+        np.ones(stirling2(9, 4) + 1, dtype=bool),
+        np.ones((stirling2(9, 4), 1), dtype=bool),  # not 1-D
+        np.True_,
+    ],
+)
+def test_kept_rows_refuse_a_mask_that_is_not_one_per_curve(keep):
+    with pytest.raises(InvalidInputError, match="1-D boolean array of length 7770"):
+        fcurve_block_arrays(9, keep)
+
+
+def test_kept_rows_refused_beyond_physical_memory(monkeypatch):
+    # 16 bytes per kept row, not per curve: one byte less is refused,
+    # exactly that much is enough
+    keep = np.random.default_rng(9).random(stirling2(9, 4)) < 0.25
+    need = 16 * int(keep.sum())
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
+    with pytest.raises(InvalidInputError, match=f"needs {need} bytes"):
+        fcurve_block_arrays(9, keep)
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
+    assert len(fcurve_block_arrays(9, keep)) == need // 16
+
+
 @pytest.mark.parametrize("n", range(4, 14))
 def test_last_marking_alone_is_the_arrays_last_block(n):
     mask = last_marking_alone(n)
