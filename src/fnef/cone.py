@@ -14,10 +14,12 @@ Delaplace, CASC 2016), and where it stalls a column is set aside and the
 cascade resumes, the "heavy column" step of structured Gaussian
 elimination (LaMacchia and Odlyzko, CRYPTO 1990; Pomerance and Smith,
 Experimental Math. 1, 1992).  The peel is integer-exact and the same for
-every prime.  The kernel `ModpEliminator` then ranks, modulo each prime,
-the rows' Schur complement on the few set-aside columns, one pivot at a
-time in int64, which is exact: residues are below p <= 2^31, so every
-product of two is below 2^62.
+every prime, and so is the Schur map it builds once, in int64, from the
+columns to the few set-aside ones; an input whose map would leave int64 is
+refused.  The kernel `ModpEliminator` then ranks, modulo each prime, the
+rows' images through that map, one pivot at a time in int64, which is
+exact: residues are below p <= 2^31, so every product of two is below
+2^62.
 """
 
 from __future__ import annotations
@@ -235,32 +237,42 @@ def check_modulus(p: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Peel:
-    """The structural peel of F-curve rows on `ncols` columns
-    (`_structural_peel`): every column some row touches is either taken by
-    one row or set aside.
+    """The structural peel of F-curve rows (`_structural_peel`): every column
+    some row touches is either taken by one row or set aside.
 
-    `taken` counts the taken columns and `aside` lists the set-aside ones in
-    the order they were set aside.  `rounds` holds the cascade after the
-    first set-aside, one entry per round: the columns taken, their taking
-    rows (one array per key, as `col_rows.T`) and each taking row's
-    coefficient at its own column.
+    `taken` counts the taken columns, `singletons` those covered before the
+    first set-aside, and `aside` lists the set-aside columns in the order
+    they were set aside.  `schur` is the Schur map over the integers, a
+    read-only int64 array of (columns + 1) rows and one column per set-aside
+    column: modulo the rows that took a column, which are triangular with a
+    +-1 diagonal and so invertible over the integers, every unit vector is
+    an integer combination of those of the set-aside columns, and row c of
+    `schur` gives it for column c.
+
+    - schur[a] = e_j for the j-th set-aside column a;
+    - schur[c] = -s * sum(other entries * schur[col]) for a column c taken
+      after the first set-aside by a row with coefficient s at c, filled in
+      peel order, so every schur[col] read is already final;
+    - a column covered before the first set-aside, a column no row touches
+      and the -1 entries (the last row) map to 0.
+
+    A row's Schur row is its image through `schur`, the same integer vector
+    for every prime, so the rank of the rows over the rationals or modulo
+    any prime is `taken` plus the rank of their Schur rows.
     """
 
-    ncols: int
     taken: int
+    singletons: int
     aside: np.ndarray
-    rounds: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = ()
-
-    @property
-    def singletons(self) -> int:
-        """Columns covered before the first set-aside."""
-        return self.taken - sum(len(cols) for cols, _, _ in self.rounds)
+    schur: np.ndarray
 
 
 def _pattern_sum(x: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """sum_k _ROW_PATTERN[k] * x[keys[k]] for the seven key columns of some
-    F-curve rows, one array per key (-1 reads the last row of x).  With x
-    in residues modulo p every entry is below 7p in size."""
+    F-curve rows, one array per key (-1 reads the last row of x): the one
+    signed seven-key sum, for the Schur map's fill, the Schur rows and the
+    orthogonality dots.  Every entry and partial sum is at most 7 max|x| in
+    size, which each caller keeps below 2^63."""
     out = np.zeros((keys.shape[1], x.shape[1]), dtype=np.int64)
     for sign, cols in zip(_ROW_PATTERN, keys):
         out += sign * x[cols]
@@ -271,20 +283,11 @@ class ModpEliminator:
     """Incremental Gaussian elimination over a prime field of the Schur
     complement that a structural peel leaves.
 
-    Modulo the rows that took a column (`Peel`), which are triangular with
-    a +-1 diagonal and so invertible modulo every prime, 2 included, every
-    unit vector is a combination of those of the k set-aside columns.  The
-    Schur map X records it, (peel.ncols + 1) x k residues:
-
-    - X[a] = e_j for the j-th set-aside column a;
-    - X[c] = -s * sum(other entries * X[col]) for a column c taken by a row
-      with coefficient s at c, filled in peel order, so every X[col] read
-      is already final;
-    - a column covered before the first set-aside, a column no row touches
-      and the -1 entries (the last row) map to 0.
-
-    A row's Schur row is its image through X, so the rank of the rows is
-    `taken` plus the rank of their Schur rows, on k columns (`ncols`).
+    A row's Schur row is its image through the peel's integer Schur map
+    (`Peel.schur`), read as residues modulo p; the map is the peel's own,
+    not a copy, so every prime reads the one map.  The rank of the rows
+    modulo p is `taken` plus the rank of their Schur rows, on k columns
+    (`ncols`).
 
     The basis is a list of (pivot column, row) pairs in the order the
     pivots were found: each row is 1 at its pivot and 0 at every earlier
@@ -293,27 +296,17 @@ class ModpEliminator:
     in some row takes the first such row, scaled to 1 there, as a new pivot
     and is cleared from the batch.  Every entry is a residue below
     p <= 2^31, so every product of two is below 2^62 and the int64
-    arithmetic is exact.
-
-    The map takes 8 (peel.ncols + 1) k bytes and the basis at most 8 k^2;
-    a map beyond physical memory is refused up front, before it is
-    allocated.
+    arithmetic is exact.  The basis takes at most 8 k^2 bytes.
     """
 
     def __init__(self, peel: Peel, p: int):
         check_modulus(p)
-        k = len(peel.aside)
-        check_memory(8 * (peel.ncols + 1) * k, f"a Schur map on {k} columns")  # int64
-        self.ncols = k
+        self.ncols = len(peel.aside)
         self.p = p
         self.taken = peel.taken
         self.rank = peel.taken
         self.rows_seen = 0
-        self._map = np.zeros((peel.ncols + 1, k), dtype=np.int64)
-        self._map[peel.aside, np.arange(k)] = 1
-        for cols, keys, signs in peel.rounds:
-            # the taking row's own column is still 0 here
-            self._map[cols] = -signs[:, None] * _pattern_sum(self._map, keys) % p
+        self._schur = peel.schur
         self._basis: list[tuple[int, np.ndarray]] = []
 
     def add_pattern_rows(
@@ -338,7 +331,7 @@ class ModpEliminator:
                 break
             chunk = np.asarray(col_rows[start : start + batch], dtype=np.int64)
             self.rows_seen += len(chunk)
-            rows = _pattern_sum(self._map, chunk.T) % p
+            rows = _pattern_sum(self._schur, chunk.T) % p
             for j, row in self._basis:
                 rows -= np.outer(rows[:, j], row)
                 rows %= p
@@ -400,7 +393,12 @@ def _structural_peel(col_rows: np.ndarray, ncols: int) -> Peel:
     restricted to the taken columns, are triangular with a +-1 diagonal:
     invertible over the integers and modulo every prime.  The rank of all
     rows is therefore the taken count plus the rank of their Schur
-    complement on the set-aside columns (`ModpEliminator`).
+    complement on the set-aside columns, their images through the Schur
+    map (`Peel.schur`).  After the cascade the map is filled once, over the
+    integers, round by round.  It is refused before it is allocated when
+    its 8 (ncols + 1) k bytes would not fit in physical memory, and once a
+    round's fill leaves an entry whose sums of seven could leave int64
+    (InvalidInputError); so every Schur row is exact in int64.
     """
     keys = col_rows.T
     # one extra column, never uncovered, where the -1 entries read
@@ -416,7 +414,7 @@ def _structural_peel(col_rows: np.ndarray, ncols: int) -> Peel:
             own = uncovered[:, single].argmax(axis=0)
             new = keys[own, single]
             if aside:
-                # one taking row per column, recorded for the Schur map
+                # one taking row per column, kept for the Schur map
                 new, first = np.unique(new, return_index=True)
                 single, own = single[first], own[first]
                 rounds.append((new, keys[:, single], _ROW_PATTERN[own]))
@@ -430,11 +428,20 @@ def _structural_peel(col_rows: np.ndarray, ncols: int) -> Peel:
         aside.append(heavy)
         uncovered_col[heavy] = False
     covered = ncols - int(np.count_nonzero(uncovered_col[:ncols]))
+    k = len(aside)
+    check_memory(8 * (ncols + 1) * k, f"a Schur map on {k} columns")  # int64
+    schur = np.zeros((ncols + 1, k), dtype=np.int64)
+    schur[aside, np.arange(k)] = 1
+    for cols, round_keys, signs in rounds:
+        # the taking row's own column is still 0 here
+        schur[cols] = -signs[:, None] * _pattern_sum(schur, round_keys)
+        check_int64_sums(schur[cols].ravel().tolist(), len(_ROW_PATTERN), "the Schur map")
+    schur.flags.writeable = False
     return Peel(
-        ncols=ncols,
-        taken=covered - len(aside),
+        taken=covered - k,
+        singletons=covered - k - sum(len(cols) for cols, _, _ in rounds),
         aside=np.array(aside, dtype=np.int64),
-        rounds=tuple(rounds),
+        schur=schur,
     )
 
 
@@ -447,10 +454,7 @@ def _check_orthogonal(
     # one extra zero entry, so the -1 of a dropped pivot key reads 0
     coords = np.zeros(ncols + 1, dtype=np.int64)
     coords[free_index[list(reduced)]] = list(reduced.values())
-    dots = np.zeros(len(col_rows), dtype=np.int64)
-    for k in range(len(_ROW_PATTERN)):
-        dots += _ROW_PATTERN[k] * coords[col_rows[:, k]]
-    if dots.any():
+    if _pattern_sum(coords[:, None], col_rows.T).any():
         raise AssertionError("zero-pairing row not orthogonal to the class")
 
 
@@ -462,26 +466,34 @@ def extremality_rank(
     Scans the curves once (`fnef_check`), collects every curve pairing to
     zero, maps each to its reduced coordinate row, and computes the modular
     rank per distinct prime; reaching ambient-1 for any prime certifies the
-    extremal ray.  A divisor that is not F-nef is not in the cone: it is
+    extremal ray.  At least one prime is required (InvalidInputError before
+    any scan).  A divisor that is not F-nef is not in the cone: it is
     ranked modulo no prime and not certified.
 
     The rows are peeled once (`_structural_peel`): every column is taken by
     a row or set aside, and the taking rows are triangular with a +-1
     diagonal, so the rank is the taken count plus the rank of the Schur
-    complement on the set-aside columns.  `ModpEliminator` ranks that, once
-    per prime, feeding the zero rows in enumeration order.  At n=12 the
-    biplane divisor's 124366 zero rows cover 1331 of the 1981 columns before
-    the peel first stalls; 4 columns are set aside and 1977 taken, and the
-    first 512 rows reach rank 1980.  Every curve together peels all 1981
-    columns with none set aside, so the full matrix feeds no row.
+    complement on the set-aside columns.  The peel builds the one integer
+    Schur map (`Peel.schur`) for every prime, and `ModpEliminator` ranks
+    the rows' images through it modulo each prime, feeding the zero rows
+    in enumeration order.  At n=12 the biplane divisor's 124366 zero rows
+    cover 1331 of the 1981 columns before the peel first stalls; 4 columns
+    are set aside and 1977 taken, every entry of the map is in -2..2, and
+    the first 512 rows reach rank 1980.  Every curve together peels all
+    1981 columns with none set aside, so the full matrix feeds no row.
 
     Only the zero rows are built, straight from the enumeration's prefix
     walk (`fcurve_block_arrays` with the zero mask as `keep`), and they are
-    refused once the scan has counted them, before any is built, when they
-    and their seven int64 columns (72 bytes per zero curve) would not fit
-    in physical memory (InvalidInputError).
+    refused once the scan has counted them, before any is built, when the
+    rank path's largest peak would not fit in physical memory
+    (InvalidInputError): 84 bytes per zero curve, the 16 of its block
+    masks, the 56 of its seven int64 columns and 12 of per-key
+    temporaries while the columns are built.  The orthogonality check
+    (about 80) and the peel (about 78) hold less.
     """
     primes = tuple(dict.fromkeys(primes))
+    if not primes:
+        raise InvalidInputError("extremality is ranked modulo at least one prime, got none")
     for p in primes:
         check_modulus(p)
     # a positive multiple spans the same ray, so the primitive part stands
@@ -491,8 +503,8 @@ def extremality_rank(
     rs = relation_system(d.n)
     if not fnef.nonnegative:
         return ExtremalityReport(rs.ambient_dim, fnef, {}, False)
-    # the gather holds S + 16 zeros bytes: more only if 56 zeros < S, and then below fnef_check's 9 S
-    check_memory(72 * fnef.zero_count, f"ranking {fnef.zero_count} zero curves")
+    # the gather holds S + 16 zeros bytes: more only if 68 zeros < S, and then below fnef_check's 9 S
+    check_memory(84 * fnef.zero_count, f"ranking {fnef.zero_count} zero curves")
     col_rows = _free_col_rows(fcurve_block_arrays(d.n, fnef.zero_mask()), rs.free_index)
 
     # Every zero row is an integer vector orthogonal to the reduced
@@ -504,8 +516,9 @@ def extremality_rank(
         _check_orthogonal(col_rows, reduced, rs.free_index, rs.ambient_dim)
         stop_rank = rs.ambient_dim - 1
 
-    # the peel is integer-exact, so one peel serves every prime; every zero
-    # row is fed, in enumeration order, and the taking rows map to 0
+    # the peel and its Schur map are integer-exact, so they serve every
+    # prime; every zero row is fed, in enumeration order, and the taking
+    # rows map to 0
     peel = _structural_peel(col_rows, rs.ambient_dim)
     ranks: dict[int, int] = {}
     for p in primes:

@@ -641,8 +641,8 @@ def test_extremal_refuses_a_scan_beyond_physical_memory(json_flag, tmp_path, mon
 def test_extremal_refuses_zero_rows_beyond_physical_memory(json_flag, tmp_path, monkeypatch, capsys):
     path = tmp_path / "d6.txt"
     path.write_text(divisor_to_text(fnef_at_6()))
-    # 49 zero curves at 72 bytes each, one byte short; the scan itself fits
-    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 72 * 49 - 1)
+    # 49 zero curves at 84 bytes each, one byte short; the scan itself fits
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 84 * 49 - 1)
     code, out, err = run(capsys, "extremal", "--divisor", str(path), "--n", "6", *json_flag)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ranking 49 zero curves needs 3528 bytes")
+    assert err.startswith("error: ranking 49 zero curves needs 4116 bytes")

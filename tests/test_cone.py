@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import islice
 from math import isqrt
 from pathlib import Path
@@ -132,6 +133,55 @@ def test_biplane_zero_set_is_invariant_under_automorphisms(qr_biplane, qr_diviso
     for image in images:
         moved = mask_images(image + (11,), 12)[zero]
         assert np.array_equal(curve_keys(moved), expected)
+
+
+def cycle_type(image):
+    """The cycle lengths of a permutation of range(len(image)), longest
+    first."""
+    seen, lengths = set(), []
+    for start in range(len(image)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, length = image[i], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def test_biplane_zero_set_has_276_orbits(qr_biplane, qr_divisor):
+    # Burnside: the orbits of the 660 automorphisms (marking 12 fixed) on
+    # the zero curves number the mean count of curves an element fixes.  A
+    # curve is fixed when its image blocks are its own blocks.  Elements of
+    # one cycle type on {1..11} fix as many curves here, so one element per
+    # type is counted, and two more of the type must agree with it.
+    zero = fcurve_block_arrays(12, fnef_check(qr_divisor).zero_mask())
+    own = np.sort(zero, axis=1)
+
+    def fixed(image):
+        moved = np.sort(mask_images(image + (11,), 12)[zero], axis=1)
+        return int(np.count_nonzero((moved == own).all(axis=1)))
+
+    by_type = {}
+    for image in automorphisms(qr_biplane):
+        by_type.setdefault(cycle_type(image), []).append(image)
+    expected = {
+        (1,) * 11: (1, 124366),
+        (2, 2, 2, 2, 1, 1, 1): (55, 942),
+        (3, 3, 3, 1, 1): (110, 43),
+        (5, 5, 1): (264, 1),
+        (6, 3, 2): (110, 9),
+        (11,): (120, 0),
+    }
+    assert {t: len(images) for t, images in by_type.items()} == {
+        t: size for t, (size, _) in expected.items()
+    }
+    total = 0
+    for t, images in by_type.items():
+        size, count = expected[t]
+        assert {fixed(im) for im in (images[0], images[size // 2], images[-1])} == {count}
+        total += size * count
+    assert total == 182160 == 276 * 660
 
 
 @given(st.data())
@@ -267,7 +317,8 @@ def pattern_matrices(draw):
 def dense_kernel(ncols, p):
     """The kernel under the identity map: nothing taken, every column set
     aside, so it ranks the rows themselves."""
-    return ModpEliminator(Peel(ncols, 0, np.arange(ncols)), p)
+    identity = np.eye(ncols + 1, ncols, dtype=np.int64)
+    return ModpEliminator(Peel(0, 0, np.arange(ncols), identity), p)
 
 
 @given(pattern_matrices(), st.data())
@@ -288,14 +339,21 @@ def test_add_pattern_rows_matches_exact_rank(matrix, data):
 
 
 def check_peel(peel, col_rows, ncols):
-    """Every column a row touches is taken by one row or set aside, once."""
+    """Every column a row touches is taken by one row or set aside, once,
+    and the Schur map sends each set-aside column to its unit vector and
+    the columns covered before the first set-aside to 0."""
     touched = np.unique(col_rows[col_rows >= 0])
-    assert peel.ncols == ncols
-    assert len(np.unique(peel.aside)) == len(peel.aside)
+    k = len(peel.aside)
+    assert len(np.unique(peel.aside)) == k
     assert set(peel.aside.tolist()) <= set(touched.tolist())
-    assert peel.taken + len(peel.aside) == len(touched)
+    assert peel.taken + k == len(touched)
     assert 0 <= peel.singletons <= peel.taken
-    assert (peel.rounds == ()) == (peel.singletons == peel.taken)
+    schur = peel.schur
+    assert schur.dtype == np.int64 and schur.shape == (ncols + 1, k)
+    assert not schur.flags.writeable
+    assert np.array_equal(schur[peel.aside], np.eye(k, dtype=np.int64))
+    assert not schur[-1].any()
+    assert np.count_nonzero(schur.any(axis=1)) <= peel.taken - peel.singletons + k
 
 
 def peeled_rank(col_rows, ncols, p, batch=512):
@@ -348,7 +406,9 @@ def test_peel_sets_aside_one_column_of_a_triangle():
     # no singleton: column 0, the lowest of three tied, is set aside, and
     # the cascade takes the other two
     assert (peel.singletons, peel.taken, peel.aside.tolist()) == (0, 2, [0])
-    assert [cols.tolist() for cols, _, _ in peel.rounds] == [[1, 2]]
+    # e0 + e1 takes column 1 and e2 + e0 column 2, both in the round after
+    # the set-aside, so both map to -e0
+    assert peel.schur.tolist() == [[1], [-1], [-1], [0]]
     # the Schur complement is one column, where e1 + e2, which takes no
     # column, reads -2 e0
     for p in DEFAULT_PRIMES:
@@ -360,7 +420,7 @@ def test_fully_peeled_matrix_feeds_no_row():
     # e0, e0 - e1, e1 + e2, e1 + e2 - e3: triangular with a unit diagonal
     col_rows = _rows({0: 0}, {0: 0, 3: 1}, {0: 1, 1: 2}, {0: 1, 1: 2, 4: 3})
     peel = _structural_peel(col_rows, 4)
-    assert (peel.taken, len(peel.aside), peel.rounds) == (4, 0, ())
+    assert (peel.taken, len(peel.aside), peel.schur.shape) == (4, 0, (5, 0))
     for p in DEFAULT_PRIMES:
         elim = ModpEliminator(peel, p)
         assert elim.ncols == 0
@@ -373,7 +433,9 @@ def test_peel_counts_at_n12(qr_divisor):
     blocks = fcurve_block_arrays(12)
     zero = _free_col_rows(blocks[fnef_check(qr_divisor).zero_mask()], rs.free_index)
     peel = _structural_peel(zero, rs.ambient_dim)
-    assert (peel.singletons, len(peel.aside), peel.taken) == (1331, 4, 1977)
+    assert (peel.singletons, peel.taken) == (1331, 1977)
+    assert peel.aside.tolist() == [196, 242, 420, 1980]
+    assert (peel.schur.min(), peel.schur.max()) == (-2, 2)
     # the full matrix peels completely, so no row reaches the kernel
     peel = _structural_peel(_free_col_rows(blocks, rs.free_index), rs.ambient_dim)
     assert (peel.taken, len(peel.aside)) == (rs.ambient_dim, 0)
@@ -499,29 +561,45 @@ def test_check_modulus_at_the_cap(monkeypatch):
             check_modulus(p)
 
 
-def test_modp_eliminator_refuses_a_basis_beyond_physical_memory():
-    # a Schur map of 2^17 x (2^17 - 1) int64 entries is about 137 GB, more
-    # than the physical memory of any machine this suite targets; refused
-    # before it is allocated
-    with pytest.raises(InvalidInputError, match="physical memory"):
-        dense_kernel((1 << 17) - 1, P1)
+def test_peel_refuses_a_schur_map_beyond_physical_memory(monkeypatch):
+    # the n=6 zero rows set aside k columns, and their Schur map spans every
+    # column of the peel and the -1 entries: 8 (16 + 1) k bytes; one byte
+    # less is refused before the map is allocated, exactly that much is
+    # enough, and no other allocation of the peel is guarded
+    d = fnef_divisor_n6()
+    rs = relation_system(6)
+    col_rows = _free_col_rows(fcurve_block_arrays(6, fnef_check(d).zero_mask()), rs.free_index)
+    k = len(_structural_peel(col_rows, rs.ambient_dim).aside)
+    assert k == 2
+    need = 8 * (rs.ambient_dim + 1) * k
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
+    with pytest.raises(InvalidInputError, match=f"a Schur map on 2 columns needs {need} bytes"):
+        _structural_peel(col_rows, rs.ambient_dim)
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
+    assert _structural_peel(col_rows, rs.ambient_dim).schur.shape == (17, 2)
 
 
-def test_modp_eliminator_memory_guard_reads_physical_memory(monkeypatch):
-    # the guard shared with the partition array: a Schur map of
-    # 8 * (10 + 1) * 10 bytes for 10 set-aside columns of 10
-    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 879)
-    with pytest.raises(InvalidInputError, match="physical memory"):
-        dense_kernel(10, P1)
-    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 880)
-    assert dense_kernel(10, P1).rank == 0
-    # the map spans every column of the peel, not only the set-aside ones
-    peel = Peel(20, 18, np.array([3, 7]))
-    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 8 * 21 * 2 - 1)
-    with pytest.raises(InvalidInputError, match="a Schur map on 2 columns"):
-        ModpEliminator(peel, P1)
-    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 8 * 21 * 2)
-    assert ModpEliminator(peel, P1).rank == 18
+def fibonacci_chain(length):
+    """e0 - e1, then e(i-1) + e(i-2) - e(i) for i = 2..length: no singleton,
+    so column 0, the lowest of the shortest row, is set aside, and then each
+    round takes the next column, whose Schur map entry is the sum of the
+    two before it: the Fibonacci number F(i+1)."""
+    rows = [{0: 0, 3: 1}] + [{0: i - 1, 1: i - 2, 3: i} for i in range(2, length + 1)]
+    return _rows(*rows), length + 1
+
+
+def test_schur_map_beyond_int64_is_refused():
+    # F(88) * 7 < 2^63 <= F(89) * 7: the chain to column 87 ranks, and one
+    # round more is refused by the peel, before any prime is ranked
+    col_rows, ncols = fibonacci_chain(87)
+    peel = _structural_peel(col_rows, ncols)
+    assert (peel.singletons, peel.taken, peel.aside.tolist()) == (0, 87, [0])
+    assert peel.schur[87, 0] == 1100087778366101931 == peel.schur.max()
+    for p in (2, 3, P1):
+        assert peeled_rank(col_rows, ncols, p) == 87
+    col_rows, ncols = fibonacci_chain(88)
+    with pytest.raises(InvalidInputError, match="the Schur map: coefficient 1779979416004714189"):
+        _structural_peel(col_rows, ncols)
 
 
 def full_matrix_rank_modp(n, p):
@@ -604,10 +682,14 @@ def test_orthogonality_check_covers_every_row():
     # a row's dot product with the reduced coordinates is the curve's pairing
     reduced = reduce_canonical(d)
     _check_orthogonal(zero, reduced, rs.free_index, rs.ambient_dim)
-    # a bad row off any every-k-th sample (here at index 1) is still caught
-    bad = np.concatenate([zero[:1], nonzero[:1], zero[1:]])
-    with pytest.raises(AssertionError):
-        _check_orthogonal(bad, reduced, rs.free_index, rs.ambient_dim)
+    # a bad row off any every-k-th sample (here at index 1), or the last, is
+    # still caught
+    for bad in (
+        np.concatenate([zero[:1], nonzero[:1], zero[1:]]),
+        np.concatenate([zero, nonzero[:1]]),
+    ):
+        with pytest.raises(AssertionError):
+            _check_orthogonal(bad, reduced, rs.free_index, rs.ambient_dim)
     huge = {m: v * 2**62 for m, v in reduced.items()}
     with pytest.raises(InvalidInputError):
         _check_orthogonal(zero, huge, rs.free_index, rs.ambient_dim)
@@ -650,11 +732,11 @@ def test_extremality_rank_leaves_numpy_random_unloaded():
 
 
 def test_extremality_rank_refuses_zero_rows_beyond_physical_memory(monkeypatch):
-    # 49 zero curves at 16 bytes of blocks and 56 of columns each: one byte
-    # less is refused before any row is built, exactly that much is enough
-    # for every allocation of the run
+    # 49 zero curves at 84 bytes each, the largest peak of the rank path:
+    # one byte less is refused before any row is built, exactly that much
+    # is enough for every allocation of the run
     d = fnef_divisor_n6()
-    need = 72 * 49
+    need = 84 * 49
     build = fnef.cone.fcurve_block_arrays
 
     def no_array(n, keep=None):
@@ -662,7 +744,7 @@ def test_extremality_rank_refuses_zero_rows_beyond_physical_memory(monkeypatch):
 
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_array)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
-    with pytest.raises(InvalidInputError, match="ranking 49 zero curves needs 3528 bytes"):
+    with pytest.raises(InvalidInputError, match="ranking 49 zero curves needs 4116 bytes"):
         extremality_rank(d)
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", build)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
@@ -671,10 +753,11 @@ def test_extremality_rank_refuses_zero_rows_beyond_physical_memory(monkeypatch):
 
 def test_extremality_rank_refuses_the_gather_peak_at_n12(qr_divisor, monkeypatch):
     # only the 124366 zero rows are built, from the prefix walk: their
-    # blocks and seven int64 columns, 72 bytes each, are the one peak
-    # counted; one byte less is refused before any row is built
-    need = 72 * 124366
-    assert need == 8954352
+    # blocks, seven int64 columns and the temporaries that build those,
+    # 84 bytes each, are the one peak counted; one byte less is refused
+    # before any row is built
+    need = 84 * 124366
+    assert need == 10446744
     build = fnef.cone.fcurve_block_arrays
     built = []
 
@@ -689,12 +772,47 @@ def test_extremality_rank_refuses_the_gather_peak_at_n12(qr_divisor, monkeypatch
 
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_array)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
-    with pytest.raises(InvalidInputError, match="ranking 124366 zero curves needs 8954352 bytes"):
+    with pytest.raises(InvalidInputError, match="ranking 124366 zero curves needs 10446744 bytes"):
         extremality_rank(qr_divisor)
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", kept_rows)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
     assert extremality_rank(qr_divisor).certified_extremal
     assert built == [124366]
+
+
+def test_zero_row_guard_counts_the_peak_of_every_phase(qr_divisor, monkeypatch):
+    # traced from the moment the zero rows are built, no phase of the rank
+    # path holds more than the guard's 84 bytes per zero curve, besides the
+    # 8-byte-per-mask column table of `_free_col_rows` and a page of small
+    # objects; the column build needs more than 83 of the 84
+    peaks = {}
+
+    def traced(name, original):
+        def phase(*args, **kwargs):
+            if name == "fcurve_block_arrays":
+                tracemalloc.start()
+            tracemalloc.reset_peak()
+            result = original(*args, **kwargs)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+            return result
+
+        return phase
+
+    for name in ("fcurve_block_arrays", "_free_col_rows", "_check_orthogonal", "_structural_peel"):
+        monkeypatch.setattr(fnef.cone, name, traced(name, getattr(fnef.cone, name)))
+    monkeypatch.setattr(
+        ModpEliminator,
+        "add_pattern_rows",
+        traced("add_pattern_rows", ModpEliminator.add_pattern_rows),
+    )
+    try:
+        rep = extremality_rank(qr_divisor)
+    finally:
+        tracemalloc.stop()
+    assert rep.certified_extremal and len(peaks) == 5
+    guard = 84 * rep.zero_set_size
+    assert max(peaks.values()) <= guard + 8 * (1 << 12) + 4096
+    assert peaks["_free_col_rows"] > 83 * rep.zero_set_size
 
 
 def test_extremality_rank_builds_no_row_without_zero_curves(monkeypatch):
@@ -717,17 +835,35 @@ def test_extremality_rank_builds_no_row_without_zero_curves(monkeypatch):
 
 
 def test_extremality_ranks_each_prime_once(monkeypatch):
-    built = []
+    # one peel, and so one Schur map, whatever the number of primes; each
+    # kernel reads the peel's map itself, not a copy of it
+    built, peels = [], []
 
     class Counting(ModpEliminator):
         def __init__(self, peel, p):
-            built.append(p)
             super().__init__(peel, p)
+            built.append(p)
+            assert self._schur is peel.schur
+
+    def recording(*args):
+        peels.append(_structural_peel(*args))
+        return peels[-1]
 
     monkeypatch.setattr(fnef.cone, "ModpEliminator", Counting)
-    rep = extremality_rank(fnef_divisor_n6(), primes=(P1, P1, P2, P1))
-    assert built == [P1, P2]
-    assert list(rep.rank_mod_p) == [P1, P2]
+    monkeypatch.setattr(fnef.cone, "_structural_peel", recording)
+    rep = extremality_rank(fnef_divisor_n6(), primes=(P1, P1, P2, 3, P1))
+    assert built == [P1, P2, 3] and len(peels) == 1
+    assert list(rep.rank_mod_p) == [P1, P2, 3]
+    assert set(rep.rank_mod_p.values()) == {15}
+
+
+def test_extremality_rank_refuses_no_prime_before_any_scan(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned with no prime to rank modulo")
+
+    monkeypatch.setattr(fnef.cone, "pairing_values", no_scan)
+    with pytest.raises(InvalidInputError, match="at least one prime"):
+        extremality_rank(fnef_divisor_n6(), ())
 
 
 def test_scaled_extremal_divisor_is_still_certified():
@@ -755,7 +891,9 @@ def test_pulled_back_biplane_divisor_is_extremal_at_n13(qr_divisor, monkeypatch)
     lifted = pullback_forgetful(eliminate_psi(qr_divisor))
     rep = extremality_rank(lifted)
     [peel] = peels
-    assert (len(peel.aside), peel.taken) == (5, 4012)
+    assert (peel.singletons, peel.taken) == (2266, 4012)
+    assert peel.aside.tolist() == [196, 242, 420, 2993, 4016]
+    assert (peel.schur.min(), peel.schur.max()) == (-2, 2)
     assert (rep.ambient_dim, rep.zero_set_size) == (4017, 583990)
     assert rep.rank_mod_p == {P1: 4016, P2: 4016}
     assert rep.certified_extremal
