@@ -561,11 +561,32 @@ def test_check_modulus_at_the_cap(monkeypatch):
             check_modulus(p)
 
 
-def test_peel_refuses_a_schur_map_beyond_physical_memory(monkeypatch):
+def disjoint_rows(count):
+    """`count` rows on seven columns each, no column shared: no singleton,
+    so the peel sets aside six columns of each row and the row takes its
+    seventh, leaving 7 * count touched columns."""
+    return _rows(*({k: 7 * i + k for k in range(7)} for i in range(count)))
+
+
+def test_modp_eliminator_refuses_a_basis_beyond_physical_memory():
+    # 171 disjoint rows set aside 1026 columns; on their own 1197 columns
+    # they rank 171 modulo p, but among 2^24 columns the Schur map every
+    # prime's kernel reads is (2^24 + 1) x 1026 int64 entries, about 138 GB,
+    # more than the physical memory of any machine this suite targets:
+    # refused before it is allocated
+    col_rows = disjoint_rows(171)
+    assert len(_structural_peel(col_rows, 1197).aside) == 1026
+    assert peeled_rank(col_rows, 1197, P1) == 171
+    with pytest.raises(InvalidInputError, match="a Schur map on 1026 columns needs .* physical memory"):
+        peeled_rank(col_rows, 1 << 24, P1)
+
+
+def test_modp_eliminator_memory_guard_reads_physical_memory(monkeypatch):
     # the n=6 zero rows set aside k columns, and their Schur map spans every
     # column of the peel and the -1 entries: 8 (16 + 1) k bytes; one byte
-    # less is refused before the map is allocated, exactly that much is
-    # enough, and no other allocation of the peel is guarded
+    # less is refused before the map is allocated, and exactly that much is
+    # enough to rank the rows modulo p: no other allocation of the peel or
+    # the kernel is guarded
     d = fnef_divisor_n6()
     rs = relation_system(6)
     col_rows = _free_col_rows(fcurve_block_arrays(6, fnef_check(d).zero_mask()), rs.free_index)
@@ -574,9 +595,10 @@ def test_peel_refuses_a_schur_map_beyond_physical_memory(monkeypatch):
     need = 8 * (rs.ambient_dim + 1) * k
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
     with pytest.raises(InvalidInputError, match=f"a Schur map on 2 columns needs {need} bytes"):
-        _structural_peel(col_rows, rs.ambient_dim)
+        peeled_rank(col_rows, rs.ambient_dim, P1)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
     assert _structural_peel(col_rows, rs.ambient_dim).schur.shape == (17, 2)
+    assert peeled_rank(col_rows, rs.ambient_dim, P1) == 15
 
 
 def fibonacci_chain(length):
