@@ -50,6 +50,7 @@ from .pairing import (
     check_relations,
     pair_divisor_functional,
     pairing_values,
+    scan_dtype,
 )
 from .subsets import (
     FCurve,
@@ -156,14 +157,15 @@ def fnef_check(d: DivisorClass, threads: int = 1) -> FNefReport:
 
     The values come from the enumeration scan (`pairing_values(d)`) and the
     argmin curve from its index (`fcurve_at`), so no partition array is
-    built.  The scan's own arrays, 8 bytes of int64 value and 1 byte of zero
-    flag per curve, are refused before any scan when they would not fit in
-    physical memory (InvalidInputError; 1.4 GiB at n=16).
+    built.  The scan's own arrays, one value of `scan_dtype(d)` (1 to 8
+    bytes) and 1 byte of zero flag per curve, are refused before any scan
+    when they would not fit in physical memory (InvalidInputError; at n=16
+    0.32 GiB for coefficients up to 18, 1.44 GiB in int64).
     """
     if threads != 1:
         raise InvalidInputError(f"the scan runs on one thread, got threads={threads}")
     rows = count_fcurves(d.n)
-    check_memory(9 * rows, f"the F-nef scan of {rows} curves")
+    check_memory((scan_dtype(d).itemsize + 1) * rows, f"the F-nef scan of {rows} curves")
     values = pairing_values(d)
     idx = int(values.argmin())
     mn = int(values[idx])
@@ -503,7 +505,8 @@ def extremality_rank(
     rs = relation_system(d.n)
     if not fnef.nonnegative:
         return ExtremalityReport(rs.ambient_dim, fnef, {}, False)
-    # the gather holds S + 16 zeros bytes: more only if 68 zeros < S, and then below fnef_check's 9 S
+    # the gather holds S + 16 zeros bytes: more only if 68 zeros < S, and
+    # then below 2 S, which fnef_check's (itemsize + 1) S already passed
     check_memory(84 * fnef.zero_count, f"ranking {fnef.zero_count} zero curves")
     col_rows = _free_col_rows(fcurve_block_arrays(d.n, fnef.zero_mask()), rs.free_index)
 

@@ -222,7 +222,7 @@ def _scan_enumeration(table: np.ndarray, n: int) -> np.ndarray:
     E(S0, S1) = c(b0|b1) - c(b0) and F(S3, S1) = c(b1|b3) - c(b3).  Each
     prefix tabulates them over every code of `_scan_plan`, and each of its
     rows is then three lookups and two adds: partial sums of at most 7
-    coefficients, exact once `check_int64_sums` has passed.
+    coefficients, exact in the table's dtype (`scan_dtype`).
     """
     split, prefixes, opened = fcurve_prefixes(n, _SCAN_SUFFIX)
     s = n - split
@@ -233,8 +233,8 @@ def _scan_enumeration(table: np.ndarray, n: int) -> np.ndarray:
     # the unions and the singles of A, E and F, then the second single of A
     masks = np.stack([p1 | p2, p0 | p1, p1 | p3, p1, p0, p3, p2], axis=1)
     opened = opened.tolist()
-    out = np.empty(count_fcurves(n), dtype=np.int64)
-    val = np.empty(max(k.shape[1] for k in keys.values()), dtype=np.int64)
+    out = np.empty(count_fcurves(n), dtype=table.dtype)
+    val = np.empty(max(k.shape[1] for k in keys.values()), dtype=table.dtype)
     start = 0
     for lo in range(0, len(prefixes), _SCAN_PREFIXES):
         # ndarray.take, not np.take: its Python wrapper would add about
@@ -255,11 +255,34 @@ def _scan_enumeration(table: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+#: The scan's dtypes, narrowest first, each with its maximum.
+_SCAN_DTYPES = tuple(
+    (np.iinfo(t).max, np.dtype(t)) for t in (np.int8, np.int16, np.int32, np.int64)
+)
+
+
+def scan_dtype(d: DivisorClass) -> np.dtype:
+    """The narrowest signed integer dtype that holds 7 times the largest
+    |coefficient| of `d`: every partial sum of a pairing has at most 7
+    terms, so the scan is exact in it.  Beyond int64 raises
+    InvalidInputError."""
+    top = max(map(abs, d.coeffs.values()), default=0)
+    check_int64_sums((top,), 7, "F-curve pairing scan")
+    return next(t for most, t in _SCAN_DTYPES if 7 * top <= most)
+
+
 def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.ndarray:
     """Pairings of a divisor with every F-curve, in enumeration order (or
     with the rows of `blocks`): the three unions with block 0 count
-    positively, the four blocks negatively.  The sums of 7 coefficients
-    must stay exact in int64; larger coefficients raise InvalidInputError.
+    positively, the four blocks negatively.
+
+    The result, and every value array the scan allocates, has
+    `scan_dtype(d)`: the narrowest of int8, int16, int32 and int64 that
+    holds 7 times the largest |coefficient|, so every sum is exact;
+    coefficients whose sums could leave int64 raise InvalidInputError.  The
+    named divisors, and the biplane divisor's boundary form pulled back up
+    to n=16, have |c| <= 9 and scan in int8.  A caller that multiplies
+    values should first widen them with `.astype(np.int64)`.
 
     The table holds the coefficient of m's canonical key at every subset
     mask m: `d.dense_table()` followed by its reverse, since a mask at or
@@ -280,14 +303,14 @@ def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.n
       serves sampled rows and is the enumeration scan's oracle in the
       tests.
     """
-    check_int64_sums(d.coeffs.values(), 7, "F-curve pairing scan")
-    table = d.dense_table()
+    dtype = scan_dtype(d)
+    table = d.dense_table().astype(dtype)
     table = np.concatenate([table, table[::-1]])
     if blocks is None:
         return _scan_enumeration(table, d.n)
-    out = np.empty(len(blocks), dtype=np.int64)
+    out = np.empty(len(blocks), dtype=dtype)
     idx = np.empty(_SCAN_ROWS, dtype=np.intp)
-    val = np.empty(_SCAN_ROWS, dtype=np.int64)
+    val = np.empty(_SCAN_ROWS, dtype=dtype)
     for s in range(0, len(blocks), _SCAN_ROWS):
         rows = blocks[s : s + _SCAN_ROWS]
         k = len(rows)

@@ -145,11 +145,13 @@ def projection_formula_oracle(d: DivisorClass, lifted: DivisorClass) -> tuple[in
     """(total, contracted, mismatches) of the exhaustive projection formula
     for the class `lifted` at n+1 against d, from the rows at n+1: a row is
     contracted when one of its blocks is {n+1}, and any other row is
-    compared with its image at n, scanned row by row."""
+    compared with its image at n, scanned row by row.  Both scans are
+    widened to int64, so the comparison does not rest on NumPy's promotion
+    between their dtypes."""
     up_blocks = fcurve_block_arrays(d.n + 1)
-    lhs = pairing_values(lifted)
+    lhs = pairing_values(lifted).astype(np.int64)
     last = 1 << d.n
     contracted = (up_blocks == last).any(axis=1)
-    rhs = pairing_values(d, (up_blocks & ~last)[~contracted])
+    rhs = pairing_values(d, (up_blocks & ~last)[~contracted]).astype(np.int64)
     mismatches = np.count_nonzero(lhs[contracted]) + np.count_nonzero(lhs[~contracted] != rhs)
     return len(up_blocks), int(np.count_nonzero(contracted)), int(mismatches)

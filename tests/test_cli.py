@@ -630,11 +630,15 @@ def test_block_array_beyond_physical_memory_exits_2(monkeypatch, capsys):
 def test_extremal_refuses_a_scan_beyond_physical_memory(json_flag, tmp_path, monkeypatch, capsys):
     path = tmp_path / "canonical9.json"
     path.write_text(json.dumps(divisor_to_json_dict(canonical_divisor(9))))
-    # S(9,4) = 7770 curves at 9 bytes each, one byte short
-    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 9 * 7770 - 1)
+    # S(9,4) = 7770 curves at 2 bytes each (an int8 value and a zero flag),
+    # one byte short; exactly that much scans, and the class is not F-nef
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 2 * 7770 - 1)
     code, out, err = run(capsys, "extremal", "--divisor", str(path), *json_flag)
     assert (code, out) == (2, "")
-    assert err.startswith("error: the F-nef scan of 7770 curves needs 69930 bytes")
+    assert err.startswith("error: the F-nef scan of 7770 curves needs 15540 bytes")
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 2 * 7770)
+    code, out, err = run(capsys, "extremal", "--divisor", str(path), *json_flag)
+    assert (code, err) == (1, "") and out
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])

@@ -52,6 +52,7 @@ from fnef.cone import (
     check_modulus,
 )
 from fnef.errors import InvalidInputError
+from fnef.pairing import scan_dtype
 from fnef.subsets import all_generator_keys, mask_from_elements, stirling2
 from oracles import (
     dense_rows,
@@ -242,17 +243,20 @@ def test_fnef_check_builds_no_partition_array(n, qr_divisor, monkeypatch):
 
 
 def test_fnef_check_refuses_a_scan_beyond_physical_memory(monkeypatch):
-    # 8 bytes of value and 1 of zero flag per curve: one byte less is
-    # refused before the scan, and exactly that much is enough
-    need = 9 * stirling2(9, 4)
+    # one value of the scan's dtype and 1 byte of zero flag per curve: one
+    # byte less is refused before the scan, and exactly that much is enough;
+    # the canonical class scans in int8, a coefficient of 2^40 in int64
     scans = count_scans(monkeypatch)
-    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
-    d = canonical_divisor(9)
-    with pytest.raises(InvalidInputError, match="F-nef scan of 7770 curves needs 69930 bytes"):
-        fnef_check(d)
-    assert scans == []
-    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
-    assert fnef_check(d).n == 9 and len(scans) == 1
+    for d, itemsize in ((canonical_divisor(9), 1), (DivisorClass(9, {3: 1 << 40}), 8)):
+        need = (itemsize + 1) * stirling2(9, 4)
+        monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
+        with pytest.raises(InvalidInputError, match=f"F-nef scan of 7770 curves needs {need} bytes"):
+            fnef_check(d)
+        assert scans == []
+        monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
+        assert fnef_check(d).n == 9 and len(scans) == 1
+        scans.clear()
+    assert need == 69930
 
 
 def test_scan_accepts_one_thread_only(qr_divisor):
@@ -986,14 +990,17 @@ def projection_divisors(n):
 @pytest.mark.parametrize("n", range(5, 11))
 def test_exhaustive_projection_formula_matches_the_row_oracle(n, monkeypatch):
     # a wrong extra term on the lift makes the mismatch count nonzero,
-    # so the two formulas must agree on every count, not only on zero
+    # so the two formulas must agree on every count, not only on zero; an
+    # extra 2^20 scans the lift in int32 against d's int8, and a comparison
+    # that wrapped to int8 or int16 would miss every one of its mismatches
     pullback = fnef.cone.pullback_forgetful
     keys = all_generator_keys(n + 1)
     for d in projection_divisors(n):
-        for extra in (None, keys[len(keys) // 3], 1 << (n - 1)):
+        for extra, c in ((None, 0), (keys[len(keys) // 3], 1), (1 << (n - 1), 1), (keys[-2], 1 << 20)):
             lifted = pullback(d)
             if extra is not None:
-                lifted = lifted + DivisorClass(n + 1, {extra: 1})
+                lifted = lifted + DivisorClass(n + 1, {extra: c})
+            assert (scan_dtype(lifted), scan_dtype(d)) == ((np.int32, np.int8) if c > 1 else (np.int8,) * 2)
             monkeypatch.setattr(fnef.cone, "pullback_forgetful", lambda _, lifted=lifted: lifted)
             rep = projection_formula_report(d)
             expected = projection_formula_oracle(d, lifted)

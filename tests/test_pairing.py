@@ -196,15 +196,6 @@ def test_scan_refuses_coefficients_whose_sums_leave_int64():
         pairing_values(DivisorClass(6, {3: 1 << 63}))
 
 
-def test_scan_is_exact_at_the_bound():
-    top = ((1 << 63) - 1) // 7
-    d = extreme_divisor(6, top)
-    values = pairing_values(d)
-    assert values.tolist() == [pair_divisor_fcurve(d, c) for c in enumerate_fcurves(6)]
-    with pytest.raises(InvalidInputError):
-        pairing_values(extreme_divisor(6, top + 1))
-
-
 @pytest.mark.parametrize("rows", [1, 5, 7])
 @pytest.mark.parametrize("n", [7, 8])
 def test_sliced_scan_matches_per_curve_oracle(n, rows, monkeypatch):
@@ -212,25 +203,60 @@ def test_sliced_scan_matches_per_curve_oracle(n, rows, monkeypatch):
     rng = random.Random(100 * n + rows)
     top = ((1 << 63) - 1) // 7
     keys = all_generator_keys(n)
+    # each with the dtype that 7 times its largest |coefficient| selects
     divisors = [
-        extreme_divisor(n, top),
-        extreme_divisor(n, -top),
-        DivisorClass(n, {m: rng.randint(-5, 5) for m in keys}),
-        DivisorClass(n, {m: rng.randint(-top, top) for m in keys if rng.random() < 0.3}),
+        (extreme_divisor(n, top), np.int64),
+        (extreme_divisor(n, -top), np.int64),
+        (DivisorClass(n, {m: rng.randint(-5, 5) for m in keys}), np.int8),
+        (DivisorClass(n, {m: rng.randint(-top, top) for m in keys if rng.random() < 0.3}), np.int64),
     ]
     blocks = fcurve_block_arrays(n)
     curves = list(enumerate_fcurves(n))
     # 5 and 7 divide S(7, 4) = 350 and 7 divides S(8, 4) = 1701; two rows
     # fewer leave slices of 5 and 7 rows a ragged last slice at both n
     cut = len(blocks) - 2
-    for d in divisors:
+    for d, scan_type in divisors:
         expected = np.array([pair_divisor_fcurve(d, c) for c in curves])
         for dtype in (np.int32, np.int64):
             arr = blocks.astype(dtype)
             assert np.array_equal(pairing_values(d, arr), expected)
             assert np.array_equal(pairing_values(d, arr[:cut]), expected[:cut])
             empty = pairing_values(d, arr[:0])
-            assert empty.dtype == np.int64 and empty.shape == (0,)
+            assert empty.dtype == scan_type and empty.shape == (0,)
+
+
+def tight_divisor(n, c):
+    """-c on the keys of one and three markings, c on all others: the curve
+    1|2|3|4..n pairs to 7c, every term of its sum at the same sign."""
+    return DivisorClass(n, {m: -c if m.bit_count() in (1, 3) else c for m in all_generator_keys(n)})
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64], ids=lambda t: t.__name__)
+def test_scan_runs_in_the_narrowest_dtype_that_holds_seven_coefficients(dtype):
+    """At n=6, c = max // 7, the largest c with 7c within the dtype, scans
+    in it, and c + 1 in the next wider dtype (refused past int64), at both
+    signs; every value matches the per-curve oracle on both scan paths, and
+    so do fnef_check's minimum, zero count and argmin."""
+    curves = list(enumerate_fcurves(6))
+    blocks = fcurve_block_arrays(6)
+    wider = {np.int8: np.int16, np.int16: np.int32, np.int32: np.int64, np.int64: None}
+    top = np.iinfo(dtype).max // 7
+    assert pair_divisor_fcurve(tight_divisor(6, top), parse_fcurve("1|2|3|4,5,6", 6)) == 7 * top
+    for c, expect in ((top, dtype), (top + 1, wider[dtype])):
+        for d in (extreme_divisor(6, c), extreme_divisor(6, -c), tight_divisor(6, c), tight_divisor(6, -c)):
+            if expect is None:
+                for rows in (None, blocks):
+                    with pytest.raises(InvalidInputError, match="exceeds int64"):
+                        pairing_values(d, rows)
+                continue
+            expected = [pair_divisor_fcurve(d, curve) for curve in curves]
+            for values in (pairing_values(d), pairing_values(d, blocks)):
+                assert values.dtype == expect
+                assert values.tolist() == expected
+            report = fnef_check(d)
+            assert report.min_value == min(expected)
+            assert report.zero_count == expected.count(0)
+            assert report.argmin == curves[expected.index(min(expected))]
 
 
 def test_scan_temporaries_stay_bounded(qr_divisor):
