@@ -6,7 +6,6 @@ print a JSON kill matrix.
 Run from the repository root (stdlib only; about 20 s on two cores)::
 
     python3 scripts/mutants.py > mutants.json
-    python3 scripts/mutants.py --only scan-bound-without-7
 
 A mutant is killed when its tests fail (pytest exit 1, or 2 for an error
 while collecting).  An unmutated copy runs every named test first and must
@@ -17,7 +16,6 @@ that survives is either shown equivalent here or gets a test.
 
 from __future__ import annotations
 
-import argparse
 import json
 import shutil
 import subprocess
@@ -166,22 +164,14 @@ def run_mutant(m: Mutant | None, tests: tuple[str, ...]) -> dict:
     return {"status": status, "exit": code, "seconds": seconds}
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--only", action="append", default=[], metavar="NAME",
-                    help="run only the named mutant (repeatable)")
-    args = ap.parse_args(argv)
-    unknown = set(args.only) - {m.name for m in MUTANTS}
-    if unknown:
-        ap.error(f"unknown mutant(s): {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
-    every_test = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+def main() -> int:
+    every_test = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     baseline = run_mutant(None, every_test)
     if baseline["status"] != "survived":
         print(f"the unmutated tree fails its tests (pytest exit {baseline['exit']})", file=sys.stderr)
         return 2
     rows = []
-    for m in chosen:
+    for m in MUTANTS:
         result = run_mutant(m, m.tests)
         print(f"{m.name}: {result['status']} ({result['seconds']} s)", file=sys.stderr)
         rows.append({**asdict(m), **result})
