@@ -42,6 +42,10 @@ class Mutant:
 
 _NARROWEST = "tests/test_pairing.py::test_scan_runs_in_the_narrowest_dtype_that_holds_seven_coefficients"
 _SLICED = "tests/test_pairing.py::test_sliced_scan_matches_per_curve_oracle"
+_ENUMERATION = (
+    "tests/test_pairing.py::test_enumeration_scan_matches_per_curve_oracle",
+    "tests/test_pairing.py::test_enumeration_scan_matches_row_scan",
+)
 _PEEL = (
     "tests/test_cone.py::test_peel_competing_singletons_take_one_column",
     "tests/test_cone.py::test_peel_sets_aside_one_column_of_a_triangle",
@@ -67,9 +71,39 @@ MUTANTS = (
     Mutant(
         "enumeration-scan-int64-out",
         "src/fnef/pairing.py",
-        "out = np.empty(count_fcurves(n), dtype=table.dtype)",
+        "out = np.empty(count_fcurves(n), dtype=dtype)",
         "out = np.empty(count_fcurves(n), dtype=np.int64)",
         (_NARROWEST, "tests/test_pairing.py::test_enumeration_scan_matches_per_curve_oracle"),
+    ),
+    Mutant(
+        "record-map-swapped-digit",
+        "src/fnef/pairing.py",
+        "bits = _PAIR_BITS[_TERM_PART[:, None], _KEY_DIGITS[_TERM_KIND]]",
+        # F's digits of blocks 1 and 3 swapped in the records, not in the heads
+        "bits = _PAIR_BITS[_TERM_PART[:, None],"
+        " np.array([[0, 1, 2, 0], [1, 2, 0, 0], [0, 1, 0, 2]])[_TERM_KIND]]",
+        _ENUMERATION,
+    ),
+    Mutant(
+        "selection-first-slots",
+        "src/fnef/pairing.py",
+        "select = np.flatnonzero(valid)",
+        "select = np.arange(np.count_nonzero(valid))",
+        _ENUMERATION,
+    ),
+    Mutant(
+        "table-without-reverse",
+        "src/fnef/pairing.py",
+        "table = np.concatenate([table, table[::-1]])",
+        "table = np.concatenate([table, table])",
+        (*_ENUMERATION, _SLICED),
+    ),
+    Mutant(
+        "chunk-drops-last-prefix",
+        "src/fnef/pairing.py",
+        "zip(records.reshape(k, -1), opened[lo : lo + chunk])",
+        "zip(records.reshape(k, -1), opened[lo : lo + chunk - 1])",
+        _ENUMERATION,
     ),
     Mutant(
         "row-scan-int64-out",

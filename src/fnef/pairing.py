@@ -157,59 +157,104 @@ def check_relations(f: CurveFunctional) -> RelationCheck:
 #: 65536 up to a quarter slower; each of the two slice buffers holds 128 KiB.
 _SCAN_ROWS = 16384
 
-#: Markings in the suffix of the enumeration scan.  Its plan takes 0.93 MiB
-#: at 7 and serves every n >= 8.  At n=12 the block array's 6 (187
-#: prefixes, not 51) scanned about a fifth slower, and 8 no faster, with a
-#: 3.7 MiB plan.
+#: Markings in the suffix of the enumeration scan.  Its plan takes 0.27 MiB
+#: at 7 and serves every n >= 8.  In int8, 6 (187 prefixes at n=12, not 51)
+#: scanned n=12 and 13 about 40% slower, and 8 a third slower at n=12 and
+#: 5% faster at n=13, with a 1.06 MiB plan.
 _SCAN_SUFFIX = 7
 
-#: Prefixes whose tables the enumeration scan builds in one set of calls.
-#: At a 7-marking suffix the tables of 2 prefixes hold 103 KiB, and 1 to 8
-#: ran within noise of each other at n=12 and 13; 2 keeps the temporaries
-#: about 0.6 MiB.
-_SCAN_PREFIXES = 2
+#: Bytes of records that the enumeration scan lays out per chunk of
+#: prefixes: 11 prefixes at a 7-marking suffix in int8, one in int64.  In
+#: int8, chunks of 4 KiB to 1 MiB scanned n=12 in 1.04-1.62 ms (median of 5
+#: rounds of 10 scans, one pinned vCPU), and 128 KiB ran fastest there and
+#: within 4% of the fastest, 256 KiB, at n=13; in int64 every size up to
+#: 512 KiB ran within 8% of the others.  A chunk's temporaries are under
+#: 3 times its records.
+_SCAN_CHUNK = 1 << 17
 
 
-#: Per digit 0, 1, 2 of a pair code (neither, X, Y): its bit in X | Y, X, Y.
+#: Per part X | Y, X, Y of a disjoint pair: the bit in it of a marking with
+#: digit 0, 1, 2 (neither, X, Y) in the pair's code.
 _PAIR_BITS = np.array([[0, 1, 1], [0, 1, 0], [0, 0, 1]])
 #: Per block 0..3 of a suffix marking: its digit in the codes of
 #: (S1, S2), (S0, S1) and (S3, S1).
 _KEY_DIGITS = np.array([[0, 1, 2, 0], [1, 2, 0, 0], [0, 2, 0, 1]])
+#: The seven terms of a pairing: the unions of A, E and F, their first
+#: singles, then A's second single.  Per term, its kind (a row of
+#: _KEY_DIGITS) and the part of the pair it reads (a row of _PAIR_BITS).
+_TERM_KIND = np.array([0, 1, 2, 0, 1, 2, 0])
+_TERM_PART = np.array([0, 0, 0, 1, 1, 1, 2])
 
 
 @lru_cache(maxsize=None)
-def _scan_plan(s: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def _scan_plan(s: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Index arrays of the enumeration scan for an s-marking suffix; they do
     not depend on n.
 
     A disjoint pair (X, Y) of suffix subsets has the ternary code with digit
     1 at each marking of X and 2 at each marking of Y, marking i at weight
-    3^i.  `pick` holds X | Y, X and Y at every code.  `keys[u]` holds, for
-    each completion of a start with u blocks, in enumeration order, with
-    suffix parts S0..S3, the codes of (S1, S2), (S0, S1) and (S3, S1), the
-    last two offset by 3^s and 2 * 3^s.  The completions are the
-    assignments of the suffix markings to blocks, first marking most
-    significant, that open blocks in order and end with 4 open.
+    3^i.  The first s-2 markings form a completion's head and the last two
+    its slot j = 4 b + b', for their blocks b and b'.  A record holds one
+    kind's 16 values over the slots, at one code of the head's markings
+    (the rest code): the digits of b and b' are read through the kind's row
+    of `_KEY_DIGITS`.
+
+    - `spread[t, l, j]` indexes a prefix's seven rows of 2^s suffix values,
+      term t's row at t 2^s: the suffix mask with low bits l and, above
+      them, term t's bits of slot j.  Spread, the rows are records, one per
+      term and low mask, term t's at t 2^(s-2).
+    - `gather[t, r]` is term t's record at rest code r among them.
+    - `heads[u]`, for a prefix that opened u blocks, holds the three rest
+      codes (A's, E's offset by 3^(s-2) and F's by 2 3^(s-2)) of every head
+      that some slot completes, in enumeration order, and the valid slots
+      of their grids of 16, in order; None when every slot is valid.  The
+      completions are the assignments of the suffix markings to blocks,
+      first marking most significant, that open blocks in order and end
+      with 4 open.
     """
-    width = 3**s
+    rest = s - 2
     pick = np.zeros((3, 1), dtype=np.intp)
-    for i in reversed(range(s)):
+    for i in reversed(range(rest)):
         pick = (pick[:, :, None] + (_PAIR_BITS << i)[:, None, :]).reshape(3, -1)
+    term = np.arange(7)
+    bits = _PAIR_BITS[_TERM_PART[:, None], _KEY_DIGITS[_TERM_KIND]]
+    high = (bits[:, :, None] + 2 * bits[:, None, :]).reshape(7, 16) << rest
+    spread = (term[:, None, None] << s) + np.arange(1 << rest)[:, None] + high[:, None, :]
+    gather = (term[:, None] << rest) + pick[_TERM_PART]
+    width = 3**rest
     codes = np.array([[0], [width], [2 * width]], dtype=np.intp)
     slot = np.arange(4, dtype=np.int8)
-    top = slot[:, None]  # the last block open, for u = 1..4
+    last = slot[:, None]  # the last block open, for u = 1..4
     ok = np.ones((4, 1), dtype=bool)
-    for i in range(s):
+    for i in range(rest):
         codes = (codes[:, :, None] + (_KEY_DIGITS * 3**i)[:, None, :]).reshape(3, -1)
-        ok = (ok[:, :, None] & (slot <= top[:, :, None] + 1)).reshape(4, -1)
-        top = np.maximum(top[:, :, None], slot).reshape(4, -1)
-    keys = {
-        u: np.take(codes, np.flatnonzero(ok[u - 1] & (top[u - 1] == 3)), axis=1)
-        for u in range(1, 5)
-    }
-    for a in (pick, *keys.values()):
+        ok = (ok[:, :, None] & (slot <= last[:, :, None] + 1)).reshape(4, -1)
+        last = np.maximum(last[:, :, None], slot).reshape(4, -1)
+    heads = {}
+    for u in range(1, 5):
+        kept = np.flatnonzero(ok[u - 1] & (last[u - 1] >= 1))
+        top = last[u - 1][kept, None, None]
+        b, b2 = slot[:, None], slot  # the blocks of the last two markings
+        reach = np.maximum(top, b)
+        valid = (b <= top + 1) & (b2 <= reach + 1) & (np.maximum(reach, b2) == 3)
+        select = np.flatnonzero(valid)
+        heads[u] = (codes[:, kept], None if len(select) == valid.size else select)
+    for a in (spread, gather, *(a for h in heads.values() for a in h if a is not None)):
         a.setflags(write=False)
-    return pick, keys
+    return spread, gather, heads
+
+
+@lru_cache(maxsize=None)
+def _scan_prefixes(n: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
+    """The prefix side of the enumeration scan at n: the markings before the
+    suffix, each prefix's seven masks (the unions, then the singles of
+    `_TERM_KIND`'s terms) as rows of a read-only array, and the blocks each
+    prefix opened."""
+    split, prefixes, opened = fcurve_prefixes(n, _SCAN_SUFFIX)
+    p0, p1, p2, p3 = prefixes.astype(np.intp).T
+    masks = np.stack([p1 | p2, p0 | p1, p1 | p3, p1, p0, p3, p2], axis=1)
+    masks.setflags(write=False)
+    return split, masks, tuple(opened.tolist())
 
 
 def _scan_enumeration(table: np.ndarray, n: int) -> np.ndarray:
@@ -217,41 +262,65 @@ def _scan_enumeration(table: np.ndarray, n: int) -> np.ndarray:
 
     A row is a prefix's blocks P0..P3 joined with a completion's S0..S3, and
     the table reads a mask and its complement alike, so b0|b3 reads as b1|b2
-    and b0|b2 as b1|b3.  The seven terms regroup into three functions of a
-    disjoint pair of suffix parts: A(S1, S2) = c(b1|b2) - c(b1) - c(b2),
-    E(S0, S1) = c(b0|b1) - c(b0) and F(S3, S1) = c(b1|b3) - c(b3).  Each
-    prefix tabulates them over every code of `_scan_plan`, and each of its
-    rows is then three lookups and two adds: partial sums of at most 7
-    coefficients, exact in the table's dtype (`scan_dtype`).
+    and b0|b2 as b1|b3.  The seven terms regroup into three kinds, each a
+    function of a disjoint pair of suffix parts: A(S1, S2) = c(b1|b2) -
+    c(b1) - c(b2), E(S0, S1) = c(b0|b1) - c(b0) and F(S3, S1) = c(b1|b3) -
+    c(b3).
+
+    Completions that agree on all but the last two suffix markings are
+    consecutive, and those two markings carry the top digits of every code.
+    So each chunk of prefixes lays A, E and F out as records of 16 values
+    (`_scan_plan`), one per slot of the last two markings, which its seven
+    rows fill through `spread` and `gather` with three record gathers and
+    two subtractions.  A prefix's values are then three record gathers over
+    its heads and two adds, 16 curves at a time, and one `take` of the
+    valid slots of the grid when the prefix opened fewer than 4 blocks.
+    Every value is a partial sum of at most 7 coefficients, exact in the
+    table's dtype (`scan_dtype`).  A record is a `np.void` of 16 values, so
+    each gather copies 16 values at once; the sums run on the numeric view.
     """
-    split, prefixes, opened = fcurve_prefixes(n, _SCAN_SUFFIX)
+    split, masks, opened = _scan_prefixes(n)
     s = n - split
-    pick, keys = _scan_plan(s)
+    spread, gather, heads = _scan_plan(s)
+    dtype = table.dtype
+    record = np.dtype((np.void, 16 * dtype.itemsize))
     # by_suffix[P, T] is c(P | T << split): one row per prefix mask
     by_suffix = table.reshape(1 << s, 1 << split).T.copy()
-    p0, p1, p2, p3 = prefixes.T
-    # the unions and the singles of A, E and F, then the second single of A
-    masks = np.stack([p1 | p2, p0 | p1, p1 | p3, p1, p0, p3, p2], axis=1)
-    opened = opened.tolist()
-    out = np.empty(count_fcurves(n), dtype=table.dtype)
-    val = np.empty(max(k.shape[1] for k in keys.values()), dtype=table.dtype)
+    chunk = max(1, _SCAN_CHUNK // (3 * gather.shape[1] * record.itemsize))
+    size = 16 * max(codes.shape[1] for codes, _ in heads.values())
+    grid, val = np.empty(size, dtype=dtype), np.empty(size, dtype=dtype)
+    # per open-block count: the head codes, the selection, the values written,
+    # and the grid and value buffers with their record views
+    ways = {}
+    for u, (codes, select) in heads.items():
+        g, v = grid[: 16 * codes.shape[1]], val[: 16 * codes.shape[1]]
+        count = g.size if select is None else len(select)
+        ways[u] = (*codes, select, count, g, g.view(record), v, v.view(record))
+    out = np.empty(count_fcurves(n), dtype=dtype)
     start = 0
-    for lo in range(0, len(prefixes), _SCAN_PREFIXES):
-        # ndarray.take, not np.take: its Python wrapper would add about
-        # 0.2 ms to the 5 ms of n=12
-        rows = by_suffix[masks[lo : lo + _SCAN_PREFIXES]]
-        tables = rows[:, :3].take(pick[0], axis=2, mode="wrap")
-        tables -= rows[:, 3:6].take(pick[1], axis=2, mode="wrap")
-        tables[:, 0] -= rows[:, 6].take(pick[2], axis=1, mode="wrap")
-        for t, u in zip(tables.reshape(len(rows), -1), opened[lo : lo + _SCAN_PREFIXES]):
-            k_a, k_e, k_f = keys[u]
-            acc, v = out[start : start + len(k_a)], val[: len(k_a)]
-            t.take(k_a, out=acc, mode="wrap")
-            t.take(k_e, out=v, mode="wrap")
-            acc += v
-            t.take(k_f, out=v, mode="wrap")
-            acc += v
-            start += len(k_a)
+    for lo in range(0, len(masks), chunk):
+        # ndarray.take, not np.take: its Python wrapper adds about 0.8 us a
+        # call, some 0.2 ms of the 1.3 ms of n=12
+        rows = by_suffix.take(masks[lo : lo + chunk], axis=0)
+        k = len(rows)
+        terms = rows.reshape(k, -1).take(spread, axis=1).view(record).reshape(k, -1)
+        records = terms.take(gather[:3], axis=1)
+        values = records.view(dtype)
+        values -= terms.take(gather[3:6], axis=1).view(dtype)
+        values[:, 0] -= terms.take(gather[6], axis=1).view(dtype)
+        for rec, u in zip(records.reshape(k, -1), opened[lo : lo + chunk]):
+            k_a, k_e, k_f, select, count, g, g_rec, v, v_rec = ways[u]
+            acc = out[start : start + count]
+            if select is None:  # every slot is a completion
+                g, g_rec = acc, acc.view(record)
+            rec.take(k_a, out=g_rec, mode="wrap")
+            rec.take(k_e, out=v_rec, mode="wrap")
+            g += v
+            rec.take(k_f, out=v_rec, mode="wrap")
+            g += v
+            if select is not None:
+                g.take(select, out=acc, mode="wrap")
+            start += count
     return out
 
 
@@ -290,10 +359,10 @@ def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.n
     differently:
 
     - Without `blocks`, the enumeration is scanned as prefixes times
-      completions (`_scan_enumeration`): three lookups per curve in small
-      per-prefix tables, about half the time of the row loop at n=12 and
-      13.  It needs the enumeration's structure, so it serves only the
-      whole enumeration.
+      completions (`_scan_enumeration`): per-prefix records of 16 values,
+      one per way its last two markings fall, so three record gathers and
+      two adds fill 16 consecutive curves.  It needs the enumeration's
+      structure, so it serves only the whole enumeration.
     - With `blocks`, any rows are scanned: 4-block partitions as int32 or
       int64 masks, each below 2^n (np.take's "wrap" mode, a third faster
       than its checked default, does not check it).  The rows are taken in

@@ -525,7 +525,7 @@ def test_extremal_refuses_bad_prime_before_any_scan(monkeypatch, capsys):
 
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_scan)
     monkeypatch.setattr(fnef.cone, "pairing_values", no_scan)
-    monkeypatch.setattr(fnef.pairing, "fcurve_prefixes", no_scan)
+    monkeypatch.setattr(fnef.pairing, "_scan_enumeration", no_scan)
     code, out, err = run(capsys, "extremal", "--prime", "2147483629", "--prime", "91")
     assert (code, out) == (2, "")
     assert "modulus 91 is not prime" in err
@@ -540,7 +540,7 @@ def test_extremal_refuses_a_repeated_prime_before_any_scan(monkeypatch, capsys):
 
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_scan)
     monkeypatch.setattr(fnef.cone, "pairing_values", no_scan)
-    monkeypatch.setattr(fnef.pairing, "fcurve_prefixes", no_scan)
+    monkeypatch.setattr(fnef.pairing, "_scan_enumeration", no_scan)
     code, out, err = run(capsys, "extremal", "--prime", "3", "--prime", "101", "--prime", "3")
     assert (code, out, err) == (2, "", "error: --prime 3 is given twice\n")
 

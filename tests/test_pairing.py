@@ -27,6 +27,7 @@ from fnef import (
     relation_row,
     symmetric_divisor,
 )
+from fnef.pairing import scan_dtype
 import fnef.pairing
 from fnef.errors import InvalidInputError, MalformedInputError
 from fnef.subsets import (
@@ -259,42 +260,68 @@ def test_scan_runs_in_the_narrowest_dtype_that_holds_seven_coefficients(dtype):
             assert report.argmin == curves[expected.index(min(expected))]
 
 
-def test_scan_temporaries_stay_bounded(qr_divisor):
-    blocks = fcurve_block_arrays(12)
+def traced_peak(scan):
+    """The result of `scan()` and the peak traced memory while it ran."""
     tracemalloc.start()
     try:
-        values = pairing_values(qr_divisor, blocks)
+        values = scan()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return values, peak
+
+
+def test_scan_temporaries_stay_bounded(qr_divisor):
+    blocks = fcurve_block_arrays(12)
+    values, peak = traced_peak(lambda: pairing_values(qr_divisor, blocks))
     assert peak < values.nbytes + (1 << 20)
 
 
 def scan_divisors(n, seed):
-    """Both int64 extremes, small coefficients on every key, and coefficients
-    up to the bound on a sparse support."""
+    """Both int64 extremes, small coefficients on every key, coefficients
+    of int16 and int32 size on every key, and coefficients up to the bound
+    on a sparse support: a scan in each dtype, so records of 16, 32, 64 and
+    128 bytes."""
     rng = random.Random(seed)
     top = ((1 << 63) - 1) // 7
     keys = all_generator_keys(n)
-    return [
+    divisors = [
         extreme_divisor(n, top),
         extreme_divisor(n, -top),
         DivisorClass(n, {m: rng.randint(-5, 5) for m in keys}),
+        DivisorClass(n, {m: rng.randint(-4681, 4681) for m in keys} | {keys[0]: 4681}),
+        DivisorClass(n, {m: rng.randint(-(1 << 28), 1 << 28) for m in keys} | {keys[0]: 1 << 28}),
         DivisorClass(n, {m: rng.randint(-top, top) for m in keys if rng.random() < 0.3}),
     ]
+    assert [scan_dtype(d) for d in divisors[2:5]] == [np.int8, np.int16, np.int32]
+    return divisors
 
 
 @pytest.mark.parametrize("n", range(4, 10))
 def test_enumeration_scan_matches_per_curve_oracle(n):
     curves = list(enumerate_fcurves(n))
     for d in scan_divisors(n, n):
-        assert pairing_values(d).tolist() == [pair_divisor_fcurve(d, c) for c in curves]
+        values = pairing_values(d)
+        assert values.dtype == scan_dtype(d)
+        assert values.tolist() == [pair_divisor_fcurve(d, c) for c in curves]
 
 
 @pytest.mark.parametrize("n", [10, 11, 12, 13])
 def test_enumeration_scan_matches_row_scan(n):
     blocks = fcurve_block_arrays(n)
     for d in scan_divisors(n, n):
+        values = pairing_values(d)
+        assert values.dtype == scan_dtype(d)
+        assert np.array_equal(values, pairing_values(d, blocks))
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 30])
+def test_enumeration_scan_does_not_depend_on_the_chunk(chunk, monkeypatch):
+    """One prefix per chunk, or all 15 prefixes of n=11 in one chunk, give
+    the row scan's values in every dtype."""
+    monkeypatch.setattr(fnef.pairing, "_SCAN_CHUNK", chunk)
+    blocks = fcurve_block_arrays(11)
+    for d in scan_divisors(11, 111):
         assert np.array_equal(pairing_values(d), pairing_values(d, blocks))
 
 
@@ -318,13 +345,18 @@ def test_both_scans_refuse_sums_beyond_int64():
 
 
 def test_enumeration_scan_temporaries_stay_bounded(qr_divisor):
-    pairing_values(qr_divisor)  # builds the plan
-    tracemalloc.start()
-    try:
-        values = pairing_values(qr_divisor)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pairing_values(qr_divisor)  # builds the plan and the prefix side
+    values, peak = traced_peak(lambda: pairing_values(qr_divisor))
+    assert values.dtype == np.int8
+    assert peak < values.nbytes + (1 << 20)
+
+
+def test_enumeration_scan_temporaries_stay_bounded_in_int64():
+    # a chunk holds one prefix of 128-byte records in int64
+    d = extreme_divisor(12, ((1 << 63) - 1) // 7)
+    pairing_values(d)
+    values, peak = traced_peak(lambda: pairing_values(d))
+    assert values.dtype == np.int64
     assert peak < values.nbytes + (1 << 20)
 
 
@@ -340,10 +372,20 @@ def test_scan_plan_is_small_and_shared_across_n(qr_divisor, monkeypatch):
     for d in (DivisorClass(8, {3: 1}), qr_divisor, DivisorClass(13, {3: 1})):
         pairing_values(d)
     assert asked == [7, 7, 7]
-    pick, keys = plan(7)
-    assert plan(7)[0] is pick and plan(7)[1] is keys
-    assert pick.nbytes + sum(k.nbytes for k in keys.values()) < 1.5 * (1 << 20)
-    assert not any(a.flags.writeable for a in (pick, *keys.values()))
+    spread, gather, heads = plan(7)
+    assert plan(7)[0] is spread and plan(7)[2] is heads
+    arrays = [spread, gather, *(a for h in heads.values() for a in h if a is not None)]
+    assert sum(a.nbytes for a in arrays) < 1 << 20
+    assert not any(a.flags.writeable for a in arrays)
+    # only a prefix that opened 4 blocks completes every slot of its heads
+    assert [select is None for _, select in heads.values()] == [False, False, False, True]
+
+
+def test_scan_prefix_side_is_cached_and_read_only():
+    split, masks, opened = fnef.pairing._scan_prefixes(12)
+    assert fnef.pairing._scan_prefixes(12)[1] is masks
+    assert (split, masks.shape, len(opened)) == (5, (51, 7), 51)
+    assert not masks.flags.writeable
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
