@@ -87,9 +87,9 @@ MUTANTS = (
     Mutant(
         "selection-first-slots",
         "src/fnef/pairing.py",
-        "select = np.flatnonzero(valid)",
-        "select = np.arange(np.count_nonzero(valid))",
-        _ENUMERATION,
+        "select = np.flatnonzero(valid[opened])",
+        "select = np.arange(np.count_nonzero(valid[opened]))",
+        (*_ENUMERATION, "tests/test_pairing.py::test_scan_plan_arrays_are_pinned"),
     ),
     Mutant(
         "table-without-reverse",
@@ -111,6 +111,23 @@ MUTANTS = (
         "out = np.empty(len(blocks), dtype=dtype)",
         "out = np.empty(len(blocks), dtype=np.int64)",
         (_NARROWEST, _SLICED),
+    ),
+    Mutant(
+        "stream-skips-row-check",
+        "src/fnef/subsets.py",
+        "_check_partitions(rows, n, start)",
+        "None",
+        ("tests/test_subsets.py::test_enumerate_checks_every_row",),
+    ),
+    Mutant(
+        "completions-count-past-4-blocks",
+        "src/fnef/subsets.py",
+        "return int(u == 4)",
+        "return int(u >= 4)",
+        (
+            "tests/test_subsets.py::test_fcurve_at_is_every_row_of_the_array",
+            "tests/test_subsets.py::test_fcurve_at_matches_sampled_rows",
+        ),
     ),
     Mutant(
         "projection-compare-wraps",

@@ -230,6 +230,8 @@ def cmd_fcurves(args, manifest: Manifest) -> int:
         else:
             print(total)
         return EXIT_OK
+    if args.json:
+        raise InvalidInputError("--json is for 'count'; 'enumerate' prints one curve a line")
     if args.limit is not None and args.limit < 0:
         raise InvalidInputError(f"--limit must be nonnegative, got {args.limit}")
     for curve in islice(enumerate_fcurves(args.n), args.limit):
@@ -310,7 +312,7 @@ def cmd_pullback(args, manifest: Manifest) -> int:
         with manifest.phase("scan"):
             scan = fnef_check(lifted)
     spot = None
-    if args.spot_check:
+    if args.spot_check is not None:
         with manifest.phase("spot_check"):
             spot = projection_formula_report(boundary_form, samples=args.spot_check)
     if args.out:

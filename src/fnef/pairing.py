@@ -20,6 +20,7 @@ from .divisors import DivisorClass, check_int64_sums, json_int, relation_matrix
 from .errors import InvalidInputError, MalformedInputError
 from .subsets import (
     FCurve,
+    _assign,
     canonical_generator,
     count_fcurves,
     fcurve_prefixes,
@@ -207,38 +208,36 @@ def _scan_plan(s: int) -> tuple[np.ndarray, np.ndarray, dict]:
     - `heads[u]`, for a prefix that opened u blocks, holds the three rest
       codes (A's, E's offset by 3^(s-2) and F's by 2 3^(s-2)) of every head
       that some slot completes, in enumeration order, and the valid slots
-      of their grids of 16, in order; None when every slot is valid.  The
-      completions are the assignments of the suffix markings to blocks,
-      first marking most significant, that open blocks in order and end
-      with 4 open.
+      of their grids of 16, in order; None when every slot is valid.  Both
+      come from the walk that defines the order, `subsets._assign`: the
+      heads are its walk over the first s-2 markings, cut at s, and a
+      head's valid slots its walk over the last two after the head's v
+      open blocks.
     """
     rest = s - 2
-    pick = np.zeros((3, 1), dtype=np.intp)
-    for i in reversed(range(rest)):
-        pick = (pick[:, :, None] + (_PAIR_BITS << i)[:, None, :]).reshape(3, -1)
+    digits = np.arange(3**rest)[:, None] // 3 ** np.arange(rest) % 3
+    pick = (_PAIR_BITS[:, digits] << np.arange(rest)).sum(axis=2)
     term = np.arange(7)
     bits = _PAIR_BITS[_TERM_PART[:, None], _KEY_DIGITS[_TERM_KIND]]
     high = (bits[:, :, None] + 2 * bits[:, None, :]).reshape(7, 16) << rest
     spread = (term[:, None, None] << s) + np.arange(1 << rest)[:, None] + high[:, None, :]
     gather = (term[:, None] << rest) + pick[_TERM_PART]
-    width = 3**rest
-    codes = np.array([[0], [width], [2 * width]], dtype=np.intp)
-    slot = np.arange(4, dtype=np.int8)
-    last = slot[:, None]  # the last block open, for u = 1..4
-    ok = np.ones((4, 1), dtype=bool)
-    for i in range(rest):
-        codes = (codes[:, :, None] + (_KEY_DIGITS * 3**i)[:, None, :]).reshape(3, -1)
-        ok = (ok[:, :, None] & (slot <= last[:, :, None] + 1)).reshape(4, -1)
-        last = np.maximum(last[:, :, None], slot).reshape(4, -1)
+    # tern[m]: the code of a mask m of head markings, digit 1 at each one
+    tern = (np.arange(1 << rest)[:, None] >> np.arange(rest) & 1) @ 3 ** np.arange(rest)
+    # valid[v, 4 b + b']: blocks b, b' of the last two markings complete v
+    # open blocks; block k adds k times 4, 1 or 5 to the slot when it holds
+    # the first of them, the second or both
+    empty = np.zeros((1, 4), dtype=np.int32)
+    valid = np.zeros((5, 16), dtype=bool)
+    for v in range(2, 5):
+        last, _ = _assign(empty, np.array([v]), range(2), 2)
+        valid[v, np.array([0, 4, 1, 5])[last] @ np.arange(4)] = True
     heads = {}
     for u in range(1, 5):
-        kept = np.flatnonzero(ok[u - 1] & (last[u - 1] >= 1))
-        top = last[u - 1][kept, None, None]
-        b, b2 = slot[:, None], slot  # the blocks of the last two markings
-        reach = np.maximum(top, b)
-        valid = (b <= top + 1) & (b2 <= reach + 1) & (np.maximum(reach, b2) == 3)
-        select = np.flatnonzero(valid)
-        heads[u] = (codes[:, kept], None if len(select) == valid.size else select)
+        head, opened = _assign(empty, np.array([u]), range(rest), s)
+        codes = (tern[head] @ _KEY_DIGITS.T + 3**rest * np.arange(3)).T
+        select = np.flatnonzero(valid[opened])
+        heads[u] = (codes, None if len(select) == 16 * len(opened) else select)
     for a in (spread, gather, *(a for h in heads.values() for a in h if a is not None)):
         a.setflags(write=False)
     return spread, gather, heads

@@ -18,7 +18,9 @@ import numpy as np
 from .errors import InvalidInputError
 
 MIN_MARKINGS = 4
-MAX_MARKINGS = 16  # subsets must fit a 16-bit mask
+#: Block masks are int32; the cap is the uint16 key arrays of
+#: `divisors.relation_matrix` and `divisors.RelationSystem`.
+MAX_MARKINGS = 16
 
 
 def validate_n(n: int) -> int:
@@ -214,6 +216,7 @@ def fcurve_prefixes(n: int, suffix: int) -> tuple[int, np.ndarray, np.ndarray]:
     before the cut, every way they start a 4-block partition of {1..n} as a
     (k, 4) int32 mask array in enumeration order, and the number of blocks
     each one opened."""
+    validate_n(n)
     split = max(1, n - suffix)
     one = np.array([[1, 0, 0, 0]], dtype=np.int32)  # marking 1 opens block 0
     prefixes, opened = _assign(one, np.array([1]), range(1, split), n)
@@ -314,38 +317,37 @@ def last_marking_alone(n: int) -> np.ndarray:
     give only after a prefix that opened fewer than 4 blocks; the
     prefixes' completions follow one another in enumeration order.
     """
-    validate_n(n)
     split, _, opened = fcurve_prefixes(n, _SUFFIX)
     alone = {u: (t[:, 3] == 1 << (n - 1)) & (u < 4) for u, t in completion_tables(n, split).items()}
     return np.concatenate([alone[u] for u in opened.tolist()])
 
 
-#: Rows converted to Python ints per `tolist` call: one call per row view
-#: costs more than the FCurve checks themselves, one call for all rows
-#: holds every row as Python ints at once.
-_ENUM_CHUNK = 16384
-
-
-def _check_partitions(arr: np.ndarray, n: int) -> None:
+def _check_partitions(arr: np.ndarray, n: int, start: int) -> None:
     """`FCurve`'s checks on every row at once: nonempty blocks in increasing
     order of their lowest markings, covering 1..n, disjoint (the masks sum to
-    their union)."""
+    their union).  A refusal names the row's enumeration position, with the
+    first row at `start`."""
     low = arr & -arr
     ok = (arr != 0).all(axis=1) & (low[:, :-1] < low[:, 1:]).all(axis=1)
     ok &= np.bitwise_or.reduce(arr, axis=1) == full_mask(n)
     ok &= arr.sum(axis=1) == full_mask(n)
     if not ok.all():
-        raise InvalidInputError(f"row {ok.argmin()} is not a canonical partition of 1..{n}")
+        raise InvalidInputError(f"row {start + ok.argmin()} is not a canonical partition of 1..{n}")
 
 
 def enumerate_fcurves(n: int) -> Iterator[FCurve]:
     """Yield every 4-block partition of {1..n} exactly once, in the fixed order.
 
-    A pure, restartable stream; the length equals count_fcurves(n).  The
-    rows are checked once, all together, before the first curve is made.
+    A pure, restartable stream; the length equals count_fcurves(n).  It walks
+    the prefixes of `fcurve_block_arrays` without building the array: each
+    prefix's rows, its completion table `| prefix`, are checked together
+    before the first of them is yielded.
     """
-    arr = fcurve_block_arrays(n)
-    _check_partitions(arr, n)
-    for start in range(0, len(arr), _ENUM_CHUNK):
-        for blocks in map(tuple, arr[start : start + _ENUM_CHUNK].tolist()):
-            yield FCurve._trusted(n, blocks)
+    split, prefixes, opened = fcurve_prefixes(n, _SUFFIX)
+    tables = completion_tables(n, split)
+    start = 0
+    for prefix, u in zip(prefixes, opened.tolist()):
+        rows = tables[u] | prefix
+        _check_partitions(rows, n, start)
+        yield from (FCurve._trusted(n, tuple(blocks)) for blocks in rows.tolist())
+        start += len(rows)

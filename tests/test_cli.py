@@ -23,6 +23,7 @@ from fnef.divisors import (
 from fnef.pairing import biplane_curve_functional, functional_to_json_dict, pair_divisor_fcurve
 from fnef.subsets import (
     all_generator_keys,
+    fcurve_at,
     format_subset,
     is_psi_key,
     mask_from_elements,
@@ -295,10 +296,19 @@ def test_fcurves_enumerate_refuses_negative_limit(capsys):
     assert err.startswith("error:") and "-3" in err
 
 
-def test_pullback_refuses_a_negative_spot_check(capsys):
-    code, out, err = run(capsys, "pullback", "--spot-check", "-3")
+def test_fcurves_enumerate_refuses_json(capsys):
+    code, out, err = run(capsys, "fcurves", "enumerate", "--n", "5", "--json")
     assert (code, out) == (2, "")
-    assert err.startswith("error:") and "-3" in err
+    assert err.startswith("error:") and "--json" in err
+    code, out, _ = run(capsys, "fcurves", "count", "--n", "5", "--json")
+    assert code == 0 and json.loads(out)["count"] == 10
+
+
+def test_pullback_refuses_a_negative_spot_check(capsys):
+    for k in ("-3", "0"):
+        code, out, err = run(capsys, "pullback", "--spot-check", k)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and f"got {k}" in err
 
 
 def test_pair_with_curve_and_named_divisor(capsys):
@@ -618,12 +628,17 @@ def test_biplane_file_via_global_flag(tmp_path, capsys):
     assert code == 0 and out.strip() == "-1"
 
 
-def test_block_array_beyond_physical_memory_exits_2(monkeypatch, capsys):
-    # no array is kept between calls, so every call meets the guard
+def test_enumerate_streams_without_a_partition_array(monkeypatch, capsys):
+    # the 2.6 GiB array of n=16 is neither built nor guarded: the stream
+    # walks the prefixes, so 1 KiB of physical memory is enough
+    def refuse(*args):
+        raise AssertionError("the stream built a partition array")
+
+    monkeypatch.setattr(fnef.subsets, "fcurve_block_arrays", refuse)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 1 << 10)
-    code, out, err = run(capsys, "fcurves", "enumerate", "--n", "9", "--limit", "1")
-    assert code == 2 and not out
-    assert "partition array needs" in err and "physical memory" in err
+    code, out, err = run(capsys, "fcurves", "enumerate", "--n", "16", "--limit", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [str(fcurve_at(16, i)) for i in range(3)]
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])

@@ -1,5 +1,6 @@
 """The generator/F-curve pairing, curve functionals, and pushforward."""
 
+import hashlib
 import json
 import random
 import tracemalloc
@@ -379,6 +380,36 @@ def test_scan_plan_is_small_and_shared_across_n(qr_divisor, monkeypatch):
     assert not any(a.flags.writeable for a in arrays)
     # only a prefix that opened 4 blocks completes every slot of its heads
     assert [select is None for _, select in heads.values()] == [False, False, False, True]
+
+
+#: sha256 over every `_scan_plan(s)` array (dtype, shape and bytes, in the
+#: order spread, gather, then each u's codes and selection), pinned from the
+#: plan built by the scan's earlier, independent slot arithmetic
+SCAN_PLAN_SHA256 = {
+    3: "333c8d0e486589c3201a3d3c60ecbd87193863ac806eb99e2f992c4270e4f5d6",
+    4: "844e37f7885d5d0e70e501f44b6ad3358cf5ea35f14b86df97b4c90fd7a90dd3",
+    5: "21062230fcc6289872e7e7c3fcd6ce627894e6b74785489383e9c4d12a16b5b8",
+    6: "8a9571b0f5920932f2c9671e06238561e922026c8b2c9426267116a44da764f4",
+    7: "610bf9cd4fcc4c30049b7c6e196f8f27d687f82b03093750a5e6a6e1c6a8f6a3",
+    8: "6bb90a22e85e00d6f0f56cba09e9cc9e437d52c85f8002b3b6694eec57df97ee",
+    9: "5402cbe34e3490a3f8d03631a2682057b45982cd9395a9ab120f80041474c03c",
+}
+
+
+@pytest.mark.parametrize("s", sorted(SCAN_PLAN_SHA256))
+def test_scan_plan_arrays_are_pinned(s):
+    spread, gather, heads = fnef.pairing._scan_plan(s)
+    arrays = [spread, gather, *(a for u in range(1, 5) for a in heads[u])]
+
+    def digest(a):
+        if a is None:
+            return "-"
+        h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    joined = "".join(map(digest, arrays)).encode()
+    assert hashlib.sha256(joined).hexdigest() == SCAN_PLAN_SHA256[s]
 
 
 def test_scan_prefix_side_is_cached_and_read_only():

@@ -22,6 +22,7 @@ from fnef import (
 import fnef.subsets
 from fnef.errors import InvalidInputError
 from fnef.subsets import (
+    completion_tables,
     elements_from_mask,
     format_subset,
     full_mask,
@@ -170,27 +171,44 @@ def test_enumerate_matches_checked_construction():
     assert [hash(c) for c in curves] == [hash(c) for c in checked]
 
 
-# n=6 rows that each break exactly one condition the FCurve checks make
-BAD_ROWS_N6 = [
-    (0b000000, 0b000111, 0b001000, 0b110000),  # empty first block
-    (0b100011, 0b000100, 0b001000, 0b110000),  # marking 6 twice
-    (0b010011, 0b000100, 0b011000, 0b010000),  # marking 6 missing, 5 thrice
-    (0b000100, 0b000011, 0b001000, 0b110000),  # blocks out of order
+@pytest.mark.parametrize("n", range(4, 12))
+def test_stream_is_the_block_arrays_rows(n):
+    rows = [tuple(r) for r in fcurve_block_arrays(n).tolist()]
+    assert [c.blocks for c in enumerate_fcurves(n)] == rows
+
+
+# Completions of the n=8 prefix {1}, {2} that each break exactly one
+# condition the FCurve checks make once joined with it; the walk's row 40
+# of that completion table is curve 390, 1,3,4,7|2,8|5|6
+BAD_COMPLETIONS_N8 = [
+    (0b01001100, 0b10000000, 0b00110000, 0b00000000),  # empty last block
+    (0b11001100, 0b10000000, 0b00010000, 0b00100000),  # marking 8 twice
+    (0b01001100, 0b00000000, 0b00010000, 0b00100000),  # marking 8 missing
+    (0b01001100, 0b10000000, 0b00100000, 0b00010000),  # blocks out of order
 ]
 
 
-@pytest.mark.parametrize("bad", BAD_ROWS_N6)
+@pytest.mark.parametrize("bad", BAD_COMPLETIONS_N8)
 def test_enumerate_checks_every_row(monkeypatch, bad):
-    rows = fcurve_block_arrays(6).copy()
-    rows[40] = bad
-    monkeypatch.setattr(fnef.subsets, "fcurve_block_arrays", lambda n: rows)
-    with pytest.raises(InvalidInputError, match="row 40"):
-        next(enumerate_fcurves(6))
+    # n=8 has two prefixes: {1,2} with 350 completions, then {1}, {2}, the
+    # only one with 2 blocks open, so its table's row 40 is curve 390
+    tables = completion_tables(8, 2)
+    tables[2] = tables[2].copy()
+    tables[2][40] = bad
+    monkeypatch.setattr(fnef.subsets, "completion_tables", lambda n, split: tables)
+    curves = enumerate_fcurves(8)
+    first = [tuple(r) for r in fcurve_block_arrays(8)[:350].tolist()]
+    assert [c.blocks for c in itertools.islice(curves, 350)] == first
+    # the refusal comes before the prefix's first curve and names the row's
+    # enumeration position, not its position in the table
+    with pytest.raises(InvalidInputError, match="row 390 is not"):
+        next(curves)
+    row = tuple(b | p for b, p in zip(bad, (0b01, 0b10, 0, 0)))
     try:  # the per-curve checks refuse the row or reorder its blocks
-        checked = FCurve(6, bad).blocks
+        checked = FCurve(8, row).blocks
     except InvalidInputError:
         checked = None
-    assert checked != bad
+    assert checked != row
 
 
 def test_stirling_recurrence_values():
