@@ -130,6 +130,28 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "constructors-skip-integer-check",
+        "src/fnef/divisors.py",
+        "return operator.index(value)",
+        "return value",
+        (
+            "tests/test_divisors.py::test_divisor_class_refuses_non_integers",
+            "tests/test_divisors.py::test_divisor_class_stores_python_ints",
+            "tests/test_pairing.py::test_functional_refuses_non_integers",
+            "tests/test_pairing.py::test_functional_stores_python_ints",
+        ),
+    ),
+    Mutant(
+        "spot-check-admits-zero",
+        "src/fnef/cone.py",
+        "if samples is not None and samples < 1:",
+        "if samples is not None and samples < 0:",
+        (
+            "tests/test_cli.py::test_pullback_refuses_a_bad_spot_check_before_any_work",
+            "tests/test_cli.py::test_pullback_refuses_a_negative_spot_check",
+        ),
+    ),
+    Mutant(
         "projection-compare-wraps",
         "src/fnef/cone.py",
         "differ = lhs[~contracted].reshape(-1, 4) != pairing_values(d)[:, None]",

@@ -105,12 +105,17 @@ def verify_biplane(bp: Biplane) -> DesignReport:
     return DesignReport(pair_replication=2, block_intersections_ok=True, point_replication=5)
 
 
-def _automorphism_search(blocks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Backtracking over point images, pruning on block compatibility.
+def automorphisms(bp: Biplane) -> Iterator[tuple[int, ...]]:
+    """All permutations of {1..11} mapping the block set to itself.
 
-    A partial map is viable only while the partial image of every block is
-    still contained in some block.
+    Each is yielded as a tuple im with im[p-1] + 1 the image of point p.
+    Backtracking over point images prunes a partial map as soon as the
+    partial image of some block lies in no block.  A complete map that
+    survives sends every block into a block of the same size, so onto it,
+    and as a bijection sends distinct blocks to distinct blocks: it
+    permutes the blocks.
     """
+    blocks = bp.blocks
     blocks_containing = [
         [b for b in blocks if b >> p & 1] for p in range(POINTS)
     ]
@@ -142,23 +147,6 @@ def _automorphism_search(blocks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             image[p] = -1
 
     yield from extend(0)
-
-
-def automorphisms(bp: Biplane) -> Iterator[tuple[int, ...]]:
-    """All permutations of {1..11} mapping the block set to itself.
-
-    Each is yielded as a tuple im with im[p-1] + 1 the image of point p.
-    """
-    block_set = set(bp.blocks)
-    for image in _automorphism_search(bp.blocks):
-        mapped = set()
-        for b in bp.blocks:
-            m = 0
-            for e in elements_from_mask(b):
-                m |= 1 << image[e - 1]
-            mapped.add(m)
-        if mapped == block_set:
-            yield image
 
 
 def automorphism_group_order(bp: Biplane) -> int:

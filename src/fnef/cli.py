@@ -18,7 +18,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 
 from . import __version__
@@ -33,6 +33,7 @@ from .biplane import (
 from .cone import (
     DEFAULT_PRIMES,
     check_modulus,
+    check_sample_count,
     extremality_rank,
     fnef_check,
     projection_formula_report,
@@ -87,19 +88,10 @@ class Manifest:
         yield
         self.timings[name] = round(time.perf_counter() - t0, 6)
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "inputs": self.inputs,
-            "primes": self.primes,
-            "timings": self.timings,
-        }
-
 
 def _emit_json(payload: dict, manifest: Manifest) -> None:
     payload = dict(payload)
-    payload["manifest"] = manifest.to_dict()
+    payload["manifest"] = asdict(manifest)
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
@@ -163,9 +155,7 @@ def cmd_biplane(args, manifest: Manifest) -> int:
         _emit_json(
             {
                 "blocks": [" ".join(map(str, row)) for row in bp.block_elements()],
-                "pair_replication": report.pair_replication,
-                "block_intersections_ok": report.block_intersections_ok,
-                "point_replication": report.point_replication,
+                **asdict(report),
                 "automorphism_order": order,
             },
             manifest,
@@ -194,13 +184,7 @@ def cmd_verify(args, manifest: Manifest) -> int:
                 "canonical_pairing": cert.canonical_pairing,
                 "divisor_pairing": cert.pairing,
                 "verdict": rep.verdict,
-                "certificate": {
-                    "boundary_min": cert.boundary_min,
-                    "pairing": cert.pairing,
-                    "canonical_pairing": cert.canonical_pairing,
-                    "certified": cert.certified,
-                    "certified_with_canonical": cert.certified_with_canonical,
-                },
+                "certificate": asdict(cert),
                 "decomposition_equal": rep.decomposition_equal,
             },
             manifest,
@@ -303,6 +287,7 @@ def cmd_extremal(args, manifest: Manifest) -> int:
 
 def cmd_pullback(args, manifest: Manifest) -> int:
     div = _load_divisor_arg(args, manifest, _load_biplane_arg(args, manifest))
+    check_sample_count(args.spot_check)
     with manifest.phase("eliminate_psi"):
         boundary_form = eliminate_psi(div)
     with manifest.phase("pullback"):
@@ -323,11 +308,7 @@ def cmd_pullback(args, manifest: Manifest) -> int:
     if scan is not None:
         payload["fnef"] = _fnef_dict(scan)
     if spot is not None:
-        payload["projection_formula"] = {
-            "total": spot.total,
-            "contracted": spot.contracted,
-            "mismatches": spot.mismatches,
-        }
+        payload["projection_formula"] = asdict(spot)
     if args.json:
         if not args.out:
             payload["divisor"] = divisor_to_json_dict(lifted)

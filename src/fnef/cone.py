@@ -109,9 +109,8 @@ class CounterexampleReport:
     """The four checks (`verdict`): the divisor is F-nef, the witness
     functional is nonnegative on boundary keys and on the canonical class,
     and pairs negatively with the divisor.  `decomposition_equal` is the
-    identity divisor = symmetric - block star, as coefficients and as
-    reduced coordinates; equal coefficients pair equally with every
-    F-curve."""
+    identity divisor = symmetric - block star, as coefficients; equal
+    coefficients pair equally with every F-curve."""
 
     fnef: FNefReport
     certificate: BoundaryCertificate
@@ -189,15 +188,10 @@ def verify_counterexample(bp: Biplane) -> CounterexampleReport:
     fnef = fnef_check(div)
     cert = certify_not_boundary(div, biplane_curve_functional(bp))
     decomposition = symmetric_divisor(12) - biplane_block_star_divisor(bp)
-    # equal coefficients reduce equally; perfbench/selftest.py still wants
-    # verify12's relation_system and reduce_canonical spans (ROADMAP item 1)
-    decomposition_equal = div == decomposition and (
-        reduce_canonical(div) == reduce_canonical(decomposition)
-    )
     return CounterexampleReport(
         fnef=fnef,
         certificate=cert,
-        decomposition_equal=decomposition_equal,
+        decomposition_equal=div == decomposition,
         verdict=fnef.nonnegative and cert.certified_with_canonical,
     )
 
@@ -578,6 +572,13 @@ def _sample_partitions(m: int, samples: int) -> np.ndarray:
     return np.concatenate(rows)[:samples]
 
 
+def check_sample_count(samples: Optional[int]) -> None:
+    """Raise InvalidInputError unless `samples` is None (exhaustive) or
+    positive (`projection_formula_report`)."""
+    if samples is not None and samples < 1:
+        raise InvalidInputError(f"sample count must be positive, got {samples}")
+
+
 def projection_formula_report(
     d: DivisorClass, samples: Optional[int] = None
 ) -> ProjectionFormulaReport:
@@ -595,8 +596,7 @@ def projection_formula_report(
     it marks the contracted rows from the completion counts
     (`last_marking_alone`): no partition array is built at either n.
     """
-    if samples is not None and samples < 1:
-        raise InvalidInputError(f"sample count must be positive, got {samples}")
+    check_sample_count(samples)
     n = d.n
     lifted = pullback_forgetful(d)
     if samples is None:

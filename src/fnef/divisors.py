@@ -11,6 +11,7 @@ reductions agree.  All arithmetic is exact.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -40,7 +41,9 @@ from .subsets import (
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """Sparse integer coefficients over canonical generator keys."""
+    """Sparse integer coefficients over canonical generator keys.  Keys and
+    coefficients must be integers (`exact_int`); they are stored as Python
+    ints, and zero coefficients are dropped."""
 
     n: int
     coeffs: Mapping[int, int]
@@ -50,6 +53,7 @@ class DivisorClass:
         clean = {}
         limit = 1 << (self.n - 1)
         for mask, c in self.coeffs.items():
+            mask, c = exact_int(mask, "key"), exact_int(c, "coefficient")
             if not 1 <= mask < limit:
                 raise InvalidInputError(
                     f"mask {mask:#x} is not a canonical key for n={self.n}"
@@ -135,6 +139,16 @@ def check_int64_sums(values: Iterable[int], weight: int, what: str) -> None:
     top = max(map(abs, values), default=0)
     if top * weight >= 1 << 63:
         raise InvalidInputError(f"{what}: coefficient {top} times {weight} exceeds int64")
+
+
+def exact_int(value, what: str) -> int:
+    """`value` as a Python int when `operator.index` accepts it (ints, bools
+    and numpy integers); raises InvalidInputError for anything else, so that
+    0.5, 1.0, Fraction(1, 2) or "3" is refused rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
 
 
 def json_int(value, what: str) -> int:

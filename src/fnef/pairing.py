@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .biplane import Biplane
-from .divisors import DivisorClass, check_int64_sums, json_int, relation_matrix
+from .divisors import DivisorClass, check_int64_sums, exact_int, json_int, relation_matrix
 from .errors import InvalidInputError, MalformedInputError
 from .subsets import (
     FCurve,
@@ -38,7 +38,8 @@ class CurveFunctional:
     """Integer pairing values on all generators of a fixed marking count.
 
     psi[i-1] is the value on the psi-type key of marking i; boundary maps
-    boundary key masks to values (absent means 0).
+    boundary key masks to values (absent means 0).  Keys and values must be
+    integers (`exact_int`); they are stored as Python ints.
     """
 
     n: int
@@ -49,8 +50,10 @@ class CurveFunctional:
         validate_n(self.n)
         if len(self.psi) != self.n:
             raise InvalidInputError(f"need {self.n} psi values, got {len(self.psi)}")
+        object.__setattr__(self, "psi", tuple(exact_int(v, "psi value") for v in self.psi))
         clean = {}
         for mask, v in self.boundary.items():
+            mask, v = exact_int(mask, "key"), exact_int(v, "value")
             if is_psi_key(mask, self.n) or not 1 <= mask < (1 << (self.n - 1)):
                 raise InvalidInputError(
                     f"{format_subset(mask)} is not a boundary key for n={self.n}"

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import fnef.cli
 import fnef.cone
 import fnef.pairing
 import fnef.subsets
@@ -47,10 +48,26 @@ def test_biplane_json_schema(capsys):
     code, out, _ = run(capsys, "biplane", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["pair_replication"] == 2
-    assert payload["point_replication"] == 5
-    assert payload["automorphism_order"] == 660
-    assert payload["manifest"]["version"]
+    assert payload.pop("manifest")["version"] == __version__
+    assert payload == {
+        "automorphism_order": 660,
+        "block_intersections_ok": True,
+        "blocks": [
+            "1 2 3 7 10",
+            "1 2 6 9 11",
+            "1 3 4 5 9",
+            "1 4 6 7 8",
+            "1 5 8 10 11",
+            "2 3 4 8 11",
+            "2 4 5 6 10",
+            "2 5 7 8 9",
+            "3 5 6 7 11",
+            "3 6 8 9 10",
+            "4 7 9 10 11",
+        ],
+        "pair_replication": 2,
+        "point_replication": 5,
+    }
 
 
 def test_biplane_axiom_failure_exit_1(tmp_path, capsys):
@@ -208,6 +225,39 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+#: `fnef verify --json` apart from its manifest, and `fnef verify`'s lines
+VERIFY_PAYLOAD = {
+    "fnef": {
+        "n": 12,
+        "min_value": 0,
+        "argmin": "1,2,3,4,5,6,7,8,9|10|11|12",
+        "zero_count": 124366,
+        "nonnegative": True,
+    },
+    "functional_boundary_min": 0,
+    "canonical_pairing": 13,
+    "divisor_pairing": -1,
+    "verdict": True,
+    "certificate": {
+        "boundary_min": 0,
+        "pairing": -1,
+        "canonical_pairing": 13,
+        "certified": True,
+        "certified_with_canonical": True,
+    },
+    "decomposition_equal": True,
+}
+VERIFY_LINES = [
+    "(a) F-nef scan: min 0 over 611501 curves, 124366 zeros -> ok",
+    "(b) witness boundary minimum: 0 -> ok",
+    "(c) canonical pairing: 13 -> ok",
+    "(d) divisor pairing: -1 -> ok",
+    "not-boundary certificate: ok",
+    "decomposition identity: ok",
+    "verdict: VERIFIED",
+]
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--json")
     assert code == 0
@@ -215,41 +265,27 @@ def test_verify_json(capsys):
     manifest = payload.pop("manifest")
     assert set(manifest) == {"command", "version", "inputs", "primes", "timings"}
     assert (manifest["version"], manifest["inputs"], manifest["primes"]) == (__version__, {}, [])
-    assert payload == {
-        "fnef": {
-            "n": 12,
-            "min_value": 0,
-            "argmin": "1,2,3,4,5,6,7,8,9|10|11|12",
-            "zero_count": 124366,
-            "nonnegative": True,
-        },
-        "functional_boundary_min": 0,
-        "canonical_pairing": 13,
-        "divisor_pairing": -1,
-        "verdict": True,
-        "certificate": {
-            "boundary_min": 0,
-            "pairing": -1,
-            "canonical_pairing": 13,
-            "certified": True,
-            "certified_with_canonical": True,
-        },
-        "decomposition_equal": True,
-    }
+    assert payload == VERIFY_PAYLOAD
 
 
 def test_verify_text(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
-    assert out.splitlines() == [
-        "(a) F-nef scan: min 0 over 611501 curves, 124366 zeros -> ok",
-        "(b) witness boundary minimum: 0 -> ok",
-        "(c) canonical pairing: 13 -> ok",
-        "(d) divisor pairing: -1 -> ok",
-        "not-boundary certificate: ok",
-        "decomposition identity: ok",
-        "verdict: VERIFIED",
-    ]
+    assert out.splitlines() == VERIFY_LINES
+
+
+def test_verify_reduces_nothing(monkeypatch, capsys):
+    # the decomposition identity is settled by equal coefficients alone
+    def no_reduce(*args):
+        raise AssertionError("verify reduced a class")
+
+    monkeypatch.setattr(fnef.cone, "reduce_canonical", no_reduce)
+    code, out, _ = run(capsys, "verify")
+    assert (code, out.splitlines()) == (0, VERIFY_LINES)
+    code, out, _ = run(capsys, "verify", "--json")
+    payload = json.loads(out)
+    payload.pop("manifest")
+    assert (code, payload) == (0, VERIFY_PAYLOAD)
 
 
 def test_verify_reports_are_reproducible(capsys):
@@ -582,6 +618,18 @@ def test_verify_scans_once_and_fails_on_a_decomposition_mismatch(
     assert rep.verdict and not rep.decomposition_equal and not rep.verified
 
 
+def test_pullback_refuses_a_bad_spot_check_before_any_work(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("worked before the sample count was checked")
+
+    for name in ("eliminate_psi", "fnef_check"):
+        monkeypatch.setattr(fnef.cli, name, no_work)
+    for k in ("0", "-3"):
+        argv = ["pullback", "--named", "canonical", "--n", "15", "--scan", "--spot-check", k]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: sample count must be positive, got {k}\n")
+
+
 def test_pullback_refuses_a_spot_check_beyond_physical_memory(monkeypatch, capsys):
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 1 << 30)
     argv = ["pullback", "--named", "canonical", "--n", "5", "--json"]
@@ -603,7 +651,7 @@ def test_pullback_writes_divisor_and_spot_checks(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 13
-    assert payload["projection_formula"]["mismatches"] == 0
+    assert payload["projection_formula"] == {"total": 5000, "contracted": 173, "mismatches": 0}
     lifted = json.loads(out_path.read_text())
     assert lifted["n"] == 13
 

@@ -579,6 +579,21 @@ def test_divisor_json_refuses_non_integers(field, value):
         divisor_from_json_dict(json.loads(json.dumps(obj)))
 
 
+@pytest.mark.parametrize("value", [0.5, 1.0, Fraction(1, 2), "3"], ids=repr)
+def test_divisor_class_refuses_non_integers(value):
+    # 0.5 was kept: fnef_check scanned it, the int64 table truncated it
+    with pytest.raises(InvalidInputError, match="coefficient must be an integer"):
+        DivisorClass(5, {1: value, 3: 1})
+    with pytest.raises(InvalidInputError, match="key must be an integer"):
+        DivisorClass(5, {value: 1})
+
+
+def test_divisor_class_stores_python_ints():
+    d = DivisorClass(5, {np.int64(3): np.int64(2)})
+    assert d.coeffs == {3: 2}
+    assert all(type(x) is int for x in (*d.coeffs, *d.coeffs.values()))
+
+
 def test_load_divisor_formats(qr_biplane):
     div = biplane_divisor(qr_biplane)
     json_text = json.dumps(divisor_to_json_dict(div))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -525,6 +526,23 @@ def test_functional_json_refuses_non_integers(qr_witness, field, value):
         obj["boundary"][0]["value"] = value
     with pytest.raises(MalformedInputError, match=f"{field} must be an integer"):
         functional_from_json_dict(json.loads(json.dumps(obj)))
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, Fraction(1, 2), "3"], ids=repr)
+def test_functional_refuses_non_integers(value):
+    # (0.5, 0, 0, 0, 0) passed check_relations, yet paired with a divisor as 0.5
+    with pytest.raises(InvalidInputError, match="psi value must be an integer"):
+        CurveFunctional(5, (value, 0, 0, 0, 0), {})
+    with pytest.raises(InvalidInputError, match="^value must be an integer"):
+        CurveFunctional(5, (0,) * 5, {3: value})
+    with pytest.raises(InvalidInputError, match="key must be an integer"):
+        CurveFunctional(5, (0,) * 5, {value: 1})
+
+
+def test_functional_stores_python_ints():
+    f = CurveFunctional(5, (np.int64(2),) * 5, {np.int64(3): np.int64(2)})
+    assert (f.psi, f.boundary) == ((2,) * 5, {3: 2})
+    assert all(type(x) is int for x in (*f.psi, *f.boundary, *f.boundary.values()))
 
 
 def test_functional_validation():
