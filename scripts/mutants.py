@@ -131,7 +131,7 @@ MUTANTS = (
     ),
     Mutant(
         "constructors-skip-integer-check",
-        "src/fnef/divisors.py",
+        "src/fnef/subsets.py",
         "return operator.index(value)",
         "return value",
         (
@@ -142,10 +142,45 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "integer-check-admits-bools",
+        "src/fnef/subsets.py",
+        "if not isinstance(value, bool):",
+        "if True:",
+        (
+            "tests/test_subsets.py::test_exact_int_is_operator_index_without_bools",
+            "tests/test_subsets.py::test_subset_entry_points_refuse_non_integers",
+            "tests/test_divisors.py::test_divisor_entry_points_refuse_non_integers",
+            "tests/test_cone.py::test_cone_entry_points_refuse_non_integers",
+        ),
+    ),
+    Mutant(
+        "text-integer-falls-back-to-int",
+        "src/fnef/subsets.py",
+        'if not re.fullmatch(r"[+-]?[0-9]+", text):',
+        "if False:",
+        (
+            "tests/test_subsets.py::test_text_integers_are_sign_and_ascii_digits",
+            "tests/test_subsets.py::test_subset_markings_are_sign_and_ascii_digits",
+            "tests/test_divisors.py::test_divisor_text_coefficient_is_sign_and_ascii_digits",
+            "tests/test_biplane.py::test_parse_refuses_a_token_that_is_not_an_integer",
+            "tests/test_cli.py::test_integer_options_are_sign_and_ascii_digits",
+        ),
+    ),
+    Mutant(
+        "functional-keeps-repeated-subsets",
+        "src/fnef/pairing.py",
+        "if mask in boundary:",
+        "if False:",
+        (
+            "tests/test_pairing.py::test_functional_json_refuses_a_repeated_subset",
+            "tests/test_cli.py::test_pair_refuses_a_functional_that_repeats_a_subset",
+        ),
+    ),
+    Mutant(
         "spot-check-admits-zero",
         "src/fnef/cone.py",
-        "if samples is not None and samples < 1:",
-        "if samples is not None and samples < 0:",
+        "if samples < 1:",
+        "if samples < 0:",
         (
             "tests/test_cli.py::test_pullback_refuses_a_bad_spot_check_before_any_work",
             "tests/test_cli.py::test_pullback_refuses_a_negative_spot_check",
@@ -187,6 +222,32 @@ MUTANTS = (
         "single = np.flatnonzero(count == 1)",
         "single = np.flatnonzero(count >= 1)",
         _PEEL,
+    ),
+    Mutant(
+        "peel-aside-highest-on-ties",
+        "src/fnef/cone.py",
+        "heavy = int(np.bincount(keys[uncovered & fewest]).argmax())",
+        # the last of the most frequent columns, not the first
+        "heavy = int((lambda c: len(c) - 1 - c[::-1].argmax())"
+        "(np.bincount(keys[uncovered & fewest])))",
+        ("tests/test_cone.py::test_peel_sets_aside_one_column_of_a_triangle",),
+    ),
+    Mutant(
+        "kernel-basis-reversed",
+        "src/fnef/cone.py",
+        "for j, row in self._basis:",
+        "for j, row in reversed(self._basis):",
+        ("tests/test_cone.py::test_kernel_reduces_by_the_basis_rows_in_the_order_they_were_added",),
+    ),
+    Mutant(
+        "relation-value-3-minus-size",
+        "src/fnef/divisors.py",
+        "2 - size[size >= 3, None]",
+        "3 - size[size >= 3, None]",
+        (
+            "tests/test_divisors.py::test_relation_system_matches_list_oracle",
+            "tests/test_divisors.py::test_relation_system_spans_the_relations",
+        ),
     ),
     Mutant(
         "gather-guard-72",

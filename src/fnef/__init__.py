@@ -72,5 +72,4 @@ from .subsets import (
     format_subset,
     parse_fcurve,
     parse_subset,
-    stirling2,
 )

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import MalformedDesignError, VerificationFailedError
-from .subsets import elements_from_mask, format_subset
+from .errors import InvalidInputError, MalformedDesignError, VerificationFailedError
+from .subsets import elements_from_mask, format_subset, integer
 
 POINTS = 11
 BLOCK_SIZE = 5
@@ -166,8 +166,8 @@ def parse_biplane(text: str) -> Biplane:
     blocks = []
     for row in rows:
         try:
-            elems = [int(tok) for tok in row]
-        except ValueError as exc:
+            elems = [integer(tok) for tok in row]
+        except InvalidInputError as exc:
             raise MalformedDesignError(f"bad block line {' '.join(row)!r}: {exc}") from None
         mask = 0
         for e in elems:

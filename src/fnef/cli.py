@@ -63,7 +63,7 @@ from .pairing import (
     pair_divisor_fcurve,
     pair_divisor_functional,
 )
-from .subsets import count_fcurves, enumerate_fcurves, parse_fcurve, validate_n
+from .subsets import count_fcurves, enumerate_fcurves, integer, parse_fcurve, validate_n
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     biplane.add_argument("--biplane", metavar="FILE",
                          help="biplane block file (its design axioms are checked)")
     one_thread = argparse.ArgumentParser(add_help=False)
-    one_thread.add_argument("--threads", type=int, choices=[1],
+    one_thread.add_argument("--threads", type=integer, choices=[1],
                             help="the scan runs on one thread; only 1 is accepted")
 
     divisor_common = argparse.ArgumentParser(add_help=False)
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--named",
                         choices=["biplane", "symmetric", "block-star", "canonical"],
                         help="use a built-in divisor instead of a file (default biplane)")
-    divisor_common.add_argument("--n", type=int,
+    divisor_common.add_argument("--n", type=integer,
                                 help="marking count for text divisor files and --named "
                                      "canonical (default 12); a JSON divisor file "
                                      "declares its own, which must match --n if given; "
@@ -368,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fcurves", parents=[common],
                        help="count or enumerate 4-block partition classes")
     p.add_argument("action", choices=["count", "enumerate"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, help="stop enumeration after this many curves")
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--limit", type=integer, help="stop enumeration after this many curves")
     p.set_defaults(func=cmd_fcurves)
 
     p = sub.add_parser("pair", parents=[common, biplane, divisor_common],
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extremal", parents=[common, biplane, one_thread, divisor_common],
                        help="certify extremality of an F-nef divisor by modular rank")
-    p.add_argument("--prime", type=int, action="append",
+    p.add_argument("--prime", type=integer, action="append",
                    help="modulus for the rank computation (repeatable)")
     p.set_defaults(func=cmd_extremal)
 
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pull a divisor back along the forgetful map to n+1 markings")
     p.add_argument("--out", metavar="FILE", help="write the pulled-back divisor here")
     p.add_argument("--scan", action="store_true", help="F-nef scan at n+1")
-    p.add_argument("--spot-check", type=int, metavar="K",
+    p.add_argument("--spot-check", type=integer, metavar="K",
                    help="projection-formula check on K sampled curves")
     p.set_defaults(func=cmd_pullback)
 

@@ -56,6 +56,7 @@ from .subsets import (
     FCurve,
     check_memory,
     count_fcurves,
+    exact_int,
     fcurve_at,
     fcurve_block_arrays,
     last_marking_alone,
@@ -218,17 +219,20 @@ def certify_not_boundary(d: DivisorClass, f: CurveFunctional) -> BoundaryCertifi
 MAX_MODULUS = 1 << 31
 
 
-def check_modulus(p: int) -> None:
-    """Raise InvalidInputError unless p is a prime no larger than 2^31.
+def check_modulus(p: int) -> int:
+    """`p` as a Python int (`exact_int`); raises InvalidInputError unless
+    it is a prime no larger than 2^31.
 
     Below the cap, trial division by every odd number up to sqrt(p)
     (at most 23170 of them) is exact; p <= 2^31 fits the uint32 divisors.
     """
+    p = exact_int(p, "modulus")
     if p > MAX_MODULUS:
         raise InvalidInputError(f"modulus {p} exceeds the cap 2^31")
     odd = np.arange(3, isqrt(max(p, 0)) + 1, 2, dtype=np.uint32)
     if p != 2 and (p < 3 or p % 2 == 0 or not np.all(p % odd)):
         raise InvalidInputError(f"modulus {p} is not prime")
+    return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,11 +491,9 @@ def extremality_rank(
     temporaries while the columns are built.  The orthogonality check
     (about 80) and the peel (about 78) hold less.
     """
-    primes = tuple(dict.fromkeys(primes))
+    primes = tuple(dict.fromkeys(map(check_modulus, primes)))
     if not primes:
         raise InvalidInputError("extremality is ranked modulo at least one prime, got none")
-    for p in primes:
-        check_modulus(p)
     # a positive multiple spans the same ray, so the primitive part stands
     # in for d; its reduction fits int64 for the most coefficients
     reduced = reduce_canonical(d.primitive())
@@ -519,7 +521,7 @@ def extremality_rank(
     peel = _structural_peel(col_rows, rs.ambient_dim)
     ranks: dict[int, int] = {}
     for p in primes:
-        ranks[int(p)] = ModpEliminator(peel, p).add_pattern_rows(col_rows, stop_rank=stop_rank)
+        ranks[p] = ModpEliminator(peel, p).add_pattern_rows(col_rows, stop_rank=stop_rank)
     certified = any(r == rs.ambient_dim - 1 for r in ranks.values())
     return ExtremalityReport(
         ambient_dim=rs.ambient_dim,
@@ -572,11 +574,15 @@ def _sample_partitions(m: int, samples: int) -> np.ndarray:
     return np.concatenate(rows)[:samples]
 
 
-def check_sample_count(samples: Optional[int]) -> None:
-    """Raise InvalidInputError unless `samples` is None (exhaustive) or
-    positive (`projection_formula_report`)."""
-    if samples is not None and samples < 1:
-        raise InvalidInputError(f"sample count must be positive, got {samples}")
+def check_sample_count(samples: Optional[int]) -> Optional[int]:
+    """`samples` as a Python int (`exact_int`), or None (exhaustive); raises
+    InvalidInputError unless it is None or positive
+    (`projection_formula_report`)."""
+    if samples is not None:
+        samples = exact_int(samples, "sample count")
+        if samples < 1:
+            raise InvalidInputError(f"sample count must be positive, got {samples}")
+    return samples
 
 
 def projection_formula_report(
@@ -596,7 +602,7 @@ def projection_formula_report(
     it marks the contracted rows from the completion counts
     (`last_marking_alone`): no partition array is built at either n.
     """
-    check_sample_count(samples)
+    samples = check_sample_count(samples)
     n = d.n
     lifted = pullback_forgetful(d)
     if samples is None:

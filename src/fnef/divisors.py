@@ -11,7 +11,6 @@ reductions agree.  All arithmetic is exact.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -30,9 +29,12 @@ from .subsets import (
     MAX_MARKINGS,
     all_generator_keys,
     canonical_generator,
+    exact_int,
     format_subset,
     full_mask,
+    integer,
     is_psi_key,
+    mask_from_elements,
     parse_subset,
     psi_marking,
     validate_n,
@@ -49,7 +51,7 @@ class DivisorClass:
     coeffs: Mapping[int, int]
 
     def __post_init__(self):
-        validate_n(self.n)
+        object.__setattr__(self, "n", validate_n(self.n))
         clean = {}
         limit = 1 << (self.n - 1)
         for mask, c in self.coeffs.items():
@@ -125,8 +127,7 @@ class DivisorClass:
         return DivisorClass(self.n, {m: -c for m, c in self.coeffs.items()})
 
     def __rmul__(self, scalar: int) -> "DivisorClass":
-        if not isinstance(scalar, int):
-            return NotImplemented
+        scalar = exact_int(scalar, "scalar")
         return DivisorClass(self.n, {m: scalar * c for m, c in self.coeffs.items()})
 
     __mul__ = __rmul__
@@ -141,25 +142,6 @@ def check_int64_sums(values: Iterable[int], weight: int, what: str) -> None:
         raise InvalidInputError(f"{what}: coefficient {top} times {weight} exceeds int64")
 
 
-def exact_int(value, what: str) -> int:
-    """`value` as a Python int when `operator.index` accepts it (ints, bools
-    and numpy integers); raises InvalidInputError for anything else, so that
-    0.5, 1.0, Fraction(1, 2) or "3" is refused rather than truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
-
-
-def json_int(value, what: str) -> int:
-    """`value` if it is a JSON integer (a Python int, not a bool); raises
-    TypeError for anything else, so that 1.7, 12.0, true or "3" is refused
-    rather than truncated or converted."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 @lru_cache(maxsize=None)
 def relation_matrix(n: int) -> np.ndarray:
     """The pair relations as a read-only 0/1 matrix: row (i, j), i < j, in
@@ -167,7 +149,7 @@ def relation_matrix(n: int) -> np.ndarray:
     i < j sums every generator with a side holding i and omitting j; a key K
     never holds marking n and either K or its complement is that side, so
     K enters iff bit_i(K) xor bit_j(K)."""
-    validate_n(n)
+    n = validate_n(n)
     # keys below 2^15 as little-endian bytes, unpacked to one uint8 bit row
     # per marking, so no temporary is wider than the result
     keys = np.arange(1, 1 << (n - 1), dtype="<u2").view(np.uint8).reshape(-1, 2)
@@ -186,7 +168,7 @@ def _pair_index(i: int, j: int, n: int) -> int:
 def relation_row(i: int, j: int, n: int) -> DivisorClass:
     """The pair relation for markings i < j: the sum of all generators whose
     key side contains i and omits j (each with coefficient +1)."""
-    validate_n(n)
+    n, i, j = validate_n(n), exact_int(i, "marking"), exact_int(j, "marking")
     if i == j:
         raise InvalidInputError("relation needs two distinct markings")
     if not (1 <= i < j <= n):
@@ -223,8 +205,7 @@ class RelationSystem:
     """
 
     def __init__(self, n: int):
-        validate_n(n)
-        self.n = n
+        self.n = n = validate_n(n)
         keys = np.arange(1, 1 << (n - 1), dtype=np.uint16)
         size = np.bitwise_count(keys).astype(np.int64)
         pivots, free = keys[size <= 2], keys[size >= 3]
@@ -280,7 +261,7 @@ def reduce_canonical(d: DivisorClass) -> dict[int, int]:
 
 def canonical_divisor(n: int) -> DivisorClass:
     """The canonical class: -1 on every psi-type key, -2 on every boundary key."""
-    validate_n(n)
+    n = validate_n(n)
     return DivisorClass(
         n, {m: (-1 if is_psi_key(m, n) else -2) for m in all_generator_keys(n)}
     )
@@ -302,43 +283,34 @@ def symmetric_divisor(n: int = 12) -> DivisorClass:
     """
     if n != 12:
         raise InvalidInputError("the symmetric divisor is only defined at n=12")
-    coeffs: dict[int, int] = {}
-    points = range(11)
-    for size in range(5):
-        for combo in combinations(points, size):
-            coeffs[_exceptional_key(sum(1 << p for p in combo))] = size - 5
-    return DivisorClass(12, coeffs)
+    return DivisorClass(12, {
+        _exceptional_key(mask_from_elements(s, 11)): len(s) - 5
+        for size in range(5)
+        for s in combinations(range(1, 12), size)
+    })
 
 
 def biplane_block_star_divisor(bp: Biplane) -> DivisorClass:
     """Sum over biplane blocks of the block divisor plus all of its
     one-marking enlargements (the added marking running over 1..12)."""
-    coeffs: dict[int, int] = {}
-    for b in bp.blocks:
-        coeffs[b] = coeffs.get(b, 0) + 1
-        for i in range(12):
-            bit = 1 << i
-            if b & bit:
-                continue
-            key = canonical_generator(b | bit, 12)
-            coeffs[key] = coeffs.get(key, 0) + 1
-    return DivisorClass(12, coeffs)
+    return DivisorClass.from_terms(12, (
+        (b | bit, 1)
+        for b in bp.blocks
+        for bit in (0, *(1 << i for i in range(12)))
+        if not b & bit
+    ))
 
 
 def biplane_divisor(bp: Biplane) -> DivisorClass:
     """The biplane divisor: the symmetric divisor minus one exceptional
     class for each subset of {1..11} of size 5 or 6 that equals or is
     disjoint from some block."""
-    coeffs = dict(symmetric_divisor(12).coeffs)
-    blocks = bp.blocks
-    points = range(11)
-    for size in (5, 6):
-        for combo in combinations(points, size):
-            s_mask = sum(1 << p for p in combo)
-            if any(s_mask == b or s_mask & b == 0 for b in blocks):
-                key = _exceptional_key(s_mask)
-                coeffs[key] = coeffs.get(key, 0) - 1
-    return DivisorClass(12, coeffs)
+    subsets = (
+        mask_from_elements(s, 11) for size in (5, 6) for s in combinations(range(1, 12), size)
+    )
+    return symmetric_divisor(12) - DivisorClass(12, {
+        _exceptional_key(s): 1 for s in subsets if any(s == b or not s & b for b in bp.blocks)
+    })
 
 
 def eliminate_psi(d: DivisorClass) -> DivisorClass:
@@ -419,7 +391,7 @@ def divisor_to_text(d: DivisorClass) -> str:
 
 
 def divisor_from_text(text: str, n: int) -> DivisorClass:
-    validate_n(n)
+    n = validate_n(n)
     terms: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -429,11 +401,9 @@ def divisor_from_text(text: str, n: int) -> DivisorClass:
         if len(parts) != 2:
             raise MalformedInputError(f"line {lineno}: expected '<coeff> <subset>'")
         try:
-            coeff = int(parts[0])
+            coeff = integer(parts[0])
             mask = parse_subset(parts[1], n)
         except InvalidInputError as exc:
-            raise MalformedInputError(f"line {lineno}: {exc}") from None
-        except ValueError as exc:
             raise MalformedInputError(f"line {lineno}: {exc}") from None
         terms.append((mask, coeff))
     try:
@@ -454,9 +424,9 @@ def divisor_to_json_dict(d: DivisorClass) -> dict:
 
 def divisor_from_json_dict(obj: dict) -> DivisorClass:
     try:
-        n = json_int(obj["n"], "n")
+        n = exact_int(obj["n"], "n")
         items = obj["terms"]
-        terms = [(parse_subset(t["subset"], n), json_int(t["coeff"], "coeff")) for t in items]
+        terms = [(parse_subset(t["subset"], n), exact_int(t["coeff"], "coeff")) for t in items]
         return DivisorClass.from_terms(n, terms)
     except InvalidInputError as exc:
         raise MalformedInputError(str(exc)) from None

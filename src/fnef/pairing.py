@@ -16,13 +16,14 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .biplane import Biplane
-from .divisors import DivisorClass, check_int64_sums, exact_int, json_int, relation_matrix
+from .divisors import DivisorClass, check_int64_sums, relation_matrix
 from .errors import InvalidInputError, MalformedInputError
 from .subsets import (
     FCurve,
     _assign,
     canonical_generator,
     count_fcurves,
+    exact_int,
     fcurve_prefixes,
     format_subset,
     full_mask,
@@ -47,7 +48,7 @@ class CurveFunctional:
     boundary: Mapping[int, int]
 
     def __post_init__(self):
-        validate_n(self.n)
+        object.__setattr__(self, "n", validate_n(self.n))
         if len(self.psi) != self.n:
             raise InvalidInputError(f"need {self.n} psi values, got {len(self.psi)}")
         object.__setattr__(self, "psi", tuple(exact_int(v, "psi value") for v in self.psi))
@@ -412,12 +413,14 @@ def functional_to_json_dict(f: CurveFunctional) -> dict:
 
 def functional_from_json_dict(obj: dict) -> CurveFunctional:
     try:
-        n = json_int(obj["n"], "n")
-        psi = tuple(json_int(v, "psi") for v in obj["psi"])
-        boundary = {
-            parse_subset(t["subset"], n): json_int(t["value"], "value")
-            for t in obj["boundary"]
-        }
+        n = exact_int(obj["n"], "n")
+        psi = tuple(exact_int(v, "psi") for v in obj["psi"])
+        boundary = {}
+        for t in obj["boundary"]:
+            mask = parse_subset(t["subset"], n)
+            if mask in boundary:
+                raise InvalidInputError(f"boundary subset {format_subset(mask)} is repeated")
+            boundary[mask] = exact_int(t["value"], "value")
         return CurveFunctional(n, psi, boundary)
     except InvalidInputError as exc:
         raise MalformedInputError(str(exc)) from None

@@ -8,7 +8,9 @@ All higher modules iterate partitions in the fixed order produced here.
 
 from __future__ import annotations
 
+import operator
 import os
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
@@ -23,10 +25,35 @@ MIN_MARKINGS = 4
 MAX_MARKINGS = 16
 
 
+def exact_int(value, what: str) -> int:
+    """`value` as a Python int when `operator.index` accepts it and it is not
+    a bool (ints and numpy integers); raises InvalidInputError for anything
+    else, so that 0.5, 1.0, Fraction(1, 2), "3" or True is refused rather
+    than truncated or converted."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
+def integer(text: str) -> int:
+    """The integer that `text` writes as an optional sign and ASCII digits;
+    raises InvalidInputError for anything else, such as "1_0", " 7" or a
+    non-ASCII digit, which `int` would read."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise InvalidInputError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def validate_n(n: int) -> int:
-    if not isinstance(n, int) or not MIN_MARKINGS <= n <= MAX_MARKINGS:
+    """The marking count `n` as a Python int (`exact_int`) in
+    [MIN_MARKINGS, MAX_MARKINGS]; raises InvalidInputError otherwise."""
+    n = exact_int(n, "marking count")
+    if not MIN_MARKINGS <= n <= MAX_MARKINGS:
         raise InvalidInputError(
-            f"marking count must be an integer in [{MIN_MARKINGS}, {MAX_MARKINGS}], got {n!r}"
+            f"marking count must be an integer in [{MIN_MARKINGS}, {MAX_MARKINGS}], got {n}"
         )
     return n
 
@@ -80,8 +107,8 @@ def parse_subset(text: str, n: int) -> int:
     if not parts:
         raise InvalidInputError(f"empty subset in {text!r}")
     try:
-        elems = [int(p) for p in parts]
-    except ValueError as exc:
+        elems = [integer(p) for p in parts]
+    except InvalidInputError as exc:
         raise InvalidInputError(f"bad subset {text!r}: {exc}") from None
     mask = mask_from_elements(elems, n)
     if mask.bit_count() != len(elems):
@@ -95,7 +122,7 @@ def canonical_generator(mask: int, n: int) -> int:
     Idempotent, and identical on a subset and its complement.  Empty and
     full subsets do not name a generator.
     """
-    validate_n(n)
+    n, mask = validate_n(n), exact_int(mask, "mask")
     full = full_mask(n)
     if mask & ~full:
         raise InvalidInputError(f"mask {mask:#x} has bits outside 1..{n}")
@@ -122,26 +149,22 @@ def psi_marking(mask: int, n: int) -> int:
 
 def all_generator_keys(n: int) -> range:
     """All canonical key masks for n markings: the nonzero masks on bits 0..n-2."""
-    validate_n(n)
-    return range(1, 1 << (n - 1))
+    return range(1, 1 << (validate_n(n) - 1))
 
 
 @lru_cache(maxsize=None)
-def stirling2(m: int, k: int) -> int:
-    """Number of partitions of an m-set into k nonempty blocks."""
-    if k == 0:
-        return 1 if m == 0 else 0
-    if m < k:
-        return 0
-    if m == k:
-        return 1
-    return stirling2(m - 1, k - 1) + k * stirling2(m - 1, k)
+def _completions(r: int, u: int) -> int:
+    """Ways to place r more markings, u blocks open, ending with 4 open:
+    each joins one of the u blocks or opens the next."""
+    if r == 0 or u > 4:
+        return int(u == 4)
+    return u * _completions(r - 1, u) + _completions(r - 1, u + 1)
 
 
 def count_fcurves(n: int) -> int:
-    """Number of 4-block partitions of {1..n}, via the Stirling recurrence."""
-    validate_n(n)
-    return stirling2(n, 4)
+    """Number of 4-block partitions of {1..n}: the ways to place markings
+    2..n once marking 1 has opened block 0 (`_completions`)."""
+    return _completions(validate_n(n) - 1, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,7 +180,7 @@ class FCurve:
 
     def __post_init__(self):
         n = validate_n(self.n)
-        blocks = self.blocks
+        blocks = tuple(exact_int(b, "block") for b in self.blocks)
         if len(blocks) != 4:
             raise InvalidInputError("an F-curve needs exactly 4 blocks")
         b0, b1, b2, b3 = blocks
@@ -166,8 +189,8 @@ class FCurve:
         size = b0.bit_count() + b1.bit_count() + b2.bit_count() + b3.bit_count()
         if b0 | b1 | b2 | b3 != full_mask(n) or size != n:
             raise InvalidInputError(f"blocks must partition 1..{n} (disjoint, covering)")
-        if not (b0 & -b0) < (b1 & -b1) < (b2 & -b2) < (b3 & -b3):
-            object.__setattr__(self, "blocks", tuple(sorted(blocks, key=lambda b: b & -b)))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=lambda b: b & -b)))
 
     @classmethod
     def _trusted(cls, n: int, blocks: tuple[int, int, int, int]) -> "FCurve":
@@ -216,7 +239,7 @@ def fcurve_prefixes(n: int, suffix: int) -> tuple[int, np.ndarray, np.ndarray]:
     before the cut, every way they start a 4-block partition of {1..n} as a
     (k, 4) int32 mask array in enumeration order, and the number of blocks
     each one opened."""
-    validate_n(n)
+    n = validate_n(n)
     split = max(1, n - suffix)
     one = np.array([[1, 0, 0, 0]], dtype=np.int32)  # marking 1 opens block 0
     prefixes, opened = _assign(one, np.array([1]), range(1, split), n)
@@ -272,15 +295,6 @@ def fcurve_block_arrays(n: int, keep: Optional[np.ndarray] = None) -> np.ndarray
     return arr
 
 
-@lru_cache(maxsize=None)
-def _completions(r: int, u: int) -> int:
-    """Ways to place r more markings, u blocks open, ending with 4 open:
-    each joins one of the u blocks or opens the next."""
-    if r == 0 or u > 4:
-        return int(u == 4)
-    return u * _completions(r - 1, u) + _completions(r - 1, u + 1)
-
-
 def fcurve_at(n: int, index: int) -> FCurve:
     """The curve at `index` in the enumeration order, row `index` of
     `fcurve_block_arrays(n)`, without building the array.
@@ -291,6 +305,7 @@ def fcurve_at(n: int, index: int) -> FCurve:
     rows where it opens the next block after them.  Each marking's choice
     is read off the index with plain integers.
     """
+    n, index = validate_n(n), exact_int(index, "F-curve index")
     rows = count_fcurves(n)
     if not 0 <= index < rows:
         raise InvalidInputError(f"F-curve index {index} is outside [0, {rows})")

@@ -1,6 +1,7 @@
 """Construction, design axioms, and symmetries of the (11,5,2) biplane."""
 
 import random
+import re
 
 import pytest
 
@@ -108,6 +109,21 @@ def test_loader_verification_toggle(qr_biplane):
     assert len(bad.blocks) == 11
     with pytest.raises(VerificationFailedError):
         verify_biplane(bad)
+
+
+def test_block_with_a_point_outside_the_ground_set_is_refused(qr_biplane):
+    blocks = (qr_biplane.blocks[0] | 1 << 11, *qr_biplane.blocks[1:])
+    with pytest.raises(MalformedDesignError, match="^block contains a point outside 1..11$"):
+        Biplane(blocks)
+
+
+@pytest.mark.parametrize("token", ["x", "1_0", "\uff11", "2.0"])
+def test_parse_refuses_a_token_that_is_not_an_integer(qr_biplane, token):
+    lines = format_biplane(qr_biplane).splitlines()
+    lines[3] = f"1 4 6 7 {token}"
+    message = f"bad block line '1 4 6 7 {token}': invalid integer '{token}'"
+    with pytest.raises(MalformedDesignError, match=f"^{re.escape(message)}$"):
+        parse_biplane("\n".join(lines))
 
 
 def test_parse_rejects_garbage():

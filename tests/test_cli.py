@@ -3,6 +3,8 @@
 import builtins
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ import fnef.pairing
 import fnef.subsets
 from fnef import __version__, biplane_divisor, build_biplane_qr, divisor_to_json_dict, DivisorClass
 from fnef.biplane import format_biplane
-from fnef.cli import main
+from fnef.cli import build_parser, main
 from fnef.cone import DEFAULT_PRIMES, extremality_rank, fnef_check
 from fnef.divisors import (
     biplane_block_star_divisor,
@@ -30,6 +32,8 @@ from fnef.subsets import (
     mask_from_elements,
     parse_fcurve,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -123,6 +127,41 @@ def test_removed_options_are_refused(capsys):
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["7.0", "1_2", "\uff17", "true", " 7"])
+def test_integer_options_are_sign_and_ascii_digits(capsys, value):
+    # int() read "1_2" as 12 and the fullwidth digit as 7
+    for argv in (
+        ["fcurves", "count", "--n", value],
+        ["fcurves", "enumerate", "--n", "5", "--limit", value],
+        ["pair", "--named", "canonical", "--n", value],
+        ["extremal", "--prime", value],
+        ["pullback", "--spot-check", value],
+        ["verify", "--threads", value],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"invalid integer value: {value!r}" in err
+    code, out, _ = run(capsys, "fcurves", "count", "--n", "+12")
+    assert (code, out) == (0, "611501\n")
+
+
+def test_every_quick_start_line_parses():
+    # the README's Quick start commands, so a renamed flag cannot leave them stale
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```")[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv and argv[0] == "fnef"]
+    assert len(commands) >= 7
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"fnef refuses the README line {argv}")
 
 
 def test_named_divisors_at_12_markings_refuse_another_n(capsys):
@@ -409,6 +448,15 @@ def test_pair_refuses_a_fractional_functional_value(tmp_path, capsys):
     assert err.startswith("error:") and "psi must be an integer, got 1.5" in err
 
 
+def test_pair_refuses_a_functional_that_repeats_a_subset(tmp_path, capsys):
+    obj = functional_to_json_dict(biplane_curve_functional(build_biplane_qr()))
+    obj["boundary"] += [{"subset": "1,2", "value": 1}, {"subset": "1,2", "value": 2}]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "pair", "--named", "symmetric", "--functional", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: boundary subset 1,2 is repeated\n")
+
+
 def test_extremal_rejects_non_fnef_divisor(tmp_path, capsys):
     d = DivisorClass(12, {mask_from_elements([1, 2], 12): 1})
     path = tmp_path / "single.txt"
@@ -628,6 +676,17 @@ def test_pullback_refuses_a_bad_spot_check_before_any_work(monkeypatch, capsys):
         argv = ["pullback", "--named", "canonical", "--n", "15", "--scan", "--spot-check", k]
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: sample count must be positive, got {k}\n")
+
+
+def test_pullback_refuses_a_target_beyond_the_marking_cap(capsys):
+    code, out, err = run(capsys, "pullback", "--named", "canonical", "--n", "16")
+    assert (code, out, err) == (2, "", "error: pullback target 17 exceeds 16 markings\n")
+
+
+def test_pullback_spot_check_text_line(tmp_path, capsys):
+    argv = ["pullback", "--named", "canonical", "--n", "6", "--spot-check", "500"]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "lifted.json"))
+    assert (code, out, err) == (0, "projection formula: 0 mismatches on 500 curves (139 contracted)\n", "")
 
 
 def test_pullback_refuses_a_spot_check_beyond_physical_memory(monkeypatch, capsys):

@@ -53,7 +53,7 @@ from fnef.cone import (
 )
 from fnef.errors import InvalidInputError
 from fnef.pairing import scan_dtype
-from fnef.subsets import all_generator_keys, mask_from_elements, stirling2
+from fnef.subsets import all_generator_keys, count_fcurves, mask_from_elements
 from oracles import (
     dense_rows,
     fcurve_matrix_rank_exact,
@@ -248,7 +248,7 @@ def test_fnef_check_refuses_a_scan_beyond_physical_memory(monkeypatch):
     # the canonical class scans in int8, a coefficient of 2^40 in int64
     scans = count_scans(monkeypatch)
     for d, itemsize in ((canonical_divisor(9), 1), (DivisorClass(9, {3: 1 << 40}), 8)):
-        need = (itemsize + 1) * stirling2(9, 4)
+        need = (itemsize + 1) * count_fcurves(9)
         monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
         with pytest.raises(InvalidInputError, match=f"F-nef scan of 7770 curves needs {need} bytes"):
             fnef_check(d)
@@ -1025,6 +1025,25 @@ def test_projection_formula_refuses_no_samples():
     for samples in (0, -3):
         with pytest.raises(InvalidInputError):
             projection_formula_report(fnef_divisor_n6(), samples=samples)
+
+
+@pytest.mark.parametrize("value", [7.0, True, "7"], ids=repr)
+def test_cone_entry_points_refuse_non_integers(value, monkeypatch):
+    # 7.0 and 2.5 failed with TypeError; samples=True drew one sample
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the integers were checked")
+
+    monkeypatch.setattr(fnef.cone, "pairing_values", no_scan)
+    d = fnef_divisor_n6()
+    refusals = (
+        ("modulus", lambda: check_modulus(value)),
+        ("modulus", lambda: extremality_rank(d, primes=[P1, value])),
+        ("sample count", lambda: projection_formula_report(d, samples=value)),
+    )
+    for what, call in refusals:
+        with pytest.raises(InvalidInputError, match=f"^{what} must be an integer, got {value!r}$"):
+            call()
+    assert check_modulus(np.int64(7)) == 7 and type(check_modulus(np.int64(7))) is int
 
 
 def test_projection_formula_via_pushforward_pairing():

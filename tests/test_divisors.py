@@ -380,6 +380,26 @@ def test_biplane_divisor_coefficients(qr_biplane):
     assert div.support_size() == 650
 
 
+#: sha256 of each named divisor's sorted (key, coefficient) pairs as JSON,
+#: taken when each was still built by a loop over its own coefficient dict.
+NAMED_DIVISOR_SHA256 = {
+    "symmetric": "e45e61f8de17d75031d0bda51de0120e1a05430673a29734689b304b1a58e687",
+    "block_star": "fcbb552a2350124540717b3cbbf21dfd2bf8fd941ec7dba0634dad9ab6d55898",
+    "biplane": "778d3e4f7b633b1861863696018eae3e545b3cacefd062c1a8e3fa128b1aa21c",
+}
+
+
+def test_named_divisor_coefficients_are_pinned(qr_biplane):
+    named = {
+        "symmetric": symmetric_divisor(12),
+        "block_star": biplane_block_star_divisor(qr_biplane),
+        "biplane": biplane_divisor(qr_biplane),
+    }
+    for name, d in named.items():
+        pairs = json.dumps(sorted(d.coeffs.items())).encode()
+        assert hashlib.sha256(pairs).hexdigest() == NAMED_DIVISOR_SHA256[name], name
+
+
 def test_decomposition_identity(qr_biplane):
     div = biplane_divisor(qr_biplane)
     other = symmetric_divisor(12) - biplane_block_star_divisor(qr_biplane)
@@ -542,6 +562,11 @@ def test_pullback_zero_and_psi_rejection():
         pullback_forgetful(DivisorClass(6, {mask_from_elements([1], 6): 1}))
 
 
+def test_pullback_refuses_a_target_beyond_the_marking_cap():
+    with pytest.raises(InvalidInputError, match="^pullback target 17 exceeds 16 markings$"):
+        pullback_forgetful(DivisorClass(16, {3: 1}))
+
+
 def test_pullback_pairs_zero_with_contracted_curves():
     rng = random.Random(5)
     d = eliminate_psi(random_divisor(6, rng))
@@ -589,9 +614,24 @@ def test_divisor_class_refuses_non_integers(value):
 
 
 def test_divisor_class_stores_python_ints():
-    d = DivisorClass(5, {np.int64(3): np.int64(2)})
-    assert d.coeffs == {3: 2}
-    assert all(type(x) is int for x in (*d.coeffs, *d.coeffs.values()))
+    d = DivisorClass(np.int64(5), {np.int64(3): np.int64(2)})
+    assert (d.n, d.coeffs) == (5, {3: 2})
+    assert all(type(x) is int for x in (d.n, *d.coeffs, *d.coeffs.values()))
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1"], ids=repr)
+def test_divisor_entry_points_refuse_non_integers(value):
+    # 1.5 and 3.0 failed with IndexError and TypeError; True was read as 1
+    d = DivisorClass(5, {3: 1})
+    refusals = {
+        "marking count": lambda: DivisorClass(value, {}),
+        "coefficient": lambda: DivisorClass(5, {3: value}),
+        "scalar": lambda: value * d,
+        "marking": lambda: relation_row(value, 3, 5),
+    }
+    for what, call in refusals.items():
+        with pytest.raises(InvalidInputError, match=f"^{what} must be an integer, got {value!r}$"):
+            call()
 
 
 def test_load_divisor_formats(qr_biplane):
@@ -618,6 +658,23 @@ def test_malformed_divisor_text():
         divisor_from_text("x 1,2\n", 12)
     with pytest.raises(MalformedInputError):
         divisor_from_text("1 0,2\n", 12)
+
+
+@pytest.mark.parametrize("coeff", ["1_0", "\uff11", "0x1", "1.0"])
+def test_divisor_text_coefficient_is_sign_and_ascii_digits(coeff):
+    # int() read "1_0" as 10 and the fullwidth one as 1
+    with pytest.raises(MalformedInputError, match=f"^line 2: invalid integer {coeff!r}$"):
+        divisor_from_text(f"1 1,2\n{coeff} 1,3\n", 12)
+    assert divisor_from_text("+2 1,2\n-3 1,3\n", 12).coeffs == {0b11: 2, 0b101: -3}
+
+
+def test_divisor_files_refuse_a_term_that_names_no_generator():
+    full = ",".join(map(str, range(1, 13)))
+    message = "^empty or full subset does not define a generator$"
+    with pytest.raises(MalformedInputError, match=message):
+        divisor_from_text(f"1 1,2\n1 {full}\n", 12)
+    with pytest.raises(MalformedInputError, match=message):
+        divisor_from_json_dict({"n": 12, "terms": [{"coeff": 1, "subset": full}]})
 
 
 def test_divisor_arithmetic_and_validation():

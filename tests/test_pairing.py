@@ -550,3 +550,23 @@ def test_functional_validation():
         CurveFunctional(5, (0, 0, 0), {})  # wrong psi length
     with pytest.raises(InvalidInputError):
         CurveFunctional(5, (0,) * 5, {0b00001: 1})  # psi key in boundary map
+
+
+def test_functional_json_refuses_a_repeated_subset(qr_witness):
+    # the last value was kept: 1 then 2 for {1,2} loaded as 2, where a
+    # divisor file sums its repeated terms to 3
+    obj = functional_to_json_dict(qr_witness)
+    obj["boundary"] += [{"subset": "1,2", "value": 1}, {"subset": "2, 1", "value": 2}]
+    with pytest.raises(MalformedInputError, match="^boundary subset 1,2 is repeated$"):
+        functional_from_json_dict(obj)
+    obj["boundary"].pop()
+    assert functional_from_json_dict(obj).boundary[0b11] == 1
+
+
+@pytest.mark.parametrize("subset", ["3", "1,2,3,4,5,6,7,8,9,10,11", "1,12"])
+def test_functional_json_refuses_a_subset_that_is_no_boundary_key(qr_witness, subset):
+    # a psi key, the psi key of marking 12, and a side that holds marking 12
+    obj = functional_to_json_dict(qr_witness)
+    obj["boundary"].append({"subset": subset, "value": 1})
+    with pytest.raises(MalformedInputError, match=f"^{subset} is not a boundary key for n=12$"):
+        functional_from_json_dict(obj)

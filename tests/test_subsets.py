@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 import weakref
 
@@ -17,18 +18,21 @@ from fnef import (
     fcurve_at,
     fcurve_block_arrays,
     parse_fcurve,
-    stirling2,
 )
 import fnef.subsets
 from fnef.errors import InvalidInputError
 from fnef.subsets import (
     completion_tables,
     elements_from_mask,
+    exact_int,
     format_subset,
     full_mask,
+    integer,
     last_marking_alone,
     mask_from_elements,
     parse_subset,
+    psi_marking,
+    validate_n,
 )
 
 
@@ -133,7 +137,7 @@ def test_n5_restricted_growth_order():
 @pytest.mark.parametrize("n", range(4, 10))
 def test_block_arrays_match_restricted_growth_oracle(n):
     arr = fcurve_block_arrays(n)
-    assert arr.dtype == np.int32 and arr.shape == (stirling2(n, 4), 4)
+    assert arr.dtype == np.int32 and arr.shape == (count_fcurves(n), 4)
     assert not arr.flags.writeable
     assert np.array_equal(arr, restricted_growth_rows(n))  # row order too
 
@@ -211,12 +215,11 @@ def test_enumerate_checks_every_row(monkeypatch, bad):
     assert checked != row
 
 
-def test_stirling_recurrence_values():
-    assert stirling2(4, 4) == 1
-    assert stirling2(12, 4) == 611501
-    assert count_fcurves(12) == 611501
-    # recurrence identity spot check
-    assert stirling2(13, 4) == stirling2(12, 3) + 4 * stirling2(12, 4)
+def test_count_matches_the_closed_form():
+    # the Stirling number S(n, 4) by inclusion-exclusion over empty blocks
+    for n in range(4, 17):
+        assert count_fcurves(n) == (4**n - 4 * 3**n + 6 * 2**n - 4) // 24
+    assert (count_fcurves(4), count_fcurves(12), count_fcurves(13)) == (1, 611501, 2532530)
 
 
 def test_count_rejects_small_n():
@@ -233,6 +236,9 @@ def test_fcurve_validation():
         FCurve(5, (0b00011, 0b00100, 0b01000, 0))  # empty block
     with pytest.raises(InvalidInputError):
         FCurve(5, (0b00011, 0b00111, 0b01000, 0b10000))  # overlap
+    for blocks in ((0b00011, 0b00100, 0b11000), (1, 2, 4, 8, 16)):
+        with pytest.raises(InvalidInputError, match="^an F-curve needs exactly 4 blocks$"):
+            FCurve(5, blocks)
 
 
 def test_fcurve_canonical_block_order():
@@ -257,6 +263,60 @@ def test_subset_round_trip():
         parse_subset("0,1", 11)
     with pytest.raises(InvalidInputError):
         parse_subset("", 11)
+    with pytest.raises(InvalidInputError, match="^bad subset '1,x': invalid integer 'x'$"):
+        parse_subset("1,x", 11)
+
+
+@pytest.mark.parametrize("text", ["1_1", "\uff11,2", "1,+-2", "0x1", "1.0"])
+def test_subset_markings_are_sign_and_ascii_digits(text):
+    # int() read "1_1" as marking 11 and the fullwidth one as marking 1
+    with pytest.raises(InvalidInputError, match="^bad subset .*: invalid integer"):
+        parse_subset(text, 12)
+
+
+def test_text_integers_are_sign_and_ascii_digits():
+    assert [integer(t) for t in ("0", "+7", "-12", "007")] == [0, 7, -12, 7]
+    for text in ("", "+", "1_0", " 7", "7 ", "\uff17", "\u0667", "7.0", "0x7", "1e3"):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'invalid integer {text!r}')}$"):
+            integer(text)
+
+
+def test_exact_int_is_operator_index_without_bools():
+    assert [exact_int(v, "v") for v in (3, -2, np.int64(5), np.uint8(7))] == [3, -2, 5, 7]
+    assert all(type(exact_int(v, "v")) is int for v in (np.int64(5), np.uint8(7)))
+    for value in (True, False, np.True_, 1.0, 0.5, "3", None):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'v must be an integer, got {value!r}')}$"):
+            exact_int(value, "v")
+
+
+def test_marking_counts_are_read_through_exact_int():
+    assert type(validate_n(np.int64(12))) is int
+    curve = FCurve(np.int64(5), (np.int64(1), 2, 4, 24))
+    assert curve == FCurve(5, (1, 2, 4, 24))
+    assert all(type(x) is int for x in (curve.n, *curve.blocks))
+    with pytest.raises(InvalidInputError, match="^marking count must be an integer, got 12.0$"):
+        validate_n(12.0)
+    with pytest.raises(InvalidInputError, match=r"^marking count must be an integer in \[4, 16\], got 3$"):
+        validate_n(np.int64(3))
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1"], ids=repr)
+def test_subset_entry_points_refuse_non_integers(value):
+    # 2.5 and 1.0 failed with TypeError or AttributeError; True was read as 1
+    refusals = {
+        "F-curve index": lambda: fcurve_at(6, value),
+        "mask": lambda: canonical_generator(value, 5),
+        "block": lambda: FCurve(5, (value, 2, 4, 24)),
+    }
+    for what, call in refusals.items():
+        with pytest.raises(InvalidInputError, match=f"^{what} must be an integer, got {value!r}$"):
+            call()
+
+
+def test_psi_marking_refuses_a_boundary_key():
+    assert (psi_marking(0b100, 5), psi_marking(0b1111, 5)) == (3, 5)
+    with pytest.raises(InvalidInputError, match="^1,2 is not a psi-type key$"):
+        psi_marking(0b11, 5)
 
 
 @given(st.integers(min_value=4, max_value=9))
@@ -270,7 +330,7 @@ def test_stream_is_restartable(n):
 def test_block_array_refused_beyond_physical_memory(monkeypatch):
     # S(9,4) rows of 4 int32 need 16 * 7770 bytes; one byte less is refused
     # before the array is allocated, and exactly that much is enough
-    need = 16 * stirling2(9, 4)
+    need = 16 * count_fcurves(9)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
     tracemalloc.start()
     try:
@@ -280,7 +340,7 @@ def test_block_array_refused_beyond_physical_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
-    assert len(fcurve_block_arrays(9)) == stirling2(9, 4)
+    assert len(fcurve_block_arrays(9)) == count_fcurves(9)
 
 
 def test_block_array_is_fresh_on_every_call():
@@ -310,11 +370,11 @@ def test_kept_rows_are_the_arrays_rows_at_the_mask(n):
 @pytest.mark.parametrize(
     "keep",
     [
-        [True] * stirling2(9, 4),  # not an array
-        np.ones(stirling2(9, 4), dtype=np.int8),  # not boolean
-        np.ones(stirling2(9, 4) - 1, dtype=bool),
-        np.ones(stirling2(9, 4) + 1, dtype=bool),
-        np.ones((stirling2(9, 4), 1), dtype=bool),  # not 1-D
+        [True] * count_fcurves(9),  # not an array
+        np.ones(count_fcurves(9), dtype=np.int8),  # not boolean
+        np.ones(count_fcurves(9) - 1, dtype=bool),
+        np.ones(count_fcurves(9) + 1, dtype=bool),
+        np.ones((count_fcurves(9), 1), dtype=bool),  # not 1-D
         np.True_,
     ],
 )
@@ -326,7 +386,7 @@ def test_kept_rows_refuse_a_mask_that_is_not_one_per_curve(keep):
 def test_kept_rows_refused_beyond_physical_memory(monkeypatch):
     # 16 bytes per kept row, not per curve: one byte less is refused,
     # exactly that much is enough
-    keep = np.random.default_rng(9).random(stirling2(9, 4)) < 0.25
+    keep = np.random.default_rng(9).random(count_fcurves(9)) < 0.25
     need = 16 * int(keep.sum())
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
     with pytest.raises(InvalidInputError, match=f"needs {need} bytes"):
@@ -340,8 +400,8 @@ def test_last_marking_alone_is_the_arrays_last_block(n):
     mask = last_marking_alone(n)
     assert mask.dtype == bool
     assert np.array_equal(mask, fcurve_block_arrays(n)[:, 3] == 1 << (n - 1))
-    # {n} alone leaves a 3-block partition of {1..n-1}
-    assert np.count_nonzero(mask) == stirling2(n - 1, 3)
+    # {n} alone leaves a 3-block partition of {1..n-1}: S(n-1, 3) of them
+    assert np.count_nonzero(mask) == (3 ** (n - 1) - 3 * 2 ** (n - 1) + 3) // 6
 
 
 def row_curve(n, row):
@@ -364,7 +424,7 @@ def test_fcurve_at_matches_sampled_rows(n):
 
 @pytest.mark.parametrize("n", [4, 9, 16])
 def test_fcurve_at_refuses_positions_outside_the_enumeration(n):
-    rows = stirling2(n, 4)
+    rows = count_fcurves(n)
     for index in (-1, rows):
         with pytest.raises(InvalidInputError, match="outside"):
             fcurve_at(n, index)
