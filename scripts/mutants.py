@@ -42,6 +42,7 @@ class Mutant:
 
 _NARROWEST = "tests/test_pairing.py::test_scan_runs_in_the_narrowest_dtype_that_holds_seven_coefficients"
 _SLICED = "tests/test_pairing.py::test_sliced_scan_matches_per_curve_oracle"
+_COL_ROWS = "tests/test_cone.py::test_col_rows_built_in_place_match_the_stacked_rows"
 _ENUMERATION = (
     "tests/test_pairing.py::test_enumeration_scan_matches_per_curve_oracle",
     "tests/test_pairing.py::test_enumeration_scan_matches_row_scan",
@@ -94,9 +95,16 @@ MUTANTS = (
     Mutant(
         "table-without-reverse",
         "src/fnef/pairing.py",
-        "table = np.concatenate([table, table[::-1]])",
-        "table = np.concatenate([table, table])",
-        (*_ENUMERATION, _SLICED),
+        "return np.concatenate([table, table[::-1]])",
+        "return np.concatenate([table, table])",
+        (*_ENUMERATION, _SLICED, _COL_ROWS),
+    ),
+    Mutant(
+        "row-keys-unions-from-block-1",
+        "src/fnef/pairing.py",
+        "b0 = blocks[:, 0]",
+        "b0 = blocks[:, 1]",
+        (_SLICED, _COL_ROWS),
     ),
     Mutant(
         "chunk-drops-last-prefix",
@@ -167,6 +175,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "subset-accepts-non-text",
+        "src/fnef/subsets.py",
+        "if not isinstance(text, str):",
+        "if False:",
+        (
+            "tests/test_divisors.py::test_divisor_json_refuses_a_subset_that_is_not_a_string",
+            "tests/test_cli.py::test_json_subset_that_is_not_a_string_exits_2",
+        ),
+    ),
+    Mutant(
         "functional-keeps-repeated-subsets",
         "src/fnef/pairing.py",
         "if mask in boundary:",
@@ -206,9 +224,9 @@ MUTANTS = (
     ),
     Mutant(
         "row-pattern-sign",
-        "src/fnef/cone.py",
-        "_ROW_PATTERN = np.array([1, 1, 1, -1, -1, -1, -1],",
-        "_ROW_PATTERN = np.array([1, 1, -1, -1, -1, -1, -1],",
+        "src/fnef/pairing.py",
+        "ROW_PATTERN = np.array([1, 1, 1, -1, -1, -1, -1],",
+        "ROW_PATTERN = np.array([1, 1, -1, -1, -1, -1, -1],",
         (
             "tests/test_cone.py::test_peel_sets_aside_one_column_of_a_triangle",
             "tests/test_cone.py::test_peeled_rank_matches_exact_rank",

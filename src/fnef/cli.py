@@ -141,7 +141,7 @@ def _load_divisor_arg(args, manifest: Manifest, bp: Biplane) -> DivisorClass:
     if args.n not in (None, 12):
         raise InvalidInputError(f"the {named} divisor has 12 markings, got --n {args.n}")
     if named == "symmetric":
-        return symmetric_divisor(12)
+        return symmetric_divisor()
     return biplane_divisor(bp) if named == "biplane" else biplane_block_star_divisor(bp)
 
 

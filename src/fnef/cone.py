@@ -25,7 +25,6 @@ exact: residues are below p <= 2^31, so every product of two is below
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from math import isqrt
 from typing import Iterable, Optional
 
@@ -45,11 +44,14 @@ from .divisors import (
 )
 from .errors import InvalidInputError
 from .pairing import (
+    ROW_PATTERN,
     CurveFunctional,
     biplane_curve_functional,
     check_relations,
+    full_width,
     pair_divisor_functional,
     pairing_values,
+    row_keys,
     scan_dtype,
 )
 from .subsets import (
@@ -66,10 +68,6 @@ from .subsets import (
 #: cap that keeps the rank kernel's arithmetic exact: residue products stay
 #: below 2^62 in int64 (see ModpEliminator).
 DEFAULT_PRIMES = (2147483629, 2147483647)
-
-#: An F-curve row's value at its seven keys b0|b1, b0|b2, b0|b3, b0, b1, b2,
-#: b3 (`_free_col_rows`): the three unions with block 0 count +1, the blocks -1.
-_ROW_PATTERN = np.array([1, 1, 1, -1, -1, -1, -1], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,7 @@ def verify_counterexample(bp: Biplane) -> CounterexampleReport:
     div = biplane_divisor(bp)
     fnef = fnef_check(div)
     cert = certify_not_boundary(div, biplane_curve_functional(bp))
-    decomposition = symmetric_divisor(12) - biplane_block_star_divisor(bp)
+    decomposition = symmetric_divisor() - biplane_block_star_divisor(bp)
     return CounterexampleReport(
         fnef=fnef,
         certificate=cert,
@@ -268,13 +266,13 @@ class Peel:
 
 
 def _pattern_sum(x: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """sum_k _ROW_PATTERN[k] * x[keys[k]] for the seven key columns of some
+    """sum_k ROW_PATTERN[k] * x[keys[k]] for the seven key columns of some
     F-curve rows, one array per key (-1 reads the last row of x): the one
     signed seven-key sum, for the Schur map's fill, the Schur rows and the
     orthogonality dots.  Every entry and partial sum is at most 7 max|x| in
     size, which each caller keeps below 2^63."""
     out = np.zeros((keys.shape[1], x.shape[1]), dtype=np.int64)
-    for sign, cols in zip(_ROW_PATTERN, keys):
+    for sign, cols in zip(ROW_PATTERN, keys):
         out += sign * x[cols]
     return out
 
@@ -312,7 +310,7 @@ class ModpEliminator:
     def add_pattern_rows(
         self, col_rows: np.ndarray, batch: int = 512, stop_rank: Optional[int] = None
     ) -> int:
-        """Feed F-curve rows: row i has `_ROW_PATTERN[k]` at column
+        """Feed F-curve rows: row i has `ROW_PATTERN[k]` at column
         col_rows[i, k] of the peel's columns (no entry where that is -1).
 
         Rows are fed in batches of `batch`, and a later call continues from
@@ -348,37 +346,22 @@ class ModpEliminator:
 
 def _free_col_rows(blocks: np.ndarray, free_index: np.ndarray) -> np.ndarray:
     """Per curve, the reduced-coordinate column of each of its 7 pairing
-    keys (-1 where the key is a pivot and the entry is dropped).  The table
-    is indexed by every subset mask, `free_index` followed by its reverse,
-    as in `pairing_values`.  The rows are stored key by key: the result is
-    the transpose of a C-contiguous (7, N) array, so each key's columns are
-    contiguous for the peel's gathers.  Each key's columns are taken
-    straight into their row of it, so besides the result and `blocks` only
-    one key's masks are held at a time.  Every mask is below 2^n, so
-    take's "wrap" mode, faster than its checked default, reads the same.
-    """
-    cols = np.concatenate([free_index, free_index[::-1]])
-    b0 = blocks[:, 0]
-    keys = chain((b0 | b for b in blocks.T[1:]), blocks.T)
-    out = np.empty((len(_ROW_PATTERN), len(blocks)), dtype=cols.dtype)
-    for row, key in zip(out, keys):
-        cols.take(key, out=row, mode="wrap")
-    return out.T
+    keys (-1 where the key is a pivot and the entry is dropped), read by
+    `row_keys` from `free_index` at full width.  The rows are stored key by
+    key: the result is the transpose of a C-contiguous (7, N) int64 array,
+    so each key's columns are contiguous for the peel's gathers."""
+    out = np.empty((len(ROW_PATTERN), len(blocks)), dtype=np.int64)
+    return row_keys(full_width(free_index), blocks, out).T
 
 
 def _structural_peel(col_rows: np.ndarray, ncols: int) -> Peel:
     """Singleton propagation with set-asides, over F-curve rows: row i has
-    `_ROW_PATTERN[k]` at column col_rows[i, k] (no entry where that is -1).
+    `ROW_PATTERN[k]` at column col_rows[i, k] (no entry where that is -1).
 
-    The columns of a row are pairwise distinct, because its seven keys
-    b0|b1, b0|b2, b0|b3, b0, b1, b2, b3 are and no two of them are
-    complements.  The blocks are nonempty and disjoint, so no block equals
-    another block or a union of two, and no two of the unions are equal.
-    The complement of a block is a union of three blocks, and that of
-    b0|bi the union of the two blocks other than b0; neither is among the
-    seven.  So the seven canonical keys differ, and `free_index` maps them
-    to distinct columns or to -1.  Each entry is therefore the row's
-    coefficient at its column, +-1.
+    The columns of a row are pairwise distinct: its seven keys name seven
+    distinct generators (`row_keys`), which `free_index` maps to distinct
+    columns or to -1.  Each entry is therefore the row's coefficient at its
+    column, +-1.
 
     A column is covered once some row has it as its only uncovered column;
     where several rows compete for one column, the first takes it.  When no
@@ -417,7 +400,7 @@ def _structural_peel(col_rows: np.ndarray, ncols: int) -> Peel:
                 # one taking row per column, kept for the Schur map
                 new, first = np.unique(new, return_index=True)
                 single, own = single[first], own[first]
-                rounds.append((new, keys[:, single], _ROW_PATTERN[own]))
+                rounds.append((new, keys[:, single], ROW_PATTERN[own]))
             uncovered_col[new] = False
             continue
         live = count > 0
@@ -435,7 +418,7 @@ def _structural_peel(col_rows: np.ndarray, ncols: int) -> Peel:
     for cols, round_keys, signs in rounds:
         # the taking row's own column is still 0 here
         schur[cols] = -signs[:, None] * _pattern_sum(schur, round_keys)
-        check_int64_sums(schur[cols].ravel().tolist(), len(_ROW_PATTERN), "the Schur map")
+        check_int64_sums(schur[cols].ravel().tolist(), len(ROW_PATTERN), "the Schur map")
     schur.flags.writeable = False
     return Peel(
         taken=covered - k,
@@ -450,7 +433,7 @@ def _check_orthogonal(
 ) -> None:
     """Exact int64 dot product of every row with the reduced coordinates;
     raises unless all vanish."""
-    check_int64_sums(reduced.values(), len(_ROW_PATTERN), "orthogonality check")
+    check_int64_sums(reduced.values(), len(ROW_PATTERN), "orthogonality check")
     # one extra zero entry, so the -1 of a dropped pivot key reads 0
     coords = np.zeros(ncols + 1, dtype=np.int64)
     coords[free_index[list(reduced)]] = list(reduced.values())

@@ -267,13 +267,13 @@ def canonical_divisor(n: int) -> DivisorClass:
     )
 
 
-def _exceptional_key(s_mask: int, n: int = 12) -> int:
-    """Canonical key of the blown-up class indexed by a subset of {1..n-1}:
-    the partition side s together with the last marking."""
-    return canonical_generator(s_mask | (1 << (n - 1)), n)
+def _exceptional_key(s_mask: int) -> int:
+    """Canonical key at n=12 of the blown-up class indexed by a subset of
+    {1..11}: the partition side s together with marking 12."""
+    return canonical_generator(s_mask | (1 << 11), 12)
 
 
-def symmetric_divisor(n: int = 12) -> DivisorClass:
+def symmetric_divisor() -> DivisorClass:
     """The fully symmetric nef divisor on the 12-marking space.
 
     Exceptional classes indexed by subsets of {1..11} of size k <= 4 enter
@@ -281,8 +281,6 @@ def symmetric_divisor(n: int = 12) -> DivisorClass:
     min(min s_i, 6 - max s_i), cut off at 0 once a block has 6 or more
     markings.
     """
-    if n != 12:
-        raise InvalidInputError("the symmetric divisor is only defined at n=12")
     return DivisorClass(12, {
         _exceptional_key(mask_from_elements(s, 11)): len(s) - 5
         for size in range(5)
@@ -308,7 +306,7 @@ def biplane_divisor(bp: Biplane) -> DivisorClass:
     subsets = (
         mask_from_elements(s, 11) for size in (5, 6) for s in combinations(range(1, 12), size)
     )
-    return symmetric_divisor(12) - DivisorClass(12, {
+    return symmetric_divisor() - DivisorClass(12, {
         _exceptional_key(s): 1 for s in subsets if any(s == b or not s & b for b in bp.blocks)
     })
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Mapping, Optional
 
 import numpy as np
@@ -157,9 +158,49 @@ def check_relations(f: CurveFunctional) -> RelationCheck:
     return RelationCheck(False, (int(i[k]) + 1, int(j[k]) + 1), int(totals[k]))
 
 
-#: Rows per slice of the pairing scan of explicit rows.  At n=12 and 13,
-#: slices of 8192 to 32768 rows ran within 15% of each other, and 4096 or
-#: 65536 up to a quarter slower; each of the two slice buffers holds 128 KiB.
+#: The F-curve row: the signs of a pairing's seven keys (`row_keys`), +1 on
+#: the three unions with block 0 and -1 on the four blocks.
+ROW_PATTERN = np.array([1, 1, 1, -1, -1, -1, -1], dtype=np.int64)
+ROW_PATTERN.flags.writeable = False
+
+
+def full_width(table: np.ndarray) -> np.ndarray:
+    """A table over the 2^(n-1) canonical keys, read at every subset mask
+    below 2^n: the table followed by its reverse.  A mask m at or above
+    2^(n-1) holds marking n, so its canonical key is its complement
+    2^n - 1 - m, and the reverse holds that key's entry at m.  A mask thus
+    reads its generator's entry whichever side of the generator it names."""
+    return np.concatenate([table, table[::-1]])
+
+
+def row_keys(table: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill `out`, a (7, len(blocks)) array, and return it: out[k, i] is
+    `table` at key k of row i, for the keys b0|b1, b0|b2, b0|b3, b0, b1, b2,
+    b3 of the row's blocks b0..b3, whose signs are `ROW_PATTERN`.
+
+    `table` is read at every subset mask (`full_width`), and every mask
+    must be below 2^n, its length: take's "wrap" mode, faster than its
+    checked default, reads the same there and does not check it.  Each
+    key's masks are taken straight into its row of `out`, so besides `out`
+    and `blocks` only one key's masks are held at a time.
+
+    The seven keys name seven distinct generators: they are pairwise
+    distinct and no two are complements.  The blocks are nonempty and
+    disjoint, so no block equals another block or a union of two, and no
+    two of the unions are equal.  The complement of a block is a union of
+    three blocks, and that of b0|bi the union of the two blocks other than
+    b0; neither is among the seven.
+    """
+    b0 = blocks[:, 0]
+    for row, key in zip(out, chain((b0 | b for b in blocks.T[1:]), blocks.T)):
+        table.take(key, out=row, mode="wrap")
+    return out
+
+
+#: Rows per slice of the row scan.  The slices bound its temporaries at
+#: every row count: one (7, _SCAN_ROWS) buffer of the scan dtype (112 KiB in
+#: int8) and one key's masks.  They cost no speed: 100000 sampled rows at
+#: n=13 scan in about 2.1 ms sliced or not (one pinned vCPU).
 _SCAN_ROWS = 16384
 
 #: Markings in the suffix of the enumeration scan.  Its plan takes 0.27 MiB
@@ -264,11 +305,11 @@ def _scan_enumeration(table: np.ndarray, n: int) -> np.ndarray:
     """`pairing_values` over the enumeration, as prefixes times completions.
 
     A row is a prefix's blocks P0..P3 joined with a completion's S0..S3, and
-    the table reads a mask and its complement alike, so b0|b3 reads as b1|b2
-    and b0|b2 as b1|b3.  The seven terms regroup into three kinds, each a
-    function of a disjoint pair of suffix parts: A(S1, S2) = c(b1|b2) -
-    c(b1) - c(b2), E(S0, S1) = c(b0|b1) - c(b0) and F(S3, S1) = c(b1|b3) -
-    c(b3).
+    the full-width table reads a mask and its complement alike, so b0|b3
+    reads as b1|b2 and b0|b2 as b1|b3.  The seven terms regroup into three
+    kinds, each a function of a disjoint pair of suffix parts: A(S1, S2) =
+    c(b1|b2) - c(b1) - c(b2), E(S0, S1) = c(b0|b1) - c(b0) and F(S3, S1) =
+    c(b1|b3) - c(b3).
 
     Completions that agree on all but the last two suffix markings are
     consecutive, and those two markings carry the top digits of every code.
@@ -356,10 +397,8 @@ def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.n
     to n=16, have |c| <= 9 and scan in int8.  A caller that multiplies
     values should first widen them with `.astype(np.int64)`.
 
-    The table holds the coefficient of m's canonical key at every subset
-    mask m: `d.dense_table()` followed by its reverse, since a mask at or
-    above 2^(n-1) reads its complement 2^n - 1 - m.  The two paths read it
-    differently:
+    The table is `d.dense_table()` at full width (`full_width`), read at
+    every subset mask.  The two paths read it differently:
 
     - Without `blocks`, the enumeration is scanned as prefixes times
       completions (`_scan_enumeration`): per-prefix records of 16 values,
@@ -367,36 +406,24 @@ def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.n
       two adds fill 16 consecutive curves.  It needs the enumeration's
       structure, so it serves only the whole enumeration.
     - With `blocks`, any rows are scanned: 4-block partitions as int32 or
-      int64 masks, each below 2^n (np.take's "wrap" mode, a third faster
-      than its checked default, does not check it).  The rows are taken in
-      slices of `_SCAN_ROWS`, each summed in place in its part of the
-      result through one index buffer and one value buffer, so the
-      temporaries stay two slice-length buffers at every n.  This path
-      serves sampled rows and is the enumeration scan's oracle in the
-      tests.
+      int64 masks, each below 2^n (`row_keys`).  The rows are taken in
+      slices of `_SCAN_ROWS`: `row_keys` fills one 7-row buffer with a
+      slice's keys, and the three union rows minus the four block rows are
+      summed into its part of the result.  This path serves sampled rows
+      and is the enumeration scan's oracle in the tests.
     """
     dtype = scan_dtype(d)
-    table = d.dense_table().astype(dtype)
-    table = np.concatenate([table, table[::-1]])
+    table = full_width(d.dense_table().astype(dtype))
     if blocks is None:
         return _scan_enumeration(table, d.n)
     out = np.empty(len(blocks), dtype=dtype)
-    idx = np.empty(_SCAN_ROWS, dtype=np.intp)
-    val = np.empty(_SCAN_ROWS, dtype=dtype)
+    keys = np.empty((len(ROW_PATTERN), _SCAN_ROWS), dtype=dtype)
     for s in range(0, len(blocks), _SCAN_ROWS):
         rows = blocks[s : s + _SCAN_ROWS]
-        k = len(rows)
-        acc, ix, v = out[s : s + k], idx[:k], val[:k]
-        np.bitwise_or(rows[:, 0], rows[:, 1], out=ix)
-        np.take(table, ix, out=acc, mode="wrap")
-        for j in (2, 3):
-            np.bitwise_or(rows[:, 0], rows[:, j], out=ix)
-            np.take(table, ix, out=v, mode="wrap")
-            acc += v
-        for j in range(4):
-            ix[...] = rows[:, j]
-            np.take(table, ix, out=v, mode="wrap")
-            acc -= v
+        acc = out[s : s + len(rows)]
+        terms = row_keys(table, rows, keys[:, : len(rows)])
+        terms[:3].sum(axis=0, dtype=dtype, out=acc)
+        acc -= terms[3:].sum(axis=0, dtype=dtype)
     return out
 
 

@@ -79,8 +79,11 @@ def full_mask(n: int) -> int:
 
 
 def mask_from_elements(elements: Iterable[int], n: int) -> int:
+    """The mask of markings `elements`, each an integer (`exact_int`) in
+    1..n; raises InvalidInputError otherwise."""
     m = 0
     for e in elements:
+        e = exact_int(e, "marking")
         if not 1 <= e <= n:
             raise InvalidInputError(f"marking {e} out of range 1..{n}")
         m |= 1 << (e - 1)
@@ -103,6 +106,10 @@ def format_subset(mask: int) -> str:
 
 
 def parse_subset(text: str, n: int) -> int:
+    """The mask of a subset written as comma-separated markings of 1..n;
+    raises InvalidInputError for anything else, a non-string included."""
+    if not isinstance(text, str):
+        raise InvalidInputError(f"subset must be a string, got {text!r}")
     parts = [p for p in text.replace(" ", "").split(",") if p]
     if not parts:
         raise InvalidInputError(f"empty subset in {text!r}")

@@ -24,7 +24,7 @@ from fnef import (
     pairing_values,
     relation_system,
 )
-from fnef.cone import _ROW_PATTERN
+from fnef.pairing import ROW_PATTERN
 from fnef.errors import InvalidInputError
 from fnef.subsets import full_mask, is_psi_key, psi_marking
 
@@ -56,12 +56,12 @@ def rank_exact(rows: Iterable[Sequence], ncols: int) -> int:
 
 
 def dense_rows(col_rows: np.ndarray, ncols: int) -> list[list[int]]:
-    """Pattern rows (`_ROW_PATTERN[k]` at column col_rows[i, k], none where
+    """Pattern rows (`ROW_PATTERN[k]` at column col_rows[i, k], none where
     that is -1) as dense integer lists."""
     dense = []
     for row in col_rows:
         vec = [0] * ncols
-        for c, v in zip(row, _ROW_PATTERN):
+        for c, v in zip(row, ROW_PATTERN):
             if c >= 0:
                 vec[int(c)] += int(v)
         dense.append(vec)

@@ -105,7 +105,7 @@ def test_criterion_3_counterexample(qr_divisor, qr_witness):
 
 def test_criterion_4_decomposition(qr_biplane, qr_divisor):
     t0 = time.perf_counter()
-    other = symmetric_divisor(12) - biplane_block_star_divisor(qr_biplane)
+    other = symmetric_divisor() - biplane_block_star_divisor(qr_biplane)
     reduced_equal = reduce_canonical(qr_divisor) == reduce_canonical(other)
     pair_equal = bool(np.array_equal(pairing_values(qr_divisor), pairing_values(other)))
     elapsed = time.perf_counter() - t0
@@ -121,7 +121,7 @@ def test_criterion_5_symmetric_degree_formula():
     smallest = sizes.min(axis=1)
     largest = sizes.max(axis=1)
     closed_form = np.where(largest >= 6, 0, np.minimum(smallest, 6 - largest))
-    scanned = pairing_values(symmetric_divisor(12))
+    scanned = pairing_values(symmetric_divisor())
     mismatches = int(np.count_nonzero(scanned != closed_form))
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and len(scanned) == FCURVE_COUNT_12

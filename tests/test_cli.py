@@ -457,6 +457,25 @@ def test_pair_refuses_a_functional_that_repeats_a_subset(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"error: {path}: boundary subset 1,2 is repeated\n")
 
 
+def test_json_subset_that_is_not_a_string_exits_2(tmp_path, capsys):
+    # a subset that was no string failed with AttributeError and exit 1; a
+    # missing coeff or value reaches the readers' KeyError branch
+    functional = functional_to_json_dict(biplane_curve_functional(build_biplane_qr()))
+    with_functional = ("pair", "--named", "symmetric", "--functional")
+    cases = [
+        (("pair", "--divisor"), {"n": 12, "terms": [{"coeff": 1, "subset": 5}]}, "subset must be a string, got 5"),
+        (("extremal", "--divisor"), {"n": 12, "terms": [{"coeff": 1, "subset": None}]}, "subset must be a string, got None"),
+        (("pair", "--divisor"), {"n": 12, "terms": [{"subset": "1,2"}]}, "bad divisor object: KeyError('coeff')"),
+        (with_functional, {**functional, "boundary": [{"subset": 3, "value": 1}]}, "subset must be a string, got 3"),
+        (with_functional, {**functional, "boundary": [{"subset": "1,2"}]}, "bad functional object: KeyError('value')"),
+    ]
+    for i, (argv, obj, message) in enumerate(cases):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_extremal_rejects_non_fnef_divisor(tmp_path, capsys):
     d = DivisorClass(12, {mask_from_elements([1, 2], 12): 1})
     path = tmp_path / "single.txt"
@@ -657,7 +676,7 @@ def test_verify_scans_once_and_fails_on_a_decomposition_mismatch(
     symmetric = fnef.cone.symmetric_divisor
     monkeypatch.setattr(
         fnef.cone, "symmetric_divisor",
-        lambda n: symmetric(n) + DivisorClass(n, {mask_from_elements([1, 2], n): 1}),
+        lambda: symmetric() + DivisorClass(12, {mask_from_elements([1, 2], 12): 1}),
     )
     code, out, _ = run(capsys, "verify")
     assert code == 1 and calls == [12]

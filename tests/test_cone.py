@@ -45,14 +45,13 @@ from fnef.cone import (
     ExtremalityReport,
     ModpEliminator,
     Peel,
-    _ROW_PATTERN,
     _check_orthogonal,
     _free_col_rows,
     _structural_peel,
     check_modulus,
 )
 from fnef.errors import InvalidInputError
-from fnef.pairing import scan_dtype
+from fnef.pairing import ROW_PATTERN, scan_dtype
 from fnef.subsets import all_generator_keys, count_fcurves, mask_from_elements
 from oracles import (
     dense_rows,
@@ -284,7 +283,7 @@ def test_certificates(qr_biplane, qr_divisor, qr_witness):
     single = DivisorClass(12, {mask_from_elements([1, 2], 12): 1})
     assert not certify_not_boundary(single, qr_witness).certified
 
-    d0_cert = certify_not_boundary(symmetric_divisor(12), qr_witness)
+    d0_cert = certify_not_boundary(symmetric_divisor(), qr_witness)
     assert d0_cert.pairing == 10
     assert not d0_cert.certified
 
@@ -387,7 +386,7 @@ def test_peeled_rank_matches_exact_rank(matrix, data):
 
 def _rows(*entries):
     """Pattern rows from {position: column} dicts, -1 elsewhere."""
-    col_rows = np.full((len(entries), len(_ROW_PATTERN)), -1, dtype=np.int64)
+    col_rows = np.full((len(entries), len(ROW_PATTERN)), -1, dtype=np.int64)
     for i, row in enumerate(entries):
         for k, c in row.items():
             col_rows[i, k] = c

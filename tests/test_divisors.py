@@ -355,13 +355,11 @@ def test_canonical_divisor_coefficients():
 
 
 def test_symmetric_divisor_coefficients():
-    d0 = symmetric_divisor(12)
+    d0 = symmetric_divisor()
     assert d0.coeff(full_mask(11)) == -5
     assert d0.coeff(mask_from_elements(range(1, 11), 12)) == -4
     assert d0.coeff(mask_from_elements([1, 2], 12)) == 0
     assert d0.support_size() == 562  # sizes 7..11 over an 11-point set
-    with pytest.raises(InvalidInputError):
-        symmetric_divisor(11)
 
 
 def test_block_star_divisor(qr_biplane):
@@ -391,7 +389,7 @@ NAMED_DIVISOR_SHA256 = {
 
 def test_named_divisor_coefficients_are_pinned(qr_biplane):
     named = {
-        "symmetric": symmetric_divisor(12),
+        "symmetric": symmetric_divisor(),
         "block_star": biplane_block_star_divisor(qr_biplane),
         "biplane": biplane_divisor(qr_biplane),
     }
@@ -402,7 +400,7 @@ def test_named_divisor_coefficients_are_pinned(qr_biplane):
 
 def test_decomposition_identity(qr_biplane):
     div = biplane_divisor(qr_biplane)
-    other = symmetric_divisor(12) - biplane_block_star_divisor(qr_biplane)
+    other = symmetric_divisor() - biplane_block_star_divisor(qr_biplane)
     assert div == other
     assert reduce_canonical(div) == reduce_canonical(other)
 
@@ -413,7 +411,7 @@ def test_eliminate_psi_leaves_boundary_classes_alone():
 
 
 def test_eliminate_psi_preserves_class_of_symmetric_divisor():
-    d0 = symmetric_divisor(12)
+    d0 = symmetric_divisor()
     flat = eliminate_psi(d0)
     assert flat.is_boundary_only()
     assert reduce_canonical(flat) == reduce_canonical(d0)
@@ -602,6 +600,16 @@ def test_divisor_json_refuses_non_integers(field, value):
     target[field] = value
     with pytest.raises(MalformedInputError, match=f"{field} must be an integer"):
         divisor_from_json_dict(json.loads(json.dumps(obj)))
+
+
+def test_divisor_json_refuses_a_subset_that_is_not_a_string():
+    # a subset that was no string failed with AttributeError on str.replace
+    obj = {"n": 12, "terms": [{"coeff": 1, "subset": [1, 2]}]}
+    with pytest.raises(MalformedInputError, match=r"^subset must be a string, got \[1, 2\]$"):
+        parse_divisor(json.dumps(obj))
+    obj["terms"] = [{"subset": "1,2"}]
+    with pytest.raises(MalformedInputError, match=r"^bad divisor object: KeyError\('coeff'\)$"):
+        parse_divisor(json.dumps(obj))
 
 
 @pytest.mark.parametrize("value", [0.5, 1.0, Fraction(1, 2), "3"], ids=repr)

@@ -90,7 +90,7 @@ def test_case_exclusivity_exhaustive(n):
 
 
 def test_divisor_pairing_on_block_size_profiles():
-    d0 = symmetric_divisor(12)
+    d0 = symmetric_divisor()
     balanced = parse_fcurve("1,2,3|4,5,6|7,8,9|10,11,12", 12)
     assert pair_divisor_fcurve(d0, balanced) == 3
     skewed = parse_fcurve("1|2|3|4,5,6,7,8,9,10,11,12", 12)
@@ -436,7 +436,7 @@ def test_fcurve_functional_agrees_with_pairing():
 
 
 def test_functional_pairing_relation_invariance(qr_witness):
-    d = symmetric_divisor(12)
+    d = symmetric_divisor()
     base = pair_divisor_functional(d, qr_witness)
     assert base == 10  # only the top exceptional key pairs: (-5) x (-2)
     shifted = d + 2 * relation_row(3, 9, 12)
@@ -501,7 +501,7 @@ def test_mismatched_marking_counts_rejected(qr_witness):
     with pytest.raises(InvalidInputError):
         pair_divisor_functional(d5, qr_witness)
     c = parse_fcurve("1|2|3|4,5", 5)
-    d12 = symmetric_divisor(12)
+    d12 = symmetric_divisor()
     with pytest.raises(InvalidInputError):
         pair_divisor_fcurve(d12, c)
 

@@ -307,6 +307,8 @@ def test_subset_entry_points_refuse_non_integers(value):
         "F-curve index": lambda: fcurve_at(6, value),
         "mask": lambda: canonical_generator(value, 5),
         "block": lambda: FCurve(5, (value, 2, 4, 24)),
+        # [True, 2] was read as markings 1 and 2, [1.0, 2] failed with TypeError
+        "marking": lambda: mask_from_elements([value, 2], 5),
     }
     for what, call in refusals.items():
         with pytest.raises(InvalidInputError, match=f"^{what} must be an integer, got {value!r}$"):
