@@ -187,11 +187,32 @@ MUTANTS = (
     Mutant(
         "functional-keeps-repeated-subsets",
         "src/fnef/pairing.py",
-        "if mask in boundary:",
+        "if mask in values:",
         "if False:",
         (
             "tests/test_pairing.py::test_functional_json_refuses_a_repeated_subset",
             "tests/test_cli.py::test_pair_refuses_a_functional_that_repeats_a_subset",
+        ),
+    ),
+    Mutant(
+        "psi-key-off-by-one",
+        "src/fnef/subsets.py",
+        "1 << (i - 1)",
+        "1 << i",
+        (
+            "tests/test_subsets.py::test_psi_key_names_the_psi_keys",
+            "tests/test_acceptance.py::test_criterion_3_counterexample",
+        ),
+    ),
+    Mutant(
+        "json-accepts-non-array",
+        "src/fnef/divisors.py",
+        "if not isinstance(items, list):",
+        "if False:",
+        (
+            "tests/test_divisors.py::test_divisor_json_refuses_terms_that_are_not_an_array",
+            "tests/test_pairing.py::test_functional_json_refuses_a_field_that_is_not_an_array",
+            "tests/test_cli.py::test_json_field_that_is_not_an_array_exits_2",
         ),
     ),
     Mutant(

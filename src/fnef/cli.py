@@ -401,15 +401,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, Manifest(command=argv))
-    except (MalformedInputError, OSError) as exc:
+    except (InvalidInputError, MalformedInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except VerificationFailedError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except FnefError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED

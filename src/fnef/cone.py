@@ -277,6 +277,11 @@ def _pattern_sum(x: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Rows per batch of `ModpEliminator.add_pattern_rows`.  At n=12 the first
+#: batch already reaches rank 1980.
+_BATCH = 512
+
+
 class ModpEliminator:
     """Incremental Gaussian elimination over a prime field of the Schur
     complement that a structural peel leaves.
@@ -307,13 +312,11 @@ class ModpEliminator:
         self._schur = peel.schur
         self._basis: list[tuple[int, np.ndarray]] = []
 
-    def add_pattern_rows(
-        self, col_rows: np.ndarray, batch: int = 512, stop_rank: Optional[int] = None
-    ) -> int:
+    def add_pattern_rows(self, col_rows: np.ndarray, stop_rank: Optional[int] = None) -> int:
         """Feed F-curve rows: row i has `ROW_PATTERN[k]` at column
         col_rows[i, k] of the peel's columns (no entry where that is -1).
 
-        Rows are fed in batches of `batch`, and a later call continues from
+        Rows are fed in batches of `_BATCH`, and a later call continues from
         the basis of the earlier ones.  No further batch is fed once the
         rank reaches `stop_rank`, so the result is exactly the rank of all
         rows given (the taking rows among them) whenever `stop_rank` is a
@@ -324,10 +327,10 @@ class ModpEliminator:
         cap = self.taken + self.ncols
         if stop_rank is not None:
             cap = min(stop_rank, cap)
-        for start in range(0, len(col_rows), batch):
+        for start in range(0, len(col_rows), _BATCH):
             if self.rank >= cap:
                 break
-            chunk = np.asarray(col_rows[start : start + batch], dtype=np.int64)
+            chunk = np.asarray(col_rows[start : start + _BATCH], dtype=np.int64)
             self.rows_seen += len(chunk)
             rows = _pattern_sum(self._schur, chunk.T) % p
             for j, row in self._basis:

@@ -31,12 +31,11 @@ from .subsets import (
     canonical_generator,
     exact_int,
     format_subset,
-    full_mask,
     integer,
     is_psi_key,
     mask_from_elements,
     parse_subset,
-    psi_marking,
+    psi_key,
     validate_n,
 )
 
@@ -82,14 +81,6 @@ class DivisorClass:
 
     def support_size(self) -> int:
         return len(self.coeffs)
-
-    def psi_part(self) -> dict[int, int]:
-        """Coefficients on psi-type keys, indexed by marking number."""
-        return {
-            psi_marking(m, self.n): c
-            for m, c in self.coeffs.items()
-            if is_psi_key(m, self.n)
-        }
 
     def primitive(self) -> "DivisorClass":
         """The class divided by the gcd of its coefficients (the zero class
@@ -325,11 +316,10 @@ def eliminate_psi(d: DivisorClass) -> DivisorClass:
     coefficient (InvalidInputError).
     """
     n = d.n
-    psi = d.psi_part()
-    if not psi:
+    target = {m: -2 * d.coeff(psi_key(m, n)) for m in range(1, n + 1)}
+    if not any(target.values()):
         return d
 
-    target = {m: -2 * psi.get(m, 0) for m in range(1, n + 1)}
     y: dict[tuple[int, int], int] = {}
     for m in range(2, n + 1):
         if target[m]:
@@ -353,8 +343,7 @@ def eliminate_psi(d: DivisorClass) -> DivisorClass:
         k = int(odd[0])
         raise AssertionError(f"non-integral coefficient {acc[k]}/2 at {format_subset(k + 1)}")
     acc >>= 1
-    psi_keys = [1 << (m - 1) for m in range(1, n)] + [full_mask(n - 1)]
-    for mask in psi_keys:
+    for mask in (psi_key(m, n) for m in range(1, n + 1)):
         if acc[mask - 1]:
             raise AssertionError(f"psi key {format_subset(mask)} survived elimination")
     live = np.flatnonzero(acc)
@@ -420,10 +409,20 @@ def divisor_to_json_dict(d: DivisorClass) -> dict:
     }
 
 
+def json_array(obj: dict, key: str) -> list:
+    """`obj[key]`, which the file format requires to be a JSON array;
+    raises InvalidInputError for anything else, such as {} or "", which
+    would iterate as no entries."""
+    items = obj[key]
+    if not isinstance(items, list):
+        raise InvalidInputError(f"{key} must be a JSON array, got {items!r}")
+    return items
+
+
 def divisor_from_json_dict(obj: dict) -> DivisorClass:
     try:
         n = exact_int(obj["n"], "n")
-        items = obj["terms"]
+        items = json_array(obj, "terms")
         terms = [(parse_subset(t["subset"], n), exact_int(t["coeff"], "coeff")) for t in items]
         return DivisorClass.from_terms(n, terms)
     except InvalidInputError as exc:

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from .biplane import Biplane
-from .divisors import DivisorClass, check_int64_sums, relation_matrix
+from .divisors import DivisorClass, check_int64_sums, json_array, relation_matrix
 from .errors import InvalidInputError, MalformedInputError
 from .subsets import (
     FCurve,
@@ -30,62 +30,30 @@ from .subsets import (
     full_mask,
     is_psi_key,
     parse_subset,
-    psi_marking,
+    psi_key,
     validate_n,
 )
 
 
 @dataclass(frozen=True)
 class CurveFunctional:
-    """Integer pairing values on all generators of a fixed marking count.
+    """Integer pairing values on all generators of a fixed marking count:
+    `values` holds the value on each canonical key (absent means 0), the
+    value psi_i on the psi-type key of marking i (`psi_key`)."""
 
-    psi[i-1] is the value on the psi-type key of marking i; boundary maps
-    boundary key masks to values (absent means 0).  Keys and values must be
-    integers (`exact_int`); they are stored as Python ints.
-    """
+    values: DivisorClass
 
-    n: int
-    psi: tuple[int, ...]
-    boundary: Mapping[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", validate_n(self.n))
-        if len(self.psi) != self.n:
-            raise InvalidInputError(f"need {self.n} psi values, got {len(self.psi)}")
-        object.__setattr__(self, "psi", tuple(exact_int(v, "psi value") for v in self.psi))
-        clean = {}
-        for mask, v in self.boundary.items():
-            mask, v = exact_int(mask, "key"), exact_int(v, "value")
-            if is_psi_key(mask, self.n) or not 1 <= mask < (1 << (self.n - 1)):
-                raise InvalidInputError(
-                    f"{format_subset(mask)} is not a boundary key for n={self.n}"
-                )
-            if v:
-                clean[mask] = v
-        object.__setattr__(self, "boundary", clean)
-
-    def value(self, mask: int) -> int:
-        """Value on the generator with canonical key `mask`."""
-        if is_psi_key(mask, self.n):
-            return self.psi[psi_marking(mask, self.n) - 1]
-        return self.boundary.get(mask, 0)
+    @property
+    def n(self) -> int:
+        return self.values.n
 
     def boundary_min(self) -> int:
         """Minimum value over all boundary keys (absent keys count as 0)."""
-        n_boundary = (1 << (self.n - 1)) - 1 - self.n
-        lowest = min(self.boundary.values(), default=0)
-        if len(self.boundary) < n_boundary:
-            lowest = min(lowest, 0)
-        return lowest
-
-    def dense_table(self) -> np.ndarray:
-        table = np.zeros(1 << (self.n - 1), dtype=np.int64)
-        for mask, v in self.boundary.items():
-            table[mask] = v
-        for i in range(1, self.n):
-            table[1 << (i - 1)] = self.psi[i - 1]
-        table[full_mask(self.n - 1)] = self.psi[self.n - 1]
-        return table
+        n = self.n
+        boundary = [v for mask, v in self.values.coeffs.items() if not is_psi_key(mask, n)]
+        if len(boundary) < (1 << (n - 1)) - 1 - n:
+            boundary.append(0)  # some boundary key is absent
+        return min(boundary)
 
 
 def pair_generator_fcurve(mask: int, curve: FCurve) -> int:
@@ -124,15 +92,15 @@ def pair_divisor_functional(d: DivisorClass, f: CurveFunctional) -> int:
     """Sum of divisor coefficients times functional values over all keys."""
     if d.n != f.n:
         raise InvalidInputError(f"marking counts differ: {d.n} vs {f.n}")
-    return sum(c * f.value(mask) for mask, c in d.coeffs.items())
+    return sum(c * f.values.coeff(mask) for mask, c in d.coeffs.items())
 
 
 def biplane_curve_functional(bp: Biplane) -> CurveFunctional:
     """The curve functional attached to the biplane at 12 markings: value 1
     on the eleven block keys, 0 on other boundary keys, -3 on the psi keys
     of markings 1..11 and -2 at marking 12."""
-    psi = tuple([-3] * 11 + [-2])
-    return CurveFunctional(12, psi, {b: 1 for b in bp.blocks})
+    values = {psi_key(i, 12): -3 if i < 12 else -2 for i in range(1, 13)}
+    return CurveFunctional(DivisorClass(12, {**values, **dict.fromkeys(bp.blocks, 1)}))
 
 
 @dataclass(frozen=True)
@@ -148,8 +116,8 @@ def check_relations(f: CurveFunctional) -> RelationCheck:
     """Sum the functional over each pair relation; all sums must vanish.
     The first violation is the first pair (i, j) in lexicographic order."""
     n = f.n
-    check_int64_sums(f.psi + tuple(f.boundary.values()), 1 << (n - 2), "relation check")
-    totals = relation_matrix(n) @ f.dense_table()[1:]
+    check_int64_sums(f.values.coeffs.values(), 1 << (n - 2), "relation check")
+    totals = relation_matrix(n) @ f.values.dense_table()[1:]
     bad = np.flatnonzero(totals)
     if not len(bad):
         return RelationCheck(True)
@@ -428,29 +396,43 @@ def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.n
 
 
 def functional_to_json_dict(f: CurveFunctional) -> dict:
+    """The functional's JSON form: the values of the psi keys of markings
+    1..n as `psi`, and those of the other keys, in ascending key order, as
+    `boundary` entries (zeros omitted)."""
+    n, values = f.n, f.values
     return {
-        "n": f.n,
-        "psi": list(f.psi),
+        "n": n,
+        "psi": [values.coeff(psi_key(i, n)) for i in range(1, n + 1)],
         "boundary": [
-            {"subset": format_subset(mask), "value": f.boundary[mask]}
-            for mask in sorted(f.boundary)
+            {"subset": format_subset(mask), "value": values.coeffs[mask]}
+            for mask in sorted(values.coeffs)
+            if not is_psi_key(mask, n)
         ],
     }
 
 
 def functional_from_json_dict(obj: dict) -> CurveFunctional:
+    """The functional of a JSON form (`functional_to_json_dict`): n psi
+    values, and boundary entries whose subsets name distinct boundary keys
+    as their sides omitting marking n."""
     try:
         n = exact_int(obj["n"], "n")
-        psi = tuple(exact_int(v, "psi") for v in obj["psi"])
-        boundary = {}
-        for t in obj["boundary"]:
+        psi = [exact_int(v, "psi") for v in json_array(obj, "psi")]
+        values = {}
+        for t in json_array(obj, "boundary"):
             mask = parse_subset(t["subset"], n)
-            if mask in boundary:
+            if mask in values:
                 raise InvalidInputError(f"boundary subset {format_subset(mask)} is repeated")
-            boundary[mask] = exact_int(t["value"], "value")
-        return CurveFunctional(n, psi, boundary)
+            values[mask] = exact_int(t["value"], "value")
+        n = validate_n(n)
+        if len(psi) != n:
+            raise InvalidInputError(f"need {n} psi values, got {len(psi)}")
+        for mask in values:
+            if is_psi_key(mask, n) or mask >> (n - 1):
+                raise InvalidInputError(f"{format_subset(mask)} is not a boundary key for n={n}")
+        values.update((psi_key(i, n), v) for i, v in enumerate(psi, 1))
+        return CurveFunctional(DivisorClass(n, values))
     except InvalidInputError as exc:
         raise MalformedInputError(str(exc)) from None
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad functional object: {exc!r}") from None
-

@@ -145,13 +145,10 @@ def is_psi_key(mask: int, n: int) -> bool:
     return mask.bit_count() == 1 or mask == full_mask(n - 1)
 
 
-def psi_marking(mask: int, n: int) -> int:
-    """Marking number of a psi-type key ({i} -> i, {1..n-1} -> n)."""
-    if mask == full_mask(n - 1):
-        return n
-    if mask.bit_count() == 1:
-        return mask.bit_length()
-    raise InvalidInputError(f"{format_subset(mask)} is not a psi-type key")
+def psi_key(i: int, n: int) -> int:
+    """The psi-type key of marking i: {i} for i < n, {1..n-1} for i = n.
+    The keys of markings 1..n are exactly those of `is_psi_key`."""
+    return full_mask(n - 1) if i == n else 1 << (i - 1)
 
 
 def all_generator_keys(n: int) -> range:

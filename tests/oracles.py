@@ -26,7 +26,6 @@ from fnef import (
 )
 from fnef.pairing import ROW_PATTERN
 from fnef.errors import InvalidInputError
-from fnef.subsets import full_mask, is_psi_key, psi_marking
 
 
 def rank_exact(rows: Iterable[Sequence], ncols: int) -> int:
@@ -92,23 +91,11 @@ def zero_set_dense_rows(d: DivisorClass) -> list[list[int]]:
 
 
 def fcurve_functional(curve: FCurve) -> CurveFunctional:
-    """The pairing row of a single F-curve, as a curve functional."""
-    n = curve.n
-    psi = [0] * n
-    boundary: dict[int, int] = {}
-    half = 1 << (n - 1)
-    full = full_mask(n)
+    """The pairing row of a single F-curve, as a curve functional: +1 on
+    the sides b0|b1, b0|b2, b0|b3 and -1 on the four blocks."""
     b0, b1, b2, b3 = curve.blocks
-    for b in curve.blocks:
-        key = b if b < half else b ^ full
-        if is_psi_key(key, n):
-            psi[psi_marking(key, n) - 1] -= 1
-        else:
-            boundary[key] = boundary.get(key, 0) - 1
-    for u in (b0 | b1, b0 | b2, b0 | b3):
-        key = u if u < half else u ^ full
-        boundary[key] = boundary.get(key, 0) + 1
-    return CurveFunctional(n, tuple(psi), boundary)
+    sides = (b0 | b1, b0 | b2, b0 | b3, b0, b1, b2, b3)
+    return CurveFunctional(DivisorClass.from_terms(curve.n, zip(sides, (1, 1, 1, -1, -1, -1, -1))))
 
 
 def pushforward_fcurve(curve: FCurve) -> Optional[FCurve]:

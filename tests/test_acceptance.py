@@ -34,7 +34,7 @@ from fnef import (
     verify_biplane,
 )
 from fnef.divisors import relation_matrix
-from fnef.subsets import all_generator_keys, full_mask
+from fnef.subsets import all_generator_keys, full_mask, is_psi_key
 from oracles import fcurve_functional, fcurve_matrix_rank_exact, rank_exact
 
 FCURVE_COUNT_12 = 611501
@@ -83,7 +83,8 @@ def test_criterion_3_counterexample(qr_divisor, qr_witness):
     values = pairing_values(qr_divisor)
     negatives = int(np.count_nonzero(values < 0))
     minimum = int(values.min())
-    boundary_ok = set(qr_witness.boundary.values()) <= {0, 1}
+    boundary = [v for m, v in qr_witness.values.coeffs.items() if not is_psi_key(m, 12)]
+    boundary_ok = set(boundary) <= {0, 1}
     k_pairing = pair_divisor_functional(canonical_divisor(12), qr_witness)
     d_pairing = pair_divisor_functional(qr_divisor, qr_witness)
     elapsed = time.perf_counter() - t0

@@ -476,6 +476,23 @@ def test_json_subset_that_is_not_a_string_exits_2(tmp_path, capsys):
         assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
+def test_json_field_that_is_not_an_array_exits_2(tmp_path, capsys):
+    # {} and "" iterate as no entries: the divisor was read as the zero class
+    # and paired 0 with exit 0, the functional as having no boundary values
+    functional = functional_to_json_dict(biplane_curve_functional(build_biplane_qr()))
+    cases = [
+        (("pair", "--curve", "1|2|3|4,5", "--divisor"), {"n": 5, "terms": {}}, "terms", "{}"),
+        (("pair", "--curve", "1|2|3|4,5", "--divisor"), {"n": 5, "terms": ""}, "terms", "''"),
+        (("pair", "--named", "symmetric", "--functional"), {**functional, "boundary": {}}, "boundary", "{}"),
+        (("pair", "--named", "symmetric", "--functional"), {**functional, "psi": ""}, "psi", "''"),
+    ]
+    for i, (argv, obj, field, got) in enumerate(cases):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: {field} must be a JSON array, got {got}\n")
+
+
 def test_extremal_rejects_non_fnef_divisor(tmp_path, capsys):
     d = DivisorClass(12, {mask_from_elements([1, 2], 12): 1})
     path = tmp_path / "single.txt"

@@ -9,6 +9,7 @@ import tracemalloc
 from itertools import islice
 from math import isqrt
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -291,9 +292,7 @@ def test_certificates(qr_biplane, qr_divisor, qr_witness):
 def test_witness_off_the_relations_is_not_certified(qr_biplane, qr_divisor, qr_witness):
     # value 2 on one block key: still nonnegative on the boundary and negative
     # on the divisor, but no longer a functional on numerical classes
-    boundary = dict(qr_witness.boundary)
-    boundary[qr_biplane.blocks[0]] = 2
-    broken = CurveFunctional(12, qr_witness.psi, boundary)
+    broken = CurveFunctional(qr_witness.values + DivisorClass(12, {qr_biplane.blocks[0]: 1}))
     assert check_relations(broken).first_violation == (1, 4)
     cert = certify_not_boundary(qr_divisor, broken)
     assert (cert.boundary_min, cert.pairing) == (0, -2)
@@ -317,6 +316,11 @@ def pattern_matrices(draw):
     return ncols, np.array(rows, dtype=np.int64)
 
 
+def batches_of(rows):
+    """A context in which `add_pattern_rows` feeds batches of `rows` rows."""
+    return mock.patch.object(fnef.cone, "_BATCH", rows)
+
+
 def dense_kernel(ncols, p):
     """The kernel under the identity map: nothing taken, every column set
     aside, so it ranks the rows themselves."""
@@ -333,12 +337,13 @@ def test_add_pattern_rows_matches_exact_rank(matrix, data):
     batch = data.draw(st.integers(1, nrows + 1), label="batch")
     split = data.draw(st.integers(0, nrows), label="split")
     for p in DEFAULT_PRIMES:
-        one = dense_kernel(ncols, p)
-        assert one.add_pattern_rows(col_rows, batch=batch) == expected
-        assert one.rows_seen == nrows or one.rank == ncols
-        two = dense_kernel(ncols, p)
-        two.add_pattern_rows(col_rows[:split], batch=batch)
-        assert two.add_pattern_rows(col_rows[split:], batch=batch) == expected
+        with batches_of(batch):
+            one = dense_kernel(ncols, p)
+            assert one.add_pattern_rows(col_rows) == expected
+            assert one.rows_seen == nrows or one.rank == ncols
+            two = dense_kernel(ncols, p)
+            two.add_pattern_rows(col_rows[:split])
+            assert two.add_pattern_rows(col_rows[split:]) == expected
 
 
 def check_peel(peel, col_rows, ncols):
@@ -361,12 +366,14 @@ def check_peel(peel, col_rows, ncols):
 
 def peeled_rank(col_rows, ncols, p, batch=512):
     """The rank of pattern rows as extremality_rank computes it: the
-    structural peel, then the kernel on the Schur complement of every row."""
+    structural peel, then the kernel on the Schur complement of every row,
+    fed in batches of `batch` rows."""
     peel = _structural_peel(col_rows, ncols)
     check_peel(peel, col_rows, ncols)
     elim = ModpEliminator(peel, p)
     assert elim.ncols == len(peel.aside)
-    return elim.add_pattern_rows(col_rows, batch=batch)
+    with batches_of(batch):
+        return elim.add_pattern_rows(col_rows)
 
 
 @given(pattern_matrices(), st.data())
@@ -484,16 +491,17 @@ def test_add_pattern_rows_stops_at_stop_rank():
     col_rows[rng.random(col_rows.shape) < 0.1] = -1
     expected = rank_exact(dense_rows(col_rows, ncols), ncols)
     assert expected <= used < ncols
-    fed_all = dense_kernel(ncols, P1)
-    assert fed_all.add_pattern_rows(col_rows, batch=16) == expected
-    assert fed_all.rows_seen == nrows
-    stopped = dense_kernel(ncols, P1)
-    assert stopped.add_pattern_rows(col_rows, 16, stop_rank=expected) == expected
-    seen = stopped.rows_seen
-    assert seen < nrows
-    # once the bound is reached a further call feeds nothing
-    assert stopped.add_pattern_rows(col_rows, 16, stop_rank=expected) == expected
-    assert stopped.rows_seen == seen
+    with batches_of(16):
+        fed_all = dense_kernel(ncols, P1)
+        assert fed_all.add_pattern_rows(col_rows) == expected
+        assert fed_all.rows_seen == nrows
+        stopped = dense_kernel(ncols, P1)
+        assert stopped.add_pattern_rows(col_rows, stop_rank=expected) == expected
+        seen = stopped.rows_seen
+        assert seen < nrows
+        # once the bound is reached a further call feeds nothing
+        assert stopped.add_pattern_rows(col_rows, stop_rank=expected) == expected
+        assert stopped.rows_seen == seen
 
 
 def test_kernel_reduces_by_the_basis_rows_in_the_order_they_were_added():
@@ -693,7 +701,8 @@ def test_add_pattern_rows_zero_set_n6_in_batches(batch):
     assert peel.taken + len(peel.aside) == rs.ambient_dim
     for p in DEFAULT_PRIMES:
         elim = dense_kernel(rs.ambient_dim, p)
-        assert elim.add_pattern_rows(col_rows, batch=batch) == expected
+        with batches_of(batch):
+            assert elim.add_pattern_rows(col_rows) == expected
         assert peeled_rank(col_rows, rs.ambient_dim, p, batch) == expected
 
 

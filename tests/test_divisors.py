@@ -451,10 +451,10 @@ def test_eliminate_psi_random_classes(seed):
 
 def oracle_eliminate_psi(d):
     n = d.n
-    psi = d.psi_part()
-    if not psi:
+    target = {m: -2 * d.coeff(1 << (m - 1)) for m in range(1, n)}
+    target[n] = -2 * d.coeff(full_mask(n - 1))
+    if not any(target.values()):
         return d
-    target = {m: -2 * psi.get(m, 0) for m in range(1, n + 1)}
     y = {}
     for m in range(2, n + 1):
         if target[m]:
@@ -610,6 +610,15 @@ def test_divisor_json_refuses_a_subset_that_is_not_a_string():
     obj["terms"] = [{"subset": "1,2"}]
     with pytest.raises(MalformedInputError, match=r"^bad divisor object: KeyError\('coeff'\)$"):
         parse_divisor(json.dumps(obj))
+
+
+@pytest.mark.parametrize("value", [{}, "", 0, None], ids=repr)
+def test_divisor_json_refuses_terms_that_are_not_an_array(value):
+    # {} and "" iterate as no terms: they were read as the zero class
+    with pytest.raises(MalformedInputError, match=r"^terms must be a JSON array, got "):
+        divisor_from_json_dict({"n": 12, "terms": value})
+    with pytest.raises(MalformedInputError, match=r"^terms must be a JSON array, got "):
+        parse_divisor(json.dumps({"n": 12, "terms": value}))
 
 
 @pytest.mark.parametrize("value", [0.5, 1.0, Fraction(1, 2), "3"], ids=repr)

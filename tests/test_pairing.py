@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from fnef.subsets import (
     full_mask,
     is_psi_key,
     mask_from_elements,
-    psi_marking,
+    psi_key,
 )
 from oracles import fcurve_functional, pushforward_fcurve
 
@@ -105,11 +106,12 @@ def test_relation_rows_pair_zero_with_all_curves_n6():
 
 
 def test_witness_functional_values(qr_biplane, qr_witness):
-    assert qr_witness.value(mask_from_elements([1, 3, 4, 5, 9], 12)) == 1
-    assert qr_witness.value(mask_from_elements([1, 2], 12)) == 0
-    assert qr_witness.value(full_mask(11)) == -2  # psi key of marking 12
-    assert qr_witness.value(mask_from_elements([3], 12)) == -3
-    assert set(qr_witness.boundary.values()) == {1}
+    values = qr_witness.values
+    assert values.coeff(mask_from_elements([1, 3, 4, 5, 9], 12)) == 1
+    assert values.coeff(mask_from_elements([1, 2], 12)) == 0
+    assert values.coeff(full_mask(11)) == -2  # psi key of marking 12
+    assert values.coeff(mask_from_elements([3], 12)) == -3
+    assert {v for m, v in values.coeffs.items() if not is_psi_key(m, 12)} == {1}
     assert qr_witness.boundary_min() == 0
 
 
@@ -118,9 +120,8 @@ def test_witness_respects_relations(qr_witness):
 
 
 def test_flipped_value_breaks_relations(qr_witness):
-    extra = dict(qr_witness.boundary)
-    extra[mask_from_elements([1, 2], 12)] = 1  # not a block
-    broken = CurveFunctional(12, qr_witness.psi, extra)
+    extra = DivisorClass(12, {mask_from_elements([1, 2], 12): 1})  # not a block
+    broken = CurveFunctional(qr_witness.values + extra)
     report = check_relations(broken)
     assert not report.ok
     assert report.first_violation is not None
@@ -137,7 +138,7 @@ def subset_walk_check(f):
             rest = full & ~bi & ~bj
             total, sub = 0, rest
             while True:
-                total += f.value(canonical_generator(sub | bi, n))
+                total += f.values.coeff(canonical_generator(sub | bi, n))
                 if sub == 0:
                     break
                 sub = (sub - 1) & rest
@@ -156,12 +157,7 @@ def test_check_relations_matches_subset_walk(seed):
     f = fcurve_functional(rng.choice(list(enumerate_fcurves(n))))
     key = rng.randrange(1, 1 << (n - 1))
     shift = rng.choice([-2, -1, 1, 3]) * rng.randrange(2)
-    psi, boundary = list(f.psi), dict(f.boundary)
-    if is_psi_key(key, n):
-        psi[psi_marking(key, n) - 1] += shift
-    else:
-        boundary[key] = boundary.get(key, 0) + shift
-    g = CurveFunctional(n, tuple(psi), boundary)
+    g = CurveFunctional(f.values + DivisorClass(n, {key: shift}))
     report = check_relations(g)
     expected = subset_walk_check(g)
     if expected is None:
@@ -174,8 +170,7 @@ def test_check_relations_matches_subset_walk(seed):
 def test_check_relations_refuses_values_beyond_int64():
     # a relation at n=6 sums 16 values
     def constant(c):
-        boundary = {m: c for m in all_generator_keys(6) if not is_psi_key(m, 6)}
-        return CurveFunctional(6, (c,) * 6, boundary)
+        return CurveFunctional(DivisorClass(6, dict.fromkeys(all_generator_keys(6), c)))
 
     top = ((1 << 63) - 1) // 16
     report = check_relations(constant(top))
@@ -432,7 +427,7 @@ def test_fcurve_functional_agrees_with_pairing():
     for c in rng.sample(curves, 20):
         f = fcurve_functional(c)
         for key in all_generator_keys(6):
-            assert f.value(key) == pair_generator_fcurve(key, c)
+            assert f.values.coeff(key) == pair_generator_fcurve(key, c)
 
 
 def test_functional_pairing_relation_invariance(qr_witness):
@@ -445,8 +440,9 @@ def test_functional_pairing_relation_invariance(qr_witness):
 
 def test_canonical_pairing_value_via_expansion(qr_witness):
     # independent expansion: -sum of psi values - 2 * sum of boundary values
-    psi_total = sum(qr_witness.psi)
-    boundary_total = sum(qr_witness.boundary.values())
+    values = qr_witness.values
+    psi_total = sum(values.coeff(psi_key(i, 12)) for i in range(1, 13))
+    boundary_total = sum(v for m, v in values.coeffs.items() if not is_psi_key(m, 12))
     expected = -psi_total - 2 * boundary_total
     assert expected == 13
     assert pair_divisor_functional(canonical_divisor(12), qr_witness) == 13
@@ -528,28 +524,57 @@ def test_functional_json_refuses_non_integers(qr_witness, field, value):
         functional_from_json_dict(json.loads(json.dumps(obj)))
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_functional_json_round_trips_every_fcurve_row(n):
+    # the rows hold psi values and negative boundary values, so both halves
+    # of the format carry them
+    for c in enumerate_fcurves(n):
+        f = fcurve_functional(c)
+        assert functional_from_json_dict(functional_to_json_dict(f)) == f
+
+
 @pytest.mark.parametrize("value", [0.5, 1.0, Fraction(1, 2), "3"], ids=repr)
-def test_functional_refuses_non_integers(value):
-    # (0.5, 0, 0, 0, 0) passed check_relations, yet paired with a divisor as 0.5
-    with pytest.raises(InvalidInputError, match="psi value must be an integer"):
-        CurveFunctional(5, (value, 0, 0, 0, 0), {})
-    with pytest.raises(InvalidInputError, match="^value must be an integer"):
-        CurveFunctional(5, (0,) * 5, {3: value})
-    with pytest.raises(InvalidInputError, match="key must be an integer"):
-        CurveFunctional(5, (0,) * 5, {value: 1})
+def test_functional_refuses_non_integers(qr_witness, value):
+    # a psi value 0.5 passed check_relations, yet paired with a divisor as 0.5
+    for field in ("psi", "value"):
+        obj = functional_to_json_dict(qr_witness)
+        if field == "psi":
+            obj["psi"][0] = value
+        else:
+            obj["boundary"][0]["value"] = value
+        with pytest.raises(MalformedInputError, match=f"^{field} must be an integer"):
+            functional_from_json_dict(obj)
 
 
-def test_functional_stores_python_ints():
-    f = CurveFunctional(5, (np.int64(2),) * 5, {np.int64(3): np.int64(2)})
-    assert (f.psi, f.boundary) == ((2,) * 5, {3: 2})
-    assert all(type(x) is int for x in (*f.psi, *f.boundary, *f.boundary.values()))
+def test_functional_stores_python_ints(qr_witness):
+    obj = functional_to_json_dict(qr_witness)
+    obj["n"] = np.int64(12)
+    obj["psi"] = [np.int64(v) for v in obj["psi"]]
+    for t in obj["boundary"]:
+        t["value"] = np.int64(t["value"])
+    f = functional_from_json_dict(obj)
+    assert f == qr_witness
+    assert all(type(x) is int for x in (f.n, *f.values.coeffs, *f.values.coeffs.values()))
 
 
-def test_functional_validation():
-    with pytest.raises(InvalidInputError):
-        CurveFunctional(5, (0, 0, 0), {})  # wrong psi length
-    with pytest.raises(InvalidInputError):
-        CurveFunctional(5, (0,) * 5, {0b00001: 1})  # psi key in boundary map
+def test_functional_validation(qr_witness):
+    for length in (0, 11, 13):
+        obj = {**functional_to_json_dict(qr_witness), "psi": [-3] * length}
+        with pytest.raises(MalformedInputError, match=f"^need 12 psi values, got {length}$"):
+            functional_from_json_dict(obj)
+    obj = {"n": 5, "psi": [0] * 5, "boundary": [{"subset": "1", "value": 1}]}
+    with pytest.raises(MalformedInputError, match="^1 is not a boundary key for n=5$"):
+        functional_from_json_dict(obj)
+
+
+@pytest.mark.parametrize("value", [{}, "", 0, None], ids=repr)
+@pytest.mark.parametrize("field", ["psi", "boundary"])
+def test_functional_json_refuses_a_field_that_is_not_an_array(qr_witness, field, value):
+    # {} and "" iterate as no entries: a boundary of {} was read as no values
+    obj = {**functional_to_json_dict(qr_witness), field: value}
+    message = re.escape(f"{field} must be a JSON array, got {value!r}")
+    with pytest.raises(MalformedInputError, match=f"^{message}$"):
+        functional_from_json_dict(obj)
 
 
 def test_functional_json_refuses_a_repeated_subset(qr_witness):
@@ -560,7 +585,7 @@ def test_functional_json_refuses_a_repeated_subset(qr_witness):
     with pytest.raises(MalformedInputError, match="^boundary subset 1,2 is repeated$"):
         functional_from_json_dict(obj)
     obj["boundary"].pop()
-    assert functional_from_json_dict(obj).boundary[0b11] == 1
+    assert functional_from_json_dict(obj).values.coeff(0b11) == 1
 
 
 @pytest.mark.parametrize("subset", ["3", "1,2,3,4,5,6,7,8,9,10,11", "1,12"])

@@ -22,16 +22,18 @@ from fnef import (
 import fnef.subsets
 from fnef.errors import InvalidInputError
 from fnef.subsets import (
+    all_generator_keys,
     completion_tables,
     elements_from_mask,
     exact_int,
     format_subset,
     full_mask,
     integer,
+    is_psi_key,
     last_marking_alone,
     mask_from_elements,
     parse_subset,
-    psi_marking,
+    psi_key,
     validate_n,
 )
 
@@ -315,10 +317,12 @@ def test_subset_entry_points_refuse_non_integers(value):
             call()
 
 
-def test_psi_marking_refuses_a_boundary_key():
-    assert (psi_marking(0b100, 5), psi_marking(0b1111, 5)) == (3, 5)
-    with pytest.raises(InvalidInputError, match="^1,2 is not a psi-type key$"):
-        psi_marking(0b11, 5)
+def test_psi_key_names_the_psi_keys():
+    for n in range(4, 9):
+        keys = [psi_key(i, n) for i in range(1, n + 1)]
+        assert [elements_from_mask(k) for k in keys[:-1]] == [(i,) for i in range(1, n)]
+        assert keys[-1] == full_mask(n - 1)
+        assert sorted(keys) == [m for m in all_generator_keys(n) if is_psi_key(m, n)]
 
 
 @given(st.integers(min_value=4, max_value=9))
