@@ -281,11 +281,21 @@ MUTANTS = (
     Mutant(
         "relation-value-3-minus-size",
         "src/fnef/divisors.py",
-        "2 - size[size >= 3, None]",
-        "3 - size[size >= 3, None]",
+        "(size - 2) * sums[0]",
+        "(size - 3) * sums[0]",
         (
             "tests/test_divisors.py::test_relation_system_matches_list_oracle",
             "tests/test_divisors.py::test_relation_system_spans_the_relations",
+        ),
+    ),
+    Mutant(
+        "reduction-drops-top-key-bit",
+        "src/fnef/divisors.py",
+        "for bit in range(d.n - 1):",
+        "for bit in range(d.n - 2):",
+        (
+            "tests/test_divisors.py::test_relation_system_spans_the_relations",
+            "tests/test_divisors.py::test_reduce_canonical_matches_fraction_oracle",
         ),
     ),
     Mutant(

@@ -543,7 +543,7 @@ def _sample_partitions(m: int, samples: int) -> np.ndarray:
     # the first draw is the largest: its int64 labels, then per row two
     # int64 codes, two int32 mask rows, a keep flag, and the kept rows and
     # their concatenation
-    draw = int(samples * 1.25) + 16
+    draw = samples * 5 // 4 + 16
     check_memory(draw * (8 * m + 81), f"sampling {samples} partitions")
     h = m // 2
     low, high = _label_masks(h), _label_masks(m - h) << h
@@ -552,7 +552,7 @@ def _sample_partitions(m: int, samples: int) -> np.ndarray:
     need = samples
     rows = []
     while need > 0:
-        labels = rng.integers(0, 4, size=(int(need * 1.25) + 16, m))
+        labels = rng.integers(0, 4, size=(need * 5 // 4 + 16, m))
         masks = low[labels[:, :h] @ low_weights]
         masks |= high[labels[:, h:] @ high_weights]
         rows.append(masks[masks.all(axis=1)])

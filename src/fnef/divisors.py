@@ -96,8 +96,9 @@ class DivisorClass:
     def dense_table(self) -> np.ndarray:
         """Coefficients as an int64 array indexed by canonical key mask."""
         table = np.zeros(1 << (self.n - 1), dtype=np.int64)
-        for mask, c in self.coeffs.items():
-            table[mask] = c
+        count = len(self.coeffs)
+        keys = np.fromiter(self.coeffs, np.intp, count)
+        table[keys] = np.fromiter(self.coeffs.values(), np.int64, count)
         return table
 
     def _check_same_n(self, other: "DivisorClass") -> None:
@@ -169,57 +170,28 @@ def relation_row(i: int, j: int, n: int) -> DivisorClass:
 
 
 class RelationSystem:
-    """The pair relations in reduced row echelon form, from a closed form.
+    """The key sets of the pair relations' reduced row echelon form, which
+    has a closed form (`reduce_canonical`).
 
     Columns are the canonical key masks in ascending order.  The pivots are
-    the C(n,2) keys of one or two markings, in ascending mask order, each
-    with pivot value 1; every other key F (|F| >= 3) is free.  `pivot_masks`
-    and `free_masks` are the two key sets as ascending uint16 index arrays.
-    `free_rows[k]` is reduced row k at the free keys (`free_masks` order),
-    and vanishes at every other pivot:
-
-    - row {i, j}: +1 at every free F holding i and j;
-    - row {i}: -(|F| - 2) at every free F holding i.
-
-    Containment: for markings a < b < n, the rows of {a}, {b}, {a, x} and
-    {b, x}, x running over the markings below n other than a and b, sum at
-    a free F to [a in F](1 - [b in F]) + [b in F](1 - [a in F]), and at the
-    pivots to 1 on exactly the keys holding one of a, b; that is the
-    relation of a and b.  For b = n the rows of {a} and every {a, x} sum to
-    [a in F], the relation of a and n.  Every relation is thus
-    `relation_matrix(n)[:, pivots] @ [I | free_rows]`, and each construction
-    checks this at the free columns exactly (AssertionError otherwise).  The
-    rows are independent (identity on the pivots) and the relations have
-    rank C(n,2) (Keel, Trans. AMS 330, 1992: the numerical classes have
-    dimension 2^(n-1) - C(n,2) - 1), so the two span the same space, and a
-    reduced row echelon form is unique.
+    the C(n,2) keys of one or two markings, each with pivot value 1; every
+    other key F (|F| >= 3) is free.  `pivot_masks` and `free_masks` are the
+    two key sets as ascending uint16 arrays, and `free_index[mask]` is the
+    position of a free key among them (-1 on pivots).
     """
 
     def __init__(self, n: int):
         self.n = n = validate_n(n)
         keys = np.arange(1, 1 << (n - 1), dtype=np.uint16)
-        size = np.bitwise_count(keys).astype(np.int64)
-        pivots, free = keys[size <= 2], keys[size >= 3]
-        self.rank = len(pivots)
-        self.pivot_masks, self.free_masks = pivots, free
-        # free_index[mask] = position among free columns, -1 on pivots
+        size = np.bitwise_count(keys)
+        self.pivot_masks, self.free_masks = keys[size <= 2], keys[size >= 3]
+        self.rank = len(self.pivot_masks)
         self.free_index = np.full(1 << (n - 1), -1, dtype=np.int64)
-        self.free_index[free] = np.arange(len(free))
-        # built one free key per row, then transposed, so free_rows is
-        # column-major: reduce_canonical reads it column by column, often
-        # just after a scan has flushed it from cache, and one sequential
-        # stream reads faster than 66 strided ones at n=12
-        holds = (free[:, None] & pivots) == pivots
-        value = np.where(size[None, size <= 2] == 2, 1, 2 - size[size >= 3, None])
-        self.free_rows = np.where(holds, value, 0).T
-        # reduce_canonical's absolute weight: the key itself plus its column
-        self.reduce_weight = 1 + int(np.abs(self.free_rows).sum(axis=0).max(initial=0))
-        # a relation holds at most 2n-4 pivot keys and |free_rows| <= n-3, so
-        # every sum is an integer below 2^53 and the float64 product is exact
-        relations = relation_matrix(n)
-        implied = relations[:, pivots - 1].astype(np.float64) @ self.free_rows.astype(np.float64)
-        if not np.array_equal(implied, relations[:, free - 1]):
-            raise AssertionError(f"closed-form relation rows do not span the relations at n={n}")
+        self.free_index[self.free_masks] = np.arange(self.ambient_dim)
+        # reduce_canonical's absolute weight at the largest free key, of
+        # n - 1 markings: the key, its C(n-1, 2) pairs and n - 1 singletons
+        # of weight n - 3
+        self.reduce_weight = 1 + (n - 1) * (n - 2) // 2 + (n - 1) * (n - 3)
 
     @property
     def ambient_dim(self) -> int:
@@ -236,18 +208,46 @@ def reduce_canonical(d: DivisorClass) -> dict[int, int]:
     """Canonical coordinates of the class modulo the pair relations.
 
     Eliminates every pivot key against the reduced relations; the result
-    maps non-pivot key masks to integer coordinates (zeros dropped).  Two
+    maps free key masks to integer coordinates (zeros dropped).  Two
     classes are numerically equivalent iff their reductions are equal.
-    Every pivot value is 1, so the coordinates are the one integer product
-    d[free] - d[pivots] @ free_rows, exact in int64 once the coefficients
-    pass check_int64_sums with `reduce_weight`.
+
+    The reduced row of a pivot is 1 there, 0 at every other pivot, and at
+    a free key F:
+
+    - row {i, j}: +1 when F holds i and j;
+    - row {i}: -(|F| - 2) when F holds i.
+
+    So the coordinate at F is d[F] - sum over i < j in F of d[{i, j}]
+    + (|F| - 2) * sum over i in F of d[{i}].  The two sums are subset sums
+    over the n - 1 key bits, taken separately on the singleton and the pair
+    coefficients, so every partial sum stays within `reduce_weight` times
+    the largest coefficient (the weight of F = {1..n-1}), which
+    `check_int64_sums` keeps inside int64.
+
+    Containment: for markings a < b < n, the rows of {a}, {b}, {a, x} and
+    {b, x}, x running over the markings below n other than a and b, sum at
+    a free F to [a in F](1 - [b in F]) + [b in F](1 - [a in F]), and at the
+    pivots to 1 on exactly the keys holding one of a, b; that is the
+    relation of a and b.  For b = n the rows of {a} and every {a, x} sum to
+    [a in F], the relation of a and n.  The rows are independent (identity
+    on the pivots) and the relations have rank C(n,2) (Keel, Trans. AMS
+    330, 1992: the numerical classes have dimension 2^(n-1) - C(n,2) - 1),
+    so the two span the same space, and a reduced row echelon form is
+    unique.
     """
     rs = relation_system(d.n)
     check_int64_sums(d.coeffs.values(), rs.reduce_weight, "canonical reduction")
     table = d.dense_table()
-    coords = table[rs.free_masks] - table[rs.pivot_masks] @ rs.free_rows
+    size = np.bitwise_count(np.arange(len(table))).astype(np.int64)
+    # row 0 sums the singleton coefficients, row 1 the pair ones
+    sums = np.where(size == [[1], [2]], table, 0)
+    for bit in range(d.n - 1):
+        halves = sums.reshape(-1, 2, 1 << bit)
+        np.add(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    # 0 at every pivot key, whose own coefficient is its one singleton or pair
+    coords = table - sums[1] + (size - 2) * sums[0]
     live = np.flatnonzero(coords)
-    return dict(zip(rs.free_masks[live].tolist(), coords[live].tolist()))
+    return dict(zip(live.tolist(), coords[live].tolist()))
 
 
 def canonical_divisor(n: int) -> DivisorClass:
@@ -421,7 +421,7 @@ def json_array(obj: dict, key: str) -> list:
 
 def divisor_from_json_dict(obj: dict) -> DivisorClass:
     try:
-        n = exact_int(obj["n"], "n")
+        n = validate_n(exact_int(obj["n"], "n"))
         items = json_array(obj, "terms")
         terms = [(parse_subset(t["subset"], n), exact_int(t["coeff"], "coeff")) for t in items]
         return DivisorClass.from_terms(n, terms)

@@ -416,7 +416,7 @@ def functional_from_json_dict(obj: dict) -> CurveFunctional:
     values, and boundary entries whose subsets name distinct boundary keys
     as their sides omitting marking n."""
     try:
-        n = exact_int(obj["n"], "n")
+        n = validate_n(exact_int(obj["n"], "n"))
         psi = [exact_int(v, "psi") for v in json_array(obj, "psi")]
         values = {}
         for t in json_array(obj, "boundary"):
@@ -424,7 +424,6 @@ def functional_from_json_dict(obj: dict) -> CurveFunctional:
             if mask in values:
                 raise InvalidInputError(f"boundary subset {format_subset(mask)} is repeated")
             values[mask] = exact_int(t["value"], "value")
-        n = validate_n(n)
         if len(psi) != n:
             raise InvalidInputError(f"need {n} psi values, got {len(psi)}")
         for mask in values:

@@ -448,6 +448,23 @@ def test_pair_refuses_a_fractional_functional_value(tmp_path, capsys):
     assert err.startswith("error:") and "psi must be an integer, got 1.5" in err
 
 
+@pytest.mark.parametrize("n", [3, 99])
+def test_json_marking_count_out_of_range_exits_2(tmp_path, capsys, n):
+    # n=3 was refused as "marking 4 out of range 1..3", at the first subset
+    bp = build_biplane_qr()
+    cases = [
+        (("pair", "--divisor"), divisor_to_json_dict(biplane_divisor(bp))),
+        (("pair", "--named", "symmetric", "--functional"),
+         functional_to_json_dict(biplane_curve_functional(bp))),
+    ]
+    for args, obj in cases:
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps({**obj, "n": n}))
+        code, out, err = run(capsys, *args, str(path))
+        message = f"marking count must be an integer in [4, 16], got {n}"
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_pair_refuses_a_functional_that_repeats_a_subset(tmp_path, capsys):
     obj = functional_to_json_dict(biplane_curve_functional(build_biplane_qr()))
     obj["boundary"] += [{"subset": "1,2", "value": 1}, {"subset": "1,2", "value": 2}]

@@ -53,7 +53,7 @@ from fnef.cone import (
 )
 from fnef.errors import InvalidInputError
 from fnef.pairing import ROW_PATTERN, scan_dtype
-from fnef.subsets import all_generator_keys, count_fcurves, mask_from_elements
+from fnef.subsets import all_generator_keys, count_fcurves, mask_from_elements, psi_key
 from oracles import (
     dense_rows,
     fcurve_matrix_rank_exact,
@@ -659,13 +659,19 @@ def test_extremality_small_n_matches_exact_oracle():
 
 
 @functools.cache
-def pulled_back_n6_rank(n):
-    """fnef_divisor_n6 pulled back to n markings, and its extremality
-    report."""
+def pulled_back_n6(n):
+    """fnef_divisor_n6 pulled back to n markings."""
     d = fnef_divisor_n6()
     while d.n < n:
         d = pullback_forgetful(d)
-    return d, extremality_rank(d)
+    return d
+
+
+@functools.cache
+def pulled_back_n6_rank(n):
+    """fnef_divisor_n6 pulled back to n markings, and its extremality
+    report."""
+    return pulled_back_n6(n), extremality_rank(pulled_back_n6(n))
 
 
 @given(st.data())
@@ -683,6 +689,59 @@ def test_extremality_rank_is_invariant_under_relabelling(data):
     assert rep_moved.rank_mod_p == rep.rank_mod_p
     assert rep_moved.zero_set_size == rep.zero_set_size
     assert rep_moved.certified_extremal == rep.certified_extremal
+
+
+def psi_sum(n, *markings):
+    """The sum of psi_i over `markings`: -1 on each `psi_key(i, n)`."""
+    return DivisorClass(n, {psi_key(i, n): -1 for i in markings})
+
+
+@st.composite
+def psi_sums(draw):
+    """A nonnegative sum of psi classes and of copies of fnef_divisor_n6
+    pulled back, at n = 5..7, relabelled: F-nef classes whose zero sets
+    fall short of ambient-1 by various deficits, and whose pivot
+    coefficients (the psi keys of markings 1..n-1) are nonzero."""
+    n = draw(st.integers(5, 7), label="n")
+    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="psi")
+    d = DivisorClass(n, {psi_key(i, n): -w for i, w in enumerate(weights, 1)})
+    if n >= 6:
+        d += draw(st.integers(0, 2), label="copies") * pulled_back_n6(n)
+    table = mask_images(draw(st.permutations(range(n)), label="image"), n)
+    return DivisorClass.from_terms(n, ((int(table[m]), c) for m, c in d.coeffs.items()))
+
+
+@given(psi_sums())
+@settings(max_examples=120, deadline=None)
+def test_psi_sums_match_the_exact_oracles(d):
+    rep = extremality_rank(d)
+    curves = list(enumerate_fcurves(d.n))
+    values = [pair_divisor_fcurve(d, c) for c in curves]
+    low = min(values)
+    assert (rep.fnef.min_value, rep.fnef.argmin) == (low, curves[values.index(low)])
+    assert rep.fnef.nonnegative and rep.zero_set_size == values.count(0)
+    exact = rank_exact(zero_set_dense_rows(d), rep.ambient_dim)
+    assert set(rep.rank_mod_p.values()) == {exact}
+    assert rep.certified_extremal == (rep.ambient_dim - exact == 1)
+
+
+def test_psi_sum_pins():
+    rep = extremality_rank(psi_sum(7, 7))
+    assert (rep.zero_set_size, set(rep.rank_mod_p.values())) == (260, {41})
+    assert rep.certified_extremal
+    # psi_1 has the same zero count and rank, but its zero rows peel only
+    # once two columns are set aside
+    rep = extremality_rank(psi_sum(7, 1))
+    rs = relation_system(7)
+    col_rows = _free_col_rows(fcurve_block_arrays(7, rep.fnef.zero_mask()), rs.free_index)
+    assert len(_structural_peel(col_rows, rs.ambient_dim).aside) == 2
+    assert set(rep.rank_mod_p.values()) == {41} and rep.certified_extremal
+    rep = extremality_rank(psi_sum(5, 1, 2))
+    assert set(rep.rank_mod_p.values()) == {rep.ambient_dim - 4}
+    assert not rep.certified_extremal
+    rep = extremality_rank(psi_sum(7, 1, 2, 3, 4))
+    assert (rep.zero_set_size, set(rep.rank_mod_p.values())) == (76, {rep.ambient_dim - 5})
+    assert not rep.certified_extremal
 
 
 @pytest.mark.parametrize("batch", [1, 5, 64])

@@ -35,7 +35,14 @@ from fnef import (
 import fnef.divisors
 from fnef.divisors import relation_matrix
 from fnef.errors import BoundaryFormError, InvalidInputError, MalformedInputError
-from fnef.subsets import all_generator_keys, canonical_generator, full_mask, mask_from_elements
+from fnef.subsets import (
+    MAX_MARKINGS,
+    MIN_MARKINGS,
+    all_generator_keys,
+    canonical_generator,
+    full_mask,
+    mask_from_elements,
+)
 from oracles import rank_exact
 
 
@@ -169,6 +176,20 @@ def oracle_reduce(d):
     return {m: v for m, v in out.items() if v}
 
 
+@lru_cache(maxsize=None)
+def reduced_rows(n):
+    """The reduced relation rows at the free keys, a (pivots, free keys)
+    int64 array in `pivot_masks` and `free_masks` order: the row of pivot P
+    is minus the reduction of the unit class at P."""
+    rs = relation_system(n)
+    rows = np.zeros((rs.rank, rs.ambient_dim), dtype=np.int64)
+    for k, pivot in enumerate(rs.pivot_masks.tolist()):
+        reduced = reduce_canonical(DivisorClass(n, {pivot: 1}))
+        keys = np.fromiter(reduced, np.int64, len(reduced))
+        rows[k, rs.free_index[keys]] = np.fromiter(reduced.values(), np.int64, len(reduced))
+    return -rows
+
+
 def test_relation_matrix_matches_the_int64_build():
     # the uint8 build against the former int64 one, which cast at the end
     for n in range(4, 14):
@@ -197,8 +218,8 @@ def test_relation_system_matches_list_oracle(n):
     assert rs.free_masks.tolist() == [c + 1 for c in free_cols]
     assert rs.free_index.tolist() == free_index
     assert all(rows[k][c] == 1 for k, c in enumerate(pivot_cols))
-    assert rs.free_rows.tolist() == [[row[c] for c in free_cols] for row in rows[: rs.rank]]
-    # free_rows drops nothing: a pivot row vanishes at every other pivot key
+    assert reduced_rows(n).tolist() == [[row[c] for c in free_cols] for row in rows[: rs.rank]]
+    # the free keys hold all of a row: it vanishes at every other pivot key
     assert all(rows[k][c] == 0 for k in range(rs.rank) for c in pivot_cols if c != pivot_cols[k])
 
 
@@ -211,26 +232,27 @@ def test_relation_rank_is_pair_count(n):
     assert rs.pivot_masks.tolist() == [m for m in all_generator_keys(n) if bin(m).count("1") <= 2]
 
 
-@pytest.mark.parametrize("n", range(4, 17))
+@pytest.mark.parametrize("n", range(MIN_MARKINGS, MAX_MARKINGS + 1))
 def test_relation_system_spans_the_relations(n):
-    # containment, in int64 and over every column: relation (a, b) is the sum
-    # of the reduced rows at the pivot keys it holds, namely {a}, {b} and the
-    # pairs with exactly one of a, b (a 0/1 row of relation_matrix)
+    # containment, in int64: relation (a, b) is the sum of the reduced rows
+    # at the pivot keys it holds, namely {a}, {b} and the pairs with exactly
+    # one of a, b (a 0/1 row of relation_matrix); at the pivots each reduced
+    # row is its unit vector, so the sum matches there by construction
     rs = relation_system(n)
     relations = relation_matrix(n)
     pivots = np.array(rs.pivot_masks) - 1
-    reduced = np.zeros(relations.shape, dtype=np.int64)
-    reduced[np.arange(rs.rank), pivots] = 1
-    reduced[:, np.array(rs.free_masks) - 1] = rs.free_rows
+    free = np.array(rs.free_masks) - 1
+    rows = reduced_rows(n)
     for row in relations:
-        assert np.array_equal(reduced[row[pivots] == 1].sum(axis=0), row)
+        assert np.array_equal(rows[row[pivots] == 1].sum(axis=0), row[free])
     # independence: the relations have rank C(n,2), so they span exactly
     # the reduced rows
     assert rank_exact(relations[:, pivots].tolist(), rs.rank) == rs.rank == comb(n, 2)
 
 
-#: sha256 of `free_rows.tobytes()` and of the pivot masks as int64 bytes,
-#: and `reduce_weight`, as the former Gauss-Jordan elimination produced them.
+#: sha256 of the reduced rows at the free keys (`reduced_rows`) as
+#: little-endian int64 bytes and of the pivot masks as int64 bytes, and
+#: `reduce_weight`, as the former Gauss-Jordan elimination produced them.
 PINNED_SYSTEMS = {
     11: ("a92311c3d8914facd7010f57db8b82e03dc9fe896fdc91c3595a423b3ca2fa1a",
          "a018cdaf9baeb886221f5dd0b0f40a7b9455a6b7d465001101f260b2ada2aafb", 126),
@@ -251,9 +273,9 @@ PINNED_SYSTEMS = {
 def test_relation_system_matches_pinned_elimination(n):
     rs = relation_system(n)
     rows_sha, pivots_sha, weight = PINNED_SYSTEMS[n]
-    assert rs.free_rows.dtype == np.int64
-    assert rs.free_rows.shape == (comb(n, 2), (1 << (n - 1)) - 1 - comb(n, 2))
-    assert hashlib.sha256(rs.free_rows.astype("<i8").tobytes()).hexdigest() == rows_sha
+    rows = reduced_rows(n)
+    assert rows.shape == (comb(n, 2), (1 << (n - 1)) - 1 - comb(n, 2))
+    assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == rows_sha
     pivots = np.array(rs.pivot_masks, dtype="<i8").tobytes()
     assert hashlib.sha256(pivots).hexdigest() == pivots_sha
     assert rs.reduce_weight == weight
@@ -324,13 +346,14 @@ def test_reduce_canonical_matches_fraction_oracle(n, pivots_only, data):
 @pytest.mark.parametrize("n", [5, 8])
 def test_reduce_canonical_worst_case_at_the_bound(n):
     # signs chosen so that one coordinate reaches limit * reduce_weight; the
-    # oracle's pivot entries are all 1, so free_rows are the weights
+    # oracle's pivot entries are all 1, so the reduced rows are the weights
     rs = relation_system(n)
     rows, pivot_cols = oracle_system(n)
     assert all(rows[k][c] == 1 for k, c in enumerate(pivot_cols))
-    f = int(np.abs(rs.free_rows).sum(axis=0).argmax())
+    weights = reduced_rows(n)
+    f = int(np.abs(weights).sum(axis=0).argmax())
     key = int(rs.free_masks[f])
-    signs = np.sign(rs.free_rows[:, f]).tolist()
+    signs = np.sign(weights[:, f]).tolist()
 
     def worst(c):
         coeffs = {key: c}
@@ -600,6 +623,17 @@ def test_divisor_json_refuses_non_integers(field, value):
     target[field] = value
     with pytest.raises(MalformedInputError, match=f"{field} must be an integer"):
         divisor_from_json_dict(json.loads(json.dumps(obj)))
+
+
+@pytest.mark.parametrize("n", [3, 99])
+def test_divisor_json_checks_n_before_any_subset(n):
+    # n=3 was refused as "marking 4 out of range 1..3", at the first subset
+    obj = {"n": n, "terms": [{"coeff": 1, "subset": "1,2,3,4"}]}
+    message = rf"^marking count must be an integer in \[4, 16\], got {n}$"
+    with pytest.raises(MalformedInputError, match=message):
+        divisor_from_json_dict(obj)
+    with pytest.raises(MalformedInputError, match="^n must be an integer, got 1.7$"):
+        divisor_from_json_dict({**obj, "n": 1.7})
 
 
 def test_divisor_json_refuses_a_subset_that_is_not_a_string():

@@ -567,6 +567,17 @@ def test_functional_validation(qr_witness):
         functional_from_json_dict(obj)
 
 
+@pytest.mark.parametrize("n", [3, 99])
+def test_functional_json_checks_n_before_any_subset(qr_witness, n):
+    # n=3 was refused as "marking 4 out of range 1..3", at the first subset
+    obj = {**functional_to_json_dict(qr_witness), "n": n}
+    message = rf"^marking count must be an integer in \[4, 16\], got {n}$"
+    with pytest.raises(MalformedInputError, match=message):
+        functional_from_json_dict(obj)
+    with pytest.raises(MalformedInputError, match="^n must be an integer, got 1.7$"):
+        functional_from_json_dict({**obj, "n": 1.7})
+
+
 @pytest.mark.parametrize("value", [{}, "", 0, None], ids=repr)
 @pytest.mark.parametrize("field", ["psi", "boundary"])
 def test_functional_json_refuses_a_field_that_is_not_an_array(qr_witness, field, value):
