@@ -72,8 +72,8 @@ MUTANTS = (
     Mutant(
         "enumeration-scan-int64-out",
         "src/fnef/pairing.py",
-        "out = np.empty(count_fcurves(n), dtype=dtype)",
-        "out = np.empty(count_fcurves(n), dtype=np.int64)",
+        "out = np.empty(count_fcurves(d.n), dtype=dtype)",
+        "out = np.empty(count_fcurves(d.n), dtype=np.int64)",
         (_NARROWEST, "tests/test_pairing.py::test_enumeration_scan_matches_per_curve_oracle"),
     ),
     Mutant(
@@ -109,8 +109,23 @@ MUTANTS = (
     Mutant(
         "chunk-drops-last-prefix",
         "src/fnef/pairing.py",
-        "zip(records.reshape(k, -1), opened[lo : lo + chunk])",
-        "zip(records.reshape(k, -1), opened[lo : lo + chunk - 1])",
+        "us = opened[lo : lo + chunk]",
+        "us = opened[lo : lo + chunk - 1]",
+        _ENUMERATION,
+    ),
+    Mutant(
+        "slots-left-unpadded",
+        "src/fnef/pairing.py",
+        "return np.maximum(values, pad, out=values)",
+        # the slots that complete no curve keep the sums their heads give
+        "return values",
+        _ENUMERATION,
+    ),
+    Mutant(
+        "argmin-slot-as-curve-index",
+        "src/fnef/cone.py",
+        "argmin=fcurve_at(d.n, curve_index(d.n, at)),",
+        "argmin=fcurve_at(d.n, at),",
         _ENUMERATION,
     ),
     Mutant(
@@ -234,10 +249,10 @@ MUTANTS = (
         ("tests/test_cone.py::test_exhaustive_projection_formula_matches_the_row_oracle",),
     ),
     Mutant(
-        "scan-guard-ignores-itemsize",
+        "scan-guard-half-the-bits",
         "src/fnef/cone.py",
-        "check_memory((scan_dtype(d).itemsize + 1) * rows,",
-        "check_memory(9 * rows,",
+        "check_memory(slots // 8,",
+        "check_memory(slots // 16,",
         (
             "tests/test_cone.py::test_fnef_check_refuses_a_scan_beyond_physical_memory",
             "tests/test_cli.py::test_extremal_refuses_a_scan_beyond_physical_memory",

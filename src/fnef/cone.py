@@ -48,11 +48,14 @@ from .pairing import (
     CurveFunctional,
     biplane_curve_functional,
     check_relations,
+    curve_flags,
+    curve_index,
     full_width,
     pair_divisor_functional,
     pairing_values,
     row_keys,
-    scan_dtype,
+    scan_slots,
+    slot_count,
 )
 from .subsets import (
     FCurve,
@@ -74,8 +77,9 @@ DEFAULT_PRIMES = (2147483629, 2147483647)
 class FNefReport:
     """One scan of every F-curve (`fnef_check`).  `argmin` is the first
     curve in enumeration order at `min_value`.  `zero_bits` marks the curves
-    pairing to zero, in enumeration order, packed 8 to a byte; it is the
-    only per-curve array the report keeps."""
+    pairing to zero over the scan's padded slots (`scan_slots`), in slot
+    order, packed 8 to a byte; it is the only per-curve array the report
+    keeps."""
 
     n: int
     min_value: int
@@ -86,8 +90,9 @@ class FNefReport:
 
     def zero_mask(self) -> np.ndarray:
         """Boolean mask of the zero-pairing curves, indexed like the rows of
-        fcurve_block_arrays(n); as its `keep` it builds the zero rows alone."""
-        return np.unpackbits(self.zero_bits, count=count_fcurves(self.n)).view(bool)
+        fcurve_block_arrays(n); as its `keep` it builds the zero rows alone.
+        It is compacted from `zero_bits` on each call (`curve_flags`)."""
+        return curve_flags(self.zero_bits, self.n)
 
 
 @dataclass(frozen=True)
@@ -153,28 +158,38 @@ def fnef_check(d: DivisorClass, threads: int = 1) -> FNefReport:
     curve attaining it, and the number of zero pairings.  The scan runs on
     one thread; `threads` accepts only 1.
 
-    The values come from the enumeration scan (`pairing_values(d)`) and the
-    argmin curve from its index (`fcurve_at`), so no partition array is
-    built.  The scan's own arrays, one value of `scan_dtype(d)` (1 to 8
-    bytes) and 1 byte of zero flag per curve, are refused before any scan
-    when they would not fit in physical memory (InvalidInputError; at n=16
-    0.32 GiB for coefficients up to 18, 1.44 GiB in int64).
+    The scan (`scan_slots`) comes a chunk at a time, in padded slots, and
+    each chunk is reduced while it is in cache: its minimum and first
+    argmin, its zero count and its packed zero flags.  The argmin slot is
+    mapped to its curve's enumeration index (`curve_index`) and unranked
+    (`fcurve_at`), so no partition array is built, and no array of a value
+    per curve either.  What the scan keeps, one bit per slot, is refused
+    before any scan when it would not fit in physical memory
+    (InvalidInputError; at n=16 0.02 GiB for its 179 million slots).  The
+    chunks themselves are a few hundred KiB whatever n is.
     """
     if threads != 1:
         raise InvalidInputError(f"the scan runs on one thread, got threads={threads}")
-    rows = count_fcurves(d.n)
-    check_memory((scan_dtype(d).itemsize + 1) * rows, f"the F-nef scan of {rows} curves")
-    values = pairing_values(d)
-    idx = int(values.argmin())
-    mn = int(values[idx])
-    zero = values == 0
+    slots = slot_count(d.n)
+    check_memory(slots // 8, f"the F-nef scan of {slots} slots")
+    bits = np.empty(slots // 8, dtype=np.uint8)
+    mn = at = None
+    zeros = start = 0
+    for values in scan_slots(d):
+        i = int(values.argmin())
+        if mn is None or values[i] < mn:
+            mn, at = int(values[i]), start + i
+        zero = values == 0
+        zeros += int(np.count_nonzero(zero))
+        bits[start // 8 : (start + len(values)) // 8] = np.packbits(zero)
+        start += len(values)
     return FNefReport(
         n=d.n,
         min_value=mn,
-        argmin=fcurve_at(d.n, idx),
-        zero_count=int(np.count_nonzero(zero)),
+        argmin=fcurve_at(d.n, curve_index(d.n, at)),
+        zero_count=zeros,
         nonnegative=mn >= 0,
-        zero_bits=np.packbits(zero),
+        zero_bits=bits,
     )
 
 
@@ -475,7 +490,8 @@ def extremality_rank(
     (InvalidInputError): 84 bytes per zero curve, the 16 of its block
     masks, the 56 of its seven int64 columns and 12 of per-key
     temporaries while the columns are built.  The orthogonality check
-    (about 80) and the peel (about 78) hold less.
+    (about 80) and the peel (about 78) hold less.  The gather also holds
+    the zero mask, a byte per curve, and is refused on that sum too.
     """
     primes = tuple(dict.fromkeys(map(check_modulus, primes)))
     if not primes:
@@ -487,9 +503,11 @@ def extremality_rank(
     rs = relation_system(d.n)
     if not fnef.nonnegative:
         return ExtremalityReport(rs.ambient_dim, fnef, {}, False)
-    # the gather holds S + 16 zeros bytes: more only if 68 zeros < S, and
-    # then below 2 S, which fnef_check's (itemsize + 1) S already passed
     check_memory(84 * fnef.zero_count, f"ranking {fnef.zero_count} zero curves")
+    # the gather holds the zero mask, a byte per curve, and 16 bytes per
+    # zero row: more than the 84 only when 68 zeros < S
+    rows = count_fcurves(d.n)
+    check_memory(rows + 16 * fnef.zero_count, f"the zero mask of {rows} curves")
     col_rows = _free_col_rows(fcurve_block_arrays(d.n, fnef.zero_mask()), rs.free_index)
 
     # Every zero row is an integer vector orthogonal to the reduced

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -172,19 +172,23 @@ def row_keys(table: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> np.ndarr
 _SCAN_ROWS = 16384
 
 #: Markings in the suffix of the enumeration scan.  Its plan takes 0.27 MiB
-#: at 7 and serves every n >= 8.  In int8, 6 (187 prefixes at n=12, not 51)
-#: scanned n=12 and 13 about 40% slower, and 8 a third slower at n=12 and
-#: 5% faster at n=13, with a 1.06 MiB plan.
+#: at 7 and serves every n >= 8.  Warm `fnef_check` in int8 (median of 5
+#: rounds of 10 scans, one pinned vCPU, 64 KiB chunks) took 1.11 ms at n=12
+#: and 3.50 ms at n=13; 6 (187 prefixes at n=12, not 51) took 1.31 and
+#: 5.41 ms, and 8 took 0.96 and 3.37 ms, within the rounds' spread of 7,
+#: with a 1.06 MiB plan.
 _SCAN_SUFFIX = 7
 
 #: Bytes of records that the enumeration scan lays out per chunk of
-#: prefixes: 11 prefixes at a 7-marking suffix in int8, one in int64.  In
-#: int8, chunks of 4 KiB to 1 MiB scanned n=12 in 1.04-1.62 ms (median of 5
-#: rounds of 10 scans, one pinned vCPU), and 128 KiB ran fastest there and
-#: within 4% of the fastest, 256 KiB, at n=13; in int64 every size up to
-#: 512 KiB ran within 8% of the others.  A chunk's temporaries are under
-#: 3 times its records.
-_SCAN_CHUNK = 1 << 17
+#: prefixes: 5 prefixes at a 7-marking suffix in int8, one in int64.  The
+#: chunk's head indices, values and pad take about 5 times its records
+#: more.  Warm `fnef_check` in int8 (median of 5 rounds of 10 scans, one
+#: pinned vCPU) took 1.73, 1.19, 0.94, 1.33 and 1.81 ms at n=12 with chunks
+#: of 16, 32, 64, 128 and 256 KiB, and 6.2, 4.4, 3.3, 4.2 and 5.7 ms at
+#: n=13; in int64, one prefix a chunk up to 128 KiB, 3.8-3.9 ms at n=12 up
+#: to 64 KiB and 4.4 at 128.  At 64 KiB a warm `fnef_check`'s traced peak
+#: at n=12 is its zero bits plus 0.71 MiB in int8 and 0.86 MiB in int64.
+_SCAN_CHUNK = 1 << 16
 
 
 #: Per part X | Y, X, Y of a disjoint pair: the bit in it of a marking with
@@ -269,8 +273,90 @@ def _scan_prefixes(n: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
     return split, masks, tuple(opened.tolist())
 
 
-def _scan_enumeration(table: np.ndarray, n: int) -> np.ndarray:
-    """`pairing_values` over the enumeration, as prefixes times completions.
+@lru_cache(maxsize=None)
+def _slot_pad(s: int, dtype: np.dtype) -> dict[int, np.ndarray]:
+    """Per open-block count u, the pad of a prefix's padded layout in
+    `dtype`, 16 slots per head (`_scan_plan`): its minimum at the slots
+    that are curves and its maximum at the others, so that `np.maximum`
+    overwrites only the others."""
+    info = np.iinfo(dtype)
+    pad = {}
+    for u, (codes, select) in _scan_plan(s)[2].items():
+        pad[u] = np.full(16 * codes.shape[1], info.max, dtype=dtype)
+        pad[u][slice(None) if select is None else select] = info.min
+        pad[u].setflags(write=False)
+    return pad
+
+
+@lru_cache(maxsize=None)
+def _chunk_heads(s: int, k: int) -> dict[int, np.ndarray]:
+    """Per open-block count u, a read-only (k, 3, heads) intp array: at
+    position p of a chunk, the indices of its heads' A, E and F records
+    among the chunk's records, 3^(s-1) per prefix (`_scan_plan`).  It holds
+    24 bytes per head of k prefixes: 0.32 MiB at s=7 and k=5."""
+    _, gather, heads = _scan_plan(s)
+    base = np.arange(k)[:, None, None] * (3 * gather.shape[1])
+    out = {u: base + codes for u, (codes, _) in heads.items()}
+    for a in out.values():
+        a.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _slot_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per prefix of the enumeration scan at n, where its slots and its
+    curves end: the running totals of 16 slots per head and of its curves."""
+    split, _, opened = _scan_prefixes(n)
+    size = {
+        u: (16 * codes.shape[1], 16 * codes.shape[1] if select is None else len(select))
+        for u, (codes, select) in _scan_plan(n - split)[2].items()
+    }
+    slots, curves = np.cumsum([size[u] for u in opened], axis=0).T.copy()
+    slots.setflags(write=False)
+    curves.setflags(write=False)
+    return slots, curves
+
+
+def slot_count(n: int) -> int:
+    """Slots of the padded layout at n (`scan_slots`): 703136 at n=12 for
+    611501 curves.  A multiple of 16."""
+    return int(_slot_layout(validate_n(n))[0][-1])
+
+
+def curve_index(n: int, slot: int) -> int:
+    """The enumeration index of the curve at a slot of the padded layout:
+    the number of curve slots before it, those of the prefixes before the
+    slot's and those of its prefix's selection (`_scan_plan`) before it."""
+    split, _, opened = _scan_prefixes(n)
+    slots, curves = _slot_layout(n)
+    p = int(np.searchsorted(slots, slot, side="right"))
+    local = slot - (int(slots[p - 1]) if p else 0)
+    before = int(curves[p - 1]) if p else 0
+    select = _scan_plan(n - split)[2][opened[p]][1]
+    return before + (local if select is None else int(np.searchsorted(select, local)))
+
+
+def curve_flags(bits: np.ndarray, n: int) -> np.ndarray:
+    """Flags over the padded layout at n, packed 8 to a byte in slot order,
+    as a boolean array over the curves in enumeration order: one prefix at
+    a time, its slots unpacked and its curve slots taken by the plan's
+    selection (`_scan_plan`), so besides the result only one prefix's
+    slots are held."""
+    split, _, opened = _scan_prefixes(n)
+    _, _, heads = _scan_plan(n - split)
+    slots, curves = _slot_layout(n)
+    out = np.empty(int(curves[-1]), dtype=bool)
+    s0 = c0 = 0
+    for u, s1, c1 in zip(opened, slots.tolist(), curves.tolist()):
+        flags, select = np.unpackbits(bits[s0 // 8 : s1 // 8]).view(bool), heads[u][1]
+        out[c0:c1] = flags if select is None else flags.take(select)
+        s0, c0 = s1, c1
+    return out
+
+
+def _scan_chunks(table: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairings of the enumeration in padded slots, a chunk of prefixes
+    at a time: per chunk, its values and its pad (`_slot_pad`).
 
     A row is a prefix's blocks P0..P3 joined with a completion's S0..S3, and
     the full-width table reads a mask and its complement alike, so b0|b3
@@ -279,61 +365,72 @@ def _scan_enumeration(table: np.ndarray, n: int) -> np.ndarray:
     c(b1|b2) - c(b1) - c(b2), E(S0, S1) = c(b0|b1) - c(b0) and F(S3, S1) =
     c(b1|b3) - c(b3).
 
-    Completions that agree on all but the last two suffix markings are
-    consecutive, and those two markings carry the top digits of every code.
-    So each chunk of prefixes lays A, E and F out as records of 16 values
-    (`_scan_plan`), one per slot of the last two markings, which its seven
-    rows fill through `spread` and `gather` with three record gathers and
-    two subtractions.  A prefix's values are then three record gathers over
-    its heads and two adds, 16 curves at a time, and one `take` of the
-    valid slots of the grid when the prefix opened fewer than 4 blocks.
-    Every value is a partial sum of at most 7 coefficients, exact in the
-    table's dtype (`scan_dtype`).  A record is a `np.void` of 16 values, so
-    each gather copies 16 values at once; the sums run on the numeric view.
+    Completions that agree on all but the last two suffix markings (a head)
+    are consecutive, and those two markings carry the top digits of every
+    code.  So each chunk of prefixes lays A, E and F out as records of 16
+    values (`_scan_plan`), one per slot of the last two markings, which its
+    seven rows fill through `spread` and `gather` with three record gathers
+    and two subtractions.  The chunk's values are then three record gathers
+    over every head of every prefix in it (`_chunk_heads`) and two adds, 16
+    slots per head in enumeration order.  A slot that completes no curve
+    (the head's last two markings must still open blocks) stays in place,
+    and one `np.maximum` with the pad overwrites it with the dtype's
+    maximum.  Every value is a partial sum of at most 7 coefficients, exact
+    in the table's dtype (`scan_dtype`).  A record is a `np.void` of 16
+    values, so each gather copies 16 values at once; the sums run on the
+    numeric view.
     """
     split, masks, opened = _scan_prefixes(n)
     s = n - split
-    spread, gather, heads = _scan_plan(s)
-    dtype = table.dtype
-    record = np.dtype((np.void, 16 * dtype.itemsize))
+    spread, gather, _ = _scan_plan(s)
+    record = np.dtype((np.void, 16 * table.itemsize))
     # by_suffix[P, T] is c(P | T << split): one row per prefix mask
     by_suffix = table.reshape(1 << s, 1 << split).T.copy()
-    chunk = max(1, _SCAN_CHUNK // (3 * gather.shape[1] * record.itemsize))
-    size = 16 * max(codes.shape[1] for codes, _ in heads.values())
-    grid, val = np.empty(size, dtype=dtype), np.empty(size, dtype=dtype)
-    # per open-block count: the head codes, the selection, the values written,
-    # and the grid and value buffers with their record views
-    ways = {}
-    for u, (codes, select) in heads.items():
-        g, v = grid[: 16 * codes.shape[1]], val[: 16 * codes.shape[1]]
-        count = g.size if select is None else len(select)
-        ways[u] = (*codes, select, count, g, g.view(record), v, v.view(record))
-    out = np.empty(count_fcurves(n), dtype=dtype)
-    start = 0
+    chunk = min(len(masks), max(1, _SCAN_CHUNK // (3 * gather.shape[1] * record.itemsize)))
+    heads, pads = _chunk_heads(s, chunk), _slot_pad(s, table.dtype)
     for lo in range(0, len(masks), chunk):
         # ndarray.take, not np.take: its Python wrapper adds about 0.8 us a
-        # call, some 0.2 ms of the 1.3 ms of n=12
+        # call
         rows = by_suffix.take(masks[lo : lo + chunk], axis=0)
-        k = len(rows)
-        terms = rows.reshape(k, -1).take(spread, axis=1).view(record).reshape(k, -1)
-        records = terms.take(gather[:3], axis=1)
-        values = records.view(dtype)
-        values -= terms.take(gather[3:6], axis=1).view(dtype)
-        values[:, 0] -= terms.take(gather[6], axis=1).view(dtype)
-        for rec, u in zip(records.reshape(k, -1), opened[lo : lo + chunk]):
-            k_a, k_e, k_f, select, count, g, g_rec, v, v_rec = ways[u]
-            acc = out[start : start + count]
-            if select is None:  # every slot is a completion
-                g, g_rec = acc, acc.view(record)
-            rec.take(k_a, out=g_rec, mode="wrap")
-            rec.take(k_e, out=v_rec, mode="wrap")
-            g += v
-            rec.take(k_f, out=v_rec, mode="wrap")
-            g += v
-            if select is not None:
-                g.take(select, out=acc, mode="wrap")
-            start += count
-    return out
+        us = opened[lo : lo + chunk]
+        at = np.concatenate([heads[u][p] for p, u in enumerate(us)], axis=1)
+        pad = np.concatenate([pads[u] for u in us])
+        yield _scan_chunk(rows, spread, gather, record, at, pad), pad
+
+
+def _scan_chunk(rows, spread, gather, record, at, pad) -> np.ndarray:
+    """One chunk of `_scan_chunks`: its padded values from the seven rows of
+    2^s suffix values of each of its prefixes, the record indices of its
+    heads and its pad.  Its temporaries die with the call."""
+    dtype, k = pad.dtype, len(rows)
+    terms = rows.reshape(k, -1).take(spread, axis=1).view(record).reshape(k, -1)
+    records = terms.take(gather[:3], axis=1)
+    values = records.view(dtype)
+    values -= terms.take(gather[3:6], axis=1).view(dtype)
+    values[:, 0] -= terms.take(gather[6], axis=1).view(dtype)
+    records = records.reshape(-1)
+    out = records.take(at[0], mode="wrap")
+    more = records.take(at[1], mode="wrap")
+    values = out.view(dtype)
+    values += more.view(dtype)
+    records.take(at[2], out=more, mode="wrap")
+    values += more.view(dtype)
+    return np.maximum(values, pad, out=values)
+
+
+def scan_slots(d: DivisorClass) -> Iterator[np.ndarray]:
+    """The pairings of `d` with every F-curve in a padded slot layout, one
+    chunk of prefixes at a time (`_scan_chunks`): each chunk's values, of
+    `scan_dtype(d)`, in enumeration order with gaps.  A gap is a slot that
+    completes no curve and holds the dtype's maximum, so it never lowers a
+    minimum and never reads as zero; `curve_index` maps a slot to its curve
+    and `curve_flags` keeps the curve slots of flags over the layout.  At
+    n=12 the 611501 curves take 703136 slots (`slot_count`).  Each chunk
+    is a fresh array; coefficients whose sums could leave int64 raise
+    InvalidInputError before any chunk."""
+    dtype = scan_dtype(d)
+    table = full_width(d.dense_table().astype(dtype))
+    return (values for values, _ in _scan_chunks(table, d.n))
 
 
 #: The scan's dtypes, narrowest first, each with its maximum.
@@ -369,10 +466,12 @@ def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.n
     every subset mask.  The two paths read it differently:
 
     - Without `blocks`, the enumeration is scanned as prefixes times
-      completions (`_scan_enumeration`): per-prefix records of 16 values,
-      one per way its last two markings fall, so three record gathers and
-      two adds fill 16 consecutive curves.  It needs the enumeration's
-      structure, so it serves only the whole enumeration.
+      completions (`_scan_chunks`): per-prefix records of 16 values, one
+      per way its last two markings fall, so three record gathers and two
+      adds fill the 16 slots of a head, a chunk of prefixes at a time.
+      Each chunk's curve slots are copied into its part of the result.  It
+      needs the enumeration's structure, so it serves only the whole
+      enumeration; `scan_slots` gives the same scan uncompacted.
     - With `blocks`, any rows are scanned: 4-block partitions as int32 or
       int64 masks, each below 2^n (`row_keys`).  The rows are taken in
       slices of `_SCAN_ROWS`: `row_keys` fills one 7-row buffer with a
@@ -383,7 +482,13 @@ def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.n
     dtype = scan_dtype(d)
     table = full_width(d.dense_table().astype(dtype))
     if blocks is None:
-        return _scan_enumeration(table, d.n)
+        out = np.empty(count_fcurves(d.n), dtype=dtype)
+        start, low = 0, np.iinfo(dtype).min
+        for values, pad in _scan_chunks(table, d.n):
+            keep = values[pad == low]
+            out[start : start + len(keep)] = keep
+            start += len(keep)
+        return out
     out = np.empty(len(blocks), dtype=dtype)
     keys = np.empty((len(ROW_PATTERN), _SCAN_ROWS), dtype=dtype)
     for s in range(0, len(blocks), _SCAN_ROWS):

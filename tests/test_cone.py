@@ -52,7 +52,7 @@ from fnef.cone import (
     check_modulus,
 )
 from fnef.errors import InvalidInputError
-from fnef.pairing import ROW_PATTERN, scan_dtype
+from fnef.pairing import ROW_PATTERN, scan_dtype, slot_count
 from fnef.subsets import all_generator_keys, count_fcurves, mask_from_elements, psi_key
 from oracles import (
     dense_rows,
@@ -210,16 +210,16 @@ def test_scan_is_equivariant_under_relabelling(data):
 
 
 def count_scans(monkeypatch):
-    """The arguments of every `pairing_values` call from fnef.cone, as a list
+    """The arguments of every `scan_slots` call from fnef.cone, as a list
     that grows as they are made."""
     scans = []
-    scan = fnef.cone.pairing_values
+    scan = fnef.cone.scan_slots
 
     def counted(*args):
         scans.append(args)
         return scan(*args)
 
-    monkeypatch.setattr(fnef.cone, "pairing_values", counted)
+    monkeypatch.setattr(fnef.cone, "scan_slots", counted)
     return scans
 
 
@@ -243,20 +243,20 @@ def test_fnef_check_builds_no_partition_array(n, qr_divisor, monkeypatch):
 
 
 def test_fnef_check_refuses_a_scan_beyond_physical_memory(monkeypatch):
-    # one value of the scan's dtype and 1 byte of zero flag per curve: one
-    # byte less is refused before the scan, and exactly that much is enough;
-    # the canonical class scans in int8, a coefficient of 2^40 in int64
+    # one zero bit per padded slot, whatever the scan's dtype: one byte less
+    # is refused before the scan, and exactly that much is enough; the
+    # canonical class scans in int8, a coefficient of 2^40 in int64
     scans = count_scans(monkeypatch)
-    for d, itemsize in ((canonical_divisor(9), 1), (DivisorClass(9, {3: 1 << 40}), 8)):
-        need = (itemsize + 1) * count_fcurves(9)
+    need = slot_count(9) // 8
+    for d in (canonical_divisor(9), DivisorClass(9, {3: 1 << 40})):
         monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
-        with pytest.raises(InvalidInputError, match=f"F-nef scan of 7770 curves needs {need} bytes"):
+        with pytest.raises(InvalidInputError, match=f"F-nef scan of 11424 slots needs {need} bytes"):
             fnef_check(d)
         assert scans == []
         monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
         assert fnef_check(d).n == 9 and len(scans) == 1
         scans.clear()
-    assert need == 69930
+    assert need == 1428
 
 
 def test_scan_accepts_one_thread_only(qr_divisor):
@@ -794,12 +794,13 @@ def test_extremality_rank_scans_once(monkeypatch):
     assert np.array_equal(scan.zero_mask(), pairing_values(d) == 0)
     assert scan.zero_count == int(scan.zero_mask().sum())
     calls = []
+    kernel = fnef.cone.scan_slots
 
     def counting(*args, **kwargs):
         calls.append(args[0].n)
-        return pairing_values(*args, **kwargs)
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(fnef.cone, "pairing_values", counting)
+    monkeypatch.setattr(fnef.cone, "scan_slots", counting)
     rep = extremality_rank(d, primes=(P1,))
     assert calls == [6]
     assert rep.fnef == scan and rep.zero_set_size == scan.zero_count
@@ -842,6 +843,19 @@ def test_extremality_rank_refuses_zero_rows_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", build)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
     assert extremality_rank(d).certified_extremal
+
+
+def test_extremality_rank_refuses_the_zero_mask_with_few_zero_rows(monkeypatch):
+    # the sum of all psi_i at n=6 pairs positively with all 65 curves: no
+    # zero row, but the gather's zero mask takes a byte per curve; one byte
+    # less is refused, exactly that much is enough
+    d = psi_sum(6, *range(1, 7))
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 64)
+    with pytest.raises(InvalidInputError, match="zero mask of 65 curves needs 65 bytes"):
+        extremality_rank(d)
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 65)
+    rep = extremality_rank(d)
+    assert rep.fnef.min_value == 2 and rep.zero_set_size == 0 and not rep.certified_extremal
 
 
 def test_extremality_rank_refuses_the_gather_peak_at_n12(qr_divisor, monkeypatch):

@@ -36,7 +36,9 @@ from fnef.errors import InvalidInputError, MalformedInputError
 from fnef.subsets import (
     all_generator_keys,
     canonical_generator,
+    count_fcurves,
     elements_from_mask,
+    fcurve_at,
     full_mask,
     is_psi_key,
     mask_from_elements,
@@ -278,10 +280,14 @@ def scan_divisors(n, seed):
     """Both int64 extremes, small coefficients on every key, coefficients
     of int16 and int32 size on every key, and coefficients up to the bound
     on a sparse support: a scan in each dtype, so records of 16, 32, 64 and
-    128 bytes."""
+    128 bytes.  Then the zero divisor, the block keys of the first and of
+    the last curve (a unique minimum -4 there), and the int16 class that
+    reaches 7 x 4681 = 32767, the padded slots' value, at the last curve,
+    and its negative."""
     rng = random.Random(seed)
     top = ((1 << 63) - 1) // 7
     keys = all_generator_keys(n)
+    first, last = fcurve_at(n, 0), fcurve_at(n, count_fcurves(n) - 1)
     divisors = [
         extreme_divisor(n, top),
         extreme_divisor(n, -top),
@@ -289,27 +295,58 @@ def scan_divisors(n, seed):
         DivisorClass(n, {m: rng.randint(-4681, 4681) for m in keys} | {keys[0]: 4681}),
         DivisorClass(n, {m: rng.randint(-(1 << 28), 1 << 28) for m in keys} | {keys[0]: 1 << 28}),
         DivisorClass(n, {m: rng.randint(-top, top) for m in keys if rng.random() < 0.3}),
+        DivisorClass(n, {}),
+        DivisorClass.from_terms(n, ((b, 1) for b in first.blocks)),
+        DivisorClass.from_terms(n, ((b, 1) for b in last.blocks)),
+        tight_divisor(n, 4681),
+        tight_divisor(n, -4681),
     ]
     assert [scan_dtype(d) for d in divisors[2:5]] == [np.int8, np.int16, np.int32]
+    assert [scan_dtype(d) for d in divisors[-2:]] == [np.int16, np.int16]
     return divisors
+
+
+def check_scan(d, expected):
+    """Both uses of the enumeration scan against `expected`, the pairings
+    of every curve in enumeration order: `pairing_values(d)` is exactly
+    them, and `fnef_check` reports their minimum, its first curve, their
+    zero count and their zeros."""
+    values = pairing_values(d)
+    assert values.dtype == scan_dtype(d)
+    assert np.array_equal(values, expected)
+    report = fnef_check(d)
+    low = expected.min()
+    assert report.min_value == low
+    assert report.argmin == fcurve_at(d.n, int(np.argmax(expected == low)))
+    assert report.zero_count == np.count_nonzero(expected == 0)
+    assert np.array_equal(report.zero_mask(), expected == 0)
 
 
 @pytest.mark.parametrize("n", range(4, 10))
 def test_enumeration_scan_matches_per_curve_oracle(n):
     curves = list(enumerate_fcurves(n))
     for d in scan_divisors(n, n):
-        values = pairing_values(d)
-        assert values.dtype == scan_dtype(d)
-        assert values.tolist() == [pair_divisor_fcurve(d, c) for c in curves]
+        check_scan(d, np.array([pair_divisor_fcurve(d, c) for c in curves]))
 
 
 @pytest.mark.parametrize("n", [10, 11, 12, 13])
 def test_enumeration_scan_matches_row_scan(n):
     blocks = fcurve_block_arrays(n)
     for d in scan_divisors(n, n):
-        values = pairing_values(d)
-        assert values.dtype == scan_dtype(d)
-        assert np.array_equal(values, pairing_values(d, blocks))
+        check_scan(d, pairing_values(d, blocks))
+
+
+def test_scan_minimum_sits_where_the_divisors_put_it():
+    # the premises of `scan_divisors`: a unique minimum -4 at the first and
+    # at the last curve, and 32767 reached at the last curve
+    for n in (4, 9, 12):
+        last = fcurve_at(n, count_fcurves(n) - 1)
+        divisors = scan_divisors(n, n)
+        for d, index in zip(divisors[-4:-2], (0, count_fcurves(n) - 1)):
+            values = pairing_values(d)
+            assert np.flatnonzero(values == values.min()).tolist() == [index]
+            assert values[index] == -4
+        assert pair_divisor_fcurve(divisors[-2], last) == np.iinfo(np.int16).max
 
 
 @pytest.mark.parametrize("chunk", [1, 1 << 30])
@@ -355,6 +392,17 @@ def test_enumeration_scan_temporaries_stay_bounded_in_int64():
     values, peak = traced_peak(lambda: pairing_values(d))
     assert values.dtype == np.int64
     assert peak < values.nbytes + (1 << 20)
+
+
+@pytest.mark.parametrize("c", [1, ((1 << 63) - 1) // 7], ids=["int8", "int64"])
+def test_fnef_check_temporaries_stay_bounded(c):
+    # each chunk is reduced as it comes: besides the packed zero bits of
+    # the 703136 padded slots, one chunk's arrays are held at a time
+    d = extreme_divisor(12, c)
+    fnef_check(d)  # builds the plan and the prefix side
+    report, peak = traced_peak(lambda: fnef_check(d))
+    assert report.zero_bits.nbytes == 703136 // 8
+    assert peak < report.zero_bits.nbytes + (1 << 20)
 
 
 def test_scan_plan_is_small_and_shared_across_n(qr_divisor, monkeypatch):
