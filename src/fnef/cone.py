@@ -49,13 +49,12 @@ from .pairing import (
     biplane_curve_functional,
     check_relations,
     curve_flags,
-    curve_index,
     full_width,
     pair_divisor_functional,
     pairing_values,
     row_keys,
-    scan_slots,
-    slot_count,
+    scan_dtype,
+    scan_fcurves,
 )
 from .subsets import (
     FCurve,
@@ -64,7 +63,6 @@ from .subsets import (
     exact_int,
     fcurve_at,
     fcurve_block_arrays,
-    last_marking_alone,
 )
 
 #: Fixed moduli for extremality certification, both just below the 2^31
@@ -77,7 +75,7 @@ DEFAULT_PRIMES = (2147483629, 2147483647)
 class FNefReport:
     """One scan of every F-curve (`fnef_check`).  `argmin` is the first
     curve in enumeration order at `min_value`.  `zero_bits` marks the curves
-    pairing to zero over the scan's padded slots (`scan_slots`), in slot
+    pairing to zero over the scan's padded slots (`scan_fcurves`), in slot
     order, packed 8 to a byte; it is the only per-curve array the report
     keeps."""
 
@@ -158,39 +156,15 @@ def fnef_check(d: DivisorClass, threads: int = 1) -> FNefReport:
     curve attaining it, and the number of zero pairings.  The scan runs on
     one thread; `threads` accepts only 1.
 
-    The scan (`scan_slots`) comes a chunk at a time, in padded slots, and
-    each chunk is reduced while it is in cache: its minimum and first
-    argmin, its zero count and its packed zero flags.  The argmin slot is
-    mapped to its curve's enumeration index (`curve_index`) and unranked
-    (`fcurve_at`), so no partition array is built, and no array of a value
-    per curve either.  What the scan keeps, one bit per slot, is refused
-    before any scan when it would not fit in physical memory
-    (InvalidInputError; at n=16 0.02 GiB for its 179 million slots).  The
-    chunks themselves are a few hundred KiB whatever n is.
+    The scan (`scan_fcurves`) reduces its chunks as they come and keeps one
+    bit per slot, refused before any scan when it would not fit in
+    physical memory (InvalidInputError).  The argmin is unranked from its
+    enumeration index (`fcurve_at`), so no partition array is built.
     """
     if threads != 1:
         raise InvalidInputError(f"the scan runs on one thread, got threads={threads}")
-    slots = slot_count(d.n)
-    check_memory(slots // 8, f"the F-nef scan of {slots} slots")
-    bits = np.empty(slots // 8, dtype=np.uint8)
-    mn = at = None
-    zeros = start = 0
-    for values in scan_slots(d):
-        i = int(values.argmin())
-        if mn is None or values[i] < mn:
-            mn, at = int(values[i]), start + i
-        zero = values == 0
-        zeros += int(np.count_nonzero(zero))
-        bits[start // 8 : (start + len(values)) // 8] = np.packbits(zero)
-        start += len(values)
-    return FNefReport(
-        n=d.n,
-        min_value=mn,
-        argmin=fcurve_at(d.n, curve_index(d.n, at)),
-        zero_count=zeros,
-        nonnegative=mn >= 0,
-        zero_bits=bits,
-    )
+    low, index, zeros, bits = scan_fcurves(d)
+    return FNefReport(d.n, low, fcurve_at(d.n, index), zeros, low >= 0, bits)
 
 
 def verify_counterexample(bp: Biplane) -> CounterexampleReport:
@@ -600,28 +574,30 @@ def projection_formula_report(
     (`_sample_partitions`).
 
     A curve at n+1 is contracted when {n+1} is one of its blocks; its image
-    at n drops marking n+1.  In enumeration order the other curves at n+1
-    are the curves at n, each four times in a row (n+1 joins block 0, 1, 2,
-    then 3), so the exhaustive check compares them with the scan at n, and
-    it marks the contracted rows from the completion counts
-    (`last_marking_alone`): no partition array is built at either n.
+    at n drops marking n+1.  The image class, d read at each key of n+1
+    markings with marking n+1 dropped (`full_width`), pairs with a curve at
+    n+1 as d pairs with the curve's image at n, and pairs 0 with a
+    contracted curve (B0, B1, B2, {n+1}): at n the sides B0|B1 and B0|B2
+    name the generators B2 and B1, so its four other terms cancel.  So the
+    curves that break the formula are exactly those that pair nonzero with
+    the difference of the lifted class and the image, one class at n+1,
+    scanned once.  Each curve at n lifts to four curves at n+1, one per
+    block that n+1 joins, and every other curve at n+1 is contracted.
     """
     samples = check_sample_count(samples)
     n = d.n
     lifted = pullback_forgetful(d)
-    if samples is None:
-        lhs = pairing_values(lifted)
-        contracted = last_marking_alone(n + 1)
-        differ = lhs[~contracted].reshape(-1, 4) != pairing_values(d)[:, None]
+    blocks = None if samples is None else _sample_partitions(n + 1, samples)
+    # refuse both classes as their scans would, before the image reads d in int64
+    scan_dtype(lifted), scan_dtype(d)
+    table = full_width(d.dense_table()).tolist()
+    diff = lifted - DivisorClass(n + 1, {k: v for k, v in enumerate(table) if v})
+    if blocks is None:
+        total = count_fcurves(n + 1)
+        contracted = total - 4 * count_fcurves(n)
+        mismatches = total - fnef_check(diff).zero_count
     else:
-        last = 1 << n
-        up_blocks = _sample_partitions(n + 1, samples)
-        lhs = pairing_values(lifted, up_blocks)
-        contracted = (up_blocks == last).any(axis=1)
-        differ = lhs[~contracted] != pairing_values(d, (up_blocks & ~last)[~contracted])
-
-    return ProjectionFormulaReport(
-        total=len(lhs),
-        contracted=int(np.count_nonzero(contracted)),
-        mismatches=int(np.count_nonzero(lhs[contracted])) + int(np.count_nonzero(differ)),
-    )
+        total = len(blocks)
+        contracted = int(np.count_nonzero((blocks == 1 << n).any(axis=1)))
+        mismatches = int(np.count_nonzero(pairing_values(diff, blocks)))
+    return ProjectionFormulaReport(total, contracted, mismatches)

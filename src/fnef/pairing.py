@@ -23,7 +23,7 @@ from .subsets import (
     FCurve,
     _assign,
     canonical_generator,
-    count_fcurves,
+    check_memory,
     exact_int,
     fcurve_prefixes,
     format_subset,
@@ -318,7 +318,7 @@ def _slot_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def slot_count(n: int) -> int:
-    """Slots of the padded layout at n (`scan_slots`): 703136 at n=12 for
+    """Slots of the padded layout at n (`scan_fcurves`): 703136 at n=12 for
     611501 curves.  A multiple of 16."""
     return int(_slot_layout(validate_n(n))[0][-1])
 
@@ -354,9 +354,11 @@ def curve_flags(bits: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _scan_chunks(table: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _scan_chunks(table: np.ndarray, n: int) -> Iterator[np.ndarray]:
     """The pairings of the enumeration in padded slots, a chunk of prefixes
-    at a time: per chunk, its values and its pad (`_slot_pad`).
+    at a time: each chunk's values, of the table's dtype, in enumeration
+    order with gaps.  A gap is a slot that completes no curve and holds the
+    dtype's maximum, so it never lowers a minimum and never reads as zero.
 
     A row is a prefix's blocks P0..P3 joined with a completion's S0..S3, and
     the full-width table reads a mask and its complement alike, so b0|b3
@@ -374,11 +376,11 @@ def _scan_chunks(table: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.nda
     over every head of every prefix in it (`_chunk_heads`) and two adds, 16
     slots per head in enumeration order.  A slot that completes no curve
     (the head's last two markings must still open blocks) stays in place,
-    and one `np.maximum` with the pad overwrites it with the dtype's
-    maximum.  Every value is a partial sum of at most 7 coefficients, exact
-    in the table's dtype (`scan_dtype`).  A record is a `np.void` of 16
-    values, so each gather copies 16 values at once; the sums run on the
-    numeric view.
+    and one `np.maximum` with the pad (`_slot_pad`) overwrites it with the
+    dtype's maximum.  Every value is a partial sum of at most 7
+    coefficients, exact in the table's dtype (`scan_dtype`).  A record is a
+    `np.void` of 16 values, so each gather copies 16 values at once; the
+    sums run on the numeric view.
     """
     split, masks, opened = _scan_prefixes(n)
     s = n - split
@@ -395,7 +397,7 @@ def _scan_chunks(table: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.nda
         us = opened[lo : lo + chunk]
         at = np.concatenate([heads[u][p] for p, u in enumerate(us)], axis=1)
         pad = np.concatenate([pads[u] for u in us])
-        yield _scan_chunk(rows, spread, gather, record, at, pad), pad
+        yield _scan_chunk(rows, spread, gather, record, at, pad)
 
 
 def _scan_chunk(rows, spread, gather, record, at, pad) -> np.ndarray:
@@ -418,19 +420,37 @@ def _scan_chunk(rows, spread, gather, record, at, pad) -> np.ndarray:
     return np.maximum(values, pad, out=values)
 
 
-def scan_slots(d: DivisorClass) -> Iterator[np.ndarray]:
-    """The pairings of `d` with every F-curve in a padded slot layout, one
-    chunk of prefixes at a time (`_scan_chunks`): each chunk's values, of
-    `scan_dtype(d)`, in enumeration order with gaps.  A gap is a slot that
-    completes no curve and holds the dtype's maximum, so it never lowers a
-    minimum and never reads as zero; `curve_index` maps a slot to its curve
-    and `curve_flags` keeps the curve slots of flags over the layout.  At
-    n=12 the 611501 curves take 703136 slots (`slot_count`).  Each chunk
-    is a fresh array; coefficients whose sums could leave int64 raise
-    InvalidInputError before any chunk."""
+def scan_fcurves(d: DivisorClass) -> tuple[int, int, int, np.ndarray]:
+    """One scan of the pairings of `d` with every F-curve, in
+    `scan_dtype(d)`: returns their minimum, the enumeration index of the
+    first curve at it, their zero count, and their zero flags over the
+    padded layout, packed 8 to a byte in slot order (`curve_flags` keeps
+    the curve slots).  At n=12 the 611501 curves take 703136 slots
+    (`slot_count`).
+
+    The chunks of `_scan_chunks` are reduced as they come, while each is in
+    cache, and the argmin slot is mapped to its curve (`curve_index`), so
+    no array of a value per curve is built; a chunk is a few hundred KiB
+    whatever n is.  What the scan keeps, one bit per slot, is refused
+    before any scan when it would not fit in physical memory
+    (InvalidInputError; at n=16 0.02 GiB for its 179 million slots), and so
+    are coefficients whose sums could leave int64."""
+    slots = slot_count(d.n)
+    check_memory(slots // 8, f"the F-nef scan of {slots} slots")
     dtype = scan_dtype(d)
     table = full_width(d.dense_table().astype(dtype))
-    return (values for values, _ in _scan_chunks(table, d.n))
+    bits = np.empty(slots // 8, dtype=np.uint8)
+    low = at = None
+    zeros = start = 0
+    for values in _scan_chunks(table, d.n):
+        i = int(values.argmin())
+        if low is None or values[i] < low:
+            low, at = int(values[i]), start + i
+        zero = values == 0
+        zeros += int(np.count_nonzero(zero))
+        bits[start // 8 : (start + len(values)) // 8] = np.packbits(zero)
+        start += len(values)
+    return low, curve_index(d.n, at), zeros, bits
 
 
 #: The scan's dtypes, narrowest first, each with its maximum.
@@ -449,10 +469,10 @@ def scan_dtype(d: DivisorClass) -> np.dtype:
     return next(t for most, t in _SCAN_DTYPES if 7 * top <= most)
 
 
-def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.ndarray:
-    """Pairings of a divisor with every F-curve, in enumeration order (or
-    with the rows of `blocks`): the three unions with block 0 count
-    positively, the four blocks negatively.
+def pairing_values(d: DivisorClass, blocks: np.ndarray) -> np.ndarray:
+    """Pairings of a divisor with the rows of `blocks`, 4-block partitions
+    of {1..n} as int32 or int64 masks, each below 2^n: the three unions
+    with block 0 count positively, the four blocks negatively.
 
     The result, and every value array the scan allocates, has
     `scan_dtype(d)`: the narrowest of int8, int16, int32 and int64 that
@@ -463,32 +483,14 @@ def pairing_values(d: DivisorClass, blocks: Optional[np.ndarray] = None) -> np.n
     values should first widen them with `.astype(np.int64)`.
 
     The table is `d.dense_table()` at full width (`full_width`), read at
-    every subset mask.  The two paths read it differently:
-
-    - Without `blocks`, the enumeration is scanned as prefixes times
-      completions (`_scan_chunks`): per-prefix records of 16 values, one
-      per way its last two markings fall, so three record gathers and two
-      adds fill the 16 slots of a head, a chunk of prefixes at a time.
-      Each chunk's curve slots are copied into its part of the result.  It
-      needs the enumeration's structure, so it serves only the whole
-      enumeration; `scan_slots` gives the same scan uncompacted.
-    - With `blocks`, any rows are scanned: 4-block partitions as int32 or
-      int64 masks, each below 2^n (`row_keys`).  The rows are taken in
-      slices of `_SCAN_ROWS`: `row_keys` fills one 7-row buffer with a
-      slice's keys, and the three union rows minus the four block rows are
-      summed into its part of the result.  This path serves sampled rows
-      and is the enumeration scan's oracle in the tests.
+    every subset mask.  The rows are taken in slices of `_SCAN_ROWS`:
+    `row_keys` fills one 7-row buffer with a slice's keys, and the three
+    union rows minus the four block rows are summed into its part of the
+    result.  It serves sampled rows, and it is the tests' oracle for the
+    scan of every F-curve, `scan_fcurves`.
     """
     dtype = scan_dtype(d)
     table = full_width(d.dense_table().astype(dtype))
-    if blocks is None:
-        out = np.empty(count_fcurves(d.n), dtype=dtype)
-        start, low = 0, np.iinfo(dtype).min
-        for values, pad in _scan_chunks(table, d.n):
-            keep = values[pad == low]
-            out[start : start + len(keep)] = keep
-            start += len(keep)
-        return out
     out = np.empty(len(blocks), dtype=dtype)
     keys = np.empty((len(ROW_PATTERN), _SCAN_ROWS), dtype=dtype)
     for s in range(0, len(blocks), _SCAN_ROWS):

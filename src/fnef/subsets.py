@@ -327,20 +327,6 @@ def fcurve_at(n: int, index: int) -> FCurve:
     return FCurve._trusted(n, tuple(blocks))  # type: ignore[arg-type]
 
 
-def last_marking_alone(n: int) -> np.ndarray:
-    """Boolean mask over the enumeration of {1..n}, True at the rows where
-    {n} is a block, read off the completion tables of
-    `fcurve_block_arrays`: no partition array is built.
-
-    Marking n is alone when it is all of block 3, which a completion can
-    give only after a prefix that opened fewer than 4 blocks; the
-    prefixes' completions follow one another in enumeration order.
-    """
-    split, _, opened = fcurve_prefixes(n, _SUFFIX)
-    alone = {u: (t[:, 3] == 1 << (n - 1)) & (u < 4) for u, t in completion_tables(n, split).items()}
-    return np.concatenate([alone[u] for u in opened.tolist()])
-
-
 def _check_partitions(arr: np.ndarray, n: int, start: int) -> None:
     """`FCurve`'s checks on every row at once: nonempty blocks in increasing
     order of their lowest markings, covering 1..n, disjoint (the masks sum to

@@ -2,8 +2,9 @@
 
 Dense Fraction elimination for ranks over the rationals, the pairing row
 of a single F-curve as a curve functional, the pushforward of one F-curve
-along the forgetful map, and the first, array-based forms of the sampled
-and exhaustive projection formula.  None of this runs outside the tests.
+along the forgetful map, the first, array-based form of the projection
+formula over any rows at n+1, and the values of the enumeration kernel
+compacted to one per curve.  None of this runs outside the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from fnef import (
     pairing_values,
     relation_system,
 )
-from fnef.pairing import ROW_PATTERN
+import fnef.pairing
+from fnef.pairing import ROW_PATTERN, full_width, scan_dtype
 from fnef.errors import InvalidInputError
 
 
@@ -128,15 +130,32 @@ def sample_partitions_oracle(m: int, samples: int, seed: int) -> np.ndarray:
     return np.concatenate(rows)[:samples]
 
 
-def projection_formula_oracle(d: DivisorClass, lifted: DivisorClass) -> tuple[int, int, int]:
-    """(total, contracted, mismatches) of the exhaustive projection formula
-    for the class `lifted` at n+1 against d, from the rows at n+1: a row is
-    contracted when one of its blocks is {n+1}, and any other row is
-    compared with its image at n, scanned row by row.  Both scans are
-    widened to int64, so the comparison does not rest on NumPy's promotion
-    between their dtypes."""
-    up_blocks = fcurve_block_arrays(d.n + 1)
-    lhs = pairing_values(lifted).astype(np.int64)
+def enumeration_values(d: DivisorClass) -> np.ndarray:
+    """Every value of the enumeration kernel (`pairing._scan_chunks`) in
+    `scan_dtype(d)`, with its padded slots dropped: the pairings of every
+    F-curve in enumeration order.  The slots kept are those where the
+    plan's pad (`pairing._slot_pad`) holds the dtype's minimum."""
+    dtype = scan_dtype(d)
+    table = full_width(d.dense_table().astype(dtype))
+    split, _, opened = fnef.pairing._scan_prefixes(d.n)
+    pads = fnef.pairing._slot_pad(d.n - split, dtype)
+    pad = np.concatenate([pads[u] for u in opened])
+    values = np.concatenate(list(fnef.pairing._scan_chunks(table, d.n)))
+    return values[pad == np.iinfo(dtype).min]
+
+
+def projection_formula_oracle(
+    d: DivisorClass, lifted: DivisorClass, up_blocks: Optional[np.ndarray] = None
+) -> tuple[int, int, int]:
+    """(total, contracted, mismatches) of the projection formula for the
+    class `lifted` at n+1 against d, from the rows at n+1 (by default every
+    F-curve): a row is contracted when one of its blocks is {n+1}, and any
+    other row is compared with its image at n, scanned row by row.  Both
+    scans are widened to int64, so the comparison does not rest on NumPy's
+    promotion between their dtypes."""
+    if up_blocks is None:
+        up_blocks = fcurve_block_arrays(d.n + 1)
+    lhs = pairing_values(lifted, up_blocks).astype(np.int64)
     last = 1 << d.n
     contracted = (up_blocks == last).any(axis=1)
     rhs = pairing_values(d, (up_blocks & ~last)[~contracted]).astype(np.int64)

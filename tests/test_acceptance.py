@@ -80,7 +80,7 @@ def test_criterion_2_biplane(qr_biplane):
 
 def test_criterion_3_counterexample(qr_divisor, qr_witness):
     t0 = time.perf_counter()
-    values = pairing_values(qr_divisor)
+    values = pairing_values(qr_divisor, fcurve_block_arrays(12))
     negatives = int(np.count_nonzero(values < 0))
     minimum = int(values.min())
     boundary = [v for m, v in qr_witness.values.coeffs.items() if not is_psi_key(m, 12)]
@@ -108,7 +108,8 @@ def test_criterion_4_decomposition(qr_biplane, qr_divisor):
     t0 = time.perf_counter()
     other = symmetric_divisor() - biplane_block_star_divisor(qr_biplane)
     reduced_equal = reduce_canonical(qr_divisor) == reduce_canonical(other)
-    pair_equal = bool(np.array_equal(pairing_values(qr_divisor), pairing_values(other)))
+    blocks = fcurve_block_arrays(12)
+    pair_equal = bool(np.array_equal(pairing_values(qr_divisor, blocks), pairing_values(other, blocks)))
     elapsed = time.perf_counter() - t0
     ok = reduced_equal and pair_equal
     report(4, ok, elapsed, f"reduced_equal={reduced_equal} pairings_equal={pair_equal}")
@@ -122,7 +123,7 @@ def test_criterion_5_symmetric_degree_formula():
     smallest = sizes.min(axis=1)
     largest = sizes.max(axis=1)
     closed_form = np.where(largest >= 6, 0, np.minimum(smallest, 6 - largest))
-    scanned = pairing_values(symmetric_divisor())
+    scanned = pairing_values(symmetric_divisor(), blocks)
     mismatches = int(np.count_nonzero(scanned != closed_form))
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and len(scanned) == FCURVE_COUNT_12

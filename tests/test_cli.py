@@ -521,13 +521,13 @@ def test_extremal_rejects_non_fnef_divisor(tmp_path, capsys):
 
 def test_extremal_scans_the_curves_once(tmp_path, monkeypatch, capsys):
     calls = []
-    scan = fnef.cone.scan_slots
+    scan = fnef.cone.scan_fcurves
 
     def counting(*args, **kwargs):
         calls.append(args[0].n)
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(fnef.cone, "scan_slots", counting)
+    monkeypatch.setattr(fnef.cone, "scan_fcurves", counting)
     # F-nef at n=6: a boundary class F-nef at 4 markings, pulled back twice
     d = pullback_forgetful(pullback_forgetful(DivisorClass(4, {0b011: 1})))
     path = tmp_path / "d6.txt"
@@ -642,13 +642,13 @@ def test_extremal_refuses_coefficients_beyond_int64(tmp_path, capsys):
 
 def test_extremal_reduces_the_primitive_part(tmp_path, monkeypatch, capsys):
     calls = []
-    scan = fnef.cone.scan_slots
+    scan = fnef.cone.scan_fcurves
 
     def counting(*args, **kwargs):
         calls.append(args[0].n)
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(fnef.cone, "scan_slots", counting)
+    monkeypatch.setattr(fnef.cone, "scan_fcurves", counting)
     # 2^59 times an extremal divisor at n=6: its own reduction (weight 26)
     # leaves int64, that of its primitive part does not
     d = pullback_forgetful(pullback_forgetful(DivisorClass(4, {0b011: 1})))
@@ -672,7 +672,7 @@ def test_extremal_refuses_bad_prime_before_any_scan(monkeypatch, capsys):
 
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_scan)
     monkeypatch.setattr(fnef.cone, "pairing_values", no_scan)
-    monkeypatch.setattr(fnef.cone, "scan_slots", no_scan)
+    monkeypatch.setattr(fnef.cone, "scan_fcurves", no_scan)
     monkeypatch.setattr(fnef.pairing, "_scan_chunks", no_scan)
     code, out, err = run(capsys, "extremal", "--prime", "2147483629", "--prime", "91")
     assert (code, out) == (2, "")
@@ -688,7 +688,7 @@ def test_extremal_refuses_a_repeated_prime_before_any_scan(monkeypatch, capsys):
 
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_scan)
     monkeypatch.setattr(fnef.cone, "pairing_values", no_scan)
-    monkeypatch.setattr(fnef.cone, "scan_slots", no_scan)
+    monkeypatch.setattr(fnef.cone, "scan_fcurves", no_scan)
     monkeypatch.setattr(fnef.pairing, "_scan_chunks", no_scan)
     code, out, err = run(capsys, "extremal", "--prime", "3", "--prime", "101", "--prime", "3")
     assert (code, out, err) == (2, "", "error: --prime 3 is given twice\n")
@@ -698,13 +698,13 @@ def test_verify_scans_once_and_fails_on_a_decomposition_mismatch(
     qr_biplane, monkeypatch, capsys
 ):
     calls = []
-    scan = fnef.cone.scan_slots
+    scan = fnef.cone.scan_fcurves
 
     def counting(*args, **kwargs):
         calls.append(args[0].n)
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(fnef.cone, "scan_slots", counting)
+    monkeypatch.setattr(fnef.cone, "scan_fcurves", counting)
     code, out, _ = run(capsys, "verify")
     assert code == 0 and calls == [12]
     # the block-star decomposition with one extra boundary term

@@ -40,6 +40,7 @@ from fnef import (
     verify_counterexample,
 )
 import fnef.cone
+import fnef.pairing
 import fnef.subsets
 from fnef.cone import (
     DEFAULT_PRIMES,
@@ -96,7 +97,8 @@ def test_fnef_relation_invariance_n6():
             for j in range(i + 1, n + 1):
                 shift += rng.randint(-4, 4) * relation_row(i, j, n)
         assert shift.support_size() > 0
-        assert np.array_equal(pairing_values(d + shift), pairing_values(d))
+        blocks = fcurve_block_arrays(n)
+        assert np.array_equal(pairing_values(d + shift, blocks), pairing_values(d, blocks))
 
 
 def test_argmin_is_first_minimizer_in_enumeration_order():
@@ -202,7 +204,7 @@ def test_scan_is_equivariant_under_relabelling(data):
     assert (rep_moved.min_value, rep_moved.zero_count) == (rep.min_value, rep.zero_count)
     blocks = fcurve_block_arrays(n)
     for div, r in ((d, rep), (moved, rep_moved)):
-        row = blocks[pairing_values(div).argmin()]
+        row = blocks[pairing_values(div, blocks).argmin()]
         assert r.argmin == FCurve(n, tuple(int(b) for b in row))
     assert np.array_equal(
         curve_keys(table[blocks[rep.zero_mask()]]), curve_keys(blocks[rep_moved.zero_mask()])
@@ -210,16 +212,16 @@ def test_scan_is_equivariant_under_relabelling(data):
 
 
 def count_scans(monkeypatch):
-    """The arguments of every `scan_slots` call from fnef.cone, as a list
+    """The arguments of every `scan_fcurves` call from fnef.cone, as a list
     that grows as they are made."""
     scans = []
-    scan = fnef.cone.scan_slots
+    scan = fnef.cone.scan_fcurves
 
     def counted(*args):
         scans.append(args)
         return scan(*args)
 
-    monkeypatch.setattr(fnef.cone, "scan_slots", counted)
+    monkeypatch.setattr(fnef.cone, "scan_fcurves", counted)
     return scans
 
 
@@ -245,8 +247,15 @@ def test_fnef_check_builds_no_partition_array(n, qr_divisor, monkeypatch):
 def test_fnef_check_refuses_a_scan_beyond_physical_memory(monkeypatch):
     # one zero bit per padded slot, whatever the scan's dtype: one byte less
     # is refused before the scan, and exactly that much is enough; the
-    # canonical class scans in int8, a coefficient of 2^40 in int64
-    scans = count_scans(monkeypatch)
+    # canonical class scans in int8, a coefficient of 2^40 in int64; the
+    # guard sits in `scan_fcurves`, so the scans counted are the kernel's
+    kernel, scans = fnef.pairing._scan_chunks, []
+
+    def counted(table, n):
+        scans.append(n)
+        return kernel(table, n)
+
+    monkeypatch.setattr(fnef.pairing, "_scan_chunks", counted)
     need = slot_count(9) // 8
     for d in (canonical_divisor(9), DivisorClass(9, {3: 1 << 40})):
         monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
@@ -791,16 +800,16 @@ def test_orthogonality_check_covers_every_row():
 def test_extremality_rank_scans_once(monkeypatch):
     d = fnef_divisor_n6()
     scan = fnef_check(d)
-    assert np.array_equal(scan.zero_mask(), pairing_values(d) == 0)
+    assert np.array_equal(scan.zero_mask(), pairing_values(d, fcurve_block_arrays(6)) == 0)
     assert scan.zero_count == int(scan.zero_mask().sum())
     calls = []
-    kernel = fnef.cone.scan_slots
+    kernel = fnef.cone.scan_fcurves
 
     def counting(*args, **kwargs):
         calls.append(args[0].n)
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(fnef.cone, "scan_slots", counting)
+    monkeypatch.setattr(fnef.cone, "scan_fcurves", counting)
     rep = extremality_rank(d, primes=(P1,))
     assert calls == [6]
     assert rep.fnef == scan and rep.zero_set_size == scan.zero_count
@@ -1068,25 +1077,55 @@ def projection_divisors(n):
     return [eliminate_psi(d) for d in out]
 
 
-@pytest.mark.parametrize("n", range(5, 11))
-def test_exhaustive_projection_formula_matches_the_row_oracle(n, monkeypatch):
-    # a wrong extra term on the lift makes the mismatch count nonzero,
-    # so the two formulas must agree on every count, not only on zero; an
-    # extra 2^20 scans the lift in int32 against d's int8, and a comparison
-    # that wrapped to int8 or int16 would miss every one of its mismatches
-    pullback = fnef.cone.pullback_forgetful
+def wrong_lifts(n):
+    """Per class of `projection_divisors(n)`, its pullback and three wrong
+    lifts, each with one extra term: the two formulas must agree on every
+    count, not only on zero.  An extra 2^20 scans the lift in int32 against
+    d's int8, so a comparison that wrapped to int8 or int16 would miss
+    every one of its mismatches."""
     keys = all_generator_keys(n + 1)
     for d in projection_divisors(n):
         for extra, c in ((None, 0), (keys[len(keys) // 3], 1), (1 << (n - 1), 1), (keys[-2], 1 << 20)):
-            lifted = pullback(d)
+            lifted = pullback_forgetful(d)
             if extra is not None:
                 lifted = lifted + DivisorClass(n + 1, {extra: c})
             assert (scan_dtype(lifted), scan_dtype(d)) == ((np.int32, np.int8) if c > 1 else (np.int8,) * 2)
-            monkeypatch.setattr(fnef.cone, "pullback_forgetful", lambda _, lifted=lifted: lifted)
-            rep = projection_formula_report(d)
-            expected = projection_formula_oracle(d, lifted)
-            assert (rep.total, rep.contracted, rep.mismatches) == expected
-            assert (rep.mismatches == 0) == (extra is None)
+            yield d, lifted, extra is None
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_exhaustive_projection_formula_matches_the_row_oracle(n, monkeypatch):
+    for d, lifted, right in wrong_lifts(n):
+        monkeypatch.setattr(fnef.cone, "pullback_forgetful", lambda _, lifted=lifted: lifted)
+        rep = projection_formula_report(d)
+        expected = projection_formula_oracle(d, lifted)
+        assert (rep.total, rep.contracted, rep.mismatches) == expected
+        assert (rep.mismatches == 0) == right
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_sampled_projection_formula_matches_the_row_oracle(n, monkeypatch):
+    # the same wrong lifts, on the sampled rows at n+1
+    samples = 3000
+    rows = fnef.cone._sample_partitions(n + 1, samples)
+    for d, lifted, right in wrong_lifts(n):
+        monkeypatch.setattr(fnef.cone, "pullback_forgetful", lambda _, lifted=lifted: lifted)
+        rep = projection_formula_report(d, samples=samples)
+        expected = projection_formula_oracle(d, lifted, rows)
+        assert (rep.total, rep.contracted, rep.mismatches) == expected
+        assert (rep.mismatches == 0) == right
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_exhaustive_contracted_count_is_the_arrays_last_block(n):
+    # {n} alone leaves a 3-block partition of {1..n-1}: S(n-1, 3) of them,
+    # and the exhaustive projection formula from n-1 counts them as the
+    # curves that are not among the four lifts of a curve at n-1
+    contracted = np.count_nonzero(fcurve_block_arrays(n)[:, 3] == 1 << (n - 1))
+    assert contracted == (3 ** (n - 1) - 3 * 2 ** (n - 1) + 3) // 6
+    if n > 4:
+        rep = projection_formula_report(DivisorClass(n - 1, {3: 1}))
+        assert (rep.total, rep.contracted, rep.mismatches) == (count_fcurves(n), contracted, 0)
 
 
 def test_exhaustive_projection_formula_12_to_13_builds_no_partition_array(
@@ -1099,6 +1138,40 @@ def test_exhaustive_projection_formula_12_to_13_builds_no_partition_array(
         monkeypatch.setattr(module, "fcurve_block_arrays", no_array)
     rep = projection_formula_report(eliminate_psi(qr_divisor))
     assert (rep.total, rep.contracted, rep.mismatches) == (2532530, 86526, 0)
+
+
+def test_exhaustive_projection_formula_13_to_14(qr_divisor):
+    # the biplane class pulled back once, pulled back again
+    d = pullback_forgetful(eliminate_psi(qr_divisor))
+    rep = projection_formula_report(d)
+    assert (rep.total, rep.contracted, rep.mismatches) == (10391745, 261625, 0)
+
+
+@pytest.mark.parametrize("samples", [None, 1000], ids=["exhaustive", "sampled"])
+def test_projection_formula_refuses_scans_beyond_int64(samples):
+    # both classes are read as the scans would read them, before the image
+    # of d is built: 7c fits int64 at c = 2^63 // 7 and not one above, and
+    # 2^63 fits no int64 at all
+    top = (1 << 63) // 7
+    rep = projection_formula_report(DivisorClass(6, {3: top, 5: -1}), samples=samples)
+    assert rep.mismatches == 0 and rep.total == (1000 if samples else 350)
+    for c in (top + 1, 1 << 63):
+        message = f"^F-curve pairing scan: coefficient {c} times 7 exceeds int64$"
+        with pytest.raises(InvalidInputError, match=message):
+            projection_formula_report(DivisorClass(6, {3: c, 5: -1}), samples=samples)
+
+
+def test_exhaustive_projection_formula_refuses_a_scan_beyond_physical_memory(monkeypatch):
+    # the scan at n+1 keeps one zero bit per padded slot, and is refused
+    # before any chunk is scanned
+    def no_scan(*args):
+        raise AssertionError("scanned a chunk")
+
+    need = slot_count(10) // 8
+    monkeypatch.setattr(fnef.pairing, "_scan_chunks", no_scan)
+    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
+    with pytest.raises(InvalidInputError, match=f"F-nef scan of {8 * need} slots needs {need} bytes"):
+        projection_formula_report(DivisorClass(9, {3: 1}))
 
 
 def test_projection_formula_refuses_no_samples():

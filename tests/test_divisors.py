@@ -442,11 +442,12 @@ def test_eliminate_psi_preserves_class_of_symmetric_divisor():
 
 def test_eliminate_psi_pairing_invariance_full_scan(qr_divisor):
     import numpy as np
-    from fnef import pairing_values
+    from fnef import fcurve_block_arrays, pairing_values
 
     flat = eliminate_psi(qr_divisor)
     assert flat.is_boundary_only()
-    assert np.array_equal(pairing_values(flat), pairing_values(qr_divisor))
+    blocks = fcurve_block_arrays(12)
+    assert np.array_equal(pairing_values(flat, blocks), pairing_values(qr_divisor, blocks))
 
 
 def test_eliminate_psi_pairing_invariance_exhaustive_n6():

@@ -44,7 +44,7 @@ from fnef.subsets import (
     mask_from_elements,
     psi_key,
 )
-from oracles import fcurve_functional, pushforward_fcurve
+from oracles import enumeration_values, fcurve_functional, pushforward_fcurve
 
 
 def eq2_oracle(key, n, curve):
@@ -193,7 +193,7 @@ def test_scan_refuses_coefficients_whose_sums_leave_int64():
     with pytest.raises(InvalidInputError):
         fnef_check(d)
     with pytest.raises(InvalidInputError):
-        pairing_values(DivisorClass(6, {3: 1 << 63}))
+        pairing_values(DivisorClass(6, {3: 1 << 63}), fcurve_block_arrays(6))
 
 
 @pytest.mark.parametrize("rows", [1, 5, 7])
@@ -232,11 +232,19 @@ def tight_divisor(n, c):
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64], ids=lambda t: t.__name__)
-def test_scan_runs_in_the_narrowest_dtype_that_holds_seven_coefficients(dtype):
+def test_scan_runs_in_the_narrowest_dtype_that_holds_seven_coefficients(dtype, monkeypatch):
     """At n=6, c = max // 7, the largest c with 7c within the dtype, scans
     in it, and c + 1 in the next wider dtype (refused past int64), at both
     signs; every value matches the per-curve oracle on both scan paths, and
-    so do fnef_check's minimum, zero count and argmin."""
+    so do fnef_check's minimum, zero count and argmin; fnef_check's
+    enumeration kernel reads its table in that dtype too."""
+    kernel, tables = fnef.pairing._scan_chunks, []
+
+    def recording(table, n):
+        tables.append(table.dtype)
+        return kernel(table, n)
+
+    monkeypatch.setattr(fnef.pairing, "_scan_chunks", recording)
     curves = list(enumerate_fcurves(6))
     blocks = fcurve_block_arrays(6)
     wider = {np.int8: np.int16, np.int16: np.int32, np.int32: np.int64, np.int64: None}
@@ -245,15 +253,17 @@ def test_scan_runs_in_the_narrowest_dtype_that_holds_seven_coefficients(dtype):
     for c, expect in ((top, dtype), (top + 1, wider[dtype])):
         for d in (extreme_divisor(6, c), extreme_divisor(6, -c), tight_divisor(6, c), tight_divisor(6, -c)):
             if expect is None:
-                for rows in (None, blocks):
+                for scan in (fnef_check, lambda d: pairing_values(d, blocks)):
                     with pytest.raises(InvalidInputError, match="exceeds int64"):
-                        pairing_values(d, rows)
+                        scan(d)
                 continue
             expected = [pair_divisor_fcurve(d, curve) for curve in curves]
-            for values in (pairing_values(d), pairing_values(d, blocks)):
+            for values in (enumeration_values(d), pairing_values(d, blocks)):
                 assert values.dtype == expect
                 assert values.tolist() == expected
+            tables.clear()
             report = fnef_check(d)
+            assert tables == [expect]
             assert report.min_value == min(expected)
             assert report.zero_count == expected.count(0)
             assert report.argmin == curves[expected.index(min(expected))]
@@ -307,11 +317,11 @@ def scan_divisors(n, seed):
 
 
 def check_scan(d, expected):
-    """Both uses of the enumeration scan against `expected`, the pairings
-    of every curve in enumeration order: `pairing_values(d)` is exactly
-    them, and `fnef_check` reports their minimum, its first curve, their
-    zero count and their zeros."""
-    values = pairing_values(d)
+    """The enumeration scan against `expected`, the pairings of every curve
+    in enumeration order: its values with the padded slots dropped
+    (`enumeration_values`) are exactly them, and `fnef_check` reports their
+    minimum, its first curve, their zero count and their zeros."""
+    values = enumeration_values(d)
     assert values.dtype == scan_dtype(d)
     assert np.array_equal(values, expected)
     report = fnef_check(d)
@@ -342,8 +352,9 @@ def test_scan_minimum_sits_where_the_divisors_put_it():
     for n in (4, 9, 12):
         last = fcurve_at(n, count_fcurves(n) - 1)
         divisors = scan_divisors(n, n)
+        blocks = fcurve_block_arrays(n)
         for d, index in zip(divisors[-4:-2], (0, count_fcurves(n) - 1)):
-            values = pairing_values(d)
+            values = pairing_values(d, blocks)
             assert np.flatnonzero(values == values.min()).tolist() == [index]
             assert values[index] == -4
         assert pair_divisor_fcurve(divisors[-2], last) == np.iinfo(np.int16).max
@@ -356,42 +367,26 @@ def test_enumeration_scan_does_not_depend_on_the_chunk(chunk, monkeypatch):
     monkeypatch.setattr(fnef.pairing, "_SCAN_CHUNK", chunk)
     blocks = fcurve_block_arrays(11)
     for d in scan_divisors(11, 111):
-        assert np.array_equal(pairing_values(d), pairing_values(d, blocks))
+        assert np.array_equal(enumeration_values(d), pairing_values(d, blocks))
 
 
 @pytest.mark.parametrize("n", [4, 7, 10, 13])
 def test_fnef_check_argmin_is_the_scan_argmin_row(n):
     blocks = fcurve_block_arrays(n)
     for d in scan_divisors(n, n):
-        row = blocks[pairing_values(d).argmin()]
+        row = blocks[pairing_values(d, blocks).argmin()]
         assert fnef_check(d).argmin == FCurve(n, tuple(int(b) for b in row))
 
 
 def test_both_scans_refuse_sums_beyond_int64():
     top = ((1 << 63) - 1) // 7
     blocks = fcurve_block_arrays(9)
-    for rows in (None, blocks):
+    for scan in (fnef_check, lambda d: pairing_values(d, blocks)):
         for c in (top + 1, -top - 1):
             with pytest.raises(InvalidInputError, match="exceeds int64"):
-                pairing_values(extreme_divisor(9, c), rows)
+                scan(extreme_divisor(9, c))
         with pytest.raises(InvalidInputError, match="exceeds int64"):
-            pairing_values(DivisorClass(9, {3: 1 << 63}), rows)
-
-
-def test_enumeration_scan_temporaries_stay_bounded(qr_divisor):
-    pairing_values(qr_divisor)  # builds the plan and the prefix side
-    values, peak = traced_peak(lambda: pairing_values(qr_divisor))
-    assert values.dtype == np.int8
-    assert peak < values.nbytes + (1 << 20)
-
-
-def test_enumeration_scan_temporaries_stay_bounded_in_int64():
-    # a chunk holds one prefix of 128-byte records in int64
-    d = extreme_divisor(12, ((1 << 63) - 1) // 7)
-    pairing_values(d)
-    values, peak = traced_peak(lambda: pairing_values(d))
-    assert values.dtype == np.int64
-    assert peak < values.nbytes + (1 << 20)
+            scan(DivisorClass(9, {3: 1 << 63}))
 
 
 @pytest.mark.parametrize("c", [1, ((1 << 63) - 1) // 7], ids=["int8", "int64"])
@@ -413,10 +408,14 @@ def test_scan_plan_is_small_and_shared_across_n(qr_divisor, monkeypatch):
         asked.append(s)
         return plan(s)
 
+    divisors = (DivisorClass(8, {3: 1}), qr_divisor, DivisorClass(13, {3: 1}))
+    for d in divisors:
+        fnef_check(d)  # fills the caches built from the plan
     monkeypatch.setattr(fnef.pairing, "_scan_plan", recording)
-    for d in (DivisorClass(8, {3: 1}), qr_divisor, DivisorClass(13, {3: 1})):
-        pairing_values(d)
-    assert asked == [7, 7, 7]
+    for d in divisors:
+        fnef_check(d)
+    # per scan, once for the kernel and once to map the argmin slot
+    assert asked == [7, 7] * 3
     spread, gather, heads = plan(7)
     assert plan(7)[0] is spread and plan(7)[2] is heads
     arrays = [spread, gather, *(a for h in heads.values() for a in h if a is not None)]

@@ -30,7 +30,6 @@ from fnef.subsets import (
     full_mask,
     integer,
     is_psi_key,
-    last_marking_alone,
     mask_from_elements,
     parse_subset,
     psi_key,
@@ -399,15 +398,6 @@ def test_kept_rows_refused_beyond_physical_memory(monkeypatch):
         fcurve_block_arrays(9, keep)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
     assert len(fcurve_block_arrays(9, keep)) == need // 16
-
-
-@pytest.mark.parametrize("n", range(4, 14))
-def test_last_marking_alone_is_the_arrays_last_block(n):
-    mask = last_marking_alone(n)
-    assert mask.dtype == bool
-    assert np.array_equal(mask, fcurve_block_arrays(n)[:, 3] == 1 << (n - 1))
-    # {n} alone leaves a 3-block partition of {1..n-1}: S(n-1, 3) of them
-    assert np.count_nonzero(mask) == (3 ** (n - 1) - 3 * 2 ** (n - 1) + 3) // 6
 
 
 def row_curve(n, row):
