@@ -43,6 +43,7 @@ class Mutant:
 _NARROWEST = "tests/test_pairing.py::test_scan_runs_in_the_narrowest_dtype_that_holds_seven_coefficients"
 _SLICED = "tests/test_pairing.py::test_sliced_scan_matches_per_curve_oracle"
 _COL_ROWS = "tests/test_cone.py::test_col_rows_built_in_place_match_the_stacked_rows"
+_TIES = "tests/test_pairing.py::test_fnef_check_argmin_is_the_first_minimum_across_open_block_groups"
 _ENUMERATION = (
     "tests/test_pairing.py::test_enumeration_scan_matches_per_curve_oracle",
     "tests/test_pairing.py::test_enumeration_scan_matches_row_scan",
@@ -110,8 +111,8 @@ MUTANTS = (
     Mutant(
         "chunk-drops-last-prefix",
         "src/fnef/pairing.py",
-        "us = opened[lo : lo + chunk]",
-        "us = opened[lo : lo + chunk - 1]",
+        "rows = by_suffix.take(masks[lo : lo + chunk], axis=0)",
+        "rows = by_suffix.take(masks[lo : lo + chunk - 1], axis=0)",
         _ENUMERATION,
     ),
     Mutant(
@@ -125,8 +126,33 @@ MUTANTS = (
     Mutant(
         "argmin-slot-as-curve-index",
         "src/fnef/pairing.py",
-        "return low, curve_index(d.n, at), zeros, bits",
-        "return low, at, zeros, bits",
+        "return low[0], curve_index(d.n, low[1]), zeros, bits",
+        "return low[0], low[1], zeros, bits",
+        _ENUMERATION,
+    ),
+    Mutant(
+        "argmin-tie-reversed",
+        "src/fnef/pairing.py",
+        "low = first if low is None else min(low, first)",
+        # of two chunks at the same minimum, the later slot wins
+        "low = first if low is None else min(low, first, key=lambda p: (p[0], -p[1]))",
+        (_TIES,),
+    ),
+    Mutant(
+        "argmin-tie-dropped",
+        "src/fnef/pairing.py",
+        "low = first if low is None else min(low, first)",
+        # the first chunk to reach the minimum keeps it
+        "low = first if low is None or first[0] < low[0] else low",
+        (_TIES,),
+    ),
+    Mutant(
+        "prefix-bits-at-group-position",
+        "src/fnef/pairing.py",
+        "for p, start in enumerate((starts // 8).tolist()):",
+        # a chunk's prefixes written one after another from its first
+        # prefix's slot, as if the group's prefixes were contiguous
+        "for p, start in enumerate(range(int(starts[0]) // 8, len(bits), step)):",
         _ENUMERATION,
     ),
     Mutant(
@@ -314,8 +340,8 @@ MUTANTS = (
     Mutant(
         "reduction-drops-top-key-bit",
         "src/fnef/divisors.py",
-        "for bit in range(d.n - 1):",
-        "for bit in range(d.n - 2):",
+        "_add_halves(sums, range(low, d.n - 1))",
+        "_add_halves(sums, range(low, d.n - 2))",
         (
             "tests/test_divisors.py::test_relation_system_spans_the_relations",
             "tests/test_divisors.py::test_reduce_canonical_matches_fraction_oracle",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Mapping
@@ -44,7 +44,8 @@ from .subsets import (
 class DivisorClass:
     """Sparse integer coefficients over canonical generator keys.  Keys and
     coefficients must be integers (`exact_int`); they are stored as Python
-    ints, and zero coefficients are dropped."""
+    ints, and zero coefficients are dropped.  The dense table and the
+    largest |coefficient| are computed once each, when first asked for."""
 
     n: int
     coeffs: Mapping[int, int]
@@ -93,12 +94,24 @@ class DivisorClass:
     def is_boundary_only(self) -> bool:
         return not any(is_psi_key(m, self.n) for m in self.coeffs)
 
+    @cached_property
+    def max_abs(self) -> int:
+        """The largest |coefficient|, 0 for the zero class."""
+        return max(map(abs, self.coeffs.values()), default=0)
+
     def dense_table(self) -> np.ndarray:
-        """Coefficients as an int64 array indexed by canonical key mask."""
+        """Coefficients as a read-only int64 array indexed by canonical key
+        mask, the same array on every call.  A coefficient beyond int64
+        raises OverflowError: callers refuse it first (`check_int64_sums`)."""
+        return self._dense_table
+
+    @cached_property
+    def _dense_table(self) -> np.ndarray:
         table = np.zeros(1 << (self.n - 1), dtype=np.int64)
         count = len(self.coeffs)
         keys = np.fromiter(self.coeffs, np.intp, count)
         table[keys] = np.fromiter(self.coeffs.values(), np.int64, count)
+        table.setflags(write=False)
         return table
 
     def _check_same_n(self, other: "DivisorClass") -> None:
@@ -236,18 +249,30 @@ def reduce_canonical(d: DivisorClass) -> dict[int, int]:
     unique.
     """
     rs = relation_system(d.n)
-    check_int64_sums(d.coeffs.values(), rs.reduce_weight, "canonical reduction")
+    check_int64_sums((d.max_abs,), rs.reduce_weight, "canonical reduction")
     table = d.dense_table()
     size = np.bitwise_count(np.arange(len(table))).astype(np.int64)
     # row 0 sums the singleton coefficients, row 1 the pair ones
     sums = np.where(size == [[1], [2]], table, 0)
-    for bit in range(d.n - 1):
-        halves = sums.reshape(-1, 2, 1 << bit)
-        np.add(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    # the low key bits pass over a transposed copy: in place, their runs
+    # are 1 to 8 values long, and a pass over short runs is slow
+    low = (d.n - 1) // 2
+    _add_halves(sums, range(low, d.n - 1))
+    flip = sums.reshape(2, -1, 1 << low).transpose(0, 2, 1).copy()
+    _add_halves(flip, range(d.n - 1 - low, d.n - 1))
+    sums = flip.transpose(0, 2, 1).reshape(2, -1)
     # 0 at every pivot key, whose own coefficient is its one singleton or pair
     coords = table - sums[1] + (size - 2) * sums[0]
     live = np.flatnonzero(coords)
     return dict(zip(live.tolist(), coords[live].tolist()))
+
+
+def _add_halves(x: np.ndarray, bits: range) -> None:
+    """Subset sums, in place, over the given bits of x's flat index: per
+    bit, each entry with the bit set gains the entry without it."""
+    for bit in bits:
+        halves = x.reshape(-1, 2, 1 << bit)
+        np.add(halves[:, 1], halves[:, 0], out=halves[:, 1])
 
 
 def canonical_divisor(n: int) -> DivisorClass:
@@ -331,7 +356,7 @@ def eliminate_psi(d: DivisorClass) -> DivisorClass:
         y[(1, 3)] = y.get((1, 3), 0) - half
         y[(2, 3)] = y.get((2, 3), 0) + half
 
-    check_int64_sums(d.coeffs.values(), 2 + 5 * n, "psi elimination")
+    check_int64_sums((d.max_abs,), 2 + 5 * n, "psi elimination")
     acc = 2 * d.dense_table()[1:]
     relations = relation_matrix(n)
     for (i, j), w in y.items():

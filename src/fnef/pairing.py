@@ -116,7 +116,7 @@ def check_relations(f: CurveFunctional) -> RelationCheck:
     """Sum the functional over each pair relation; all sums must vanish.
     The first violation is the first pair (i, j) in lexicographic order."""
     n = f.n
-    check_int64_sums(f.values.coeffs.values(), 1 << (n - 2), "relation check")
+    check_int64_sums((f.values.max_abs,), 1 << (n - 2), "relation check")
     totals = relation_matrix(n) @ f.values.dense_table()[1:]
     bad = np.flatnonzero(totals)
     if not len(bad):
@@ -172,22 +172,24 @@ def row_keys(table: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> np.ndarr
 _SCAN_ROWS = 16384
 
 #: Markings in the suffix of the enumeration scan.  Its plan takes 0.27 MiB
-#: at 7 and serves every n >= 8.  Warm `fnef_check` in int8 (median of 5
-#: rounds of 10 scans, one pinned vCPU, 64 KiB chunks) took 1.11 ms at n=12
-#: and 3.50 ms at n=13; 6 (187 prefixes at n=12, not 51) took 1.31 and
-#: 5.41 ms, and 8 took 0.96 and 3.37 ms, within the rounds' spread of 7,
-#: with a 1.06 MiB plan.
+#: at 7 and serves every n >= 8.  Warm `fnef_check` (median of 9
+#: interleaved rounds of 10 scans, one pinned vCPU, 64 KiB chunks) took
+#: 1.19 ms in int8 at n=12, 3.66 ms at n=13 and 4.18 ms in int64 at n=12;
+#: 6 (187 prefixes at n=12, not 51) took 1.43, 4.77 and 5.76 ms, and 8
+#: took 1.10, 3.98 and 5.13 ms, its int8 within the rounds' interquartile
+#: spread of 7 (0.23 ms at n=12, 0.49 at n=13), with a 1.06 MiB plan and an
+#: int64 traced peak at n=12 of the zero bits plus 2.0 MiB, against 0.59.
 _SCAN_SUFFIX = 7
 
 #: Bytes of records that the enumeration scan lays out per chunk of
 #: prefixes: 5 prefixes at a 7-marking suffix in int8, one in int64.  The
-#: chunk's head indices, values and pad take about 5 times its records
-#: more.  Warm `fnef_check` in int8 (median of 5 rounds of 10 scans, one
-#: pinned vCPU) took 1.73, 1.19, 0.94, 1.33 and 1.81 ms at n=12 with chunks
-#: of 16, 32, 64, 128 and 256 KiB, and 6.2, 4.4, 3.3, 4.2 and 5.7 ms at
-#: n=13; in int64, one prefix a chunk up to 128 KiB, 3.8-3.9 ms at n=12 up
-#: to 64 KiB and 4.4 at 128.  At 64 KiB a warm `fnef_check`'s traced peak
-#: at n=12 is its zero bits plus 0.71 MiB in int8 and 0.86 MiB in int64.
+#: chunk's values take about 1.4 times its records more.  Warm
+#: `fnef_check` in int8 (as for `_SCAN_SUFFIX`) took 2.05, 1.46, 1.19,
+#: 1.12, 1.50 and 1.49 ms at n=12 with chunks of 16, 32, 64, 96, 128 and
+#: 256 KiB, and 7.6, 5.6, 3.7, 3.9, 3.7 and 4.6 ms at n=13; in int64, one
+#: prefix a chunk up to 128 KiB, 4.1-4.6 ms at n=12.  At 64 KiB a warm
+#: `fnef_check`'s traced peak at n=12 is its zero bits plus 0.42 MiB in
+#: int8 and 0.59 MiB in int64.
 _SCAN_CHUNK = 1 << 16
 
 
@@ -289,20 +291,6 @@ def _slot_pad(s: int, dtype: np.dtype) -> dict[int, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _chunk_heads(s: int, k: int) -> dict[int, np.ndarray]:
-    """Per open-block count u, a read-only (k, 3, heads) intp array: at
-    position p of a chunk, the indices of its heads' A, E and F records
-    among the chunk's records, 3^(s-1) per prefix (`_scan_plan`).  It holds
-    24 bytes per head of k prefixes: 0.32 MiB at s=7 and k=5."""
-    _, gather, heads = _scan_plan(s)
-    base = np.arange(k)[:, None, None] * (3 * gather.shape[1])
-    out = {u: base + codes for u, (codes, _) in heads.items()}
-    for a in out.values():
-        a.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _slot_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per prefix of the enumeration scan at n, where its slots and its
     curves end: the running totals of 16 slots per head and of its curves."""
@@ -315,6 +303,24 @@ def _slot_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     slots.setflags(write=False)
     curves.setflags(write=False)
     return slots, curves
+
+
+@lru_cache(maxsize=None)
+def _scan_groups(n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The prefixes of the enumeration scan at n by the number u of blocks
+    they opened, from u = 4 down: per u, the seven masks of each
+    (`_scan_prefixes`) and the slot where its slots start in the padded
+    layout (`_slot_layout`), both in enumeration order and read-only."""
+    _, masks, opened = _scan_prefixes(n)
+    slots = _slot_layout(n)[0]
+    starts = slots - np.diff(slots, prepend=0)
+    groups = {}
+    for u in sorted(set(opened), reverse=True):
+        at = np.equal(opened, u)
+        groups[u] = (masks[at], starts[at])
+        for a in groups[u]:
+            a.setflags(write=False)
+    return groups
 
 
 def slot_count(n: int) -> int:
@@ -354,11 +360,15 @@ def curve_flags(bits: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _scan_chunks(table: np.ndarray, n: int) -> Iterator[np.ndarray]:
+def _scan_chunks(table: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The pairings of the enumeration in padded slots, a chunk of prefixes
-    at a time: each chunk's values, of the table's dtype, in enumeration
-    order with gaps.  A gap is a slot that completes no curve and holds the
+    at a time: per chunk, the slot where each of its prefixes starts, and
+    their values, of the table's dtype, one row per prefix in slot order
+    with gaps.  A gap is a slot that completes no curve and holds the
     dtype's maximum, so it never lowers a minimum and never reads as zero.
+    The chunks take the groups of prefixes that opened the same number of
+    blocks (`_scan_groups`) in turn, each group's prefixes in enumeration
+    order, so the groups interleave in slot order.
 
     A row is a prefix's blocks P0..P3 joined with a completion's S0..S3, and
     the full-width table reads a mask and its complement alike, so b0|b3
@@ -372,50 +382,52 @@ def _scan_chunks(table: np.ndarray, n: int) -> Iterator[np.ndarray]:
     code.  So each chunk of prefixes lays A, E and F out as records of 16
     values (`_scan_plan`), one per slot of the last two markings, which its
     seven rows fill through `spread` and `gather` with three record gathers
-    and two subtractions.  The chunk's values are then three record gathers
-    over every head of every prefix in it (`_chunk_heads`) and two adds, 16
-    slots per head in enumeration order.  A slot that completes no curve
-    (the head's last two markings must still open blocks) stays in place,
-    and one `np.maximum` with the pad (`_slot_pad`) overwrites it with the
-    dtype's maximum.  Every value is a partial sum of at most 7
-    coefficients, exact in the table's dtype (`scan_dtype`).  A record is a
-    `np.void` of 16 values, so each gather copies 16 values at once; the
-    sums run on the numeric view.
+    and two subtractions.  The prefixes of a chunk opened the same number
+    of blocks, so they have the same heads: the chunk's values are three
+    gathers of every prefix's records at its heads' codes (`_scan_plan`,
+    one index array per kind shared by the chunk's prefixes) and two adds,
+    16 slots per head.  A slot that completes no curve (the head's last two
+    markings must still open blocks) stays in place, and one `np.maximum`
+    with the group's pad (`_slot_pad`, broadcast over the prefixes)
+    overwrites it with the dtype's maximum.  Every value is a partial sum
+    of at most 7 coefficients, exact in the table's dtype (`scan_dtype`).
+    A record is a `np.void` of 16 values, so each gather copies 16 values
+    at once; the sums run on the numeric view.
     """
-    split, masks, opened = _scan_prefixes(n)
-    s = n - split
-    spread, gather, _ = _scan_plan(s)
+    groups = _scan_groups(n)
+    s = n - _scan_prefixes(n)[0]
+    spread, gather, heads = _scan_plan(s)
     record = np.dtype((np.void, 16 * table.itemsize))
     # by_suffix[P, T] is c(P | T << split): one row per prefix mask
-    by_suffix = table.reshape(1 << s, 1 << split).T.copy()
-    chunk = min(len(masks), max(1, _SCAN_CHUNK // (3 * gather.shape[1] * record.itemsize)))
-    heads, pads = _chunk_heads(s, chunk), _slot_pad(s, table.dtype)
-    for lo in range(0, len(masks), chunk):
-        # ndarray.take, not np.take: its Python wrapper adds about 0.8 us a
-        # call
-        rows = by_suffix.take(masks[lo : lo + chunk], axis=0)
-        us = opened[lo : lo + chunk]
-        at = np.concatenate([heads[u][p] for p, u in enumerate(us)], axis=1)
-        pad = np.concatenate([pads[u] for u in us])
-        yield _scan_chunk(rows, spread, gather, record, at, pad)
+    by_suffix = table.reshape(1 << s, -1).T.copy()
+    chunk = max(1, _SCAN_CHUNK // (3 * gather.shape[1] * record.itemsize))
+    pads = _slot_pad(s, table.dtype)
+    for u, (masks, starts) in groups.items():
+        for lo in range(0, len(masks), chunk):
+            # ndarray.take, not np.take: its Python wrapper adds about 0.8 us
+            # a call
+            rows = by_suffix.take(masks[lo : lo + chunk], axis=0)
+            values = _scan_chunk(rows, spread, gather, record, heads[u][0], pads[u])
+            yield starts[lo : lo + chunk], values
 
 
-def _scan_chunk(rows, spread, gather, record, at, pad) -> np.ndarray:
-    """One chunk of `_scan_chunks`: its padded values from the seven rows of
-    2^s suffix values of each of its prefixes, the record indices of its
-    heads and its pad.  Its temporaries die with the call."""
+def _scan_chunk(rows, spread, gather, record, codes, pad) -> np.ndarray:
+    """One chunk of `_scan_chunks`: its padded values, one row per prefix,
+    from the seven rows of 2^s suffix values of each of its prefixes, the
+    A, E and F record codes of their heads and their pad.  Its temporaries
+    die with the call."""
     dtype, k = pad.dtype, len(rows)
     terms = rows.reshape(k, -1).take(spread, axis=1).view(record).reshape(k, -1)
     records = terms.take(gather[:3], axis=1)
     values = records.view(dtype)
     values -= terms.take(gather[3:6], axis=1).view(dtype)
     values[:, 0] -= terms.take(gather[6], axis=1).view(dtype)
-    records = records.reshape(-1)
-    out = records.take(at[0], mode="wrap")
-    more = records.take(at[1], mode="wrap")
+    records = records.reshape(k, -1)
+    out = records.take(codes[0], axis=1, mode="wrap")
+    more = records.take(codes[1], axis=1, mode="wrap")
     values = out.view(dtype)
     values += more.view(dtype)
-    records.take(at[2], out=more, mode="wrap")
+    records.take(codes[2], axis=1, out=more, mode="wrap")
     values += more.view(dtype)
     return np.maximum(values, pad, out=values)
 
@@ -440,17 +452,19 @@ def scan_fcurves(d: DivisorClass) -> tuple[int, int, int, np.ndarray]:
     dtype = scan_dtype(d)
     table = full_width(d.dense_table().astype(dtype))
     bits = np.empty(slots // 8, dtype=np.uint8)
-    low = at = None
-    zeros = start = 0
-    for values in _scan_chunks(table, d.n):
+    low, zeros = None, 0
+    for starts, values in _scan_chunks(table, d.n):
+        width = values.shape[1]
         i = int(values.argmin())
-        if low is None or values[i] < low:
-            low, at = int(values[i]), start + i
+        # the lowest (value, slot) pair: the groups interleave in slot order
+        first = (int(values.flat[i]), int(starts[i // width]) + i % width)
+        low = first if low is None else min(low, first)
         zero = values == 0
         zeros += int(np.count_nonzero(zero))
-        bits[start // 8 : (start + len(values)) // 8] = np.packbits(zero)
-        start += len(values)
-    return low, curve_index(d.n, at), zeros, bits
+        packed, step = np.packbits(zero), width // 8
+        for p, start in enumerate((starts // 8).tolist()):
+            bits[start : start + step] = packed[p * step : (p + 1) * step]
+    return low[0], curve_index(d.n, low[1]), zeros, bits
 
 
 #: The scan's dtypes, narrowest first, each with its maximum.
@@ -464,7 +478,7 @@ def scan_dtype(d: DivisorClass) -> np.dtype:
     |coefficient| of `d`: every partial sum of a pairing has at most 7
     terms, so the scan is exact in it.  Beyond int64 raises
     InvalidInputError."""
-    top = max(map(abs, d.coeffs.values()), default=0)
+    top = d.max_abs
     check_int64_sums((top,), 7, "F-curve pairing scan")
     return next(t for most, t in _SCAN_DTYPES if 7 * top <= most)
 

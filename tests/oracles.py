@@ -133,14 +133,23 @@ def sample_partitions_oracle(m: int, samples: int, seed: int) -> np.ndarray:
 def enumeration_values(d: DivisorClass) -> np.ndarray:
     """Every value of the enumeration kernel (`pairing._scan_chunks`) in
     `scan_dtype(d)`, with its padded slots dropped: the pairings of every
-    F-curve in enumeration order.  The slots kept are those where the
-    plan's pad (`pairing._slot_pad`) holds the dtype's minimum."""
+    F-curve in enumeration order.  Each chunk's values are put prefix by
+    prefix at the slots where its prefixes start, and every slot must be
+    written exactly once; the slots kept are those where the plan's pad
+    (`pairing._slot_pad`) holds the dtype's minimum."""
     dtype = scan_dtype(d)
     table = full_width(d.dense_table().astype(dtype))
     split, _, opened = fnef.pairing._scan_prefixes(d.n)
     pads = fnef.pairing._slot_pad(d.n - split, dtype)
     pad = np.concatenate([pads[u] for u in opened])
-    values = np.concatenate(list(fnef.pairing._scan_chunks(table, d.n)))
+    values = np.empty(len(pad), dtype=dtype)
+    written = np.zeros(len(pad), dtype=np.int64)
+    for starts, chunk in fnef.pairing._scan_chunks(table, d.n):
+        assert chunk.shape[0] == len(starts)
+        for start, prefix in zip(starts.tolist(), chunk):
+            values[start : start + len(prefix)] = prefix
+            written[start : start + len(prefix)] += 1
+    assert (written == 1).all(), "the chunks do not cover every slot once"
     return values[pad == np.iinfo(dtype).min]
 
 

@@ -23,6 +23,7 @@ from fnef import (
     divisor_to_text,
     eliminate_psi,
     enumerate_fcurves,
+    fnef_check,
     pair_divisor_fcurve,
     parse_divisor,
     pairing_values,
@@ -741,3 +742,23 @@ def test_divisor_arithmetic_and_validation():
         DivisorClass(6, {1 << 5: 1})  # side containing marking 6 is not canonical
     with pytest.raises(InvalidInputError):
         a + DivisorClass(5, {0b00011: 1})
+
+
+def test_dense_table_is_built_once_and_read_only():
+    d = DivisorClass(7, {3: 2, 9: -1})
+    table = d.dense_table()
+    assert d.dense_table() is table
+    assert table.dtype == np.int64 and table.tolist() == [0, 0, 0, 2] + [0] * 5 + [-1] + [0] * 54
+    with pytest.raises(ValueError, match="read-only"):
+        table[3] = 5
+    assert d.max_abs == 2 and DivisorClass.zero(7).max_abs == 0
+
+
+def test_int64_refusals_come_before_the_dense_table():
+    # 2^63 has no int64 form: both refuse it by its size, not by an
+    # OverflowError from building the table
+    d = DivisorClass(9, {3: 1 << 63})
+    with pytest.raises(InvalidInputError, match="F-curve pairing scan"):
+        fnef_check(d)
+    with pytest.raises(InvalidInputError, match="canonical reduction"):
+        reduce_canonical(d)

@@ -362,8 +362,9 @@ def test_scan_minimum_sits_where_the_divisors_put_it():
 
 @pytest.mark.parametrize("chunk", [1, 1 << 30])
 def test_enumeration_scan_does_not_depend_on_the_chunk(chunk, monkeypatch):
-    """One prefix per chunk, or all 15 prefixes of n=11 in one chunk, give
-    the row scan's values in every dtype."""
+    """One prefix per chunk, or each open-block group of n=11 (1, 7, 6
+    and 1 prefixes) in one chunk, give the row scan's values in every
+    dtype."""
     monkeypatch.setattr(fnef.pairing, "_SCAN_CHUNK", chunk)
     blocks = fcurve_block_arrays(11)
     for d in scan_divisors(11, 111):
@@ -376,6 +377,36 @@ def test_fnef_check_argmin_is_the_scan_argmin_row(n):
     for d in scan_divisors(n, n):
         row = blocks[pairing_values(d, blocks).argmin()]
         assert fnef_check(d).argmin == FCurve(n, tuple(int(b) for b in row))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_fnef_check_argmin_is_the_first_minimum_across_open_block_groups(n):
+    """The scan takes its prefixes one open-block group at a time (a curve's
+    group: the blocks its first `split` markings open), and the groups
+    interleave in enumeration order, so the argmin is the lowest (value,
+    slot) pair over the chunks.  Premises: with coefficients in {-1, 0, 1}
+    on every key, at least two divisors reach their minimum in two or more
+    groups, and for at least one the first curve at it is not in the first
+    of those groups the scan takes, so a scan that kept the first chunk's
+    minimum would report another curve."""
+    blocks = fcurve_block_arrays(n)
+    split = fnef.pairing._scan_prefixes(n)[0]
+    group = np.count_nonzero(blocks & ((1 << split) - 1), axis=1)
+    order = list(fnef.pairing._scan_groups(n))
+    rng = random.Random(n)
+    ties = misses = 0
+    for _ in range(4):
+        d = DivisorClass(n, {m: rng.choice((-1, 0, 1)) for m in all_generator_keys(n)})
+        values = pairing_values(d, blocks)
+        first = int(values.argmin())
+        reached = set(group[values == values[first]].tolist())
+        ties += len(reached) >= 2
+        misses += group[first] != next(u for u in order if u in reached)
+        report = fnef_check(d)
+        assert report.min_value == values[first]
+        assert report.argmin == FCurve(n, tuple(int(b) for b in blocks[first]))
+        assert np.array_equal(report.zero_mask(), values == 0)
+    assert ties >= 2 and misses >= 1
 
 
 def test_both_scans_refuse_sums_beyond_int64():
@@ -460,6 +491,17 @@ def test_scan_prefix_side_is_cached_and_read_only():
     assert fnef.pairing._scan_prefixes(12)[1] is masks
     assert (split, masks.shape, len(opened)) == (5, (51, 7), 51)
     assert not masks.flags.writeable
+    # the groups split the prefixes by open-block count, each in
+    # enumeration order, with the slot where each prefix starts
+    groups = fnef.pairing._scan_groups(12)
+    assert fnef.pairing._scan_groups(12) is groups
+    assert {u: len(g) for u, (g, _) in groups.items()} == {1: 1, 2: 15, 3: 25, 4: 10}
+    slots = fnef.pairing._slot_layout(12)[0]
+    for u, (group, starts) in groups.items():
+        at = np.flatnonzero(np.equal(opened, u))
+        assert np.array_equal(group, masks[at])
+        assert np.array_equal(starts, np.concatenate([[0], slots])[at])
+        assert not (group.flags.writeable or starts.flags.writeable)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
