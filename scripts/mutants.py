@@ -283,6 +283,27 @@ MUTANTS = (
         ("tests/test_cone.py::test_exhaustive_projection_formula_matches_the_row_oracle",),
     ),
     Mutant(
+        "sample-chunk-overshoots",
+        "src/fnef/cone.py",
+        "& (b3 != 0)][:need]",
+        # the last chunk keeps every valid row it drew, not only those needed
+        "& (b3 != 0)]",
+        (
+            "tests/test_cone.py::test_sampler_matches_the_labels_times_bits_oracle",
+            "tests/test_cone.py::test_sampler_keeps_pullback13s_spot_check",
+        ),
+    ),
+    Mutant(
+        "json-text-terms-on-one-line",
+        "src/fnef/divisors.py",
+        'terms = ",\\n".join(',
+        'terms = ", ".join(',
+        (
+            "tests/test_divisors.py::test_divisor_json_text_is_what_the_json_encoder_writes",
+            "tests/test_cli.py::test_pullback_out_writes_what_the_json_encoder_writes",
+        ),
+    ),
+    Mutant(
         "scan-guard-half-the-bits",
         "src/fnef/pairing.py",
         "check_memory(slots // 8,",

@@ -45,6 +45,7 @@ from .divisors import (
     biplane_divisor,
     canonical_divisor,
     divisor_to_json_dict,
+    divisor_to_json_text,
     divisor_to_text,
     eliminate_psi,
     parse_divisor,
@@ -302,8 +303,7 @@ def cmd_pullback(args, manifest: Manifest) -> int:
             spot = projection_formula_report(boundary_form, samples=args.spot_check)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(divisor_to_json_dict(lifted), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(divisor_to_json_text(lifted))
     payload: dict = {"n": lifted.n, "support_size": lifted.support_size()}
     if scan is not None:
         payload["fnef"] = _fnef_dict(scan)

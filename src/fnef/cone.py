@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .divisors import (
 from .errors import InvalidInputError
 from .pairing import (
     ROW_PATTERN,
+    _SCAN_ROWS,
     CurveFunctional,
     biplane_curve_functional,
     check_relations,
@@ -522,34 +523,36 @@ def _label_masks(k: int) -> np.ndarray:
     return table
 
 
-def _sample_partitions(m: int, samples: int) -> np.ndarray:
-    """`samples` seeded random 4-block partitions of {1..m}, as a
-    (samples, 4) int32 mask array with the blocks in label order.
+def _sample_partitions(m: int, samples: int) -> Iterator[np.ndarray]:
+    """`samples` seeded random 4-block partitions of {1..m}, as chunks of
+    (rows, 4) int32 masks with the blocks in label order.
 
-    Each draw labels every marking 0..3 at random, about a quarter more
-    rows than still needed, and keeps the rows with no empty block.  A
+    Each chunk labels every marking of `_SCAN_ROWS` rows 0..3 at random
+    and keeps the rows with no empty block, as many as are still needed.
+    The labels are drawn one at a time, so the rows kept are the first
+    `samples` valid rows of the seed's stream whatever the chunk size.  A
     row's masks come from two table lookups, one per half of its labels
-    read as a base-4 code (`_label_masks`), so no temporary grows with
-    the draw's label count beyond the labels themselves.
+    read as a base-4 code (`_label_masks`), so every temporary is a
+    chunk's.
     """
-    # the first draw is the largest: its int64 labels, then per row two
-    # int64 codes, two int32 mask rows, a keep flag, and the kept rows and
-    # their concatenation
-    draw = samples * 5 // 4 + 16
-    check_memory(draw * (8 * m + 81), f"sampling {samples} partitions")
     h = m // 2
-    low, high = _label_masks(h), _label_masks(m - h) << h
-    low_weights, high_weights = 4 ** np.arange(h), 4 ** np.arange(m - h)
+    # a row's four masks as one 16-byte record, so a take copies them at once
+    record = np.dtype((np.void, 16))
+    low = _label_masks(h).view(record).ravel()
+    high = (_label_masks(m - h) << h).view(record).ravel()
+    # base-4 weights of the high half's labels; the low half has no more
+    weights = 4 ** np.arange(m - h, dtype=np.int32)
     rng = np.random.default_rng(_SAMPLE_SEED)
     need = samples
-    rows = []
     while need > 0:
-        labels = rng.integers(0, 4, size=(need * 5 // 4 + 16, m))
-        masks = low[labels[:, :h] @ low_weights]
-        masks |= high[labels[:, h:] @ high_weights]
-        rows.append(masks[masks.all(axis=1)])
-        need = samples - sum(len(r) for r in rows)
-    return np.concatenate(rows)[:samples]
+        # int32 draws the stream of the int64 default, a 32-bit draw a label
+        labels = rng.integers(0, 4, size=(_SCAN_ROWS, m), dtype=np.int32)
+        masks = low.take(labels[:, :h] @ weights[:h]).view(np.int32).reshape(-1, 4)
+        masks |= high.take(labels[:, h:] @ weights).view(np.int32).reshape(-1, 4)
+        b0, b1, b2, b3 = masks.T
+        rows = masks[(b0 != 0) & (b1 != 0) & (b2 != 0) & (b3 != 0)][:need]
+        need -= len(rows)
+        yield rows
 
 
 def check_sample_count(samples: Optional[int]) -> Optional[int]:
@@ -570,8 +573,9 @@ def projection_formula_report(
     class against pushed-forward curves (contracted curves must pair 0).
 
     With samples=None the check is exhaustive over all curves at n+1;
-    otherwise that many random 4-block partitions are drawn, at least one
-    (`_sample_partitions`).
+    otherwise that many random 4-block partitions are drawn, at least one,
+    and each chunk of them is counted as it is drawn (`_sample_partitions`),
+    so no array of every sample is built.
 
     A curve at n+1 is contracted when {n+1} is one of its blocks; its image
     at n drops marking n+1.  The image class, d read at each key of n+1
@@ -587,17 +591,19 @@ def projection_formula_report(
     samples = check_sample_count(samples)
     n = d.n
     lifted = pullback_forgetful(d)
-    blocks = None if samples is None else _sample_partitions(n + 1, samples)
     # refuse both classes as their scans would, before the image reads d in int64
     scan_dtype(lifted), scan_dtype(d)
     table = full_width(d.dense_table()).tolist()
     diff = lifted - DivisorClass(n + 1, {k: v for k, v in enumerate(table) if v})
-    if blocks is None:
+    if samples is None:
         total = count_fcurves(n + 1)
         contracted = total - 4 * count_fcurves(n)
         mismatches = total - fnef_check(diff).zero_count
     else:
-        total = len(blocks)
-        contracted = int(np.count_nonzero((blocks == 1 << n).any(axis=1)))
-        mismatches = int(np.count_nonzero(pairing_values(diff, blocks)))
+        total = contracted = mismatches = 0
+        for blocks in _sample_partitions(n + 1, samples):
+            # the blocks are disjoint and nonempty: at most one is {n+1}
+            total += len(blocks)
+            contracted += int(np.count_nonzero(blocks == 1 << n))
+            mismatches += int(np.count_nonzero(pairing_values(diff, blocks)))
     return ProjectionFormulaReport(total, contracted, mismatches)

@@ -434,6 +434,19 @@ def divisor_to_json_dict(d: DivisorClass) -> dict:
     }
 
 
+def divisor_to_json_text(d: DivisorClass) -> str:
+    """`divisor_to_json_dict(d)` as `json.dumps` writes it with
+    sort_keys=True and indent=2, and a newline, formatted in one pass: a
+    subset (`format_subset`) is digits and commas and a coefficient a Python
+    int, so nothing needs escaping."""
+    terms = ",\n".join(
+        f'    {{\n      "coeff": {d.coeffs[mask]},\n      "subset": "{format_subset(mask)}"\n    }}'
+        for mask in sorted(d.coeffs)
+    )
+    body = f"\n{terms}\n  " if terms else ""
+    return f'{{\n  "n": {d.n},\n  "terms": [{body}]\n}}\n'
+
+
 def json_array(obj: dict, key: str) -> list:
     """`obj[key]`, which the file format requires to be a JSON array;
     raises InvalidInputError for anything else, such as {} or "", which

@@ -3,12 +3,14 @@
 Dense Fraction elimination for ranks over the rationals, the pairing row
 of a single F-curve as a curve functional, the pushforward of one F-curve
 along the forgetful map, the first, array-based form of the projection
-formula over any rows at n+1, and the values of the enumeration kernel
-compacted to one per curve.  None of this runs outside the tests.
+formula over any rows at n+1, the values of the enumeration kernel
+compacted to one per curve, and a divisor's JSON file as the standard
+encoder writes it.  None of this runs outside the tests.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -18,6 +20,7 @@ from fnef import (
     CurveFunctional,
     DivisorClass,
     FCurve,
+    divisor_to_json_dict,
     enumerate_fcurves,
     fcurve_block_arrays,
     pair_divisor_fcurve,
@@ -170,3 +173,9 @@ def projection_formula_oracle(
     rhs = pairing_values(d, (up_blocks & ~last)[~contracted]).astype(np.int64)
     mismatches = np.count_nonzero(lhs[contracted]) + np.count_nonzero(lhs[~contracted] != rhs)
     return len(up_blocks), int(np.count_nonzero(contracted)), int(mismatches)
+
+
+def divisor_json_oracle(d: DivisorClass) -> str:
+    """The text of `fnef pullback --out` as the standard JSON encoder writes
+    it, with sorted keys, an indent of 2 and a final newline."""
+    return json.dumps(divisor_to_json_dict(d), sort_keys=True, indent=2) + "\n"

@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import fnef.subsets
 from fnef import __version__, biplane_divisor, build_biplane_qr, divisor_to_json_dict, DivisorClass
 from fnef.biplane import format_biplane
 from fnef.cli import build_parser, main
-from fnef.cone import DEFAULT_PRIMES, extremality_rank, fnef_check
+from fnef.cone import DEFAULT_PRIMES, extremality_rank, fnef_check, projection_formula_report
 from fnef.divisors import (
     biplane_block_star_divisor,
     canonical_divisor,
@@ -32,6 +33,8 @@ from fnef.subsets import (
     mask_from_elements,
     parse_fcurve,
 )
+
+from oracles import divisor_json_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -744,14 +747,25 @@ def test_pullback_spot_check_text_line(tmp_path, capsys):
     assert (code, out, err) == (0, "projection formula: 0 mismatches on 500 curves (139 contracted)\n", "")
 
 
-def test_pullback_refuses_a_spot_check_beyond_physical_memory(monkeypatch, capsys):
-    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 1 << 30)
-    argv = ["pullback", "--named", "canonical", "--n", "5", "--json"]
-    code, out, err = run(capsys, *argv, "--spot-check", "100000000000")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: sampling 100000000000 partitions needs")
-    assert "physical memory" in err
-    code, out, _ = run(capsys, *argv, "--spot-check", "100000")
+def test_pullback_spot_check_holds_one_slice_of_samples(capsys):
+    # the sampled check draws and counts a slice of rows at a time, so a
+    # hundred times the samples holds no more memory and no count is refused
+    d = eliminate_psi(canonical_divisor(5))
+    projection_formula_report(d, samples=10**4)  # fills the caches
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for samples in (10**4, 10**6):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            rep = projection_formula_report(d, samples=samples)
+            peaks[samples] = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert (rep.total, rep.mismatches) == (10**6, 0)
+    assert peaks[10**6] <= peaks[10**4] + (1 << 20)
+    argv = ["pullback", "--named", "canonical", "--n", "5", "--json", "--spot-check", "100000"]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["projection_formula"]["total"] == 100000
 
@@ -768,6 +782,14 @@ def test_pullback_writes_divisor_and_spot_checks(tmp_path, capsys):
     assert payload["projection_formula"] == {"total": 5000, "contracted": 173, "mismatches": 0}
     lifted = json.loads(out_path.read_text())
     assert lifted["n"] == 13
+
+
+def test_pullback_out_writes_what_the_json_encoder_writes(tmp_path, capsys):
+    out_path = tmp_path / "lifted.json"
+    code, out, _ = run(capsys, "pullback", "--out", str(out_path))
+    assert (code, out) == (0, "")
+    lifted = pullback_forgetful(eliminate_psi(biplane_divisor(build_biplane_qr())))
+    assert out_path.read_bytes() == divisor_json_oracle(lifted).encode()
 
 
 def test_pullback_of_relation_row_is_zero_class(tmp_path, capsys):

@@ -1049,10 +1049,22 @@ def test_projection_formula_exhaustive_6_to_7():
         assert rep.mismatches == 0
 
 
+def sampled_rows(m, samples):
+    """The sampler's chunks, each at most one slice of draws, joined."""
+    chunks = list(fnef.cone._sample_partitions(m, samples))
+    assert all(len(c) <= fnef.pairing._SCAN_ROWS for c in chunks)
+    return np.concatenate(chunks)
+
+
 @pytest.mark.parametrize("m", range(5, 14))
 def test_sampler_matches_the_labels_times_bits_oracle(m):
-    for samples in (1, 2, 17, 1000, 4099):
-        rows = fnef.cone._sample_partitions(m, samples)
+    # the oracle draws the int64 default in a quarter more rows than needed;
+    # the sampler draws int32 labels a slice at a time, so the counts around
+    # slice boundaries check that neither moves the stream
+    rows_per_slice = fnef.pairing._SCAN_ROWS
+    edges = (rows_per_slice - 1, rows_per_slice, rows_per_slice + 1, 3 * rows_per_slice + 1)
+    for samples in (1, 2, 17, 1000, 4099, *edges):
+        rows = sampled_rows(m, samples)
         expected = sample_partitions_oracle(m, samples, fnef.cone._SAMPLE_SEED)
         assert rows.shape == (samples, 4) and np.array_equal(rows, expected)
 
@@ -1107,7 +1119,7 @@ def test_exhaustive_projection_formula_matches_the_row_oracle(n, monkeypatch):
 def test_sampled_projection_formula_matches_the_row_oracle(n, monkeypatch):
     # the same wrong lifts, on the sampled rows at n+1
     samples = 3000
-    rows = fnef.cone._sample_partitions(n + 1, samples)
+    rows = sampled_rows(n + 1, samples)
     for d, lifted, right in wrong_lifts(n):
         monkeypatch.setattr(fnef.cone, "pullback_forgetful", lambda _, lifted=lifted: lifted)
         rep = projection_formula_report(d, samples=samples)

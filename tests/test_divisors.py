@@ -34,7 +34,7 @@ from fnef import (
     symmetric_divisor,
 )
 import fnef.divisors
-from fnef.divisors import relation_matrix
+from fnef.divisors import divisor_to_json_text, relation_matrix
 from fnef.errors import BoundaryFormError, InvalidInputError, MalformedInputError
 from fnef.subsets import (
     MAX_MARKINGS,
@@ -44,7 +44,7 @@ from fnef.subsets import (
     full_mask,
     mask_from_elements,
 )
-from oracles import rank_exact
+from oracles import divisor_json_oracle, rank_exact
 
 
 def add_reduced(a, b):
@@ -614,6 +614,23 @@ def test_json_round_trip(qr_biplane):
     obj = divisor_to_json_dict(div)
     assert obj["n"] == 12
     assert divisor_from_json_dict(json.loads(json.dumps(obj))) == div
+
+
+def test_divisor_json_text_is_what_the_json_encoder_writes(qr_divisor):
+    # the pullback13 class, the zero class, and negative and 2^62-sized
+    # coefficients at the smallest and largest marking counts
+    lifted = pullback_forgetful(eliminate_psi(qr_divisor))
+    big = 1 << 62
+    top = mask_from_elements(range(2, 16), 16)
+    classes = {
+        "pullback13": lifted,
+        "zero": DivisorClass.zero(13),
+        "n=4": DivisorClass(4, {0b011: -big, 0b101: big + 1, 0b001: -3}),
+        "n=16": DivisorClass(16, {0b11: big - 1, top: -big, mask_from_elements([9, 10, 12], 16): -7}),
+    }
+    assert lifted.support_size() == 2368
+    for name, d in classes.items():
+        assert divisor_to_json_text(d) == divisor_json_oracle(d), name
 
 
 @pytest.mark.parametrize("value", [1.7, 12.0, True, "12"])
