@@ -43,6 +43,7 @@ class Mutant:
 _NARROWEST = "tests/test_pairing.py::test_scan_runs_in_the_narrowest_dtype_that_holds_seven_coefficients"
 _SLICED = "tests/test_pairing.py::test_sliced_scan_matches_per_curve_oracle"
 _COL_ROWS = "tests/test_cone.py::test_col_rows_built_in_place_match_the_stacked_rows"
+_SAMPLER = "tests/test_cone.py::test_sampler_matches_the_labels_times_bits_oracle"
 _TIES = "tests/test_pairing.py::test_fnef_check_argmin_is_the_first_minimum_across_open_block_groups"
 _ENUMERATION = (
     "tests/test_pairing.py::test_enumeration_scan_matches_per_curve_oracle",
@@ -285,13 +286,42 @@ MUTANTS = (
     Mutant(
         "sample-chunk-overshoots",
         "src/fnef/cone.py",
-        "& (b3 != 0)][:need]",
+        "np.flatnonzero(present == 15)[:need]",
         # the last chunk keeps every valid row it drew, not only those needed
-        "& (b3 != 0)]",
-        (
-            "tests/test_cone.py::test_sampler_matches_the_labels_times_bits_oracle",
-            "tests/test_cone.py::test_sampler_keeps_pullback13s_spot_check",
-        ),
+        "np.flatnonzero(present == 15)",
+        (_SAMPLER, "tests/test_cone.py::test_sampler_keeps_pullback13s_spot_check"),
+    ),
+    Mutant(
+        "sample-label-shift-29",
+        "src/fnef/cone.py",
+        "labels >>= 30",
+        # three bits of each draw, labels 0..7
+        "labels >>= 29",
+        (_SAMPLER,),
+    ),
+    Mutant(
+        "sample-keeps-three-labels",
+        "src/fnef/cone.py",
+        "np.flatnonzero(present == 15)",
+        # a row with one empty block passes the presence filter
+        "np.flatnonzero(np.bitwise_count(present) >= 3)",
+        (_SAMPLER,),
+    ),
+    Mutant(
+        "subset-text-high-offset-7",
+        "src/fnef/subsets.py",
+        "for offset in (0, 8)",
+        # the high byte read as markings 8-15
+        "for offset in (0, 7)",
+        ("tests/test_subsets.py::test_format_subset_matches_the_join_of_its_markings",),
+    ),
+    Mutant(
+        "pullback-complement-on-n-minus-1-bits",
+        "src/fnef/divisors.py",
+        "len(d.coeffs)) ^ full_mask(n)",
+        # the lift with marking n+1 keyed by the complement within 1..n-1
+        "len(d.coeffs)) ^ full_mask(n - 1)",
+        ("tests/test_divisors.py::test_pullback_matches_the_per_key_oracle",),
     ),
     Mutant(
         "json-text-terms-on-one-line",

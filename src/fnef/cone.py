@@ -527,32 +527,43 @@ def _sample_partitions(m: int, samples: int) -> Iterator[np.ndarray]:
     """`samples` seeded random 4-block partitions of {1..m}, as chunks of
     (rows, 4) int32 masks with the blocks in label order.
 
-    Each chunk labels every marking of `_SCAN_ROWS` rows 0..3 at random
-    and keeps the rows with no empty block, as many as are still needed.
-    The labels are drawn one at a time, so the rows kept are the first
-    `samples` valid rows of the seed's stream whatever the chunk size.  A
-    row's masks come from two table lookups, one per half of its labels
-    read as a base-4 code (`_label_masks`), so every temporary is a
-    chunk's.
+    Each chunk labels every marking of at most `_SCAN_ROWS` rows 0..3 at
+    random, a quarter more rows than are still needed and 16 more, and
+    keeps the rows with no empty block, as many as are needed.  A label is
+    the top two bits of one 32-bit draw, the low half of each 64-bit word
+    of the bit generator first: the label `integers(0, 4, dtype=np.int32)`
+    draws, as Lemire's method at range 4 keeps those bits and never
+    rejects.  A chunk draws an even number of rows, so whole words, and the
+    rows kept are the first `samples` valid rows of the seed's stream
+    whatever the chunk sizes.  Each half of a row's labels, read as a
+    base-4 code, looks up the set of labels it holds, and a row is kept
+    when its two sets hold all four; then each half of a kept row looks up
+    its four masks (`_label_masks`).  So every temporary is a chunk's.
     """
     h = m // 2
     # a row's four masks as one 16-byte record, so a take copies them at once
     record = np.dtype((np.void, 16))
-    low = _label_masks(h).view(record).ravel()
-    high = (_label_masks(m - h) << h).view(record).ravel()
+    low, high = _label_masks(h), _label_masks(m - h) << h
+    # per code, the labels it holds as a 4-bit set, label j at bit j
+    present_low, present_high = ((t != 0) @ np.uint8([1, 2, 4, 8]) for t in (low, high))
+    low, high = low.view(record).ravel(), high.view(record).ravel()
     # base-4 weights of the high half's labels; the low half has no more
     weights = 4 ** np.arange(m - h, dtype=np.int32)
     rng = np.random.default_rng(_SAMPLE_SEED)
     need = samples
     while need > 0:
-        # int32 draws the stream of the int64 default, a 32-bit draw a label
-        labels = rng.integers(0, 4, size=(_SCAN_ROWS, m), dtype=np.int32)
-        masks = low.take(labels[:, :h] @ weights[:h]).view(np.int32).reshape(-1, 4)
-        masks |= high.take(labels[:, h:] @ weights).view(np.int32).reshape(-1, 4)
-        b0, b1, b2, b3 = masks.T
-        rows = masks[(b0 != 0) & (b1 != 0) & (b2 != 0) & (b3 != 0)][:need]
-        need -= len(rows)
-        yield rows
+        rows = min(_SCAN_ROWS, need * 5 // 4 + 16)
+        rows += rows & 1
+        labels = rng.bit_generator.random_raw(rows * m // 2).view(np.uint32)
+        labels >>= 30
+        labels = labels.view(np.int32).reshape(rows, m)
+        code_low, code_high = labels[:, :h] @ weights[:h], labels[:, h:] @ weights
+        present = present_low.take(code_low) | present_high.take(code_high)
+        keep = np.flatnonzero(present == 15)[:need]
+        masks = low.take(code_low[keep]).view(np.int32).reshape(-1, 4)
+        masks |= high.take(code_high[keep]).view(np.int32).reshape(-1, 4)
+        need -= len(masks)
+        yield masks
 
 
 def check_sample_count(samples: Optional[int]) -> Optional[int]:
@@ -584,17 +595,20 @@ def projection_formula_report(
     contracted curve (B0, B1, B2, {n+1}): at n the sides B0|B1 and B0|B2
     name the generators B2 and B1, so its four other terms cancel.  So the
     curves that break the formula are exactly those that pair nonzero with
-    the difference of the lifted class and the image, one class at n+1,
-    scanned once.  Each curve at n lifts to four curves at n+1, one per
-    block that n+1 joins, and every other curve at n+1 is contracted.
+    the difference of the lifted class and the image, one class at n+1
+    taken as one int64 table, scanned once.  Each curve at n lifts to four
+    curves at n+1, one per block that n+1 joins, and every other curve at
+    n+1 is contracted.
     """
     samples = check_sample_count(samples)
     n = d.n
     lifted = pullback_forgetful(d)
-    # refuse both classes as their scans would, before the image reads d in int64
+    # refuse both classes as their scans would: every coefficient is then
+    # below 2^63 / 7, so their int64 tables and their difference are exact
     scan_dtype(lifted), scan_dtype(d)
-    table = full_width(d.dense_table()).tolist()
-    diff = lifted - DivisorClass(n + 1, {k: v for k, v in enumerate(table) if v})
+    table = lifted.dense_table() - full_width(d.dense_table())
+    live = np.flatnonzero(table)
+    diff = DivisorClass(n + 1, dict(zip(live.tolist(), table[live].tolist())))
     if samples is None:
         total = count_fcurves(n + 1)
         contracted = total - 4 * count_fcurves(n)

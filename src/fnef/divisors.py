@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import gcd
 from typing import Iterable, Mapping
 
@@ -27,13 +26,11 @@ from .errors import (
 )
 from .subsets import (
     MAX_MARKINGS,
-    all_generator_keys,
     canonical_generator,
     exact_int,
     format_subset,
+    full_mask,
     integer,
-    is_psi_key,
-    mask_from_elements,
     parse_subset,
     psi_key,
     validate_n,
@@ -55,7 +52,9 @@ class DivisorClass:
         clean = {}
         limit = 1 << (self.n - 1)
         for mask, c in self.coeffs.items():
-            mask, c = exact_int(mask, "key"), exact_int(c, "coefficient")
+            # exact_int returns an int as it is: skip its two calls a key
+            if type(mask) is not int or type(c) is not int:
+                mask, c = exact_int(mask, "key"), exact_int(c, "coefficient")
             if not 1 <= mask < limit:
                 raise InvalidInputError(
                     f"mask {mask:#x} is not a canonical key for n={self.n}"
@@ -92,7 +91,8 @@ class DivisorClass:
         return DivisorClass(self.n, {m: c // g for m, c in self.coeffs.items()})
 
     def is_boundary_only(self) -> bool:
-        return not any(is_psi_key(m, self.n) for m in self.coeffs)
+        """No psi-type key carries a coefficient: n lookups (`psi_key`)."""
+        return not any(psi_key(i, self.n) in self.coeffs for i in range(1, self.n + 1))
 
     @cached_property
     def max_abs(self) -> int:
@@ -276,17 +276,27 @@ def _add_halves(x: np.ndarray, bits: range) -> None:
 
 
 def canonical_divisor(n: int) -> DivisorClass:
-    """The canonical class: -1 on every psi-type key, -2 on every boundary key."""
+    """The canonical class: -1 on every psi-type key (`is_psi_key`: one
+    marking, or all of 1..n-1), -2 on every boundary key."""
     n = validate_n(n)
-    return DivisorClass(
-        n, {m: (-1 if is_psi_key(m, n) else -2) for m in all_generator_keys(n)}
-    )
+    keys = np.arange(1, 1 << (n - 1))
+    psi = (np.bitwise_count(keys) == 1) | (keys == full_mask(n - 1))
+    return DivisorClass(n, dict(zip(keys.tolist(), np.where(psi, -1, -2).tolist())))
 
 
-def _exceptional_key(s_mask: int) -> int:
-    """Canonical key at n=12 of the blown-up class indexed by a subset of
-    {1..11}: the partition side s together with marking 12."""
-    return canonical_generator(s_mask | (1 << 11), 12)
+def _exceptional_class(coeffs: np.ndarray) -> DivisorClass:
+    """The class at n=12 with coefficient coeffs[s] on the exceptional class
+    of each subset s of {1..11}, indexed by mask: the side s together with
+    marking 12, whose canonical key is the complement 2047 ^ s."""
+    s = np.flatnonzero(coeffs)
+    return DivisorClass(12, dict(zip((2047 ^ s).tolist(), coeffs[s].tolist())))
+
+
+def _symmetric_coeffs() -> tuple[np.ndarray, np.ndarray]:
+    """Per subset of {1..11}, indexed by mask: its size k, and its
+    coefficient in `symmetric_divisor`, k - 5 for k <= 4 and 0 above."""
+    size = np.bitwise_count(np.arange(1 << 11)).astype(np.int64)
+    return size, np.where(size <= 4, size - 5, 0)
 
 
 def symmetric_divisor() -> DivisorClass:
@@ -297,11 +307,7 @@ def symmetric_divisor() -> DivisorClass:
     min(min s_i, 6 - max s_i), cut off at 0 once a block has 6 or more
     markings.
     """
-    return DivisorClass(12, {
-        _exceptional_key(mask_from_elements(s, 11)): len(s) - 5
-        for size in range(5)
-        for s in combinations(range(1, 12), size)
-    })
+    return _exceptional_class(_symmetric_coeffs()[1])
 
 
 def biplane_block_star_divisor(bp: Biplane) -> DivisorClass:
@@ -319,12 +325,10 @@ def biplane_divisor(bp: Biplane) -> DivisorClass:
     """The biplane divisor: the symmetric divisor minus one exceptional
     class for each subset of {1..11} of size 5 or 6 that equals or is
     disjoint from some block."""
-    subsets = (
-        mask_from_elements(s, 11) for size in (5, 6) for s in combinations(range(1, 12), size)
-    )
-    return symmetric_divisor() - DivisorClass(12, {
-        _exceptional_key(s): 1 for s in subsets if any(s == b or not s & b for b in bp.blocks)
-    })
+    size, coeffs = _symmetric_coeffs()
+    s, blocks = np.arange(1 << 11)[:, None], np.array(bp.blocks)
+    hit = ((s == blocks) | (s & blocks == 0)).any(axis=1)
+    return _exceptional_class(coeffs - (hit & (size >= 5) & (size <= 6)))
 
 
 def eliminate_psi(d: DivisorClass) -> DivisorClass:
@@ -378,7 +382,9 @@ def eliminate_psi(d: DivisorClass) -> DivisorClass:
 def pullback_forgetful(d: DivisorClass) -> DivisorClass:
     """Pull a boundary-only class back along the map forgetting a new last
     marking: each term splits into the two lifts of its partition, with the
-    same coefficient."""
+    same coefficient.  One lift is the key itself; the other, the key with
+    marking n+1, has the complement key ^ (2^n - 1), which holds marking n
+    where no key at n does, so no two lifts meet."""
     n = d.n
     if n + 1 > MAX_MARKINGS:
         raise InvalidInputError(f"pullback target {n + 1} exceeds {MAX_MARKINGS} markings")
@@ -386,13 +392,8 @@ def pullback_forgetful(d: DivisorClass) -> DivisorClass:
         raise BoundaryFormError(
             "pullback needs boundary form; run eliminate_psi on the class first"
         )
-    new_bit = 1 << n
-    coeffs: dict[int, int] = {}
-    for mask, c in d.coeffs.items():
-        coeffs[mask] = coeffs.get(mask, 0) + c
-        key2 = canonical_generator(mask | new_bit, n + 1)
-        coeffs[key2] = coeffs.get(key2, 0) + c
-    return DivisorClass(n + 1, coeffs)
+    keys = np.fromiter(d.coeffs, np.int64, len(d.coeffs)) ^ full_mask(n)
+    return DivisorClass(n + 1, {**d.coeffs, **dict(zip(keys.tolist(), d.coeffs.values()))})
 
 
 def divisor_to_text(d: DivisorClass) -> str:

@@ -100,9 +100,26 @@ def elements_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _subset_text() -> tuple[tuple[str, ...], ...]:
+    """Per byte value, the text of its set bits read as markings 1-8 and as
+    markings 9-16; built on first use, not at import.  Each marking doubles
+    a table: the bytes with its bit are those without it, its marking last."""
+    tables = []
+    for offset in (0, 8):
+        text = [""]
+        for e in range(offset + 1, offset + 9):
+            text += [f"{t},{e}" if t else str(e) for t in text]
+        tables.append(tuple(text))
+    return tuple(tables)
+
+
 def format_subset(mask: int) -> str:
-    """Serialize a subset as comma-separated ascending integers."""
-    return ",".join(str(e) for e in elements_from_mask(mask))
+    """Serialize a subset of 1..16 (`MAX_MARKINGS`) as comma-separated
+    ascending integers, the text of its low and its high byte joined."""
+    low, high = _subset_text()
+    low, high = low[mask & 255], high[mask >> 8]
+    return f"{low},{high}" if low and high else low or high
 
 
 def parse_subset(text: str, n: int) -> int:

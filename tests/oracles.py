@@ -4,19 +4,23 @@ Dense Fraction elimination for ranks over the rationals, the pairing row
 of a single F-curve as a curve functional, the pushforward of one F-curve
 along the forgetful map, the first, array-based form of the projection
 formula over any rows at n+1, the values of the enumeration kernel
-compacted to one per curve, and a divisor's JSON file as the standard
-encoder writes it.  None of this runs outside the tests.
+compacted to one per curve, a divisor's JSON file as the standard
+encoder writes it, and the named divisors and the pullback as the
+comprehensions that walk one key at a time.  None of this runs outside
+the tests.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from fnef import (
+    Biplane,
     CurveFunctional,
     DivisorClass,
     FCurve,
@@ -31,6 +35,12 @@ from fnef import (
 import fnef.pairing
 from fnef.pairing import ROW_PATTERN, full_width, scan_dtype
 from fnef.errors import InvalidInputError
+from fnef.subsets import (
+    all_generator_keys,
+    canonical_generator,
+    is_psi_key,
+    mask_from_elements,
+)
 
 
 def rank_exact(rows: Iterable[Sequence], ncols: int) -> int:
@@ -179,3 +189,50 @@ def divisor_json_oracle(d: DivisorClass) -> str:
     """The text of `fnef pullback --out` as the standard JSON encoder writes
     it, with sorted keys, an indent of 2 and a final newline."""
     return json.dumps(divisor_to_json_dict(d), sort_keys=True, indent=2) + "\n"
+
+
+def canonical_divisor_oracle(n: int) -> DivisorClass:
+    """The canonical class, one key at a time: -1 on every psi-type key,
+    -2 on every boundary key."""
+    return DivisorClass(n, {m: (-1 if is_psi_key(m, n) else -2) for m in all_generator_keys(n)})
+
+
+def _exceptional_key(s_mask: int) -> int:
+    """Canonical key at n=12 of the blown-up class indexed by a subset of
+    {1..11}: the partition side s together with marking 12."""
+    return canonical_generator(s_mask | (1 << 11), 12)
+
+
+def symmetric_divisor_oracle() -> DivisorClass:
+    """The symmetric divisor by a walk over the subsets of {1..11} of size
+    k <= 4, each with coefficient k - 5 at its exceptional key."""
+    return DivisorClass(12, {
+        _exceptional_key(mask_from_elements(s, 11)): len(s) - 5
+        for size in range(5)
+        for s in combinations(range(1, 12), size)
+    })
+
+
+def biplane_divisor_oracle(bp: Biplane) -> DivisorClass:
+    """The biplane divisor by a walk over the subsets of {1..11} of size 5
+    or 6, one block at a time: the symmetric divisor less one exceptional
+    class per subset that equals or is disjoint from some block."""
+    subsets = (
+        mask_from_elements(s, 11) for size in (5, 6) for s in combinations(range(1, 12), size)
+    )
+    return symmetric_divisor_oracle() - DivisorClass(12, {
+        _exceptional_key(s): 1 for s in subsets if any(s == b or not s & b for b in bp.blocks)
+    })
+
+
+def pullback_oracle(d: DivisorClass) -> DivisorClass:
+    """The pullback along the map forgetting a new last marking, one key at
+    a time: each term adds its coefficient at both lifts of its partition,
+    the key itself and the canonical key of the key with marking n+1."""
+    n = d.n
+    coeffs: dict[int, int] = {}
+    for mask, c in d.coeffs.items():
+        coeffs[mask] = coeffs.get(mask, 0) + c
+        key2 = canonical_generator(mask | 1 << n, n + 1)
+        coeffs[key2] = coeffs.get(key2, 0) + c
+    return DivisorClass(n + 1, coeffs)

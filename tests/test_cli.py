@@ -3,7 +3,10 @@
 import builtins
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -43,6 +46,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_importing_the_cli_builds_no_subset_table():
+    # `fnef --version` pays the import alone: the subset text tables that
+    # `format_subset` reads are built on its first call
+    code = (
+        "import fnef.cli, fnef.subsets\n"
+        "tables = fnef.subsets._subset_text.cache_info\n"
+        "print(tables().currsize)\n"
+        "fnef.subsets.format_subset(0b101)\n"
+        "print(tables().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "1"]
 
 
 def test_biplane_default(capsys):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fnef import (
+    Biplane,
     DivisorClass,
     biplane_block_star_divisor,
     biplane_divisor,
@@ -41,10 +42,18 @@ from fnef.subsets import (
     MIN_MARKINGS,
     all_generator_keys,
     canonical_generator,
+    elements_from_mask,
     full_mask,
     mask_from_elements,
 )
-from oracles import divisor_json_oracle, rank_exact
+from oracles import (
+    biplane_divisor_oracle,
+    canonical_divisor_oracle,
+    divisor_json_oracle,
+    pullback_oracle,
+    rank_exact,
+    symmetric_divisor_oracle,
+)
 
 
 def add_reduced(a, b):
@@ -422,6 +431,46 @@ def test_named_divisor_coefficients_are_pinned(qr_biplane):
         assert hashlib.sha256(pairs).hexdigest() == NAMED_DIVISOR_SHA256[name], name
 
 
+@pytest.mark.parametrize("n", range(MIN_MARKINGS, MAX_MARKINGS + 1))
+def test_canonical_divisor_matches_the_per_key_oracle(n):
+    assert canonical_divisor(n) == canonical_divisor_oracle(n)
+
+
+def test_named_divisors_match_the_subset_walks(qr_biplane):
+    # the biplane, relabelled copies of it, and designs of 11 random
+    # 5-subsets, whose blocks may repeat and meet in any way
+    assert symmetric_divisor() == symmetric_divisor_oracle()
+    rng = random.Random(12)
+    designs = [qr_biplane]
+    for _ in range(4):
+        image = rng.sample(range(11), 11)
+        designs.append(Biplane(tuple(
+            sum(1 << image[e - 1] for e in elements_from_mask(b)) for b in qr_biplane.blocks
+        )))
+        designs.append(Biplane(tuple(
+            mask_from_elements(rng.sample(range(1, 12), 5), 11) for _ in range(11)
+        )))
+    for bp in designs:
+        assert biplane_divisor(bp) == biplane_divisor_oracle(bp)
+
+
+def test_pullback_matches_the_per_key_oracle():
+    # seeded boundary classes at every n, the canonical class in boundary
+    # form (every key), coefficients beyond int64, and numpy integers
+    rng = random.Random(14)
+    classes = []
+    for n in range(MIN_MARKINGS, MAX_MARKINGS):
+        classes += [eliminate_psi(random_divisor(n, rng, terms=40)) for _ in range(3)]
+        classes.append(eliminate_psi(canonical_divisor(n)))
+    classes.append(DivisorClass(9, {0b11: 1 << 70, 0b110: -(1 << 70) - 1, 0b11110000: 3}))
+    numpy_terms = {np.int64(0b11): np.int8(-2), np.uint16(0b101): np.int64(5)}
+    classes.append(DivisorClass(np.int64(7), numpy_terms))
+    for d in classes:
+        lifted = pullback_forgetful(d)
+        assert lifted == pullback_oracle(d)
+        assert all(type(x) is int for x in (*lifted.coeffs, *lifted.coeffs.values()))
+
+
 def test_decomposition_identity(qr_biplane):
     div = biplane_divisor(qr_biplane)
     other = symmetric_divisor() - biplane_block_star_divisor(qr_biplane)
@@ -581,8 +630,10 @@ def test_pullback_of_single_boundary_term():
 
 def test_pullback_zero_and_psi_rejection():
     assert pullback_forgetful(DivisorClass.zero(6)).coeffs == {}
-    with pytest.raises(BoundaryFormError):
-        pullback_forgetful(DivisorClass(6, {mask_from_elements([1], 6): 1}))
+    # the psi keys of markings 1, 5 and 6 among boundary terms
+    for psi in ([1], [5], [1, 2, 3, 4, 5]):
+        with pytest.raises(BoundaryFormError):
+            pullback_forgetful(DivisorClass(6, {0b11: 1, mask_from_elements(psi, 6): 1}))
 
 
 def test_pullback_refuses_a_target_beyond_the_marking_cap():

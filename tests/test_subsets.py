@@ -258,6 +258,12 @@ def test_fcurve_string_round_trip():
         parse_fcurve("1|2|3|4,4", 5)
 
 
+def test_format_subset_matches_the_join_of_its_markings():
+    # every subset of 1..16, the marking cap, through both byte tables
+    for mask in range(1 << 16):
+        assert format_subset(mask) == ",".join(str(e) for e in elements_from_mask(mask))
+
+
 def test_subset_round_trip():
     assert format_subset(parse_subset("1,3,4,5,9", 11)) == "1,3,4,5,9"
     with pytest.raises(InvalidInputError):
