@@ -117,6 +117,15 @@ MUTANTS = (
         _ENUMERATION,
     ),
     Mutant(
+        "prefix-starts-at-curve-totals",
+        "src/fnef/pairing.py",
+        "starts = slots - size[opened, 0]",
+        # each prefix starts where its curves start in the enumeration,
+        # not where its padded slots start
+        "starts = curves - size[opened, 1]",
+        _ENUMERATION,
+    ),
+    Mutant(
         "slots-left-unpadded",
         "src/fnef/pairing.py",
         "return np.maximum(values, pad, out=values)",

@@ -162,7 +162,7 @@ def fnef_check(d: DivisorClass, threads: int = 1) -> FNefReport:
     physical memory (InvalidInputError).  The argmin is unranked from its
     enumeration index (`fcurve_at`), so no partition array is built.
     """
-    if threads != 1:
+    if exact_int(threads, "threads") != 1:
         raise InvalidInputError(f"the scan runs on one thread, got threads={threads}")
     low, index, zeros, bits = scan_fcurves(d)
     return FNefReport(d.n, low, fcurve_at(d.n, index), zeros, low >= 0, bits)

@@ -89,10 +89,12 @@ def pair_divisor_fcurve(d: DivisorClass, curve: FCurve) -> int:
 
 
 def pair_divisor_functional(d: DivisorClass, f: CurveFunctional) -> int:
-    """Sum of divisor coefficients times functional values over all keys."""
+    """Sum of divisor coefficients times functional values over all keys,
+    walked over the functional's nonzero keys (23 for the biplane's
+    witness, against 650 of the biplane divisor)."""
     if d.n != f.n:
         raise InvalidInputError(f"marking counts differ: {d.n} vs {f.n}")
-    return sum(c * f.values.coeff(mask) for mask, c in d.coeffs.items())
+    return sum(v * d.coeff(mask) for mask, v in f.values.coeffs.items())
 
 
 def biplane_curve_functional(bp: Biplane) -> CurveFunctional:
@@ -263,19 +265,6 @@ def _scan_plan(s: int) -> tuple[np.ndarray, np.ndarray, dict]:
 
 
 @lru_cache(maxsize=None)
-def _scan_prefixes(n: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    """The prefix side of the enumeration scan at n: the markings before the
-    suffix, each prefix's seven masks (the unions, then the singles of
-    `_TERM_KIND`'s terms) as rows of a read-only array, and the blocks each
-    prefix opened."""
-    split, prefixes, opened = fcurve_prefixes(n, _SCAN_SUFFIX)
-    p0, p1, p2, p3 = prefixes.astype(np.intp).T
-    masks = np.stack([p1 | p2, p0 | p1, p1 | p3, p1, p0, p3, p2], axis=1)
-    masks.setflags(write=False)
-    return split, masks, tuple(opened.tolist())
-
-
-@lru_cache(maxsize=None)
 def _slot_pad(s: int, dtype: np.dtype) -> dict[int, np.ndarray]:
     """Per open-block count u, the pad of a prefix's padded layout in
     `dtype`, 16 slots per head (`_scan_plan`): its minimum at the slots
@@ -291,54 +280,46 @@ def _slot_pad(s: int, dtype: np.dtype) -> dict[int, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _slot_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per prefix of the enumeration scan at n, where its slots and its
-    curves end: the running totals of 16 slots per head and of its curves."""
-    split, _, opened = _scan_prefixes(n)
-    size = {
-        u: (16 * codes.shape[1], 16 * codes.shape[1] if select is None else len(select))
-        for u, (codes, select) in _scan_plan(n - split)[2].items()
-    }
-    slots, curves = np.cumsum([size[u] for u in opened], axis=0).T.copy()
-    slots.setflags(write=False)
-    curves.setflags(write=False)
-    return slots, curves
-
-
-@lru_cache(maxsize=None)
-def _scan_groups(n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The prefixes of the enumeration scan at n by the number u of blocks
-    they opened, from u = 4 down: per u, the seven masks of each
-    (`_scan_prefixes`) and the slot where its slots start in the padded
-    layout (`_slot_layout`), both in enumeration order and read-only."""
-    _, masks, opened = _scan_prefixes(n)
-    slots = _slot_layout(n)[0]
-    starts = slots - np.diff(slots, prepend=0)
-    groups = {}
-    for u in sorted(set(opened), reverse=True):
-        at = np.equal(opened, u)
-        groups[u] = (masks[at], starts[at])
-        for a in groups[u]:
-            a.setflags(write=False)
-    return groups
+def _scan_layout(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, dict]:
+    """The prefix side of the enumeration scan at n, from one walk of its
+    prefixes (`fcurve_prefixes`), all read-only: the suffix length s; the
+    blocks each prefix opened; where its slots and its curves end, the
+    running totals of 16 slots per head (`_scan_plan`) and of its curves;
+    and the prefixes by the number u of blocks they opened, from u = 4
+    down: per u, the seven masks of each (the unions, then the singles of
+    `_TERM_KIND`'s terms) and the slot where its slots start, both in
+    enumeration order."""
+    split, prefixes, opened = fcurve_prefixes(n, _SCAN_SUFFIX)
+    s = n - split
+    # size[u]: the slots and the curves of a prefix that opened u blocks
+    size = np.zeros((5, 2), dtype=np.int64)
+    for u, (codes, select) in _scan_plan(s)[2].items():
+        size[u] = 16 * codes.shape[1], 16 * codes.shape[1] if select is None else len(select)
+    slots, curves = size[opened].cumsum(axis=0).T.copy()
+    starts = slots - size[opened, 0]
+    p0, p1, p2, p3 = prefixes.astype(np.intp).T
+    masks = np.stack([p1 | p2, p0 | p1, p1 | p3, p1, p0, p3, p2], axis=1)
+    groups = {u: (masks[opened == u], starts[opened == u]) for u in range(4, 0, -1) if u in opened}
+    for a in (opened, slots, curves, *(a for g in groups.values() for a in g)):
+        a.setflags(write=False)
+    return s, opened, slots, curves, groups
 
 
 def slot_count(n: int) -> int:
     """Slots of the padded layout at n (`scan_fcurves`): 703136 at n=12 for
     611501 curves.  A multiple of 16."""
-    return int(_slot_layout(validate_n(n))[0][-1])
+    return int(_scan_layout(validate_n(n))[2][-1])
 
 
 def curve_index(n: int, slot: int) -> int:
     """The enumeration index of the curve at a slot of the padded layout:
     the number of curve slots before it, those of the prefixes before the
     slot's and those of its prefix's selection (`_scan_plan`) before it."""
-    split, _, opened = _scan_prefixes(n)
-    slots, curves = _slot_layout(n)
+    s, opened, slots, curves, _ = _scan_layout(n)
     p = int(np.searchsorted(slots, slot, side="right"))
     local = slot - (int(slots[p - 1]) if p else 0)
     before = int(curves[p - 1]) if p else 0
-    select = _scan_plan(n - split)[2][opened[p]][1]
+    select = _scan_plan(s)[2][int(opened[p])][1]
     return before + (local if select is None else int(np.searchsorted(select, local)))
 
 
@@ -348,12 +329,11 @@ def curve_flags(bits: np.ndarray, n: int) -> np.ndarray:
     a time, its slots unpacked and its curve slots taken by the plan's
     selection (`_scan_plan`), so besides the result only one prefix's
     slots are held."""
-    split, _, opened = _scan_prefixes(n)
-    _, _, heads = _scan_plan(n - split)
-    slots, curves = _slot_layout(n)
+    s, opened, slots, curves, _ = _scan_layout(n)
+    heads = _scan_plan(s)[2]
     out = np.empty(int(curves[-1]), dtype=bool)
     s0 = c0 = 0
-    for u, s1, c1 in zip(opened, slots.tolist(), curves.tolist()):
+    for u, s1, c1 in zip(opened.tolist(), slots.tolist(), curves.tolist()):
         flags, select = np.unpackbits(bits[s0 // 8 : s1 // 8]).view(bool), heads[u][1]
         out[c0:c1] = flags if select is None else flags.take(select)
         s0, c0 = s1, c1
@@ -367,7 +347,7 @@ def _scan_chunks(table: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.nda
     with gaps.  A gap is a slot that completes no curve and holds the
     dtype's maximum, so it never lowers a minimum and never reads as zero.
     The chunks take the groups of prefixes that opened the same number of
-    blocks (`_scan_groups`) in turn, each group's prefixes in enumeration
+    blocks (`_scan_layout`) in turn, each group's prefixes in enumeration
     order, so the groups interleave in slot order.
 
     A row is a prefix's blocks P0..P3 joined with a completion's S0..S3, and
@@ -394,8 +374,7 @@ def _scan_chunks(table: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.nda
     A record is a `np.void` of 16 values, so each gather copies 16 values
     at once; the sums run on the numeric view.
     """
-    groups = _scan_groups(n)
-    s = n - _scan_prefixes(n)[0]
+    s, _, _, _, groups = _scan_layout(n)
     spread, gather, heads = _scan_plan(s)
     record = np.dtype((np.void, 16 * table.itemsize))
     # by_suffix[P, T] is c(P | T << split): one row per prefix mask

@@ -152,9 +152,9 @@ def enumeration_values(d: DivisorClass) -> np.ndarray:
     (`pairing._slot_pad`) holds the dtype's minimum."""
     dtype = scan_dtype(d)
     table = full_width(d.dense_table().astype(dtype))
-    split, _, opened = fnef.pairing._scan_prefixes(d.n)
-    pads = fnef.pairing._slot_pad(d.n - split, dtype)
-    pad = np.concatenate([pads[u] for u in opened])
+    s, opened, _, _, _ = fnef.pairing._scan_layout(d.n)
+    pads = fnef.pairing._slot_pad(s, dtype)
+    pad = np.concatenate([pads[u] for u in opened.tolist()])
     values = np.empty(len(pad), dtype=dtype)
     written = np.zeros(len(pad), dtype=np.int64)
     for starts, chunk in fnef.pairing._scan_chunks(table, d.n):

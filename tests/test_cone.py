@@ -270,7 +270,7 @@ def test_fnef_check_refuses_a_scan_beyond_physical_memory(monkeypatch):
 
 def test_scan_accepts_one_thread_only(qr_divisor):
     assert fnef_check(qr_divisor, threads=1) == fnef_check(qr_divisor)
-    for threads in (0, -2, 3):
+    for threads in (0, -2, 3, True, 1.0):
         with pytest.raises(InvalidInputError):
             fnef_check(qr_divisor, threads=threads)
 

@@ -30,7 +30,7 @@ from fnef import (
     relation_row,
     symmetric_divisor,
 )
-from fnef.pairing import scan_dtype
+from fnef.pairing import scan_dtype, slot_count
 import fnef.pairing
 from fnef.errors import InvalidInputError, MalformedInputError
 from fnef.subsets import (
@@ -390,9 +390,9 @@ def test_fnef_check_argmin_is_the_first_minimum_across_open_block_groups(n):
     of those groups the scan takes, so a scan that kept the first chunk's
     minimum would report another curve."""
     blocks = fcurve_block_arrays(n)
-    split = fnef.pairing._scan_prefixes(n)[0]
-    group = np.count_nonzero(blocks & ((1 << split) - 1), axis=1)
-    order = list(fnef.pairing._scan_groups(n))
+    s, _, _, _, groups = fnef.pairing._scan_layout(n)
+    group = np.count_nonzero(blocks & ((1 << (n - s)) - 1), axis=1)
+    order = list(groups)
     rng = random.Random(n)
     ties = misses = 0
     for _ in range(4):
@@ -486,22 +486,46 @@ def test_scan_plan_arrays_are_pinned(s):
     assert hashlib.sha256(joined).hexdigest() == SCAN_PLAN_SHA256[s]
 
 
-def test_scan_prefix_side_is_cached_and_read_only():
-    split, masks, opened = fnef.pairing._scan_prefixes(12)
-    assert fnef.pairing._scan_prefixes(12)[1] is masks
-    assert (split, masks.shape, len(opened)) == (5, (51, 7), 51)
-    assert not masks.flags.writeable
-    # the groups split the prefixes by open-block count, each in
-    # enumeration order, with the slot where each prefix starts
-    groups = fnef.pairing._scan_groups(12)
-    assert fnef.pairing._scan_groups(12) is groups
-    assert {u: len(g) for u, (g, _) in groups.items()} == {1: 1, 2: 15, 3: 25, 4: 10}
-    slots = fnef.pairing._slot_layout(12)[0]
-    for u, (group, starts) in groups.items():
-        at = np.flatnonzero(np.equal(opened, u))
-        assert np.array_equal(group, masks[at])
-        assert np.array_equal(starts, np.concatenate([[0], slots])[at])
-        assert not (group.flags.writeable or starts.flags.writeable)
+@pytest.mark.parametrize("n", range(4, 14))
+def test_scan_prefix_side_is_cached_and_read_only(n):
+    layout = fnef.pairing._scan_layout(n)
+    assert fnef.pairing._scan_layout(n) is layout
+    s, opened, slots, curves, groups = layout
+    assert s == min(7, n - 1)
+    assert curves[-1] == count_fcurves(n)
+    assert slots[-1] == slot_count(n) and slots[-1] % 16 == 0
+    # the groups split the prefixes by open-block count, from 4 down, each
+    # in enumeration order, with the slot where each prefix starts
+    assert list(groups) == sorted(set(opened.tolist()), reverse=True)
+    starts = np.concatenate([[0], slots[:-1]])
+    for u, (masks, at) in groups.items():
+        assert np.array_equal(at, starts[opened == u])
+        assert masks.shape == (len(at), 7)
+    assert sorted(np.concatenate([at for _, at in groups.values()])) == starts.tolist()
+    arrays = [opened, slots, curves, *(a for g in groups.values() for a in g)]
+    assert not any(a.flags.writeable for a in arrays)
+    if n == 12:
+        assert (s, len(opened), slots[-1]) == (7, 51, 703136)
+        assert {u: len(masks) for u, (masks, _) in groups.items()} == {1: 1, 2: 15, 3: 25, 4: 10}
+    if n == 13:
+        assert slots[-1] == 2804384
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_functional_pairing_is_the_dense_sum_over_every_key(n):
+    """The pairing walks the functional's keys; the oracle sums over every
+    generator key.  Each support holds keys the other lacks."""
+    rng = random.Random(n)
+    keys = all_generator_keys(n)
+    values = (-3, -2, -1, 1, 2, 3)
+    for _ in range(4):
+        inside = rng.sample(keys, len(keys) // 2)
+        outside = sorted(set(keys) - set(inside))
+        d = DivisorClass(n, {k: rng.choice(values) for k in inside})
+        support = rng.sample(inside, 3) + rng.sample(outside, 3)
+        f = CurveFunctional(DivisorClass(n, {k: rng.choice(values) for k in support}))
+        dense = sum(d.coeff(k) * f.values.coeff(k) for k in keys)
+        assert pair_divisor_functional(d, f) == dense
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
