@@ -408,6 +408,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "entry-without-freeze",
+        "src/fnef/cli.py",
+        "gc.freeze()",
+        "None",
+        ("tests/test_cli.py::test_the_process_entry_freezes_the_import_heap_before_main",),
+    ),
+    Mutant(
         "gather-guard-72",
         "src/fnef/cone.py",
         "check_memory(84 * fnef.zero_count,",

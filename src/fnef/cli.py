@@ -13,7 +13,7 @@ fields.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import gc
 import json
 import sys
 import time
@@ -112,6 +112,8 @@ def _read_input(path: str, manifest: Manifest, parse):
     The sha256 of its bytes goes into the manifest; the bytes are decoded
     as strict UTF-8.  Every parse error is raised again naming the file.
     """
+    import hashlib  # OpenSSL's import is a few ms of every start; only input files pay it
+
     with open(path, "rb") as fh:
         data = fh.read()
     manifest.inputs[path] = hashlib.sha256(data).hexdigest()
@@ -412,5 +414,19 @@ def main(argv=None) -> int:
         return EXIT_FAILED
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """The process entry of `python -m fnef.cli` and the `fnef` script:
+    run `main` and exit with its code.
+
+    The import-time objects, most of them numpy's, are moved to the
+    collector's permanent generation first, so neither a collection during
+    the command nor the interpreter's exit walks or frees them.  Exit is
+    otherwise the normal one: atexit handlers run, output is flushed and
+    files are closed.  `main` itself touches no collector state.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

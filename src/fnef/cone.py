@@ -262,8 +262,8 @@ def _pattern_sum(x: np.ndarray, keys: np.ndarray) -> np.ndarray:
     orthogonality dots.  Every entry and partial sum is at most 7 max|x| in
     size, which each caller keeps below 2^63."""
     out = np.zeros((keys.shape[1], x.shape[1]), dtype=np.int64)
-    for sign, cols in zip(ROW_PATTERN, keys):
-        out += sign * x[cols]
+    for sign, cols in zip(ROW_PATTERN.tolist(), keys):
+        (np.add if sign > 0 else np.subtract)(out, x.take(cols, axis=0), out=out)
     return out
 
 

@@ -3,7 +3,8 @@
 Dense Fraction elimination for ranks over the rationals, the pairing row
 of a single F-curve as a curve functional, the pushforward of one F-curve
 along the forgetful map, the first, array-based form of the projection
-formula over any rows at n+1, the values of the enumeration kernel
+formula over any rows at n+1, the signed seven-key sum of the rank
+path as one temporary per key, the values of the enumeration kernel
 compacted to one per curve, a divisor's JSON file as the standard
 encoder writes it, and the named divisors and the pullback as the
 comprehensions that walk one key at a time.  None of this runs outside
@@ -125,6 +126,15 @@ def pushforward_fcurve(curve: FCurve) -> Optional[FCurve]:
         return None
     blocks = tuple(b & ~last for b in curve.blocks)
     return FCurve(n - 1, blocks)  # type: ignore[arg-type]
+
+
+def pattern_sum_oracle(x: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """`cone._pattern_sum` in its first form: each key's rows of x gathered
+    by fancy indexing, scaled by the key's sign and added to the sum."""
+    out = np.zeros((keys.shape[1], x.shape[1]), dtype=np.int64)
+    for sign, cols in zip(ROW_PATTERN, keys):
+        out += sign * x[cols]
+    return out
 
 
 def sample_partitions_oracle(m: int, samples: int, seed: int) -> np.ndarray:

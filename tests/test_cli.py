@@ -1,12 +1,15 @@
 """Exit codes, JSON output, and determinism of the command-line front-end."""
 
+import ast
 import builtins
+import gc
 import hashlib
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 from pathlib import Path
 
@@ -48,6 +51,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def python(*args, **kwargs):
+    """A fresh interpreter on this tree's package, run to exit."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, **kwargs
+    )
+
+
 def test_importing_the_cli_builds_no_subset_table():
     # `fnef --version` pays the import alone: the subset text tables that
     # `format_subset` reads are built on its first call
@@ -58,11 +69,73 @@ def test_importing_the_cli_builds_no_subset_table():
         "fnef.subsets.format_subset(0b101)\n"
         "print(tables().currsize)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert python("-c", code, check=True).stdout.split() == ["0", "1"]
+
+
+def test_importing_the_cli_loads_no_hashlib():
+    # only an input file is hashed, so only a run that reads one imports it
+    code = "import sys, fnef.cli\nprint('hashlib' in sys.modules)\n"
+    assert python("-c", code, check=True).stdout.split() == ["False"]
+
+
+def test_the_process_entry_freezes_the_import_heap_before_main():
+    code = (
+        "import gc, fnef.cli\n"
+        "print(gc.get_freeze_count())\n"
+        "def stub():\n"
+        "    print(gc.get_freeze_count())\n"
+        "    return 3\n"
+        "fnef.cli.main = stub\n"
+        "fnef.cli.entry()\n"
+        "print('not reached')\n"
     )
-    assert out.stdout.split() == ["0", "1"]
+    out = python("-c", code)
+    before, during = map(int, out.stdout.split())
+    assert (out.returncode, out.stderr, before) == (3, "", 0)
+    assert during > 0
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    code, _, _ = run(capsys, "verify", "--json")
+    assert (code, gc.get_freeze_count()) == (0, frozen)
+
+
+def test_the_fnef_script_is_the_entry_that_main_module_runs():
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    tree = ast.parse(Path(fnef.cli.__file__).read_text())
+    (guard,) = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    (call,) = guard.body
+    assert ast.unparse(call) == "entry()"
+    assert scripts == {"fnef": "fnef.cli:entry"}
+
+
+def test_python_m_fnef_cli_reports_as_main_does(tmp_path, capsys):
+    def blanked(text):
+        payload = json.loads(text)
+        payload["manifest"]["timings"] = {}
+        return payload
+
+    out = python("-m", "fnef.cli", "verify", "--json")
+    code, expected, _ = run(capsys, "verify", "--json")
+    assert (out.returncode, out.stderr, blanked(out.stdout)) == (code, "", blanked(expected))
+    assert code == 0
+
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    out = python("-m", "fnef.cli", "pair", "--divisor", str(bad))
+    expected = run(capsys, "pair", "--divisor", str(bad))
+    assert (out.returncode, out.stdout, out.stderr) == expected
+    assert expected[0] == 2 and out.stderr.startswith(f"error: {bad}: bad JSON")
+
+    out = python("-m", "fnef.cli", "--version")
+    with pytest.raises(SystemExit) as exit_:
+        main(["--version"])
+    assert (out.returncode, out.stdout, out.stderr) == (exit_.value.code, f"{__version__}\n", "")
+    assert capsys.readouterr().out == out.stdout
 
 
 def test_biplane_default(capsys):

@@ -49,6 +49,7 @@ from fnef.cone import (
     Peel,
     _check_orthogonal,
     _free_col_rows,
+    _pattern_sum,
     _structural_peel,
     check_modulus,
 )
@@ -58,6 +59,7 @@ from fnef.subsets import all_generator_keys, count_fcurves, mask_from_elements, 
 from oracles import (
     dense_rows,
     fcurve_matrix_rank_exact,
+    pattern_sum_oracle,
     projection_formula_oracle,
     pushforward_fcurve,
     rank_exact,
@@ -480,6 +482,22 @@ def test_col_rows_built_in_place_match_the_stacked_rows(n, qr_divisor):
     assert np.array_equal(rows, expected)
     # key-major: each key's columns are contiguous
     assert rows.T.flags.c_contiguous and expected.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_pattern_sum_matches_the_per_key_oracle(n):
+    # seeded F-curve rows, whose pivot keys read -1 (the last row of x),
+    # against one column (the orthogonality dots) and k columns (the Schur map)
+    rs = relation_system(n)
+    rng = np.random.default_rng(n)
+    blocks = fcurve_block_arrays(n)
+    rows = _free_col_rows(blocks[rng.choice(len(blocks), 700)], rs.free_index)
+    assert (rows == -1).any()
+    for k in (1, 4):
+        x = rng.integers(-(1 << 59), 1 << 59, size=(rs.ambient_dim + 1, k))
+        got = _pattern_sum(x, rows.T)
+        assert got.dtype == np.int64 and got.shape == (len(rows), k)
+        assert np.array_equal(got, pattern_sum_oracle(x, rows.T))
 
 
 @pytest.mark.parametrize("n", range(4, 14))
