@@ -90,10 +90,19 @@ MUTANTS = (
     ),
     Mutant(
         "selection-first-slots",
-        "src/fnef/pairing.py",
-        "select = np.flatnonzero(valid[opened])",
-        "select = np.arange(np.count_nonzero(valid[opened]))",
+        "src/fnef/subsets.py",
+        "read_only(ok[used].ravel())",
+        # as many valid slots per u, but the first ones
+        "read_only(np.sort(ok[used].ravel())[::-1].copy())",
         (*_ENUMERATION, "tests/test_pairing.py::test_scan_plan_arrays_are_pinned"),
+    ),
+    Mutant(
+        "slot-map-swapped-blocks",
+        "src/fnef/subsets.py",
+        "eye[slot // 4] << n - 2 | eye[slot % 4] << n - 1",
+        # slot j = 4 b + b' read as marking n-1 in block b' and n in b
+        "eye[slot % 4] << n - 2 | eye[slot // 4] << n - 1",
+        ("tests/test_subsets.py::test_rows_match_the_second_cut_oracle",),
     ),
     Mutant(
         "table-without-reverse",
@@ -119,10 +128,10 @@ MUTANTS = (
     Mutant(
         "prefix-starts-at-curve-totals",
         "src/fnef/pairing.py",
-        "starts = slots - size[opened, 0]",
+        "starts = slots[:-1]",
         # each prefix starts where its curves start in the enumeration,
         # not where its padded slots start
-        "starts = curves - size[opened, 1]",
+        "starts = slot_layout(n)[4][:-1]",
         _ENUMERATION,
     ),
     Mutant(

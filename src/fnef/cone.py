@@ -49,7 +49,6 @@ from .pairing import (
     CurveFunctional,
     biplane_curve_functional,
     check_relations,
-    curve_flags,
     full_width,
     pair_divisor_functional,
     pairing_values,
@@ -64,6 +63,8 @@ from .subsets import (
     exact_int,
     fcurve_at,
     fcurve_block_arrays,
+    slot_heads,
+    slot_layout,
 )
 
 #: Fixed moduli for extremality certification, both just below the 2^31
@@ -89,9 +90,13 @@ class FNefReport:
 
     def zero_mask(self) -> np.ndarray:
         """Boolean mask of the zero-pairing curves, indexed like the rows of
-        fcurve_block_arrays(n); as its `keep` it builds the zero rows alone.
-        It is compacted from `zero_bits` on each call (`curve_flags`)."""
-        return curve_flags(self.zero_bits, self.n)
+        fcurve_block_arrays(n): on each call, `zero_bits` unpacked at the
+        valid slots of every prefix (`subsets.slot_heads`), in slot order,
+        a byte per slot twice.  No library path reads it: the rank path
+        builds its zero rows from `zero_bits` (`fcurve_block_arrays`)."""
+        s, _, opened, _, _ = slot_layout(self.n)
+        valid = np.concatenate([slot_heads(s)[u][1] for u in opened.tolist()])
+        return np.unpackbits(self.zero_bits).view(bool)[valid]
 
 
 @dataclass(frozen=True)
@@ -396,10 +401,13 @@ def _structural_peel(col_rows: np.ndarray, ncols: int) -> Peel:
                 rounds.append((new, keys[:, single], ROW_PATTERN[own]))
             uncovered_col[new] = False
             continue
-        live = count > 0
-        if not live.any():
+        # the fewest uncovered entries of a row that has any: a count c
+        # reads c - 1 as uint8 and a dead row's 0 wraps to 255, so the
+        # smallest positive count is the minimum plus 1, 256 when none is
+        low = int((count - 1).view(np.uint8).min(initial=255)) + 1
+        if low == 256:
             break
-        fewest = count == count.min(where=live, initial=len(keys))
+        fewest = count == low
         heavy = int(np.bincount(keys[uncovered & fewest]).argmax())
         aside.append(heavy)
         uncovered_col[heavy] = False
@@ -458,15 +466,14 @@ def extremality_rank(
     the first 512 rows reach rank 1980.  Every curve together peels all
     1981 columns with none set aside, so the full matrix feeds no row.
 
-    Only the zero rows are built, straight from the enumeration's prefix
-    walk (`fcurve_block_arrays` with the zero mask as `keep`), and they are
-    refused once the scan has counted them, before any is built, when the
-    rank path's largest peak would not fit in physical memory
+    Only the zero rows are built, straight from the scan's zero bits in
+    its slot layout (`fcurve_block_arrays(n, fnef.zero_bits)`), and they
+    are refused once the scan has counted them, before any is built, when
+    the rank path's largest peak would not fit in physical memory
     (InvalidInputError): 84 bytes per zero curve, the 16 of its block
     masks, the 56 of its seven int64 columns and 12 of per-key
     temporaries while the columns are built.  The orthogonality check
-    (about 80) and the peel (about 78) hold less.  The gather also holds
-    the zero mask, a byte per curve, and is refused on that sum too.
+    (about 80) and the peel (about 78) hold less.
     """
     primes = tuple(dict.fromkeys(map(check_modulus, primes)))
     if not primes:
@@ -479,11 +486,7 @@ def extremality_rank(
     if not fnef.nonnegative:
         return ExtremalityReport(rs.ambient_dim, fnef, {}, False)
     check_memory(84 * fnef.zero_count, f"ranking {fnef.zero_count} zero curves")
-    # the gather holds the zero mask, a byte per curve, and 16 bytes per
-    # zero row: more than the 84 only when 68 zeros < S
-    rows = count_fcurves(d.n)
-    check_memory(rows + 16 * fnef.zero_count, f"the zero mask of {rows} curves")
-    col_rows = _free_col_rows(fcurve_block_arrays(d.n, fnef.zero_mask()), rs.free_index)
+    col_rows = _free_col_rows(fcurve_block_arrays(d.n, fnef.zero_bits), rs.free_index)
 
     # Every zero row is an integer vector orthogonal to the reduced
     # coordinates of d, so when those are nonzero the rational rank is at
@@ -559,9 +562,9 @@ def _sample_partitions(m: int, samples: int) -> Iterator[np.ndarray]:
         labels = labels.view(np.int32).reshape(rows, m)
         code_low, code_high = labels[:, :h] @ weights[:h], labels[:, h:] @ weights
         present = present_low.take(code_low) | present_high.take(code_high)
-        keep = np.flatnonzero(present == 15)[:need]
-        masks = low.take(code_low[keep]).view(np.int32).reshape(-1, 4)
-        masks |= high.take(code_high[keep]).view(np.int32).reshape(-1, 4)
+        full = np.flatnonzero(present == 15)[:need]
+        masks = low.take(code_low[full]).view(np.int32).reshape(-1, 4)
+        masks |= high.take(code_high[full]).view(np.int32).reshape(-1, 4)
         need -= len(masks)
         yield masks
 

@@ -21,16 +21,17 @@ from .divisors import DivisorClass, check_int64_sums, json_array, relation_matri
 from .errors import InvalidInputError, MalformedInputError
 from .subsets import (
     FCurve,
-    _assign,
     canonical_generator,
     check_memory,
     exact_int,
-    fcurve_prefixes,
     format_subset,
     full_mask,
     is_psi_key,
     parse_subset,
     psi_key,
+    read_only,
+    slot_heads,
+    slot_layout,
     validate_n,
 )
 
@@ -173,20 +174,10 @@ def row_keys(table: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> np.ndarr
 #: n=13 scan in about 2.1 ms sliced or not (one pinned vCPU).
 _SCAN_ROWS = 16384
 
-#: Markings in the suffix of the enumeration scan.  Its plan takes 0.27 MiB
-#: at 7 and serves every n >= 8.  Warm `fnef_check` (median of 9
-#: interleaved rounds of 10 scans, one pinned vCPU, 64 KiB chunks) took
-#: 1.19 ms in int8 at n=12, 3.66 ms at n=13 and 4.18 ms in int64 at n=12;
-#: 6 (187 prefixes at n=12, not 51) took 1.43, 4.77 and 5.76 ms, and 8
-#: took 1.10, 3.98 and 5.13 ms, its int8 within the rounds' interquartile
-#: spread of 7 (0.23 ms at n=12, 0.49 at n=13), with a 1.06 MiB plan and an
-#: int64 traced peak at n=12 of the zero bits plus 2.0 MiB, against 0.59.
-_SCAN_SUFFIX = 7
-
 #: Bytes of records that the enumeration scan lays out per chunk of
 #: prefixes: 5 prefixes at a 7-marking suffix in int8, one in int64.  The
 #: chunk's values take about 1.4 times its records more.  Warm
-#: `fnef_check` in int8 (as for `_SCAN_SUFFIX`) took 2.05, 1.46, 1.19,
+#: `fnef_check` in int8 (as for `subsets._CUT`) took 2.05, 1.46, 1.19,
 #: 1.12, 1.50 and 1.49 ms at n=12 with chunks of 16, 32, 64, 96, 128 and
 #: 256 KiB, and 7.6, 5.6, 3.7, 3.9, 3.7 and 4.6 ms at n=13; in int64, one
 #: prefix a chunk up to 128 KiB, 4.1-4.6 ms at n=12.  At 64 KiB a warm
@@ -216,24 +207,19 @@ def _scan_plan(s: int) -> tuple[np.ndarray, np.ndarray, dict]:
     A disjoint pair (X, Y) of suffix subsets has the ternary code with digit
     1 at each marking of X and 2 at each marking of Y, marking i at weight
     3^i.  The first s-2 markings form a completion's head and the last two
-    its slot j = 4 b + b', for their blocks b and b'.  A record holds one
-    kind's 16 values over the slots, at one code of the head's markings
-    (the rest code): the digits of b and b' are read through the kind's row
-    of `_KEY_DIGITS`.
+    its slot j = 4 b + b', for their blocks b and b' (`subsets.slot_heads`).
+    A record holds one kind's 16 values over the slots, at one code of the
+    head's markings (the rest code): the digits of b and b' are read
+    through the kind's row of `_KEY_DIGITS`.
 
     - `spread[t, l, j]` indexes a prefix's seven rows of 2^s suffix values,
       term t's row at t 2^s: the suffix mask with low bits l and, above
       them, term t's bits of slot j.  Spread, the rows are records, one per
       term and low mask, term t's at t 2^(s-2).
     - `gather[t, r]` is term t's record at rest code r among them.
-    - `heads[u]`, for a prefix that opened u blocks, holds the three rest
-      codes (A's, E's offset by 3^(s-2) and F's by 2 3^(s-2)) of every head
-      that some slot completes, in enumeration order, and the valid slots
-      of their grids of 16, in order; None when every slot is valid.  Both
-      come from the walk that defines the order, `subsets._assign`: the
-      heads are its walk over the first s-2 markings, cut at s, and a
-      head's valid slots its walk over the last two after the head's v
-      open blocks.
+    - `codes[u]`, for a prefix that opened u blocks, holds the three rest
+      codes (A's, E's offset by 3^(s-2) and F's by 2 3^(s-2)) of each of
+      its heads (`subsets.slot_heads`), in enumeration order.
     """
     rest = s - 2
     digits = np.arange(3**rest)[:, None] // 3 ** np.arange(rest) % 3
@@ -245,99 +231,51 @@ def _scan_plan(s: int) -> tuple[np.ndarray, np.ndarray, dict]:
     gather = (term[:, None] << rest) + pick[_TERM_PART]
     # tern[m]: the code of a mask m of head markings, digit 1 at each one
     tern = (np.arange(1 << rest)[:, None] >> np.arange(rest) & 1) @ 3 ** np.arange(rest)
-    # valid[v, 4 b + b']: blocks b, b' of the last two markings complete v
-    # open blocks; block k adds k times 4, 1 or 5 to the slot when it holds
-    # the first of them, the second or both
-    empty = np.zeros((1, 4), dtype=np.int32)
-    valid = np.zeros((5, 16), dtype=bool)
-    for v in range(2, 5):
-        last, _ = _assign(empty, np.array([v]), range(2), 2)
-        valid[v, np.array([0, 4, 1, 5])[last] @ np.arange(4)] = True
-    heads = {}
-    for u in range(1, 5):
-        head, opened = _assign(empty, np.array([u]), range(rest), s)
-        codes = (tern[head] @ _KEY_DIGITS.T + 3**rest * np.arange(3)).T
-        select = np.flatnonzero(valid[opened])
-        heads[u] = (codes, None if len(select) == 16 * len(opened) else select)
-    for a in (spread, gather, *(a for h in heads.values() for a in h if a is not None)):
-        a.setflags(write=False)
-    return spread, gather, heads
+    codes = {
+        u: read_only((tern[h] @ _KEY_DIGITS.T + 3**rest * np.arange(3)).T)
+        for u, (h, _) in slot_heads(s).items()
+    }
+    return read_only(spread), read_only(gather), codes
 
 
 @lru_cache(maxsize=None)
 def _slot_pad(s: int, dtype: np.dtype) -> dict[int, np.ndarray]:
     """Per open-block count u, the pad of a prefix's padded layout in
-    `dtype`, 16 slots per head (`_scan_plan`): its minimum at the slots
+    `dtype`, 16 slots per head (`subsets.slot_heads`): its minimum at the slots
     that are curves and its maximum at the others, so that `np.maximum`
     overwrites only the others."""
-    info = np.iinfo(dtype)
-    pad = {}
-    for u, (codes, select) in _scan_plan(s)[2].items():
-        pad[u] = np.full(16 * codes.shape[1], info.max, dtype=dtype)
-        pad[u][slice(None) if select is None else select] = info.min
-        pad[u].setflags(write=False)
-    return pad
+    info, heads = np.iinfo(dtype), slot_heads(s).items()
+    return {u: read_only(np.where(v, info.min, info.max).astype(dtype)) for u, (_, v) in heads}
 
 
 @lru_cache(maxsize=None)
-def _scan_layout(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, dict]:
-    """The prefix side of the enumeration scan at n, from one walk of its
-    prefixes (`fcurve_prefixes`), all read-only: the suffix length s; the
-    blocks each prefix opened; where its slots and its curves end, the
-    running totals of 16 slots per head (`_scan_plan`) and of its curves;
-    and the prefixes by the number u of blocks they opened, from u = 4
-    down: per u, the seven masks of each (the unions, then the singles of
-    `_TERM_KIND`'s terms) and the slot where its slots start, both in
-    enumeration order."""
-    split, prefixes, opened = fcurve_prefixes(n, _SCAN_SUFFIX)
-    s = n - split
-    # size[u]: the slots and the curves of a prefix that opened u blocks
-    size = np.zeros((5, 2), dtype=np.int64)
-    for u, (codes, select) in _scan_plan(s)[2].items():
-        size[u] = 16 * codes.shape[1], 16 * codes.shape[1] if select is None else len(select)
-    slots, curves = size[opened].cumsum(axis=0).T.copy()
-    starts = slots - size[opened, 0]
+def _scan_groups(n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The prefixes of the layout at n (`subsets.slot_layout`) by the number
+    u of blocks they opened, from u = 4 down, all read-only: per u, the
+    seven masks of each (the unions, then the singles of `_TERM_KIND`'s
+    terms) and the slot where its slots start, both in enumeration order."""
+    _, prefixes, opened, slots, _ = slot_layout(n)
+    starts = slots[:-1]
     p0, p1, p2, p3 = prefixes.astype(np.intp).T
     masks = np.stack([p1 | p2, p0 | p1, p1 | p3, p1, p0, p3, p2], axis=1)
-    groups = {u: (masks[opened == u], starts[opened == u]) for u in range(4, 0, -1) if u in opened}
-    for a in (opened, slots, curves, *(a for g in groups.values() for a in g)):
-        a.setflags(write=False)
-    return s, opened, slots, curves, groups
+    at = {u: opened == u for u in range(4, 0, -1) if u in opened}
+    return {u: (read_only(masks[i]), read_only(starts[i])) for u, i in at.items()}
 
 
 def slot_count(n: int) -> int:
     """Slots of the padded layout at n (`scan_fcurves`): 703136 at n=12 for
     611501 curves.  A multiple of 16."""
-    return int(_scan_layout(validate_n(n))[2][-1])
+    return int(slot_layout(validate_n(n))[3][-1])
 
 
 def curve_index(n: int, slot: int) -> int:
     """The enumeration index of the curve at a slot of the padded layout:
     the number of curve slots before it, those of the prefixes before the
-    slot's and those of its prefix's selection (`_scan_plan`) before it."""
-    s, opened, slots, curves, _ = _scan_layout(n)
-    p = int(np.searchsorted(slots, slot, side="right"))
-    local = slot - (int(slots[p - 1]) if p else 0)
-    before = int(curves[p - 1]) if p else 0
-    select = _scan_plan(s)[2][int(opened[p])][1]
-    return before + (local if select is None else int(np.searchsorted(select, local)))
-
-
-def curve_flags(bits: np.ndarray, n: int) -> np.ndarray:
-    """Flags over the padded layout at n, packed 8 to a byte in slot order,
-    as a boolean array over the curves in enumeration order: one prefix at
-    a time, its slots unpacked and its curve slots taken by the plan's
-    selection (`_scan_plan`), so besides the result only one prefix's
-    slots are held."""
-    s, opened, slots, curves, _ = _scan_layout(n)
-    heads = _scan_plan(s)[2]
-    out = np.empty(int(curves[-1]), dtype=bool)
-    s0 = c0 = 0
-    for u, s1, c1 in zip(opened.tolist(), slots.tolist(), curves.tolist()):
-        flags, select = np.unpackbits(bits[s0 // 8 : s1 // 8]).view(bool), heads[u][1]
-        out[c0:c1] = flags if select is None else flags.take(select)
-        s0, c0 = s1, c1
-    return out
+    slot's and the valid ones of its prefix (`subsets.slot_heads`)."""
+    s, _, opened, slots, curves = slot_layout(n)
+    p = int(np.searchsorted(slots, slot, side="right")) - 1
+    valid = slot_heads(s)[int(opened[p])][1]
+    return int(curves[p]) + int(np.count_nonzero(valid[: slot - slots[p]]))
 
 
 def _scan_chunks(table: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -347,7 +285,7 @@ def _scan_chunks(table: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.nda
     with gaps.  A gap is a slot that completes no curve and holds the
     dtype's maximum, so it never lowers a minimum and never reads as zero.
     The chunks take the groups of prefixes that opened the same number of
-    blocks (`_scan_layout`) in turn, each group's prefixes in enumeration
+    blocks (`_scan_groups`) in turn, each group's prefixes in enumeration
     order, so the groups interleave in slot order.
 
     A row is a prefix's blocks P0..P3 joined with a completion's S0..S3, and
@@ -374,19 +312,19 @@ def _scan_chunks(table: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.nda
     A record is a `np.void` of 16 values, so each gather copies 16 values
     at once; the sums run on the numeric view.
     """
-    s, _, _, _, groups = _scan_layout(n)
-    spread, gather, heads = _scan_plan(s)
+    s = slot_layout(n)[0]
+    spread, gather, codes = _scan_plan(s)
     record = np.dtype((np.void, 16 * table.itemsize))
     # by_suffix[P, T] is c(P | T << split): one row per prefix mask
     by_suffix = table.reshape(1 << s, -1).T.copy()
     chunk = max(1, _SCAN_CHUNK // (3 * gather.shape[1] * record.itemsize))
     pads = _slot_pad(s, table.dtype)
-    for u, (masks, starts) in groups.items():
+    for u, (masks, starts) in _scan_groups(n).items():
         for lo in range(0, len(masks), chunk):
             # ndarray.take, not np.take: its Python wrapper adds about 0.8 us
             # a call
             rows = by_suffix.take(masks[lo : lo + chunk], axis=0)
-            values = _scan_chunk(rows, spread, gather, record, heads[u][0], pads[u])
+            values = _scan_chunk(rows, spread, gather, record, codes[u], pads[u])
             yield starts[lo : lo + chunk], values
 
 
@@ -415,9 +353,9 @@ def scan_fcurves(d: DivisorClass) -> tuple[int, int, int, np.ndarray]:
     """One scan of the pairings of `d` with every F-curve, in
     `scan_dtype(d)`: returns their minimum, the enumeration index of the
     first curve at it, their zero count, and their zero flags over the
-    padded layout, packed 8 to a byte in slot order (`curve_flags` keeps
-    the curve slots).  At n=12 the 611501 curves take 703136 slots
-    (`slot_count`).
+    padded layout, packed 8 to a byte in slot order, from which
+    `subsets.fcurve_block_arrays` builds the zero rows.  At n=12 the 611501
+    curves take 703136 slots (`slot_count`).
 
     The chunks of `_scan_chunks` are reduced as they come, while each is in
     cache, and the argmin slot is mapped to its curve (`curve_index`), so

@@ -73,6 +73,12 @@ def check_memory(need: int, what: str) -> None:
         )
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, marked read-only."""
+    a.setflags(write=False)
+    return a
+
+
 def full_mask(n: int) -> int:
     """Mask of the whole marking set {1..n}."""
     return (1 << n) - 1
@@ -232,12 +238,6 @@ def parse_fcurve(text: str, n: int) -> FCurve:
     return FCurve(n, tuple(parse_subset(p, n) for p in parts))  # type: ignore[arg-type]
 
 
-#: Markings in the completion tables of `fcurve_block_arrays`.  Six builds
-#: as fast as 5, 7 or 8, and no temporary reaches 128 KiB up to n=13: freeing
-#: larger ones raises glibc's mmap threshold and the later scans stay MBs larger.
-_SUFFIX = 6
-
-
 def _assign(blocks: np.ndarray, used: np.ndarray, bits: range, n: int):
     """Assign the markings at `bits` to partial partitions with `used` blocks
     opened: each joins an opened block, by index, or opens the next one, and
@@ -254,31 +254,87 @@ def _assign(blocks: np.ndarray, used: np.ndarray, bits: range, n: int):
     return blocks, used
 
 
-def fcurve_prefixes(n: int, suffix: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """The enumeration cut before its last `suffix` markings, or after
-    marking 1 when n is smaller: returns the number `split` of markings
-    before the cut, every way they start a 4-block partition of {1..n} as a
-    (k, 4) int32 mask array in enumeration order, and the number of blocks
-    each one opened."""
-    n = validate_n(n)
-    split = max(1, n - suffix)
+#: Markings after the enumeration's one prefix cut; the scan and the rows
+#: both read its layout (`slot_layout`).  Its scan plan takes 0.27 MiB at 7
+#: and serves every n >= 8.  Warm `fnef_check` (median of 9 interleaved
+#: rounds of 10 scans, one pinned vCPU, 64 KiB chunks) took 1.19 ms in int8
+#: at n=12, 3.66 ms at n=13 and 4.18 ms in int64 at n=12; 6 (187 prefixes
+#: at n=12, not 51) took 1.43, 4.77 and 5.76 ms, and 8 took 1.10, 3.98 and
+#: 5.13 ms, its int8 within the rounds' interquartile spread of 7 (0.23 ms
+#: at n=12, 0.49 at n=13), with a 1.06 MiB plan and an int64 traced peak
+#: at n=12 of the zero bits plus 2.0 MiB, against 0.59.
+_CUT = 7
+
+
+@lru_cache(maxsize=None)
+def slot_heads(s: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The slots of an s-marking suffix, per count u = 1..4 of blocks open
+    before it, all read-only.  Its first s-2 markings form a head, and its
+    last two the head's slot j = 4 b + b' of 16 when they join blocks b and
+    b'.  Per u: the heads that some slot completes to 4 blocks, as (h, 4)
+    int32 masks on bits 0..s-3 in enumeration order, and which slots of
+    their grids of 16, head i's slot j at 16 i + j, complete one.  Both
+    come from the walk that defines the order, `_assign`: the heads are its
+    walk over the first s-2 markings, cut at s, and a head's valid slots
+    its walk over the last two after the head's v open blocks."""
+    empty = np.zeros((1, 4), dtype=np.int32)
+    # ok[v, 4 b + b']: blocks b, b' of the last two markings complete v open
+    # blocks; block k adds k times 4, 1 or 5 to the slot when it holds the
+    # first of them, the second or both
+    ok = np.zeros((5, 16), dtype=bool)
+    for v in range(2, 5):
+        last, _ = _assign(empty, np.array([v]), range(2), 2)
+        ok[v, np.array([0, 4, 1, 5])[last] @ np.arange(4)] = True
+    walks = {u: _assign(empty, np.array([u]), range(s - 2), s) for u in range(1, 5)}
+    return {u: (read_only(head), read_only(ok[used].ravel())) for u, (head, used) in walks.items()}
+
+
+@lru_cache(maxsize=None)
+def slot_layout(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The enumeration's layout at n, from one walk of its prefixes, all
+    read-only: the suffix length s, the markings after the cut (`_CUT`, or
+    all after marking 1 when n is smaller); the prefixes, every way the
+    markings before it start a 4-block partition of {1..n}, as (k, 4) int32
+    masks in enumeration order; the blocks each one opened; and the k + 1
+    bounds of their slots and of their curves, running totals from 0 of 16
+    slots per head and of the valid ones (`slot_heads`)."""
+    split = max(1, n - _CUT)
     one = np.array([[1, 0, 0, 0]], dtype=np.int32)  # marking 1 opens block 0
     prefixes, opened = _assign(one, np.array([1]), range(1, split), n)
-    return split, prefixes, opened
+    # size[u]: the slots and the curves of a prefix that opened u blocks
+    valid = [v for _, v in slot_heads(n - split).values()]
+    size = np.array([(0, 0)] + [(len(v), np.count_nonzero(v)) for v in valid])
+    slots, curves = np.vstack([[0, 0], size[opened].cumsum(axis=0)]).T.copy()
+    return n - split, *map(read_only, (prefixes, opened, slots, curves))
 
 
-def completion_tables(n: int, split: int) -> dict[int, np.ndarray]:
-    """Per count u = 1..4 of blocks markings 1..split opened, the ways the
-    markings after them complete a 4-block partition of {1..n}, as a (k, 4)
-    int32 mask array in enumeration order."""
-    empty = np.zeros((1, 4), dtype=np.int32)
-    return {u: _assign(empty, np.array([u]), range(split, n), n)[0] for u in range(1, 5)}
+def _slot_rows(n: int) -> dict[int, np.ndarray]:
+    """Per count u of blocks a prefix of the layout at n opened
+    (`slot_layout`), its completions: the blocks of its valid slots in slot
+    order, as (c, 4) int32 masks of the suffix markings.  A slot's blocks
+    are its head's with those of the last two markings, slot j = 4 b + b'
+    putting marking n-1 in block b and marking n in b'.  Built on each
+    call, 0.6 MiB for every n >= 8, so no table outlives its caller.  Its
+    temporaries reach 256 KiB, and freeing them raises glibc's mmap
+    threshold; pinning the threshold at 128 KiB moved the fresh-process
+    peaks of the whole array, of `extremality_rank` and of one scan by at
+    most 0.45 MB at n=12 and 13 (`BENCH_slot_rows.json`)."""
+    s = slot_layout(n)[0]
+    eye, slot = np.eye(4, dtype=np.int32), np.arange(16)
+    last = eye[slot // 4] << n - 2 | eye[slot % 4] << n - 1
+    rows = {}
+    for u, (head, valid) in slot_heads(s).items():
+        i, j = np.nonzero(valid.reshape(-1, 16))  # head i's slot j
+        rows[u] = (head << n - s).take(i, axis=0)
+        rows[u] |= last.take(j, axis=0)
+    return rows
 
 
-def fcurve_block_arrays(n: int, keep: Optional[np.ndarray] = None) -> np.ndarray:
+def fcurve_block_arrays(n: int, bits: Optional[np.ndarray] = None) -> np.ndarray:
     """All 4-block partitions of {1..n} as an (S(n,4), 4) int32 mask array,
-    or with a boolean `keep` over them only the rows it marks, without
-    building the others.
+    or the flagged ones alone: `bits` flags slots of the enumeration's
+    layout (`slot_layout`), packed 8 to a byte in slot order, as the zero
+    bits of a scan do (`pairing.scan_fcurves`); None flags every curve.
 
     Row order is restricted-growth-string lexicographic: markings are
     assigned in increasing order, trying existing blocks by index before
@@ -289,31 +345,42 @@ def fcurve_block_arrays(n: int, keep: Optional[np.ndarray] = None) -> np.ndarray
     row, is refused before it is allocated (InvalidInputError; 2.6 GiB at
     n=16).  `fcurve_at` gives one row without building it.
 
-    Built as prefixes times completion tables: the prefixes
-    (`fcurve_prefixes`) assign the markings before the last 6, and each
-    prefix that opened u blocks writes its table (`completion_tables`), or
-    the rows of it `keep` marks at its positions, `| prefix` into the next
-    slice of the result, which keeps exactly the row order above.
+    Built one prefix at a time: each prefix writes its completions
+    (`_slot_rows`) `| prefix`, or those of the slots `bits` flags, into the
+    next slice of one preallocated result, which keeps exactly the row
+    order above.  `bits` must be a 1-D uint8 array of one bit per slot
+    (`pairing.slot_count`) that flags no slot completing no curve; anything
+    else, a boolean mask over the curves included, raises
+    InvalidInputError.
     """
-    rows = count_fcurves(n)
-    if keep is not None:
-        if not (isinstance(keep, np.ndarray) and keep.dtype == bool and keep.shape == (rows,)):
-            raise InvalidInputError(f"keep must be a 1-D boolean array of length {rows} for n={n}")
-        rows = int(np.count_nonzero(keep))
+    n = validate_n(n)
+    s, prefixes, opened, slots, curves = slot_layout(n)
+    rows = int(curves[-1])
+    if bits is not None:
+        size = int(slots[-1]) // 8
+        if not (isinstance(bits, np.ndarray) and bits.dtype == np.uint8 and bits.shape == (size,)):
+            raise InvalidInputError(f"bits must be a 1-D uint8 array of {size} bytes for n={n}")
+        rows = int(np.bitwise_count(bits).sum())
     check_memory(16 * rows, f"the {rows} x 4 int32 partition array")
-
-    split, prefixes, opened = fcurve_prefixes(n, _SUFFIX)
-    tables = completion_tables(n, split)
+    heads, tables = slot_heads(s), _slot_rows(n)
     arr = np.empty((rows, 4), dtype=np.int32)
     start = 0
-    for prefix, u in zip(prefixes, opened.tolist()):
+    for prefix, u, low, high in zip(prefixes, opened.tolist(), slots[:-1] // 8, slots[1:] // 8):
         table = tables[u]
-        if keep is not None:  # the table rows kept at this prefix's positions
-            table, keep = table[keep[: len(table)]], keep[len(table) :]
-        np.bitwise_or(table, prefix, out=arr[start : start + len(table)])
+        if bits is not None:  # the completions of the flagged slots
+            flags = np.unpackbits(bits[low:high]).view(bool)[heads[u][1]]
+            table = table.compress(flags, axis=0)
+        # the prefix ORed in column by column, over its u open blocks: a
+        # broadcast `table | prefix` steps 4 values at a time, 5.1 ms at
+        # n=12 against 2.3 (one pinned vCPU)
+        out = arr[start : start + len(table)]
+        out[...] = table
+        for k, mask in enumerate(prefix[:u].tolist()):
+            out[:, k] |= mask
         start += len(table)
-    arr.setflags(write=False)
-    return arr
+    if start != rows:
+        raise InvalidInputError(f"bits flag {rows - start} slots that complete no curve")
+    return read_only(arr)
 
 
 def fcurve_at(n: int, index: int) -> FCurve:
@@ -362,11 +429,12 @@ def enumerate_fcurves(n: int) -> Iterator[FCurve]:
 
     A pure, restartable stream; the length equals count_fcurves(n).  It walks
     the prefixes of `fcurve_block_arrays` without building the array: each
-    prefix's rows, its completion table `| prefix`, are checked together
-    before the first of them is yielded.
+    prefix's rows, its completions `| prefix` (`_slot_rows`), are checked
+    together before the first of them is yielded.
     """
-    split, prefixes, opened = fcurve_prefixes(n, _SUFFIX)
-    tables = completion_tables(n, split)
+    n = validate_n(n)
+    _, prefixes, opened, _, _ = slot_layout(n)
+    tables = _slot_rows(n)
     start = 0
     for prefix, u in zip(prefixes, opened.tolist()):
         rows = tables[u] | prefix

@@ -5,7 +5,8 @@ of a single F-curve as a curve functional, the pushforward of one F-curve
 along the forgetful map, the first, array-based form of the projection
 formula over any rows at n+1, the signed seven-key sum of the rank
 path as one temporary per key, the values of the enumeration kernel
-compacted to one per curve, a divisor's JSON file as the standard
+compacted to one per curve, the partition rows built through a second
+prefix cut (the row-order oracle), a divisor's JSON file as the standard
 encoder writes it, and the named divisors and the pullback as the
 comprehensions that walk one key at a time.  None of this runs outside
 the tests.
@@ -25,6 +26,7 @@ from fnef import (
     CurveFunctional,
     DivisorClass,
     FCurve,
+    count_fcurves,
     divisor_to_json_dict,
     enumerate_fcurves,
     fcurve_block_arrays,
@@ -37,10 +39,12 @@ import fnef.pairing
 from fnef.pairing import ROW_PATTERN, full_width, scan_dtype
 from fnef.errors import InvalidInputError
 from fnef.subsets import (
+    _assign,
     all_generator_keys,
     canonical_generator,
     is_psi_key,
     mask_from_elements,
+    slot_layout,
 )
 
 
@@ -162,7 +166,7 @@ def enumeration_values(d: DivisorClass) -> np.ndarray:
     (`pairing._slot_pad`) holds the dtype's minimum."""
     dtype = scan_dtype(d)
     table = full_width(d.dense_table().astype(dtype))
-    s, opened, _, _, _ = fnef.pairing._scan_layout(d.n)
+    s, _, opened, _, _ = slot_layout(d.n)
     pads = fnef.pairing._slot_pad(s, dtype)
     pad = np.concatenate([pads[u] for u in opened.tolist()])
     values = np.empty(len(pad), dtype=dtype)
@@ -174,6 +178,33 @@ def enumeration_values(d: DivisorClass) -> np.ndarray:
             written[start : start + len(prefix)] += 1
     assert (written == 1).all(), "the chunks do not cover every slot once"
     return values[pad == np.iinfo(dtype).min]
+
+
+def fcurve_block_arrays_oracle(n: int, keep: Optional[np.ndarray] = None) -> np.ndarray:
+    """Every 4-block partition of {1..n} as `fcurve_block_arrays(n)` lays
+    them out, or with a boolean `keep` over them only the rows it marks, as
+    the library built them before it read the scan's slots: the markings
+    before the last six (or after marking 1) are assigned first, giving the
+    prefixes, and the ways the last six complete a prefix with u blocks
+    opened form one table per u; each prefix writes `table | prefix`, or
+    the table rows `keep` marks at its positions, into the next slice of
+    the result.  Both walks are `subsets._assign`, cut before the last six
+    markings rather than the last seven."""
+    split = max(1, n - 6)
+    one = np.array([[1, 0, 0, 0]], dtype=np.int32)  # marking 1 opens block 0
+    prefixes, opened = _assign(one, np.array([1]), range(1, split), n)
+    empty = np.zeros((1, 4), dtype=np.int32)
+    tables = {u: _assign(empty, np.array([u]), range(split, n), n)[0] for u in range(1, 5)}
+    arr = np.empty((count_fcurves(n) if keep is None else np.count_nonzero(keep), 4), np.int32)
+    start = 0
+    for prefix, u in zip(prefixes, opened.tolist()):
+        table = tables[u]
+        if keep is not None:  # the table rows kept at this prefix's positions
+            table, keep = table[keep[: len(table)]], keep[len(table) :]
+        np.bitwise_or(table, prefix, out=arr[start : start + len(table)])
+        start += len(table)
+    assert start == len(arr)
+    return arr
 
 
 def projection_formula_oracle(

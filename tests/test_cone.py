@@ -160,7 +160,7 @@ def test_biplane_zero_set_has_276_orbits(qr_biplane, qr_divisor):
     # curve is fixed when its image blocks are its own blocks.  Elements of
     # one cycle type on {1..11} fix as many curves here, so one element per
     # type is counted, and two more of the type must agree with it.
-    zero = fcurve_block_arrays(12, fnef_check(qr_divisor).zero_mask())
+    zero = fcurve_block_arrays(12, fnef_check(qr_divisor).zero_bits)
     own = np.sort(zero, axis=1)
 
     def fixed(image):
@@ -627,7 +627,7 @@ def test_modp_eliminator_memory_guard_reads_physical_memory(monkeypatch):
     # the kernel is guarded
     d = fnef_divisor_n6()
     rs = relation_system(6)
-    col_rows = _free_col_rows(fcurve_block_arrays(6, fnef_check(d).zero_mask()), rs.free_index)
+    col_rows = _free_col_rows(fcurve_block_arrays(6, fnef_check(d).zero_bits), rs.free_index)
     k = len(_structural_peel(col_rows, rs.ambient_dim).aside)
     assert k == 2
     need = 8 * (rs.ambient_dim + 1) * k
@@ -760,7 +760,7 @@ def test_psi_sum_pins():
     # once two columns are set aside
     rep = extremality_rank(psi_sum(7, 1))
     rs = relation_system(7)
-    col_rows = _free_col_rows(fcurve_block_arrays(7, rep.fnef.zero_mask()), rs.free_index)
+    col_rows = _free_col_rows(fcurve_block_arrays(7, rep.fnef.zero_bits), rs.free_index)
     assert len(_structural_peel(col_rows, rs.ambient_dim).aside) == 2
     assert set(rep.rank_mod_p.values()) == {41} and rep.certified_extremal
     rep = extremality_rank(psi_sum(5, 1, 2))
@@ -860,7 +860,7 @@ def test_extremality_rank_refuses_zero_rows_beyond_physical_memory(monkeypatch):
     need = 84 * 49
     build = fnef.cone.fcurve_block_arrays
 
-    def no_array(n, keep=None):
+    def no_array(n, bits=None):
         raise AssertionError("built partition rows")
 
     monkeypatch.setattr(fnef.cone, "fcurve_block_arrays", no_array)
@@ -872,21 +872,8 @@ def test_extremality_rank_refuses_zero_rows_beyond_physical_memory(monkeypatch):
     assert extremality_rank(d).certified_extremal
 
 
-def test_extremality_rank_refuses_the_zero_mask_with_few_zero_rows(monkeypatch):
-    # the sum of all psi_i at n=6 pairs positively with all 65 curves: no
-    # zero row, but the gather's zero mask takes a byte per curve; one byte
-    # less is refused, exactly that much is enough
-    d = psi_sum(6, *range(1, 7))
-    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 64)
-    with pytest.raises(InvalidInputError, match="zero mask of 65 curves needs 65 bytes"):
-        extremality_rank(d)
-    monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: 65)
-    rep = extremality_rank(d)
-    assert rep.fnef.min_value == 2 and rep.zero_set_size == 0 and not rep.certified_extremal
-
-
 def test_extremality_rank_refuses_the_gather_peak_at_n12(qr_divisor, monkeypatch):
-    # only the 124366 zero rows are built, from the prefix walk: their
+    # only the 124366 zero rows are built, from the scan's zero bits: their
     # blocks, seven int64 columns and the temporaries that build those,
     # 84 bytes each, are the one peak counted; one byte less is refused
     # before any row is built
@@ -895,12 +882,12 @@ def test_extremality_rank_refuses_the_gather_peak_at_n12(qr_divisor, monkeypatch
     build = fnef.cone.fcurve_block_arrays
     built = []
 
-    def no_array(n, keep=None):
+    def no_array(n, bits=None):
         raise AssertionError("built partition rows")
 
-    def kept_rows(n, keep=None):
-        assert keep is not None
-        rows = build(n, keep)
+    def kept_rows(n, bits=None):
+        assert bits is not None
+        rows = build(n, bits)
         built.append(len(rows))
         return rows
 
@@ -956,8 +943,8 @@ def test_extremality_rank_builds_no_row_without_zero_curves(monkeypatch):
     build = fnef.cone.fcurve_block_arrays
     built = []
 
-    def kept_rows(n, keep=None):
-        rows = build(n, keep)
+    def kept_rows(n, bits=None):
+        rows = build(n, bits)
         built.append(rows.shape)
         return rows
 

@@ -43,6 +43,8 @@ from fnef.subsets import (
     is_psi_key,
     mask_from_elements,
     psi_key,
+    slot_heads,
+    slot_layout,
 )
 from oracles import enumeration_values, fcurve_functional, pushforward_fcurve
 
@@ -390,9 +392,9 @@ def test_fnef_check_argmin_is_the_first_minimum_across_open_block_groups(n):
     of those groups the scan takes, so a scan that kept the first chunk's
     minimum would report another curve."""
     blocks = fcurve_block_arrays(n)
-    s, _, _, _, groups = fnef.pairing._scan_layout(n)
+    s = slot_layout(n)[0]
     group = np.count_nonzero(blocks & ((1 << (n - s)) - 1), axis=1)
-    order = list(groups)
+    order = list(fnef.pairing._scan_groups(n))
     rng = random.Random(n)
     ties = misses = 0
     for _ in range(4):
@@ -445,20 +447,22 @@ def test_scan_plan_is_small_and_shared_across_n(qr_divisor, monkeypatch):
     monkeypatch.setattr(fnef.pairing, "_scan_plan", recording)
     for d in divisors:
         fnef_check(d)
-    # per scan, once for the kernel and once to map the argmin slot
-    assert asked == [7, 7] * 3
-    spread, gather, heads = plan(7)
-    assert plan(7)[0] is spread and plan(7)[2] is heads
-    arrays = [spread, gather, *(a for h in heads.values() for a in h if a is not None)]
+    # once per scan, for the kernel; the argmin slot is mapped through the
+    # layout's valid slots (`subsets.slot_heads`)
+    assert asked == [7] * 3
+    spread, gather, codes = plan(7)
+    assert plan(7)[0] is spread and plan(7)[2] is codes
+    arrays = [spread, gather, *codes.values(), *(a for h in slot_heads(7).values() for a in h)]
     assert sum(a.nbytes for a in arrays) < 1 << 20
     assert not any(a.flags.writeable for a in arrays)
     # only a prefix that opened 4 blocks completes every slot of its heads
-    assert [select is None for _, select in heads.values()] == [False, False, False, True]
+    assert [valid.all() for _, valid in slot_heads(7).values()] == [False, False, False, True]
 
 
 #: sha256 over every `_scan_plan(s)` array (dtype, shape and bytes, in the
-#: order spread, gather, then each u's codes and selection), pinned from the
-#: plan built by the scan's earlier, independent slot arithmetic
+#: order spread, gather, then each u's codes and selection: the indices of
+#: its valid slots in `subsets.slot_heads`, "-" when all are valid), pinned
+#: from the plan built by the scan's earlier, independent slot arithmetic
 SCAN_PLAN_SHA256 = {
     3: "333c8d0e486589c3201a3d3c60ecbd87193863ac806eb99e2f992c4270e4f5d6",
     4: "844e37f7885d5d0e70e501f44b6ad3358cf5ea35f14b86df97b4c90fd7a90dd3",
@@ -472,8 +476,10 @@ SCAN_PLAN_SHA256 = {
 
 @pytest.mark.parametrize("s", sorted(SCAN_PLAN_SHA256))
 def test_scan_plan_arrays_are_pinned(s):
-    spread, gather, heads = fnef.pairing._scan_plan(s)
-    arrays = [spread, gather, *(a for u in range(1, 5) for a in heads[u])]
+    spread, gather, codes = fnef.pairing._scan_plan(s)
+    heads = slot_heads(s)
+    select = {u: None if v.all() else np.flatnonzero(v) for u, (_, v) in heads.items()}
+    arrays = [spread, gather, *(a for u in range(1, 5) for a in (codes[u], select[u]))]
 
     def digest(a):
         if a is None:
@@ -488,21 +494,24 @@ def test_scan_plan_arrays_are_pinned(s):
 
 @pytest.mark.parametrize("n", range(4, 14))
 def test_scan_prefix_side_is_cached_and_read_only(n):
-    layout = fnef.pairing._scan_layout(n)
-    assert fnef.pairing._scan_layout(n) is layout
-    s, opened, slots, curves, groups = layout
+    # the scan reads the enumeration's layout (`subsets.slot_layout`) and
+    # groups its prefixes (`_scan_groups`), both cached per n
+    layout, groups = slot_layout(n), fnef.pairing._scan_groups(n)
+    assert slot_layout(n) is layout and fnef.pairing._scan_groups(n) is groups
+    s, prefixes, opened, slots, curves = layout
     assert s == min(7, n - 1)
-    assert curves[-1] == count_fcurves(n)
-    assert slots[-1] == slot_count(n) and slots[-1] % 16 == 0
+    assert curves[0] == 0 and curves[-1] == count_fcurves(n)
+    assert slots[0] == 0 and slots[-1] == slot_count(n) and slots[-1] % 16 == 0
+    assert len(prefixes) == len(opened) == len(slots) - 1 == len(curves) - 1
     # the groups split the prefixes by open-block count, from 4 down, each
     # in enumeration order, with the slot where each prefix starts
     assert list(groups) == sorted(set(opened.tolist()), reverse=True)
-    starts = np.concatenate([[0], slots[:-1]])
+    starts = slots[:-1]
     for u, (masks, at) in groups.items():
         assert np.array_equal(at, starts[opened == u])
         assert masks.shape == (len(at), 7)
     assert sorted(np.concatenate([at for _, at in groups.values()])) == starts.tolist()
-    arrays = [opened, slots, curves, *(a for g in groups.values() for a in g)]
+    arrays = [*layout[1:], *(a for g in groups.values() for a in g)]
     assert not any(a.flags.writeable for a in arrays)
     if n == 12:
         assert (s, len(opened), slots[-1]) == (7, 51, 703136)

@@ -1,5 +1,6 @@
 """Mask canonicalization and 4-block partition enumeration."""
 
+import hashlib
 import itertools
 import random
 import re
@@ -11,19 +12,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fnef import (
+    DivisorClass,
     FCurve,
     canonical_generator,
     count_fcurves,
+    eliminate_psi,
     enumerate_fcurves,
     fcurve_at,
     fcurve_block_arrays,
+    fnef_check,
     parse_fcurve,
+    pullback_forgetful,
 )
 import fnef.subsets
 from fnef.errors import InvalidInputError
 from fnef.subsets import (
+    _slot_rows,
     all_generator_keys,
-    completion_tables,
     elements_from_mask,
     exact_int,
     format_subset,
@@ -35,6 +40,7 @@ from fnef.subsets import (
     psi_key,
     validate_n,
 )
+from oracles import fcurve_block_arrays_oracle
 
 
 def brute_force_partitions(n, k):
@@ -182,38 +188,73 @@ def test_stream_is_the_block_arrays_rows(n):
     assert [c.blocks for c in enumerate_fcurves(n)] == rows
 
 
-# Completions of the n=8 prefix {1}, {2} that each break exactly one
-# condition the FCurve checks make once joined with it; the walk's row 40
-# of that completion table is curve 390, 1,3,4,7|2,8|5|6
-BAD_COMPLETIONS_N8 = [
-    (0b01001100, 0b10000000, 0b00110000, 0b00000000),  # empty last block
-    (0b11001100, 0b10000000, 0b00010000, 0b00100000),  # marking 8 twice
-    (0b01001100, 0b00000000, 0b00010000, 0b00100000),  # marking 8 missing
-    (0b01001100, 0b10000000, 0b00100000, 0b00010000),  # blocks out of order
+# Completions of the n=9 prefix {1}, {2} that each break exactly one
+# condition the FCurve checks make once joined with it; row 40 of its
+# completions is curve 1741, 1,3,4,5,8|2,9|6|7
+BAD_COMPLETIONS_N9 = [
+    (0b010011100, 0b100000000, 0b001100000, 0b000000000),  # empty last block
+    (0b110011100, 0b100000000, 0b000100000, 0b001000000),  # marking 9 twice
+    (0b010011100, 0b000000000, 0b000100000, 0b001000000),  # marking 9 missing
+    (0b010011100, 0b100000000, 0b001000000, 0b000100000),  # blocks out of order
 ]
 
 
-@pytest.mark.parametrize("bad", BAD_COMPLETIONS_N8)
+@pytest.mark.parametrize("bad", BAD_COMPLETIONS_N9)
 def test_enumerate_checks_every_row(monkeypatch, bad):
-    # n=8 has two prefixes: {1,2} with 350 completions, then {1}, {2}, the
-    # only one with 2 blocks open, so its table's row 40 is curve 390
-    tables = completion_tables(8, 2)
+    # n=9 has two prefixes: {1,2} with 1701 completions, then {1}, {2}, the
+    # only one with 2 blocks open, so row 40 of its completions is curve 1741
+    tables = dict(_slot_rows(9))
     tables[2] = tables[2].copy()
     tables[2][40] = bad
-    monkeypatch.setattr(fnef.subsets, "completion_tables", lambda n, split: tables)
-    curves = enumerate_fcurves(8)
-    first = [tuple(r) for r in fcurve_block_arrays(8)[:350].tolist()]
-    assert [c.blocks for c in itertools.islice(curves, 350)] == first
+    monkeypatch.setattr(fnef.subsets, "_slot_rows", lambda n: tables)
+    curves = enumerate_fcurves(9)
+    first = [tuple(r) for r in fcurve_block_arrays(9)[:1701].tolist()]
+    assert [c.blocks for c in itertools.islice(curves, 1701)] == first
     # the refusal comes before the prefix's first curve and names the row's
     # enumeration position, not its position in the table
-    with pytest.raises(InvalidInputError, match="row 390 is not"):
+    with pytest.raises(InvalidInputError, match="row 1741 is not"):
         next(curves)
     row = tuple(b | p for b, p in zip(bad, (0b01, 0b10, 0, 0)))
     try:  # the per-curve checks refuse the row or reorder its blocks
-        checked = FCurve(8, row).blocks
+        checked = FCurve(9, row).blocks
     except InvalidInputError:
         checked = None
     assert checked != row
+
+
+def digest(rows):
+    """sha256 of a row array's dtype, shape and bytes: two arrays compared
+    by digest are not held at once."""
+    h = hashlib.sha256(f"{rows.dtype.str}{rows.shape}".encode())
+    h.update(np.ascontiguousarray(rows).data)
+    return h.hexdigest()
+
+
+def seeded_divisor(n):
+    """A seeded class with coefficients in {-1, 0, 1} on every key: about
+    one curve in six pairs to zero with it at n=12."""
+    coeffs = np.random.default_rng(n).integers(-1, 2, 1 << n - 1).tolist()
+    return DivisorClass(n, dict(zip(all_generator_keys(n), coeffs)))
+
+
+@pytest.mark.parametrize("n", range(4, 15))
+def test_rows_match_the_second_cut_oracle(n, qr_divisor):
+    # every curve, and the zero rows of seeded classes and of the biplane
+    # divisor pulled back to n=13 and n=14, built from the scan's zero
+    # bits, are the rows of a second prefix cut in the same order
+    assert digest(fcurve_block_arrays(n)) == digest(fcurve_block_arrays_oracle(n))
+    divisors = [seeded_divisor(n), DivisorClass.zero(n)]
+    if n >= 13:
+        up = pullback_forgetful(eliminate_psi(qr_divisor))
+        divisors.append(up if n == 13 else pullback_forgetful(up))
+    for d in divisors:
+        rep = fnef_check(d)
+        rows = fcurve_block_arrays(n, rep.zero_bits)
+        assert len(rows) == rep.zero_count and not rows.flags.writeable
+        assert digest(rows) == digest(fcurve_block_arrays_oracle(n, rep.zero_mask()))
+    if n <= 9:
+        oracle = [tuple(r) for r in fcurve_block_arrays_oracle(n).tolist()]
+        assert [c.blocks for c in enumerate_fcurves(n)] == oracle
 
 
 def test_count_matches_the_closed_form():
@@ -365,24 +406,35 @@ def test_block_array_is_fresh_on_every_call():
     assert ref() is None
 
 
+def slot_bits(n, keep):
+    """A boolean mask over the curves of n markings as flags over the slots
+    of the layout at n: the zero class pairs 0 with every curve, so its
+    scan's zero bits flag exactly the curve slots, in enumeration order."""
+    curve = np.unpackbits(fnef_check(DivisorClass.zero(n)).zero_bits).view(bool)
+    flags = np.zeros(len(curve), dtype=bool)
+    flags[curve] = keep
+    return np.packbits(flags)
+
+
 @pytest.mark.parametrize("n", range(4, 12))
 def test_kept_rows_are_the_arrays_rows_at_the_mask(n):
+    # the rows of the flagged slots are the array's rows at their curves
     arr = fcurve_block_arrays(n)
     rng = np.random.default_rng(n)
     masks = [rng.random(len(arr)) < share for share in (0.01, 0.2, 0.5, 0.9)]
     masks += [np.zeros(len(arr), dtype=bool), np.ones(len(arr), dtype=bool)]
     for keep in masks:
-        kept = fcurve_block_arrays(n, keep)
+        kept = fcurve_block_arrays(n, slot_bits(n, keep))
         assert kept.dtype == np.int32 and not kept.flags.writeable
         assert np.array_equal(kept, arr[keep])
-    assert fcurve_block_arrays(n, masks[-2]).shape == (0, 4)
+    assert fcurve_block_arrays(n, slot_bits(n, masks[-2])).shape == (0, 4)
 
 
 @pytest.mark.parametrize(
     "keep",
     [
         [True] * count_fcurves(9),  # not an array
-        np.ones(count_fcurves(9), dtype=np.int8),  # not boolean
+        np.ones(count_fcurves(9), dtype=np.int8),  # not uint8
         np.ones(count_fcurves(9) - 1, dtype=bool),
         np.ones(count_fcurves(9) + 1, dtype=bool),
         np.ones((count_fcurves(9), 1), dtype=bool),  # not 1-D
@@ -390,20 +442,38 @@ def test_kept_rows_are_the_arrays_rows_at_the_mask(n):
     ],
 )
 def test_kept_rows_refuse_a_mask_that_is_not_one_per_curve(keep):
-    with pytest.raises(InvalidInputError, match="1-D boolean array of length 7770"):
+    # the flags are one bit per slot, 11424 slots in 1428 bytes at n=9
+    with pytest.raises(InvalidInputError, match="1-D uint8 array of 1428 bytes for n=9"):
         fcurve_block_arrays(9, keep)
+
+
+def test_slot_rows_refuse_a_curve_order_mask_and_a_pad_flag():
+    # a boolean mask over the 7770 curves, as the rows once took, is refused
+    # whatever its dtype or packing, and so are slot bits of another dtype
+    # or length
+    mask = np.ones(count_fcurves(9), dtype=bool)
+    bits = slot_bits(9, mask)
+    for wrong in (mask, mask.view(np.uint8), np.packbits(mask), bits.view(np.int8), bits[1:]):
+        with pytest.raises(InvalidInputError, match="1-D uint8 array of 1428 bytes for n=9"):
+            fcurve_block_arrays(9, wrong)
+    # a flag on a slot that completes no curve is refused
+    flags = np.unpackbits(bits)
+    flags[np.flatnonzero(flags == 0)[[0, -1]]] = 1
+    with pytest.raises(InvalidInputError, match="bits flag 2 slots that complete no curve"):
+        fcurve_block_arrays(9, np.packbits(flags))
+    assert len(fcurve_block_arrays(9, bits)) == 7770
 
 
 def test_kept_rows_refused_beyond_physical_memory(monkeypatch):
-    # 16 bytes per kept row, not per curve: one byte less is refused,
+    # 16 bytes per flagged row, not per curve: one byte less is refused,
     # exactly that much is enough
     keep = np.random.default_rng(9).random(count_fcurves(9)) < 0.25
-    need = 16 * int(keep.sum())
+    bits, need = slot_bits(9, keep), 16 * int(keep.sum())
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need - 1)
     with pytest.raises(InvalidInputError, match=f"needs {need} bytes"):
-        fcurve_block_arrays(9, keep)
+        fcurve_block_arrays(9, bits)
     monkeypatch.setattr(fnef.subsets, "physical_memory", lambda: need)
-    assert len(fcurve_block_arrays(9, keep)) == need // 16
+    assert len(fcurve_block_arrays(9, bits)) == need // 16
 
 
 def row_curve(n, row):
